@@ -40,12 +40,9 @@ from .photonics import (
     SourceSpec,
     accidental_rate,
     modulate_and_detect,
-    sfg_bsm,
-    survive,
     transmittance,
 )
 from .protocol import (
-    Block,
     DetectionRecord,
     EveKind,
     EveModel,
@@ -55,7 +52,6 @@ from .protocol import (
     SessionPhase,
     SessionTranscript,
     delay_control,
-    encode_block,
     run_qsdc,
     run_security_detection,
     transmit_and_decode_block,
@@ -64,14 +60,11 @@ from .qstate import (
     BellLabel,
     NoiseParams,
     PauliEncoding,
-    TimeBin,
     TwoQubitState,
     apply_encoding,
     apply_noise,
     bell_state,
-    decode_bits,
     depolarizing_p_for_fidelity,
-    encode_bits,
     fidelity,
     fringe_coincidence,
     visibility,

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from scipy.stats import beta as beta_dist
-
 from .errors import DomainError, InsufficientData
 
 
@@ -115,9 +113,16 @@ class QberEstimate:
 def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Exact binomial confidence interval; well behaved at tiny error rates.
 
-    The k = 0 and k = n endpoints reduce to closed forms (the Beta quantile
-    with a unit shape parameter); interior counts use the Beta inverse CDF.
+    Clopper and Pearson, Biometrika 26, 404 (1934): the bounds are Beta
+    quantiles, Beta(k, n - k + 1) at alpha/2 and Beta(k + 1, n - k) at
+    1 - alpha/2. The k = 0 and k = n endpoints reduce to closed forms (the
+    Beta quantile with a unit shape parameter); interior counts use the
+    inverse regularized incomplete beta function.
     """
+    # Imported here: scipy.special loads in a fraction of scipy.stats' time,
+    # and only sessions with detection records need it.
+    from scipy.special import betaincinv
+
     if trials < 1:
         raise InsufficientData("Clopper-Pearson interval needs at least one trial")
     alpha = 1.0 - confidence
@@ -126,13 +131,13 @@ def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple
     elif errors == trials:
         low = (alpha / 2.0) ** (1.0 / trials)
     else:
-        low = float(beta_dist.ppf(alpha / 2.0, errors, trials - errors + 1))
+        low = float(betaincinv(errors, trials - errors + 1, alpha / 2.0))
     if errors == trials:
         high = 1.0
     elif errors == 0:
         high = 1.0 - (alpha / 2.0) ** (1.0 / trials)
     else:
-        high = float(beta_dist.ppf(1.0 - alpha / 2.0, errors + 1, trials - errors))
+        high = float(betaincinv(errors + 1, trials - errors, 1.0 - alpha / 2.0))
     return low, high
 
 

@@ -50,7 +50,7 @@ def run_session(scenario: Scenario) -> protocol.SessionTranscript:
 def fidelity_table(scenario: Scenario) -> list[dict]:
     """Direct density-matrix fidelity of each Bell state under source noise."""
     rows = []
-    for label in photonics.BELL_ORDER:
+    for label in qstate.BELL_ORDER:
         state = qstate.apply_noise(
             qstate.bell_state(label), scenario.devices.source.heralding_noise
         )
@@ -58,6 +58,27 @@ def fidelity_table(scenario: Scenario) -> list[dict]:
             {"bell_state": label.name.lower(), "fidelity": qstate.fidelity(state, label)}
         )
     return rows
+
+
+def session_metrics(
+    scenario: Scenario, transcript: protocol.SessionTranscript
+) -> tuple[
+    analysis.QberEstimate | None, analysis.SecrecyReport | None, analysis.ThroughputReport
+]:
+    """Pooled QBER, secrecy bound and throughput of one session."""
+    qber = transcript.pooled_qber
+    secrecy = (
+        analysis.session_secrecy_report(qber, transcript.erasure_fraction)
+        if qber
+        else None
+    )
+    throughput = analysis.throughput(
+        sfg_rate_hz=scenario.devices.sfg.max_rate_hz,
+        modulation_rate_hz=scenario.devices.modulator.rate_hz,
+        erasure_fraction=transcript.erasure_fraction,
+        overhead_fraction=transcript.overhead_fraction,
+    )
+    return qber, secrecy, throughput
 
 
 def build_report(
@@ -74,18 +95,7 @@ def build_report(
     connectivity = netplan.verify_full_connectivity(
         plan, scenario.topology.subnets, scenario.topology.users_per_subnet
     )
-    qber = transcript.pooled_qber
-    secrecy = (
-        analysis.session_secrecy_report(qber, transcript.erasure_fraction)
-        if qber
-        else None
-    )
-    throughput = analysis.throughput(
-        sfg_rate_hz=scenario.devices.sfg.max_rate_hz,
-        modulation_rate_hz=scenario.devices.modulator.rate_hz,
-        erasure_fraction=transcript.erasure_fraction,
-        overhead_fraction=transcript.overhead_fraction,
-    )
+    qber, secrecy, throughput = session_metrics(scenario, transcript)
     return {
         "scenario_digest": scenario.digest(),
         "scenario": scenario.canonical_dict(),
@@ -108,7 +118,7 @@ def build_report(
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def fringe_study(
@@ -287,18 +297,7 @@ def cmd_sweep(args) -> int:
             print(f"error: {args.param}={value}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         transcript = run_session(variant)
-        qber = transcript.pooled_qber
-        secrecy = (
-            analysis.session_secrecy_report(qber, transcript.erasure_fraction)
-            if qber
-            else None
-        )
-        throughput = analysis.throughput(
-            sfg_rate_hz=variant.devices.sfg.max_rate_hz,
-            modulation_rate_hz=variant.devices.modulator.rate_hz,
-            erasure_fraction=transcript.erasure_fraction,
-            overhead_fraction=transcript.overhead_fraction,
-        )
+        qber, secrecy, throughput = session_metrics(variant, transcript)
         rows.append(
             {
                 "index": index,

@@ -1,10 +1,10 @@
 """Stochastic device and channel models.
 
 Fiber attenuation, single-photon detection, polarization modulation, the
-SFG-based Bell-state measurement and accidental coincidences. Every random
-draw goes through the session's seeded numpy Generator, so whole runs are
-reproducible bit-for-bit. Device specs are immutable values; a Generator is
-owned by exactly one session.
+SFG stage's conversion efficiency and rate cap, and accidental
+coincidences. Every random draw goes through the session's seeded numpy
+Generator, so whole runs are reproducible bit-for-bit. Device specs are
+immutable values; a Generator is owned by exactly one session.
 """
 
 from __future__ import annotations
@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .qstate import BellLabel, NoiseParams, TwoQubitState, fringe_coincidence
-
-BELL_ORDER = (
-    BellLabel.PHI_PLUS,
-    BellLabel.PHI_MINUS,
-    BellLabel.PSI_PLUS,
-    BellLabel.PSI_MINUS,
-)
+from .qstate import NoiseParams, TwoQubitState, fringe_coincidence
 
 
 def _check_probability(name: str, value: float):
@@ -101,33 +94,6 @@ class Devices:
 def transmittance(fiber: FiberSpec) -> float:
     """Fiber survival probability, 10^(-attenuation * length / 10)."""
     return 10.0 ** (-fiber.attenuation_db_per_km * fiber.length_km / 10.0)
-
-
-def survive(rng: np.random.Generator, probability: float) -> bool:
-    """One Bernoulli draw from the session RNG."""
-    _check_probability("probability", probability)
-    return bool(rng.random() < probability)
-
-
-def sfg_bsm(
-    state: TwoQubitState, spec: SfgSpec, rng: np.random.Generator
-) -> BellLabel | None:
-    """Bell-state measurement through sum-frequency generation.
-
-    With probability conversion_efficiency the pair converts and the outcome
-    is sampled from the Bell-basis diagonal of the state, so all four labels
-    are distinguishable in a single shot; otherwise the pair is erased and
-    None is returned. Misidentification enters only through state noise.
-    """
-    if rng.random() >= spec.conversion_efficiency:
-        return None
-    diagonal = state.bell_diagonal()
-    weights = np.array([diagonal[label] for label in BELL_ORDER])
-    weights = weights / weights.sum()
-    draw = rng.random()
-    cumulative = np.cumsum(weights)
-    index = int(np.searchsorted(cumulative, draw, side="right"))
-    return BELL_ORDER[min(index, 3)]
 
 
 def modulate_and_detect(

@@ -14,8 +14,7 @@ produces is a pure function of (configuration, seed).
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -23,8 +22,9 @@ import numpy as np
 
 from . import analysis
 from .errors import DomainError, InvariantViolation
-from .photonics import BELL_ORDER, Devices, transmittance
+from .photonics import Devices, transmittance
 from .qstate import (
+    BELL_ORDER,
     BellLabel,
     NoiseParams,
     PauliEncoding,
@@ -32,8 +32,6 @@ from .qstate import (
     apply_encoding,
     apply_noise,
     bell_state,
-    decode_bits,
-    encode_bits,
 )
 
 
@@ -422,39 +420,6 @@ def run_security_detection(
     )
 
 
-@dataclass(frozen=True)
-class Block:
-    """One quantum data block: N encoded pair slots carrying 2N message bits."""
-
-    pairs: tuple[PauliEncoding, ...]
-    message_bits: str
-
-    def __post_init__(self):
-        if len(self.message_bits) != 2 * len(self.pairs):
-            raise InvariantViolation(
-                f"block carries {len(self.pairs)} pairs but {len(self.message_bits)} bits"
-            )
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-
-def encode_block(message_bits: str, n: int) -> Block:
-    """Encode a 2N-bit message segment into N Pauli-encoded pair slots."""
-    if len(message_bits) != 2 * n:
-        raise DomainError(
-            f"message segment must have {2 * n} bits for {n} pairs, got {len(message_bits)}"
-        )
-    if any(c not in "01" for c in message_bits):
-        raise DomainError("message bits must contain only 0 and 1")
-    pairs = tuple(encode_bits(message_bits[2 * i : 2 * i + 2]) for i in range(n))
-    return Block(pairs=pairs, message_bits=message_bits)
-
-
-_ENCODING_ORDER = tuple(PauliEncoding)
-
-
 @lru_cache(maxsize=64)
 def _encoding_cumulative(noise: NoiseParams, eve: EveModel) -> np.ndarray:
     """Bell-diagonal sampling tables per encoding after noise and Eve.
@@ -466,7 +431,7 @@ def _encoding_cumulative(noise: NoiseParams, eve: EveModel) -> np.ndarray:
     """
     base = apply_noise(bell_state(BellLabel.PHI_PLUS), noise)
     table = np.zeros((4, 4))
-    for row, encoding in enumerate(_ENCODING_ORDER):
+    for code, encoding in enumerate(PauliEncoding):
         encoded = apply_encoding(base, encoding)
         rho = encoded.rho
         if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
@@ -477,35 +442,28 @@ def _encoding_cumulative(noise: NoiseParams, eve: EveModel) -> np.ndarray:
             rho = (1.0 - eve.fraction) * rho + eve.fraction * dephased
         diag = TwoQubitState(rho).bell_diagonal()
         diagonal = np.array([diag[label] for label in BELL_ORDER])
-        table[row] = np.cumsum(diagonal / diagonal.sum())
+        table[code] = np.cumsum(diagonal / diagonal.sum())
     return table
 
 
-@dataclass(frozen=True)
-class DecodedBlock:
-    bits: tuple[str | None, ...]  # per-pair 2-bit code, None when erased
-    erasure_mask: tuple[bool, ...]
-    pair_outcomes: tuple[BellLabel | None, ...]
-
-
 def transmit_and_decode_block(
-    block: Block,
+    codes: np.ndarray,
     devices: Devices,
     eve: EveModel,
     rng: np.random.Generator,
-) -> DecodedBlock:
-    """Send one block through the channel and decode it at Bob.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Send one block of 2-bit codes through the channel and decode it at Bob.
 
-    Each pair starts as phi+ with the source's heralding noise, carries its
-    slot's encoding, and survives the two fiber arms, any tap, the SFG
-    conversion and the detector with a single joint probability; survivors
-    draw their identified Bell state from the noisy state's Bell diagonal
-    (the vectorized equivalent of running sfg_bsm pair by pair). Losses and
-    failed conversions come back as erasures, never as errors.
+    Each pair starts as phi+ with the source's heralding noise, carries the
+    encoding of its slot's code, and survives the two fiber arms, any tap,
+    the SFG conversion and the detector with a single joint probability;
+    survivors draw their identified Bell state from the noisy state's Bell
+    diagonal (the vectorized equivalent of running the SFG measurement pair
+    by pair). Returns the delivered mask and the decoded codes, each the
+    index of the identified state in BELL_ORDER. Losses and failed
+    conversions come back as erasures, never as errors; the decoded code of
+    an erased slot carries no information.
     """
-    n = block.size
-    if n == 0:
-        return DecodedBlock(bits=(), erasure_mask=(), pair_outcomes=())
     tap_fraction = eve.fraction if eve.kind is EveKind.TAP else 0.0
     p_deliver = (
         transmittance(devices.alice_fiber)
@@ -515,26 +473,9 @@ def transmit_and_decode_block(
         * devices.detector.efficiency
     )
     table = _encoding_cumulative(devices.source.heralding_noise, eve)
-    encoding_index = np.array([_ENCODING_ORDER.index(p) for p in block.pairs])
-    delivered = rng.random(n) < p_deliver
-    draws = rng.random(n)
-    outcome_index = (draws[:, None] > table[encoding_index]).sum(axis=1)
-
-    bits: list[str | None] = []
-    outcomes: list[BellLabel | None] = []
-    for i in range(n):
-        if delivered[i]:
-            label = BELL_ORDER[int(outcome_index[i])]
-            outcomes.append(label)
-            bits.append(decode_bits(label))
-        else:
-            outcomes.append(None)
-            bits.append(None)
-    return DecodedBlock(
-        bits=tuple(bits),
-        erasure_mask=tuple(not d for d in delivered),
-        pair_outcomes=tuple(outcomes),
-    )
+    delivered = rng.random(codes.size) < p_deliver
+    draws = rng.random(codes.size)
+    return delivered, (draws[:, None] > table[codes]).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -577,13 +518,21 @@ def bits_to_hex(bits: str) -> str:
     """Hex encoding of a bitstring, right-padded with zeros to whole nibbles."""
     if not bits:
         return ""
+    # int() alone would also take a sign, a 0b prefix, underscores and spaces.
+    if not bits.isdecimal():
+        raise ValueError(f"not a bitstring: {bits[:32]!r}")
     padded = bits + "0" * (-len(bits) % 4)
-    return "".join(f"{int(padded[i:i + 4], 2):x}" for i in range(0, len(padded), 4))
+    return format(int(padded, 2), f"0{len(padded) // 4}x")
 
 
 def hex_to_bits(hex_string: str, bit_length: int | None = None) -> str:
     """Bitstring from hex; optionally truncated to bit_length bits."""
-    bits = "".join(f"{int(c, 16):04b}" for c in hex_string)
+    bits = ""
+    if hex_string:
+        # int() alone would also take a 0x prefix, underscores and spaces.
+        if not hex_string.isalnum() or "x" in hex_string.lower():
+            raise ValueError(f"not a hex string: {hex_string[:32]!r}")
+        bits = format(int(hex_string, 16), f"0{4 * len(hex_string)}b")
     if bit_length is not None:
         if bit_length > len(bits):
             raise DomainError(
@@ -611,20 +560,22 @@ def run_qsdc(
     """
     if not message_bits:
         raise DomainError("message must be non-empty")
-    if any(c not in "01" for c in message_bits):
+    if message_bits.strip("01"):  # any other character survives the strip
         raise DomainError("message bits must contain only 0 and 1")
 
     session = Session(rng)
     session.log("session_start", message_length=len(message_bits))
 
-    padded = message_bits + ("0" if len(message_bits) % 2 else "")
-    pending = deque(
-        (index, padded[2 * index : 2 * index + 2]) for index in range(len(padded) // 2)
-    )
-    total_symbols = len(pending)
+    # Message code i is the 2-bit value of bits 2i, 2i+1; an odd-length
+    # message is padded with one 0 bit, which the BER leaves out.
+    bits = np.frombuffer(message_bits.encode(), dtype=np.uint8) - ord("0")
+    codes = bits[0::2] << 1
+    codes[: bits.size // 2] |= bits[1::2]
+    total_symbols = codes.size
+    pending = np.arange(total_symbols)  # FIFO queue of symbol indices
     attempts = np.zeros(total_symbols, dtype=int)
-    delivered: dict[int, str] = {}
-    truncated: list[int] = []
+    received = np.zeros(total_symbols, dtype=np.uint8)  # 00 where never delivered
+    arrived = np.zeros(total_symbols, dtype=bool)
 
     symbol_rate = min(devices.modulator.rate_hz, devices.sfg.max_rate_hz)
     detection_size = config.effective_detection_size
@@ -655,23 +606,12 @@ def run_qsdc(
         return result.passed
 
     def finalize(status: str, reason: str | None):
-        delivered_padded = "".join(
-            delivered.get(index, "00") for index in range(total_symbols)
-        )
-        delivered_trimmed = delivered_padded[: len(message_bits)]
-        delivered_count = 0
-        wrong_bits = 0
-        for index, code in enumerate(
-            padded[2 * i : 2 * i + 2] for i in range(total_symbols)
-        ):
-            got = delivered.get(index)
-            if got is None:
-                continue
-            usable = 2 if 2 * index + 2 <= len(message_bits) else 1
-            delivered_count += usable
-            wrong_bits += sum(
-                1 for j in range(usable) if got[j] != code[j]
-            )
+        completed = status == "completed"
+        got_bits = np.column_stack((received >> 1, received & 1)).ravel()[: bits.size]
+        counted = arrived.repeat(2)[: bits.size]
+        delivered_count = int(np.count_nonzero(counted))
+        wrong_bits = int(np.count_nonzero((got_bits != bits) & counted))
+        delivered_bits = (got_bits + ord("0")).tobytes().decode() if completed else None
         ber = (wrong_bits / delivered_count) if delivered_count else None
         erasure_fraction = (
             erased_transmissions / transmissions if transmissions else 0.0
@@ -683,12 +623,12 @@ def run_qsdc(
             "status": status,
             "abort_reason": reason,
             "message_length": len(message_bits),
-            "delivered_bits": delivered_trimmed if status == "completed" else None,
-            "delivered_bits_hex": bits_to_hex(delivered_trimmed)
-            if status == "completed"
-            else None,
-            "ber": ber if status == "completed" else None,
-            "truncated_symbols": sorted(truncated),
+            "delivered_bits": delivered_bits,
+            "delivered_bits_hex": bits_to_hex(delivered_bits) if completed else None,
+            "ber": ber if completed else None,
+            "truncated_symbols": np.flatnonzero(
+                attempts > config.max_retransmissions
+            ).tolist(),
             "blocks_sent": blocks_sent,
             "transmissions": transmissions,
             "erased_transmissions": erased_transmissions,
@@ -699,7 +639,7 @@ def run_qsdc(
             "elapsed_s": session.time_s,
         }
         session.transcript.summary = summary
-        if status == "completed":
+        if completed:
             session.log(
                 "session_complete",
                 **{k: v for k, v in summary.items() if k != "status"},
@@ -712,39 +652,34 @@ def run_qsdc(
         return session.transcript
     blocks_since_check = 0
 
-    while pending:
+    while pending.size:
         if blocks_since_check >= config.redetect_every_blocks:
             if not run_detection():
                 finalize("aborted", session.abort_reason)
                 return session.transcript
             blocks_since_check = 0
-        batch = [pending.popleft() for _ in range(min(config.block_size, len(pending)))]
-        block = encode_block("".join(code for _, code in batch), len(batch))
-        decoded = transmit_and_decode_block(block, devices, eve, rng)
-        session.time_s += len(batch) / symbol_rate if symbol_rate > 0 else 0.0
-        transmissions += len(batch)
-        block_erasures = 0
-        block_errors = 0
-        for slot, (index, code) in enumerate(batch):
-            if decoded.erasure_mask[slot]:
-                block_erasures += 1
-                erased_transmissions += 1
-                attempts[index] += 1
-                if attempts[index] > config.max_retransmissions:
-                    truncated.append(index)
-                else:
-                    pending.append((index, code))
-            else:
-                got = decoded.bits[slot]
-                delivered[index] = got
-                if got != code:
-                    block_errors += 1
+        batch, pending = pending[: config.block_size], pending[config.block_size :]
+        sent = codes[batch]
+        delivered, decoded = transmit_and_decode_block(sent, devices, eve, rng)
+        session.time_s += batch.size / symbol_rate if symbol_rate > 0 else 0.0
+        transmissions += batch.size
+        erased = batch[~delivered]
+        erased_transmissions += erased.size
+        attempts[erased] += 1
+        # Erased symbols under the cap rejoin the back of the queue in slot order.
+        pending = np.concatenate(
+            (pending, erased[attempts[erased] <= config.max_retransmissions])
+        )
+        got = batch[delivered]
+        received[got] = decoded[delivered]
+        arrived[got] = True
+        block_errors = int(np.count_nonzero(decoded[delivered] != sent[delivered]))
         symbol_errors += block_errors
         session.log(
             "block_sent",
             block_index=blocks_sent,
-            pairs=len(batch),
-            erasures=block_erasures,
+            pairs=batch.size,
+            erasures=erased.size,
             symbol_errors=block_errors,
         )
         blocks_sent += 1

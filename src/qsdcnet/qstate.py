@@ -22,13 +22,6 @@ TRACE_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 
 
-class TimeBin(Enum):
-    """The two time-bin basis states of one photon."""
-
-    S = "s"  # short path
-    L = "l"  # long path
-
-
 class BellLabel(Enum):
     """The four Bell states and their agreed 2-bit codes."""
 
@@ -37,14 +30,15 @@ class BellLabel(Enum):
     PSI_PLUS = "10"
     PSI_MINUS = "11"
 
-    @property
-    def bits(self) -> str:
-        """The 2-bit code this Bell state encodes."""
-        return self.value
+
+# The code table: message code i (the 2-bit value 0..3) is sent as
+# PauliEncoding member i, which turns phi+ into BELL_ORDER[i], and
+# BELL_ORDER[i].value spells i in binary. Sessions index with the code.
+BELL_ORDER = tuple(BellLabel)
 
 
 class PauliEncoding(Enum):
-    """Unitaries applied to the sender's qubit to encode two bits."""
+    """Unitaries applied to the sender's qubit; member i encodes code i."""
 
     I = "I"
     SIGMA_Z = "sigma_z"
@@ -72,21 +66,6 @@ _BELL_VECTOR = {
     BellLabel.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) * _SQRT_HALF,
     BellLabel.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) * _SQRT_HALF,
     BellLabel.PSI_MINUS: np.array([0, -1, 1, 0], dtype=complex) * _SQRT_HALF,
-}
-
-# Applying the encoding to the first qubit of phi+ yields this Bell state.
-_LABEL_FOR_ENCODING = {
-    PauliEncoding.I: BellLabel.PHI_PLUS,
-    PauliEncoding.SIGMA_Z: BellLabel.PHI_MINUS,
-    PauliEncoding.SIGMA_X: BellLabel.PSI_PLUS,
-    PauliEncoding.MINUS_I_SIGMA_Y: BellLabel.PSI_MINUS,
-}
-
-_ENCODING_FOR_BITS = {
-    "00": PauliEncoding.I,
-    "01": PauliEncoding.SIGMA_Z,
-    "10": PauliEncoding.SIGMA_X,
-    "11": PauliEncoding.MINUS_I_SIGMA_Y,
 }
 
 
@@ -174,11 +153,6 @@ def apply_encoding(state: TwoQubitState, encoding: PauliEncoding) -> TwoQubitSta
     """
     unitary = np.kron(_ENCODING_MATRIX[encoding], _ID2)
     return TwoQubitState(unitary @ state.rho @ unitary.conj().T)
-
-
-def label_for_encoding(encoding: PauliEncoding) -> BellLabel:
-    """The Bell state that ``encoding`` produces from phi+."""
-    return _LABEL_FOR_ENCODING[encoding]
 
 
 def _dephase_qubit(rho: np.ndarray, qubit: int, q: float) -> np.ndarray:
@@ -287,16 +261,3 @@ def visibility(samples: Sequence[tuple[float, float]]) -> float:
     if fit.offset <= 0.0:
         raise InsufficientData("degenerate fringe fit (non-positive offset)")
     return min(max(fit.amplitude / fit.offset, 0.0), 1.0)
-
-
-def encode_bits(bits: str) -> PauliEncoding:
-    """Map a 2-bit code to its encoding unitary (00->I ... 11->-i sigma_y)."""
-    encoding = _ENCODING_FOR_BITS.get(bits)
-    if encoding is None:
-        raise DomainError(f"bits must be one of 00/01/10/11, got {bits!r}")
-    return encoding
-
-
-def decode_bits(label: BellLabel) -> str:
-    """Map an identified Bell state back to its 2-bit code."""
-    return label.bits

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -58,7 +59,8 @@ class MessageSpec:
         if self.hex is not None:
             return hex_to_bits(self.hex, self.bit_length)
         rng = np.random.default_rng([seed, _MESSAGE_STREAM])
-        return "".join("1" if b else "0" for b in rng.integers(0, 2, self.random_bits))
+        draws = rng.integers(0, 2, self.random_bits)
+        return (draws.astype(np.uint8) + ord("0")).tobytes().decode()
 
 
 @dataclass(frozen=True)
@@ -194,6 +196,9 @@ class _Reader:
             raise ScenarioError(
                 f"{self._label(key)}: expected {kind.__name__}, got {type(value).__name__}"
             )
+        # JSON parsing admits NaN and Infinity, which no range check catches.
+        if kind is float and not math.isfinite(value):
+            raise ScenarioError(f"{self._label(key)}: must be finite, got {value}")
         return value
 
     def unknown_keys(self, known: set[str]) -> list[str]:

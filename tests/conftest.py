@@ -9,7 +9,7 @@ from qsdcnet.photonics import (
     SfgSpec,
     SourceSpec,
 )
-from qsdcnet.qstate import NoiseParams, TwoQubitState
+from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams, TwoQubitState
 
 
 def random_density_matrix(seed: int) -> TwoQubitState:
@@ -18,6 +18,29 @@ def random_density_matrix(seed: int) -> TwoQubitState:
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
     return TwoQubitState(rho / np.trace(rho).real)
+
+
+def sfg_bsm(
+    state: TwoQubitState, spec: SfgSpec, rng: np.random.Generator
+) -> BellLabel | None:
+    """Scalar Bell-state measurement through sum-frequency generation.
+
+    The per-pair oracle for the vectorized block path in
+    ``protocol.transmit_and_decode_block``. With probability
+    conversion_efficiency the pair converts and the outcome is sampled from
+    the Bell-basis diagonal of the state, so all four labels are
+    distinguishable in a single shot; otherwise the pair is erased and None
+    is returned. Misidentification enters only through state noise.
+    """
+    if rng.random() >= spec.conversion_efficiency:
+        return None
+    diagonal = state.bell_diagonal()
+    weights = np.array([diagonal[label] for label in BELL_ORDER])
+    weights = weights / weights.sum()
+    draw = rng.random()
+    cumulative = np.cumsum(weights)
+    index = int(np.searchsorted(cumulative, draw, side="right"))
+    return BELL_ORDER[min(index, 3)]
 
 
 def make_devices(

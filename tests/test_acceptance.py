@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from qsdcnet import analysis, cli, netplan, qstate
-from qsdcnet.photonics import BELL_ORDER, SfgSpec, sfg_bsm
+from qsdcnet.photonics import SfgSpec
 from qsdcnet.protocol import (
     EveModel,
     ProtocolConfig,
@@ -33,7 +33,7 @@ from qsdcnet.scenario import (
     scenario_from_dict,
 )
 
-from conftest import make_devices
+from conftest import make_devices, sfg_bsm
 
 
 @contextmanager
@@ -270,10 +270,10 @@ def test_criterion_10_sfg_bsm_statistics():
             )
             oracle = state.bell_diagonal()  # exact Bell-basis probabilities
             rng = np.random.default_rng(1000 + seed)
-            counts = {lbl: 0 for lbl in BELL_ORDER}
+            counts = {lbl: 0 for lbl in qstate.BELL_ORDER}
             for _ in range(trials):
                 counts[sfg_bsm(state, SfgSpec(1.0), rng)] += 1
-            for lbl in BELL_ORDER:
+            for lbl in qstate.BELL_ORDER:
                 expected = oracle[lbl]
                 se = np.sqrt(expected * (1 - expected) / trials)
                 assert abs(counts[lbl] / trials - expected) <= 3 * se

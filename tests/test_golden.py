@@ -1,0 +1,180 @@
+"""Frozen output bytes of ``qsdcnet run`` and ``qsdcnet sweep``.
+
+Each case writes a scenario file, runs the CLI in-process and compares the
+SHA-256 of every file it writes with the digest recorded when the case was
+added. Together the cases cover FIFO retransmission order, truncation by
+the retransmission cap, the pad bit of an odd-length message, BER above
+zero, small blocks with frequent re-detection, aborts and a sweep. A
+refactor that keeps behaviour leaves every digest here unchanged.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from qsdcnet import cli
+from qsdcnet.scenario import forty_km_scenario_dict, ideal_scenario_dict
+
+
+def _criterion_09_scenarios() -> dict[str, dict]:
+    noisy = ideal_scenario_dict(seed=903, message_hex="beef" * 4)
+    noisy["devices"]["source"]["noise"]["depolarizing_p"] = 0.06
+    eve_doc = ideal_scenario_dict(seed=904, message_hex="0123")
+    eve_doc["eve"] = {"kind": "intercept_resend", "fraction": 1.0}
+    tap_doc = ideal_scenario_dict(seed=905, message_hex="7777")
+    tap_doc["eve"] = {"kind": "tap", "fraction": 0.3}
+    return {
+        "ideal_901": ideal_scenario_dict(seed=901, message_hex="deadbeef" * 4),
+        "forty_km_902": forty_km_scenario_dict(seed=902, random_bits=6000),
+        "noisy_903": noisy,
+        "intercept_resend_904": eve_doc,
+        "tap_905": tap_doc,
+    }
+
+
+def _megabit() -> dict:
+    doc = ideal_scenario_dict(seed=700)
+    doc["message"] = {"random_bits": 1_000_000}
+    return doc
+
+
+def _truncating() -> dict:
+    # About 60% of pairs are lost on 10 km arms; with no retransmissions
+    # 60 of the 100 symbols are truncated and the session still completes.
+    doc = ideal_scenario_dict(seed=12)
+    doc["devices"]["alice_fiber"]["length_km"] = 10.0
+    doc["devices"]["bob_fiber"]["length_km"] = 10.0
+    doc["protocol"]["max_retransmissions"] = 0
+    doc["protocol"]["detection_size"] = 4000
+    doc["message"] = {"random_bits": 200}
+    return doc
+
+
+def _odd_noisy() -> dict:
+    # 17 bits: the last symbol carries a pad bit, which this seed decodes
+    # wrongly; BER must leave it out (3 symbol errors, 2 wrong bits).
+    doc = ideal_scenario_dict(seed=24, message_hex="b7e1d", message_bit_length=17)
+    doc["devices"]["source"]["noise"]["depolarizing_p"] = 0.3
+    doc["protocol"]["qber_threshold"] = 0.25
+    return doc
+
+
+def _small_blocks() -> dict:
+    doc = ideal_scenario_dict(seed=1)
+    doc["devices"]["sfg"]["conversion_efficiency"] = 0.6
+    doc["protocol"]["block_size"] = 257
+    doc["protocol"]["redetect_every_blocks"] = 3
+    doc["message"] = {"random_bits": 4000}
+    return doc
+
+
+def _eve_sweep_base() -> dict:
+    doc = ideal_scenario_dict(seed=22)
+    doc["eve"] = {"kind": "intercept_resend", "fraction": 0.0}
+    doc["protocol"]["qber_threshold"] = 0.45
+    doc["protocol"]["detection_size"] = 4000
+    doc["message"] = {"random_bits": 400}
+    return doc
+
+
+RUN_SCENARIOS = {
+    **_criterion_09_scenarios(),
+    "forty_km_reference": forty_km_scenario_dict(seed=1),
+    "megabit_ideal": _megabit(),
+    "truncating_10km": _truncating(),
+    "odd_length_noisy": _odd_noisy(),
+    "small_blocks": _small_blocks(),
+}
+
+# name -> (exit code, sha256 of transcript.jsonl, sha256 of report.json)
+RUN_DIGESTS = {
+    "forty_km_902": (
+        cli.EXIT_OK,
+        "17e3fe7bd5004fbbd2d4e7da5d32fb59f519f3c633e060a88b27450c7840ffb1",
+        "134da06ea29846cc22249882c162ded996dee25f5fff7489d00917753dc8a447",
+    ),
+    "forty_km_reference": (
+        cli.EXIT_OK,
+        "93720bc5b4719f365f49a34b766a98e3076ba768505abe2c158f2104121e09b7",
+        "0df0b272514dd670e71f402c97e6839efbb48f4712f738e7632d40a20fcdac34",
+    ),
+    "ideal_901": (
+        cli.EXIT_OK,
+        "01a63901f15f57ca38a8f9dedc783801c0bcf12dd057ed4f7933619027a895aa",
+        "325c7f6be5a24f1d751eba553b379f39c42a15c22550016e9c9e852a79cd8108",
+    ),
+    "intercept_resend_904": (
+        cli.EXIT_ABORT,
+        "d33dd8e0f1cbeedad83fa12d392be8019fe5a5bf2d89baab1b75fb5489dc4c09",
+        "1aafd8c63e22da4306413c26d0610ac23396dbeffb5a5278a792612322e3a0d1",
+    ),
+    "megabit_ideal": (
+        cli.EXIT_OK,
+        "eb6fed89b36805a0455cee65a83878b2f96cfc92cada61975f5a21c949c75a92",
+        "62b47592d344ad9cdc881941915fdebf701ff3e80fe4290804e89d20741865ea",
+    ),
+    "noisy_903": (
+        cli.EXIT_OK,
+        "24cfecf9e1bdc4c2cd7a50040c908db2ccab6cdc1fc8036fcfab0d02e53f5da3",
+        "7363f53cec2c76c70d1f8ae0fd9aca41e1686f4da1f101c24576a9b49819bc04",
+    ),
+    "odd_length_noisy": (
+        cli.EXIT_OK,
+        "5d5c8df06a95abf1af38b034cdde6daf9113829cafc849a2c278bf4e9e4cdcba",
+        "3ef81f74b7ccfdce508154f44e07c7a0ada98d453be6224dac6d6818d62649c2",
+    ),
+    "small_blocks": (
+        cli.EXIT_OK,
+        "9b135258bc83e8ca46ce2c8c1bb308d6d586677f8f5225a94a753ddf0fc23c61",
+        "c361481e8c3cb81853d7bf175e0c9cdf9a4be887c1494c0b8b3e48b4b34df138",
+    ),
+    "tap_905": (
+        cli.EXIT_OK,
+        "400e12c02bc1d455b9606dfc926ebacbe14173e23e7b313b660c2880a2d4e8c1",
+        "880c2eb37300e92f98963dcfce72694921abe0c395022c2d25f92cd6b883e9ea",
+    ),
+    "truncating_10km": (
+        cli.EXIT_OK,
+        "fa45d98b438405ca5e8f8f9f3785bda5541e0762c97f8f3849655b3b1909d185",
+        "f3bd37297665634af328a3f5c4f8b0765ca53f8335d4088584b1d6a0dc3c4776",
+    ),
+}
+
+SWEEP_ARGS = ["--param", "eve.fraction", "--values", "0,0.25,0.5,1"]
+SWEEP_DIGEST = "1f74bf2da04eb73aef38373ae1cd6197f6a3fcbadb31f2ee94d2a4639947764e"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_scenario(tmp_path, doc) -> str:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc, indent=2))
+    return str(path)
+
+
+def run_outputs(tmp_path, doc) -> tuple[int, str, str]:
+    out = tmp_path / "out"
+    code = cli.main(["run", "--scenario", _write_scenario(tmp_path, doc), "--out", str(out)])
+    return code, _sha256(out / "transcript.jsonl"), _sha256(out / "report.json")
+
+
+def sweep_output(tmp_path) -> str:
+    out = tmp_path / "out"
+    code = cli.main(
+        ["sweep", "--scenario", _write_scenario(tmp_path, _eve_sweep_base()), *SWEEP_ARGS,
+         "--out", str(out)]
+    )
+    assert code == cli.EXIT_OK
+    return _sha256(out / "sweep.csv")
+
+
+@pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
+def test_run_outputs_are_frozen(name, tmp_path, capsys):
+    assert run_outputs(tmp_path, RUN_SCENARIOS[name]) == RUN_DIGESTS[name]
+
+
+def test_sweep_output_is_frozen(tmp_path, capsys):
+    assert sweep_output(tmp_path) == SWEEP_DIGEST

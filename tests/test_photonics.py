@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from qsdcnet.errors import DomainError
 from qsdcnet.photonics import (
-    BELL_ORDER,
     DetectorSpec,
     FiberSpec,
     ModulatorSpec,
@@ -14,11 +13,11 @@ from qsdcnet.photonics import (
     detection_waveform,
     fringe_scan,
     modulate_and_detect,
-    sfg_bsm,
-    survive,
     transmittance,
 )
-from qsdcnet.qstate import BellLabel, NoiseParams, apply_noise, bell_state
+from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams, apply_noise, bell_state
+
+from conftest import sfg_bsm
 
 
 class TestTransmittance:
@@ -46,29 +45,6 @@ class TestTransmittance:
     def test_negative_length_rejected(self):
         with pytest.raises(DomainError):
             FiberSpec(-1.0, 0.2)
-
-
-class TestSurvive:
-    def test_certain_and_impossible(self):
-        rng = np.random.default_rng(0)
-        assert survive(rng, 1.0) is True
-        assert survive(rng, 0.0) is False
-
-    def test_law_of_large_numbers(self):
-        rng = np.random.default_rng(2024)
-        hits = sum(survive(rng, 0.5) for _ in range(1_000_000))
-        assert hits / 1_000_000 == pytest.approx(0.5, abs=0.002)
-
-    def test_out_of_range_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(DomainError):
-            survive(rng, 1.5)
-
-    def test_reproducible_per_seed(self):
-        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-        draws_a = [survive(rng_a, p) for p in (0.3, 0.7, 0.5) for _ in range(40)]
-        draws_b = [survive(rng_b, p) for p in (0.3, 0.7, 0.5) for _ in range(40)]
-        assert draws_a == draws_b
 
 
 class TestSfgBsm:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsdcnet.errors import DomainError, InvariantViolation
-from qsdcnet.photonics import SfgSpec, sfg_bsm
+from qsdcnet.photonics import SfgSpec
 from qsdcnet.protocol import (
     EveModel,
     ProtocolConfig,
@@ -16,21 +16,20 @@ from qsdcnet.protocol import (
     SessionPhase,
     bits_to_hex,
     delay_control,
-    encode_block,
     hex_to_bits,
     run_qsdc,
     run_security_detection,
     transmit_and_decode_block,
 )
 from qsdcnet.qstate import (
+    BELL_ORDER,
     BellLabel,
     NoiseParams,
-    PauliEncoding,
     apply_noise,
     bell_state,
 )
 
-from conftest import make_devices
+from conftest import make_devices, sfg_bsm
 
 
 def detection_session(seed=0):
@@ -201,42 +200,33 @@ class TestSecurityDetection:
 
 
 class TestEncodeBlock:
-    def test_single_pair_identity(self):
-        block = encode_block("00", 1)
-        assert block.pairs == (PauliEncoding.I,)
-
-    def test_mapping_application(self):
-        block = encode_block("1101", 2)
-        assert block.pairs == (PauliEncoding.MINUS_I_SIGMA_Y, PauliEncoding.SIGMA_Z)
-
-    def test_empty_block(self):
-        block = encode_block("", 0)
-        assert block.pairs == () and block.size == 0
-
     def test_length_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            encode_block("001", 2)
-        with pytest.raises(DomainError):
-            encode_block("0a", 1)
+        # run_qsdc packs the message into 2-bit codes. Any bit count packs (an
+        # odd one is padded, see test_odd_length_message_round_trips); a
+        # character other than 0 and 1 does not.
+        for message in ("0a", "2", "01 10", "0b01", "\u0661"):
+            with pytest.raises(DomainError):
+                run_qsdc(message, make_devices(), EveModel.none(), FAST_POLICY,
+                         FAST_CONFIG, np.random.default_rng(0))
 
 
 class TestTransmitAndDecode:
     def test_noiseless_round_trip(self):
         rng = np.random.default_rng(11)
-        bits = "0011100111010010"
-        block = encode_block(bits, 8)
-        decoded = transmit_and_decode_block(block, make_devices(), EveModel.none(), rng)
-        assert not any(decoded.erasure_mask)
-        assert "".join(decoded.bits) == bits
+        codes = np.array([0, 3, 2, 1, 3, 1, 0, 2], dtype=np.uint8)  # 0011100111010010
+        delivered, decoded = transmit_and_decode_block(
+            codes, make_devices(), EveModel.none(), rng
+        )
+        assert delivered.all()
+        np.testing.assert_array_equal(decoded, codes)
 
     def test_zero_conversion_all_erasures(self):
         rng = np.random.default_rng(12)
-        block = encode_block("01" * 50, 50)
-        decoded = transmit_and_decode_block(
-            block, make_devices(conversion=0.0), EveModel.none(), rng
+        codes = np.full(50, 1, dtype=np.uint8)
+        delivered, _ = transmit_and_decode_block(
+            codes, make_devices(conversion=0.0), EveModel.none(), rng
         )
-        assert all(decoded.erasure_mask)
-        assert all(b is None for b in decoded.bits)
+        assert not delivered.any()
 
     def test_werner_noise_symbol_error_rate(self):
         # Oracle: symbol error = 1 - Bell-diagonal peak = 3p/4 for Werner noise.
@@ -244,14 +234,12 @@ class TestTransmitAndDecode:
         oracle = 3 * p / 4
         rng = np.random.default_rng(13)
         n = 100_000
-        bits = "".join(rng.choice(list("01"), 2 * n))
-        block = encode_block(bits, n)
-        decoded = transmit_and_decode_block(
-            block, make_devices(noise=NoiseParams(depolarizing_p=p)), EveModel.none(), rng
+        codes = rng.integers(0, 4, n).astype(np.uint8)
+        delivered, decoded = transmit_and_decode_block(
+            codes, make_devices(noise=NoiseParams(depolarizing_p=p)), EveModel.none(), rng
         )
-        errors = sum(
-            1 for i in range(n) if decoded.bits[i] != bits[2 * i : 2 * i + 2]
-        )
+        assert delivered.all()
+        errors = np.count_nonzero(decoded != codes)
         se = np.sqrt(oracle * (1 - oracle) / n)
         assert abs(errors / n - oracle) <= 3 * se
 
@@ -260,13 +248,14 @@ class TestTransmitAndDecode:
         noise = NoiseParams(depolarizing_p=0.2)
         devices = make_devices(noise=noise)
         n = 40_000
-        block = encode_block("01" * n, n)  # every pair encodes sigma_z
-        decoded = transmit_and_decode_block(
-            block, devices, EveModel.none(), np.random.default_rng(14)
+        codes = np.full(n, 1, dtype=np.uint8)  # every pair encodes sigma_z
+        delivered, decoded = transmit_and_decode_block(
+            codes, devices, EveModel.none(), np.random.default_rng(14)
         )
+        assert delivered.all()
         block_freq = {
-            label: sum(1 for o in decoded.pair_outcomes if o is label) / n
-            for label in BellLabel
+            label: np.count_nonzero(decoded == code) / n
+            for code, label in enumerate(BELL_ORDER)
         }
         state = apply_noise(bell_state(BellLabel.PHI_MINUS), noise)
         rng = np.random.default_rng(15)
@@ -283,9 +272,9 @@ class TestTransmitAndDecode:
         rng = np.random.default_rng(16)
         n = 50_000
         devices = make_devices(fiber_km=10.0, attenuation=1.0)  # eta = 0.1 per arm
-        block = encode_block("00" * n, n)
-        decoded = transmit_and_decode_block(block, devices, EveModel.none(), rng)
-        erased = sum(decoded.erasure_mask) / n
+        codes = np.zeros(n, dtype=np.uint8)
+        delivered, _ = transmit_and_decode_block(codes, devices, EveModel.none(), rng)
+        erased = np.count_nonzero(~delivered) / n
         expected = 1 - 0.1 * 0.1
         se = np.sqrt(expected * (1 - expected) / n)
         assert abs(erased - expected) <= 3 * se
@@ -438,3 +427,12 @@ class TestBitstringHelpers:
     def test_bit_length_overflow_rejected(self):
         with pytest.raises(DomainError):
             hex_to_bits("ff", 9)
+
+    def test_malformed_strings_rejected(self):
+        # int(s, 16) on the whole string would accept the first four.
+        for hex_string in ("0x1f", "1_f", " 1f", "1f ", "1g", "ff-"):
+            with pytest.raises(ValueError):
+                hex_to_bits(hex_string)
+        for bits in ("0102", "1a", "01 "):
+            with pytest.raises(ValueError):
+                bits_to_hex(bits)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qsdcnet.errors import DomainError, InsufficientData, InvariantViolation
 from qsdcnet.qstate import (
+    BELL_ORDER,
     BellLabel,
     NoiseParams,
     PauliEncoding,
@@ -12,18 +13,17 @@ from qsdcnet.qstate import (
     apply_encoding,
     apply_noise,
     bell_state,
-    decode_bits,
     depolarizing_p_for_fidelity,
-    encode_bits,
     fidelity,
     fit_fringe,
     fringe_coincidence,
-    label_for_encoding,
     maximally_mixed,
     visibility,
 )
 
-from conftest import random_density_matrix
+from qsdcnet.protocol import EveModel, ProtocolConfig, QberThresholdPolicy, run_qsdc
+
+from conftest import make_devices, random_density_matrix
 
 ALL_LABELS = list(BellLabel)
 ALL_ENCODINGS = list(PauliEncoding)
@@ -79,7 +79,6 @@ class TestEncoding:
         for encoding, label in expected.items():
             out = apply_encoding(bell_state(BellLabel.PHI_PLUS), encoding)
             np.testing.assert_allclose(out.rho, bell_state(label).rho, atol=1e-12)
-            assert label_for_encoding(encoding) is label
 
     def test_minus_i_sigma_y_against_matrix_oracle(self):
         # Independent oracle: conjugate by an explicitly hand-built 4x4 unitary.
@@ -240,15 +239,26 @@ class TestVisibility:
 
 class TestBitCodes:
     def test_known_codes(self):
-        assert encode_bits("00") is PauliEncoding.I
-        assert encode_bits("11") is PauliEncoding.MINUS_I_SIGMA_Y
-        assert decode_bits(BellLabel.PSI_PLUS) == "10"
+        # Code 00 is sent as I, code 11 as -i sigma_y; code 10 reads psi+.
+        assert ALL_ENCODINGS[0b00] is PauliEncoding.I
+        assert ALL_ENCODINGS[0b11] is PauliEncoding.MINUS_I_SIGMA_Y
+        assert BELL_ORDER[0b10] is BellLabel.PSI_PLUS
+        assert BellLabel.PSI_PLUS.value == "10"
 
     def test_round_trip_all_codes(self):
-        for code in ("00", "01", "10", "11"):
-            label = label_for_encoding(encode_bits(code))
-            assert decode_bits(label) == code and label.bits == code
+        # Sessions send code i as PauliEncoding member i and read BELL_ORDER[i].
+        phi_plus = bell_state(BellLabel.PHI_PLUS)
+        assert len(BELL_ORDER) == len(ALL_ENCODINGS) == 4
+        for code, encoding in enumerate(ALL_ENCODINGS):
+            label = BELL_ORDER[code]
+            out = apply_encoding(phi_plus, encoding)
+            assert fidelity(out, label) == pytest.approx(1.0, abs=1e-12)
+            assert label.value == format(code, "02b")
 
     def test_bad_code_rejected(self):
-        with pytest.raises(DomainError):
-            encode_bits("2x")
+        # A message whose bits do not spell 2-bit codes never reaches the table.
+        for message in ("2x", "0x", "x1"):
+            with pytest.raises(DomainError):
+                run_qsdc(message, make_devices(), EveModel.none(),
+                         QberThresholdPolicy(), ProtocolConfig(),
+                         np.random.default_rng(0))

@@ -150,6 +150,25 @@ class TestRunCommand:
         assert code == cli.EXIT_VALIDATION
         assert "devices.sfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("path", ["devices.alice_fiber.length_km", "eve.fraction"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, path, value):
+        doc = ideal_scenario_dict(seed=15)
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        scenario_path = write_scenario(tmp_path, doc)  # json writes NaN / Infinity
+        code = cli.main(["run", "--scenario", scenario_path, "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION
+        assert f"{path}: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_report_json_is_strict(self):
+        with pytest.raises(ValueError):
+            cli.report_to_json({"session": {"ber": float("nan")}})
+
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))
         scenario_path = write_scenario(tmp_path, ideal_scenario_dict(seed=14, message_hex="55"))
