@@ -8,7 +8,6 @@ from .analysis import (
     ThroughputReport,
     binary_entropy,
     fidelity_from_visibility,
-    qber_from_transcript,
     secrecy_capacity_bound,
     session_secrecy_report,
     throughput,
@@ -43,7 +42,7 @@ from .photonics import (
     transmittance,
 )
 from .protocol import (
-    DetectionRecord,
+    DetectionBatch,
     EveKind,
     EveModel,
     ProtocolConfig,

@@ -9,9 +9,8 @@ over immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Iterable
 
 from .errors import DomainError, InsufficientData
 
@@ -40,17 +39,7 @@ class SecrecyReport:
     entropy_arg_clamped: bool
 
     def to_dict(self) -> dict:
-        return {
-            "q_b": self.q_b,
-            "q_e": self.q_e,
-            "e": self.e,
-            "e_x": self.e_x,
-            "e_z": self.e_z,
-            "h_e": self.h_e,
-            "h_exez": self.h_exez,
-            "cs_lower": self.cs_lower,
-            "entropy_arg_clamped": self.entropy_arg_clamped,
-        }
+        return asdict(self)
 
 
 def secrecy_capacity_bound(
@@ -99,15 +88,7 @@ class QberEstimate:
     ci_high: float
 
     def to_dict(self) -> dict:
-        return {
-            "e": self.e,
-            "e_x": self.e_x,
-            "e_z": self.e_z,
-            "n_x": self.n_x,
-            "n_z": self.n_z,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
+        return asdict(self)
 
 
 def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -153,22 +134,6 @@ def qber_from_counts(n_z: int, errors_z: int, n_x: int, errors_x: int) -> QberEs
     return QberEstimate(e=e, e_x=e_x, e_z=e_z, n_x=n_x, n_z=n_z, ci_low=ci_low, ci_high=ci_high)
 
 
-def qber_from_transcript(records: Iterable) -> QberEstimate:
-    """QBER estimate from detection records (objects with basis/outcomes)."""
-    n_z = errors_z = n_x = errors_x = 0
-    for record in records:
-        mismatch = record.alice_outcome != record.bob_outcome
-        if record.basis == "Z":
-            n_z += 1
-            errors_z += mismatch
-        elif record.basis == "X":
-            n_x += 1
-            errors_x += mismatch
-        else:
-            raise DomainError(f"unknown basis {record.basis!r}")
-    return qber_from_counts(n_z, errors_z, n_x, errors_x)
-
-
 class NoiseAssumption(Enum):
     ISOTROPIC = "isotropic"
     PHASE_ONLY = "phase_only"
@@ -207,12 +172,7 @@ class ThroughputReport:
     info_rate_bits_per_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "symbol_rate_hz": self.symbol_rate_hz,
-            "erasure_fraction": self.erasure_fraction,
-            "overhead_fraction": self.overhead_fraction,
-            "info_rate_bits_per_s": self.info_rate_bits_per_s,
-        }
+        return asdict(self)
 
 
 def throughput(

@@ -228,11 +228,11 @@ def cmd_run(args) -> int:
     transcript_path = os.path.join(out_dir, "transcript.jsonl")
     with open(transcript_path, "w") as handle:
         handle.write(transcript.to_jsonl())
-    report = build_report(scenario, transcript, "transcript.jsonl")
+    report_json = report_to_json(build_report(scenario, transcript, "transcript.jsonl"))
     report_path = os.path.join(out_dir, "report.json")
     with open(report_path, "w") as handle:
-        handle.write(report_to_json(report))
-    print(report_to_json(report), end="")
+        handle.write(report_json)
+    print(report_json, end="")
     print(f"wall-clock: {time.monotonic() - started:.3f} s", file=sys.stderr)
     if transcript.aborted:
         print(f"session aborted: {transcript.abort_reason}", file=sys.stderr)

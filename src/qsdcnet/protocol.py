@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -107,28 +108,83 @@ class QberThresholdPolicy:
 
 
 @dataclass(frozen=True)
-class DetectionRecord:
-    position: int
-    basis: str  # "Z" or "X"
-    alice_outcome: int
-    bob_outcome: int
-    published: bool = True
-
-
-@dataclass(frozen=True)
 class TranscriptEvent:
     timestamp_s: float
     event_kind: str
     payload: dict
+
+    def to_jsonl(self) -> str:
+        """The event's JSON line, without its newline."""
+        return json.dumps(
+            {
+                "timestamp_s": self.timestamp_s,
+                "event_kind": self.event_kind,
+                "payload": self.payload,
+            }
+        )
+
+
+_BASIS_NAMES = ("Z", "X")
+
+# The bytes json.dumps gives a detection_record event: %r of a Python float
+# is json's float repr, and the payload keys are in sorted order.
+_RECORD_LINE = (
+    '{"timestamp_s": %r, "event_kind": "detection_record", "payload": '
+    '{"alice_outcome": %d, "basis": "%s", "bob_outcome": %d, '
+    '"position": %d, "published": true}}'
+)
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionBatch:
+    """One detection round's surviving photons as parallel arrays.
+
+    Bob publishes each survivor's slot position, basis (0 = Z, 1 = X) and
+    outcome; Alice's outcome in the same basis sits beside it. In the
+    transcript the batch stands for the round's ``detection_record`` events,
+    one per survivor, and becomes their lines only when it is serialized.
+    """
+
+    event_kind: ClassVar[str] = "detection_record"
+    send_start_s: float
+    slot_s: float
+    positions: np.ndarray
+    bob_basis: np.ndarray
+    alice_bits: np.ndarray
+    bob_bits: np.ndarray
+
+    def counts(self) -> tuple[int, int, int, int]:
+        """Matched-basis comparisons and errors: (n_z, errors_z, n_x, errors_x)."""
+        wrong = self.alice_bits != self.bob_bits
+        in_x = self.bob_basis == 1
+        n_x = int(np.count_nonzero(in_x))
+        errors_x = int(np.count_nonzero(wrong & in_x))
+        errors_z = int(np.count_nonzero(wrong)) - errors_x
+        return self.positions.size - n_x, errors_z, n_x, errors_x
+
+    def to_jsonl(self) -> str:
+        """One detection_record line per survivor, in slot order."""
+        # A photon is detected at the end of its slot.
+        timestamps = self.send_start_s + (self.positions + 1) * self.slot_s
+        bases = np.array(_BASIS_NAMES)[self.bob_basis]
+        rows = zip(
+            timestamps.tolist(),
+            self.alice_bits.tolist(),
+            bases.tolist(),
+            self.bob_bits.tolist(),
+            self.positions.tolist(),
+        )
+        return "\n".join(map(_RECORD_LINE.__mod__, rows))
 
 
 class SessionTranscript:
     """Ordered protocol events plus the end-of-session summary."""
 
     def __init__(self):
-        self.events: list[TranscriptEvent] = []
+        self.events: list[TranscriptEvent | DetectionBatch] = []
         self.summary: dict = {}
-        self.detection_estimates: list[analysis.QberEstimate] = []
+        # Per detection round: (n_z, errors_z, n_x, errors_x).
+        self.detection_counts: list[tuple[int, int, int, int]] = []
 
     def log(self, timestamp_s: float, event_kind: str, **payload):
         self.events.append(
@@ -141,18 +197,7 @@ class SessionTranscript:
 
     def to_jsonl(self) -> str:
         """One JSON record per event, stable field order."""
-        lines = []
-        for event in self.events:
-            lines.append(
-                json.dumps(
-                    {
-                        "timestamp_s": event.timestamp_s,
-                        "event_kind": event.event_kind,
-                        "payload": event.payload,
-                    }
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return "\n".join(event.to_jsonl() for event in self.events) + "\n"
 
     @property
     def completed(self) -> bool:
@@ -183,21 +228,11 @@ class SessionTranscript:
         return self.summary.get("overhead_fraction", 0.0)
 
     @property
-    def elapsed_s(self) -> float:
-        return self.summary.get("elapsed_s", 0.0)
-
-    @property
     def pooled_qber(self) -> analysis.QberEstimate | None:
         """All detection rounds pooled into one estimate."""
-        if not self.detection_estimates:
+        if not self.detection_counts:
             return None
-        n_z = errors_z = n_x = errors_x = 0
-        for estimate in self.detection_estimates:
-            n_z += estimate.n_z
-            errors_z += round(estimate.e_z * estimate.n_z)
-            n_x += estimate.n_x
-            errors_x += round(estimate.e_x * estimate.n_x)
-        return analysis.qber_from_counts(n_z, errors_z, n_x, errors_x)
+        return analysis.qber_from_counts(*map(sum, zip(*self.detection_counts)))
 
 
 class Session:
@@ -246,7 +281,6 @@ _X_STATES = (
     np.array([1, -1], dtype=complex) / np.sqrt(2),
 )
 _BASIS_STATES = {"Z": _Z_STATES, "X": _X_STATES}
-_BASIS_NAMES = ("Z", "X")
 
 
 def _projector(vector: np.ndarray) -> np.ndarray:
@@ -300,7 +334,7 @@ class DetectionResult:
     photons_sent: int
     photons_detected: int
     expected_detected: float
-    records: tuple[DetectionRecord, ...]
+    batch: DetectionBatch | None  # None when no photon survived
 
 
 def run_security_detection(
@@ -346,7 +380,7 @@ def run_security_detection(
 
     surviving = np.flatnonzero(rng.random(num_photons) < p_record)
     n = surviving.size
-    records: list[DetectionRecord] = []
+    batch = qber = None
     if n:
         table = _detection_branch_cumulative(devices.source.heralding_noise)
         bob_basis = rng.integers(0, 2, n)
@@ -359,32 +393,18 @@ def run_security_detection(
         draws = rng.random(n)
         cumulative = table[bob_basis, eve_action]
         joint = (draws[:, None] > cumulative).sum(axis=1)
-        alice_bits = joint >> 1
-        bob_bits = joint & 1
-        slot = 1.0 / devices.modulator.rate_hz
-        for i in range(n):
-            position = int(surviving[i])
-            record = DetectionRecord(
-                position=position,
-                basis=_BASIS_NAMES[int(bob_basis[i])],
-                alice_outcome=int(alice_bits[i]),
-                bob_outcome=int(bob_bits[i]),
-            )
-            records.append(record)
-            session.transcript.log(
-                send_start + (position + 1) * slot,
-                "detection_record",
-                position=record.position,
-                basis=record.basis,
-                alice_outcome=record.alice_outcome,
-                bob_outcome=record.bob_outcome,
-                published=record.published,
-            )
-
-    qber = None
-    if n >= 1:
-        qber = analysis.qber_from_transcript(records)
-        session.transcript.detection_estimates.append(qber)
+        batch = DetectionBatch(
+            send_start_s=send_start,
+            slot_s=1.0 / devices.modulator.rate_hz,
+            positions=surviving,
+            bob_basis=bob_basis,
+            alice_bits=joint >> 1,
+            bob_bits=joint & 1,
+        )
+        counts = batch.counts()
+        session.transcript.events.append(batch)
+        session.transcript.detection_counts.append(counts)
+        qber = analysis.qber_from_counts(*counts)
 
     if n < policy.min_samples:
         passed, reason = False, "insufficient_detection_samples"
@@ -416,7 +436,7 @@ def run_security_detection(
         photons_sent=num_photons,
         photons_detected=int(n),
         expected_detected=expected,
-        records=tuple(records),
+        batch=batch,
     )
 
 

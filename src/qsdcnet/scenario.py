@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -38,6 +39,10 @@ from .qstate import NoiseParams
 # Distinct RNG streams derived from the scenario seed.
 _MESSAGE_STREAM = 0x6D65
 _SESSION_STREAM = 0x7365
+
+# [0-9], unlike \d, admits no other script's digits; fullmatch, unlike a
+# trailing $, rejects a trailing newline.
+_HEX_DIGITS = re.compile("[0-9a-fA-F]+")
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,6 @@ class Scenario:
     config: ProtocolConfig
     eve: EveModel
     message: MessageSpec
-    raw: dict = field(repr=False, default_factory=dict)
 
     def message_bits(self) -> str:
         return self.message.resolve(self.seed)
@@ -164,25 +168,36 @@ def _canonicalize(value):
 
 
 class _Reader:
-    """Dict navigation with field-path diagnostics."""
+    """Dict navigation with field-path diagnostics.
+
+    Every key a reader is asked for, present or not, counts as known; once
+    the scenario is built, ``reject_unknown`` rejects any other key in this
+    section or the sections read through it.
+    """
 
     def __init__(self, data: dict, path: str = ""):
         if not isinstance(data, dict):
             raise ScenarioError(f"{path or 'scenario'}: expected an object")
         self.data = data
         self.path = path
+        self.known: set[str] = set()
+        self.children: list[_Reader] = []
 
     def _label(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
     def child(self, key: str, required: bool = True) -> "_Reader | None":
+        self.known.add(key)
         if key not in self.data:
             if required:
                 raise ScenarioError(f"{self._label(key)}: missing required section")
             return None
-        return _Reader(self.data[key], self._label(key))
+        reader = _Reader(self.data[key], self._label(key))
+        self.children.append(reader)
+        return reader
 
     def get(self, key: str, kind, default=None, required: bool = False):
+        self.known.add(key)
         if key not in self.data:
             if required:
                 raise ScenarioError(f"{self._label(key)}: missing required field")
@@ -201,8 +216,12 @@ class _Reader:
             raise ScenarioError(f"{self._label(key)}: must be finite, got {value}")
         return value
 
-    def unknown_keys(self, known: set[str]) -> list[str]:
-        return [self._label(k) for k in self.data if k not in known]
+    def reject_unknown(self):
+        for key in self.data:
+            if key not in self.known:
+                raise ScenarioError(f"{self._label(key)}: unknown field")
+        for reader in self.children:
+            reader.reject_unknown()
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -333,11 +352,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     bit_length = msg_reader.get("bit_length", int, None)
     if (hex_payload is None) == (random_bits is None):
         raise ScenarioError("message: provide exactly one of 'hex' or 'random_bits'")
-    if hex_payload is not None and (not hex_payload or any(c not in "0123456789abcdefABCDEF" for c in hex_payload)):
+    if hex_payload is not None and not _HEX_DIGITS.fullmatch(hex_payload):
         raise ScenarioError("message.hex: must be a non-empty hexadecimal string")
     if random_bits is not None and random_bits < 1:
         raise ScenarioError(f"message.random_bits: must be >= 1, got {random_bits}")
     message = MessageSpec(hex=hex_payload, bit_length=bit_length, random_bits=random_bits)
+    root.reject_unknown()
 
     return Scenario(
         seed=seed,
@@ -347,7 +367,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         config=config,
         eve=eve,
         message=message,
-        raw=data,
     )
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qsdcnet.analysis import QberEstimate, qber_from_counts
+from qsdcnet.errors import DomainError
 from qsdcnet.photonics import (
     Devices,
     DetectorSpec,
@@ -41,6 +43,28 @@ def sfg_bsm(
     cumulative = np.cumsum(weights)
     index = int(np.searchsorted(cumulative, draw, side="right"))
     return BELL_ORDER[min(index, 3)]
+
+
+def qber_from_transcript(records) -> QberEstimate:
+    """Scalar QBER estimate from detection records, one at a time.
+
+    The per-record oracle for the counts that ``protocol.DetectionBatch``
+    takes with array ops. A record is the payload of one
+    ``detection_record`` transcript line: a dict with ``basis`` ("Z" or
+    "X"), ``alice_outcome`` and ``bob_outcome``.
+    """
+    n_z = errors_z = n_x = errors_x = 0
+    for record in records:
+        mismatch = record["alice_outcome"] != record["bob_outcome"]
+        if record["basis"] == "Z":
+            n_z += 1
+            errors_z += mismatch
+        elif record["basis"] == "X":
+            n_x += 1
+            errors_x += mismatch
+        else:
+            raise DomainError(f"unknown basis {record['basis']!r}")
+    return qber_from_counts(n_z, errors_z, n_x, errors_x)
 
 
 def make_devices(

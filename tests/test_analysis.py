@@ -11,14 +11,12 @@ from qsdcnet.analysis import (
     clopper_pearson,
     fidelity_from_visibility,
     qber_from_counts,
-    qber_from_transcript,
     secrecy_capacity_bound,
     session_secrecy_report,
     throughput,
 )
 from qsdcnet.errors import DomainError, InsufficientData
 from qsdcnet.protocol import (
-    DetectionRecord,
     EveModel,
     QberThresholdPolicy,
     Session,
@@ -27,7 +25,7 @@ from qsdcnet.protocol import (
 )
 from qsdcnet.qstate import BellLabel, NoiseParams, apply_noise, bell_state, fidelity
 
-from conftest import make_devices
+from conftest import make_devices, qber_from_transcript
 
 
 def entropy_oracle(value: str) -> float:
@@ -124,7 +122,10 @@ class TestSecrecyCapacity:
 
 class TestQberEstimation:
     def test_all_agree(self):
-        records = [DetectionRecord(i, "Z" if i % 2 else "X", 1, 1) for i in range(100)]
+        records = [
+            {"basis": "Z" if i % 2 else "X", "alice_outcome": 1, "bob_outcome": 1}
+            for i in range(100)
+        ]
         estimate = qber_from_transcript(records)
         assert estimate.e == 0.0
         assert estimate.ci_low == 0.0
@@ -147,10 +148,12 @@ class TestQberEstimation:
             QberThresholdPolicy(0.49, 500),
             num_photons=20000,
         )
-        estimate = qber_from_transcript(result.records)
+        estimate = result.qber
         assert estimate.ci_low <= 0.25 <= estimate.ci_high
 
     def test_empty_records_rejected(self):
+        with pytest.raises(InsufficientData):
+            qber_from_counts(0, 0, 0, 0)
         with pytest.raises(InsufficientData):
             qber_from_transcript([])
 

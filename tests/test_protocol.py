@@ -29,7 +29,7 @@ from qsdcnet.qstate import (
     bell_state,
 )
 
-from conftest import make_devices, sfg_bsm
+from conftest import make_devices, qber_from_transcript, sfg_bsm
 
 
 def detection_session(seed=0):
@@ -436,3 +436,54 @@ class TestBitstringHelpers:
         for bits in ("0102", "1a", "01 "):
             with pytest.raises(ValueError):
                 bits_to_hex(bits)
+
+
+class TestTranscriptFormatting:
+    """Detection records are kept as arrays and formatted by hand; these
+    properties hold them to json.dumps and to the scalar QBER oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rate_hz=st.floats(min_value=1e3, max_value=1e10, allow_nan=False),
+        detection_size=st.integers(min_value=1, max_value=300),
+        eve_kind=st.sampled_from(["none", "intercept_resend", "tap"]),
+        eve_fraction=st.floats(min_value=0.0, max_value=1.0),
+        fiber_km=st.floats(min_value=0.0, max_value=15.0),
+        message_bits=st.integers(min_value=1, max_value=200),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_detection_lines_match_json_and_scalar_qber(
+        self, rate_hz, detection_size, eve_kind, eve_fraction, fiber_km, message_bits, seed
+    ):
+        eve = {
+            "none": EveModel.none(),
+            "intercept_resend": EveModel.intercept_resend(eve_fraction),
+            "tap": EveModel.tap(eve_fraction),
+        }[eve_kind]
+        rng = np.random.default_rng(seed)
+        message = "".join(map(str, rng.integers(0, 2, message_bits)))
+        transcript = run_qsdc(
+            message,
+            make_devices(fiber_km=fiber_km, conversion=0.7, mod_rate_hz=rate_hz),
+            eve,
+            QberThresholdPolicy(threshold=0.3, min_samples=1),
+            ProtocolConfig(block_size=16, detection_size=detection_size, redetect_every_blocks=2),
+            rng,
+        )
+        round_records = None
+        rounds = 0
+        for line in transcript.to_jsonl().splitlines():
+            event = json.loads(line)
+            assert json.dumps(event) == line
+            kind, payload = event["event_kind"], event["payload"]
+            if kind == "detection_start":
+                round_records = []
+            elif kind == "detection_record":
+                round_records.append(payload)
+            elif kind == "detection_result":
+                assert payload["photons_detected"] == len(round_records)
+                expected = qber_from_transcript(round_records).to_dict() if round_records else None
+                assert payload["qber"] == expected
+                rounds += 1
+        assert rounds == sum(e.event_kind == "detection_result" for e in transcript.events)
+        assert rounds >= 1

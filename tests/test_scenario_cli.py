@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,32 @@ class TestScenarioParsing:
         doc = ideal_scenario_dict()
         doc["message"] = {}
         with pytest.raises(ScenarioError, match="message"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "section, key, path",
+        [
+            ((), "sed", "sed"),
+            (("devices", "alice_fiber"), "lenght_km", "devices.alice_fiber.lenght_km"),
+            (("devices", "source", "noise"), "depolarising_p", "devices.source.noise.depolarising_p"),
+            (("message",), "bit_lenght", "message.bit_lenght"),
+        ],
+    )
+    def test_unknown_fields_rejected(self, section, key, path):
+        doc = ideal_scenario_dict(seed=1)
+        node = doc
+        for name in section:
+            node = node[name]
+        node[key] = 50
+        with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: unknown field$"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "payload", ["", "ab\n", "a b", "0x1f", "١٢", "１２", "fg"]
+    )
+    def test_non_hex_message_rejected(self, payload):
+        doc = ideal_scenario_dict(seed=1, message_hex=payload)
+        with pytest.raises(ScenarioError, match="^message.hex: must be a non-empty hexadecimal string$"):
             scenario_from_dict(doc)
 
     def test_parse_errors_are_line_precise(self, tmp_path):
