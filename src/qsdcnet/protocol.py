@@ -323,7 +323,18 @@ def _detection_branch_cumulative(noise: NoiseParams) -> np.ndarray:
                     joint.append(float(np.trace(measurement @ state).real))
             probs = np.clip(np.array(joint), 0.0, None)
             table[bob_index, eve_action] = np.cumsum(probs / probs.sum())
+    table[..., -1] = 1.0  # rounding can leave it below the largest draw
     return table
+
+
+def _sample(table: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sampling: per draw, the number of entries of its row of the
+    cumulative table that the draw exceeds. Rows end at exactly 1.0, above
+    every draw in [0, 1), so the last column is never compared."""
+    indices = np.zeros(draws.size, dtype=np.uint8)
+    for column in table[:, :-1].T:
+        indices += draws > column[rows]
+    return indices
 
 
 @dataclass(frozen=True)
@@ -390,9 +401,7 @@ def run_security_detection(
             eve_action = np.where(intercepted, 1 + eve_basis, 0)
         else:
             eve_action = np.zeros(n, dtype=int)
-        draws = rng.random(n)
-        cumulative = table[bob_basis, eve_action]
-        joint = (draws[:, None] > cumulative).sum(axis=1)
+        joint = _sample(table.reshape(6, 4), 3 * bob_basis + eve_action, rng.random(n))
         batch = DetectionBatch(
             send_start_s=send_start,
             slot_s=1.0 / devices.modulator.rate_hz,
@@ -463,6 +472,7 @@ def _encoding_cumulative(noise: NoiseParams, eve: EveModel) -> np.ndarray:
         diag = TwoQubitState(rho).bell_diagonal()
         diagonal = np.array([diag[label] for label in BELL_ORDER])
         table[code] = np.cumsum(diagonal / diagonal.sum())
+    table[:, -1] = 1.0  # rounding can leave it below the largest draw
     return table
 
 
@@ -479,8 +489,8 @@ def transmit_and_decode_block(
     the SFG conversion and the detector with a single joint probability;
     survivors draw their identified Bell state from the noisy state's Bell
     diagonal (the vectorized equivalent of running the SFG measurement pair
-    by pair). Returns the delivered mask and the decoded codes, each the
-    index of the identified state in BELL_ORDER. Losses and failed
+    by pair). Returns the delivered mask and the decoded ``uint8`` codes,
+    each the index of the identified state in BELL_ORDER. Losses and failed
     conversions come back as erasures, never as errors; the decoded code of
     an erased slot carries no information.
     """
@@ -494,8 +504,7 @@ def transmit_and_decode_block(
     )
     table = _encoding_cumulative(devices.source.heralding_noise, eve)
     delivered = rng.random(codes.size) < p_deliver
-    draws = rng.random(codes.size)
-    return delivered, (draws[:, None] > table[codes]).sum(axis=1)
+    return delivered, _sample(table, codes, rng.random(codes.size))
 
 
 @dataclass(frozen=True)
@@ -534,32 +543,38 @@ class ProtocolConfig:
         return max(1, self.block_size // 10)
 
 
+def _bit_values(bits: str) -> np.ndarray:
+    """Each character's code minus ord("0"): 0 or 1 for a bit, above 1 otherwise."""
+    # "replace" turns every non-ASCII character into "?", which is no bit.
+    return np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+
+
 def bits_to_hex(bits: str) -> str:
     """Hex encoding of a bitstring, right-padded with zeros to whole nibbles."""
-    if not bits:
-        return ""
-    # int() alone would also take a sign, a 0b prefix, underscores and spaces.
-    if not bits.isdecimal():
+    values = _bit_values(bits)
+    if np.any(values > 1):
         raise ValueError(f"not a bitstring: {bits[:32]!r}")
-    padded = bits + "0" * (-len(bits) % 4)
-    return format(int(padded, 2), f"0{len(padded) // 4}x")
+    return np.packbits(values).tobytes().hex()[: -(-values.size // 4)]
 
 
 def hex_to_bits(hex_string: str, bit_length: int | None = None) -> str:
     """Bitstring from hex; optionally truncated to bit_length bits."""
-    bits = ""
-    if hex_string:
-        # int() alone would also take a 0x prefix, underscores and spaces.
-        if not hex_string.isalnum() or "x" in hex_string.lower():
-            raise ValueError(f"not a hex string: {hex_string[:32]!r}")
-        bits = format(int(hex_string, 16), f"0{4 * len(hex_string)}b")
+    padded = hex_string + "0" * (len(hex_string) % 2)
+    try:
+        raw = bytes.fromhex(padded)
+    except ValueError:
+        raw = b""
+    # fromhex skips whitespace, which leaves fewer bytes than digit pairs.
+    if 2 * len(raw) < len(padded):
+        raise ValueError(f"not a hex string: {hex_string[:32]!r}")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=4 * len(hex_string))
     if bit_length is not None:
-        if bit_length > len(bits):
+        if bit_length > bits.size:
             raise DomainError(
-                f"bit_length {bit_length} exceeds the {len(bits)} bits in the hex string"
+                f"bit_length {bit_length} exceeds the {bits.size} bits in the hex string"
             )
         bits = bits[:bit_length]
-    return bits
+    return (bits + ord("0")).tobytes().decode()
 
 
 def run_qsdc(
@@ -580,7 +595,8 @@ def run_qsdc(
     """
     if not message_bits:
         raise DomainError("message must be non-empty")
-    if message_bits.strip("01"):  # any other character survives the strip
+    bits = _bit_values(message_bits)
+    if np.any(bits > 1):
         raise DomainError("message bits must contain only 0 and 1")
 
     session = Session(rng)
@@ -588,11 +604,13 @@ def run_qsdc(
 
     # Message code i is the 2-bit value of bits 2i, 2i+1; an odd-length
     # message is padded with one 0 bit, which the BER leaves out.
-    bits = np.frombuffer(message_bits.encode(), dtype=np.uint8) - ord("0")
     codes = bits[0::2] << 1
     codes[: bits.size // 2] |= bits[1::2]
     total_symbols = codes.size
-    pending = np.arange(total_symbols)  # FIFO queue of symbol indices
+    # FIFO queue of symbol indices: pending, then the requeued arrays in the
+    # order they were erased, merged only when pending runs short of a block.
+    pending = np.arange(total_symbols)
+    requeued: list[np.ndarray] = []
     attempts = np.zeros(total_symbols, dtype=int)
     received = np.zeros(total_symbols, dtype=np.uint8)  # 00 where never delivered
     arrived = np.zeros(total_symbols, dtype=bool)
@@ -678,7 +696,8 @@ def run_qsdc(
                 finalize("aborted", session.abort_reason)
                 return session.transcript
             blocks_since_check = 0
-        batch, pending = pending[: config.block_size], pending[config.block_size :]
+        # A copy, so that the last batch does not keep the first queue array alive.
+        batch, pending = pending[: config.block_size].copy(), pending[config.block_size :]
         sent = codes[batch]
         delivered, decoded = transmit_and_decode_block(sent, devices, eve, rng)
         session.time_s += batch.size / symbol_rate if symbol_rate > 0 else 0.0
@@ -687,9 +706,10 @@ def run_qsdc(
         erased_transmissions += erased.size
         attempts[erased] += 1
         # Erased symbols under the cap rejoin the back of the queue in slot order.
-        pending = np.concatenate(
-            (pending, erased[attempts[erased] <= config.max_retransmissions])
-        )
+        requeued.append(erased[attempts[erased] <= config.max_retransmissions])
+        if pending.size < config.block_size:
+            pending = np.concatenate((pending, *requeued))
+            requeued.clear()
         got = batch[delivered]
         received[got] = decoded[delivered]
         arrived[got] = True

@@ -88,14 +88,6 @@ class NoiseParams:
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"{name} must be in [0, 1], got {value}")
 
-    @property
-    def is_trivial(self) -> bool:
-        return (
-            self.depolarizing_p == 0.0
-            and self.dephasing_q == 0.0
-            and self.phase_offset_rad == 0.0
-        )
-
 
 class TwoQubitState:
     """A validated 4x4 density matrix over the (ss, sl, ls, ll) basis."""

@@ -67,6 +67,49 @@ def qber_from_transcript(records) -> QberEstimate:
     return qber_from_counts(n_z, errors_z, n_x, errors_x)
 
 
+def bits_to_hex_oracle(bits: str) -> str:
+    """Hex of a bitstring through one Python int.
+
+    The reference for ``protocol.bits_to_hex``, which packs with numpy.
+    """
+    if not bits:
+        return ""
+    # int() alone would also take a sign, a 0b prefix, underscores and spaces.
+    if not bits.isdecimal():
+        raise ValueError(f"not a bitstring: {bits[:32]!r}")
+    padded = bits + "0" * (-len(bits) % 4)
+    return format(int(padded, 2), f"0{len(padded) // 4}x")
+
+
+def hex_to_bits_oracle(hex_string: str, bit_length: int | None = None) -> str:
+    """Bitstring of a hex string through one Python int.
+
+    The reference for ``protocol.hex_to_bits``, which unpacks with numpy.
+    """
+    bits = ""
+    if hex_string:
+        # int() alone would also take a 0x prefix, underscores and spaces.
+        if not hex_string.isalnum() or "x" in hex_string.lower():
+            raise ValueError(f"not a hex string: {hex_string[:32]!r}")
+        bits = format(int(hex_string, 16), f"0{4 * len(hex_string)}b")
+    if bit_length is not None:
+        if bit_length > len(bits):
+            raise DomainError(
+                f"bit_length {bit_length} exceeds the {len(bits)} bits in the hex string"
+            )
+        bits = bits[:bit_length]
+    return bits
+
+
+def sample_oracle(table: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sampling against whole rows of a cumulative table.
+
+    The reference for ``protocol._sample``, which compares one column at a
+    time: per draw, the number of entries of its row that the draw exceeds.
+    """
+    return (draws[:, None] > table[rows]).sum(axis=1)
+
+
 def make_devices(
     fiber_km: float = 0.0,
     attenuation: float = 0.2,

@@ -20,6 +20,9 @@ from qsdcnet.protocol import (
     run_qsdc,
     run_security_detection,
     transmit_and_decode_block,
+    _detection_branch_cumulative,
+    _encoding_cumulative,
+    _sample,
 )
 from qsdcnet.qstate import (
     BELL_ORDER,
@@ -29,7 +32,14 @@ from qsdcnet.qstate import (
     bell_state,
 )
 
-from conftest import make_devices, qber_from_transcript, sfg_bsm
+from conftest import (
+    bits_to_hex_oracle,
+    hex_to_bits_oracle,
+    make_devices,
+    qber_from_transcript,
+    sample_oracle,
+    sfg_bsm,
+)
 
 
 def detection_session(seed=0):
@@ -204,7 +214,7 @@ class TestEncodeBlock:
         # run_qsdc packs the message into 2-bit codes. Any bit count packs (an
         # odd one is padded, see test_odd_length_message_round_trips); a
         # character other than 0 and 1 does not.
-        for message in ("0a", "2", "01 10", "0b01", "\u0661"):
+        for message in ("0a", "2", "01 10", "0b01", "\u0661", "0\ud800"):
             with pytest.raises(DomainError):
                 run_qsdc(message, make_devices(), EveModel.none(), FAST_POLICY,
                          FAST_CONFIG, np.random.default_rng(0))
@@ -429,13 +439,80 @@ class TestBitstringHelpers:
             hex_to_bits("ff", 9)
 
     def test_malformed_strings_rejected(self):
-        # int(s, 16) on the whole string would accept the first four.
-        for hex_string in ("0x1f", "1_f", " 1f", "1f ", "1g", "ff-"):
+        # int(s, 16) on the whole string would accept the first four and the
+        # full-width digits; bytes.fromhex would skip the whitespace in the
+        # even-length ones.
+        for hex_string in (
+            "0x1f", "1_f", " 1f", "1f ", "1g", "ff-", "\uff11\uff46",
+            "de ad", "de\tad", "de\nad", "de ad be", "dead\r\n",
+        ):
             with pytest.raises(ValueError):
                 hex_to_bits(hex_string)
-        for bits in ("0102", "1a", "01 "):
+        for bits in ("0102", "1a", "01 ", "01\n", "\uff10\uff11"):
             with pytest.raises(ValueError):
                 bits_to_hex(bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bits=st.text(alphabet="01", max_size=200),
+        hex_string=st.text(alphabet="0123456789abcdefABCDEF", max_size=200),
+        data=st.data(),
+    )
+    def test_match_int_oracles(self, bits, hex_string, data):
+        assert bits_to_hex(bits) == bits_to_hex_oracle(bits)
+        assert hex_to_bits(hex_string) == hex_to_bits_oracle(hex_string)
+        bit_length = data.draw(st.integers(0, 4 * len(hex_string)))
+        assert hex_to_bits(hex_string, bit_length) == hex_to_bits_oracle(
+            hex_string, bit_length
+        )
+
+
+LAST_DRAW = np.nextafter(1.0, 0.0)  # the largest value rng.random() returns
+
+
+class TestSampler:
+    def test_tables_end_at_exactly_one(self):
+        # Unclamped, code 2's row under intercept-resend 0.75 and one
+        # detection row under depolarizing_p=0.27 end at 1 - 2**-52, below
+        # LAST_DRAW, which then sampled index 4.
+        for noise, eve in product(
+            (NoiseParams(), NoiseParams(depolarizing_p=0.27),
+             NoiseParams(0.1, 0.05, 0.3)),
+            (EveModel.none(), EveModel.intercept_resend(0.75), EveModel.tap(0.5)),
+        ):
+            encoding = _encoding_cumulative(noise, eve)
+            detection = _detection_branch_cumulative(noise).reshape(6, 4)
+            for table in (encoding, detection):
+                assert (table[:, -1] == 1.0).all()
+                rows = np.arange(table.shape[0])
+                top = _sample(table, rows, np.full(rows.size, LAST_DRAW))
+                assert top.dtype == np.uint8 and top.max() <= 3
+                np.testing.assert_array_equal(
+                    top, sample_oracle(table, rows, np.full(rows.size, LAST_DRAW))
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rows=st.integers(1, 6),
+        n_draws=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_whole_row_oracle(self, n_rows, n_draws, seed):
+        rng = np.random.default_rng(seed)
+        # Zero probabilities repeat entries, so a tie can span columns.
+        probs = rng.random((n_rows, 4)) * (rng.random((n_rows, 4)) < 0.7)
+        probs[:, -1] += 1e-3
+        table = np.cumsum(probs, axis=1) / probs.sum(axis=1, keepdims=True)
+        table[:, -1] = 1.0
+        rows = rng.integers(0, n_rows, n_draws)
+        draws = rng.random(n_draws)
+        # Draws equal to a table entry: a tie must not count as exceeding it.
+        ties = rng.random(n_draws) < 0.5
+        draws[ties] = table[rows[ties], rng.integers(0, 4, n_draws)[ties]]
+        draws[draws == 1.0] = LAST_DRAW
+        np.testing.assert_array_equal(
+            _sample(table, rows, draws), sample_oracle(table, rows, draws)
+        )
 
 
 class TestTranscriptFormatting:
