@@ -98,7 +98,7 @@ def build_report(
     qber, secrecy, throughput = session_metrics(scenario, transcript)
     return {
         "scenario_digest": scenario.digest(),
-        "scenario": scenario.canonical_dict(),
+        "scenario": scenario.to_dict(),
         "plan": {
             "subnets": plan.subnets,
             "users_per_subnet": plan.users_per_subnet,

@@ -130,6 +130,20 @@ def channels_required(k: int, m: int) -> int:
     return 2 * (k * (k - 1) // 2 + k)
 
 
+def pairs_required(k: int, m: int, grid_size: int = DEFAULT_GRID_SIZE) -> int:
+    """Channel pairs a plan for k subnets of m users takes from the grid.
+
+    Raises CapacityExceeded when the grid has fewer than that.
+    """
+    pairs_needed = channels_required(k, m) // 2
+    if pairs_needed > grid_size:
+        raise CapacityExceeded(
+            f"network needs {pairs_needed} channel pairs but the grid has "
+            f"{grid_size}; " + _CAPACITY_HINT
+        )
+    return pairs_needed
+
+
 def build_plan(k: int, m: int, grid_size: int = DEFAULT_GRID_SIZE) -> WavelengthPlan:
     """Deterministically allocate channel pairs to every link of the network.
 
@@ -137,16 +151,7 @@ def build_plan(k: int, m: int, grid_size: int = DEFAULT_GRID_SIZE) -> Wavelength
     over subnet pairs, then each subnet takes the next index for its intra
     link. Raises CapacityExceeded when the grid has too few pairs.
     """
-    if k < 1:
-        raise DomainError(f"subnet count must be >= 1, got {k}")
-    if m < 1:
-        raise DomainError(f"users per subnet must be >= 1, got {m}")
-    pairs_needed = k * (k - 1) // 2 + k
-    if pairs_needed > grid_size:
-        raise CapacityExceeded(
-            f"network needs {pairs_needed} channel pairs but the grid has "
-            f"{grid_size}; " + _CAPACITY_HINT
-        )
+    pairs_needed = pairs_required(k, m, grid_size)
     inter_links: dict[tuple[int, int], ChannelPair] = {}
     next_index = 1
     for a, b in combinations(range(k), 2):

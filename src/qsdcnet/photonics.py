@@ -56,7 +56,8 @@ class SfgSpec:
 
     def __post_init__(self):
         _check_probability("conversion_efficiency", self.conversion_efficiency)
-        _check_nonnegative("max_rate_hz", self.max_rate_hz)
+        if self.max_rate_hz <= 0.0:
+            raise DomainError(f"max_rate_hz must be > 0, got {self.max_rate_hz}")
 
 
 @dataclass(frozen=True)

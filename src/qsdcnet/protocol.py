@@ -80,7 +80,7 @@ class EveModel:
 
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
-            raise DomainError(f"eve fraction must be in [0, 1], got {self.fraction}")
+            raise DomainError(f"fraction must be in [0, 1], got {self.fraction}")
 
     @classmethod
     def none(cls) -> "EveModel":
@@ -512,7 +512,7 @@ class ProtocolConfig:
     """Session-level policy knobs for run_qsdc."""
 
     block_size: int = 10000
-    detection_size: int | None = None  # default: 10% of a block
+    detection_size: int | None = None  # None: 10% of a block, at least 1
     redetect_every_blocks: int = 10
     max_retransmissions: int = 200
     photon_decrease_factor: float = 0.5
@@ -521,7 +521,9 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.block_size < 1:
             raise DomainError(f"block_size must be >= 1, got {self.block_size}")
-        if self.detection_size is not None and self.detection_size < 1:
+        if self.detection_size is None:
+            object.__setattr__(self, "detection_size", max(1, self.block_size // 10))
+        if self.detection_size < 1:
             raise DomainError(f"detection_size must be >= 1, got {self.detection_size}")
         if self.redetect_every_blocks < 1:
             raise DomainError(
@@ -535,12 +537,8 @@ class ProtocolConfig:
             raise DomainError(
                 f"photon_decrease_factor must be in [0, 1], got {self.photon_decrease_factor}"
             )
-
-    @property
-    def effective_detection_size(self) -> int:
-        if self.detection_size is not None:
-            return self.detection_size
-        return max(1, self.block_size // 10)
+        if self.tdm_slot_s < 0.0:
+            raise DomainError(f"tdm_slot_s must be >= 0, got {self.tdm_slot_s}")
 
 
 def _bit_values(bits: str) -> np.ndarray:
@@ -616,7 +614,6 @@ def run_qsdc(
     arrived = np.zeros(total_symbols, dtype=bool)
 
     symbol_rate = min(devices.modulator.rate_hz, devices.sfg.max_rate_hz)
-    detection_size = config.effective_detection_size
     detection_photons = 0
     detection_time_total = 0.0
     transmissions = 0
@@ -635,7 +632,7 @@ def run_qsdc(
             eve,
             policy,
             rng,
-            num_photons=detection_size,
+            num_photons=config.detection_size,
             decrease_factor=config.photon_decrease_factor,
             tdm_slot_s=config.tdm_slot_s,
         )
@@ -654,7 +651,7 @@ def run_qsdc(
         erasure_fraction = (
             erased_transmissions / transmissions if transmissions else 0.0
         )
-        block_time = transmissions / symbol_rate if symbol_rate > 0 else 0.0
+        block_time = transmissions / symbol_rate
         total_time = detection_time_total + block_time
         overhead_fraction = detection_time_total / total_time if total_time else 0.0
         summary = {
@@ -700,7 +697,7 @@ def run_qsdc(
         batch, pending = pending[: config.block_size].copy(), pending[config.block_size :]
         sent = codes[batch]
         delivered, decoded = transmit_and_decode_block(sent, devices, eve, rng)
-        session.time_s += batch.size / symbol_rate if symbol_rate > 0 else 0.0
+        session.time_s += batch.size / symbol_rate
         transmissions += batch.size
         erased = batch[~delivered]
         erased_transmissions += erased.size

@@ -51,8 +51,9 @@ class TestScenarioParsing:
 
     def test_canonicalization_idempotent(self):
         scenario = scenario_from_dict(ideal_scenario_dict(seed=2, message_hex="ab"))
-        once = scenario.canonical_dict()
+        once = scenario.to_dict()
         assert json.loads(scenario.canonical_json()) == once
+        assert scenario_from_dict(once).to_dict() == once
 
     def test_missing_seed_rejected(self):
         doc = ideal_scenario_dict()
@@ -96,8 +97,44 @@ class TestScenarioParsing:
         "payload", ["", "ab\n", "a b", "0x1f", "١٢", "１２", "fg"]
     )
     def test_non_hex_message_rejected(self, payload):
-        doc = ideal_scenario_dict(seed=1, message_hex=payload)
+        doc = ideal_scenario_dict(seed=1)
+        doc["message"] = {"hex": payload}
         with pytest.raises(ScenarioError, match="^message.hex: must be a non-empty hexadecimal string$"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "message, error",
+        [
+            ({"hex": "ff", "bit_length": -3}, "must be in [1, 8], got -3"),
+            ({"hex": "ff", "bit_length": 0}, "must be in [1, 8], got 0"),
+            ({"hex": "ff", "bit_length": 9}, "must be in [1, 8], got 9"),
+            ({"random_bits": 16, "bit_length": 8}, "applies only to a hex message"),
+        ],
+        ids=["negative", "zero", "above_hex_bits", "with_random_bits"],
+    )
+    def test_bad_bit_length_rejected(self, message, error):
+        doc = ideal_scenario_dict(seed=1)
+        doc["message"] = message
+        with pytest.raises(ScenarioError, match=f"^message.bit_length: {re.escape(error)}$"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path, value, error",
+        [
+            ("devices.sfg.max_rate_hz", 0, "devices.sfg.max_rate_hz: must be > 0, got 0.0"),
+            ("protocol.tdm_slot_s", -1, "protocol.tdm_slot_s: must be >= 0, got -1.0"),
+            ("devices.alice_fiber.length_km", 10**400, "devices.alice_fiber.length_km: too large for a float"),
+        ],
+        ids=["zero_sfg_rate", "negative_tdm_slot", "huge_int_as_float"],
+    )
+    def test_degenerate_values_rejected(self, path, value, error):
+        doc = ideal_scenario_dict(seed=1)
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        with pytest.raises(ScenarioError, match=f"^{re.escape(error)}$"):
             scenario_from_dict(doc)
 
     def test_parse_errors_are_line_precise(self, tmp_path):
@@ -176,6 +213,20 @@ class TestRunCommand:
         code = cli.main(["run", "--scenario", scenario_path, "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_VALIDATION
         assert "devices.sfg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "topology",
+        [{"subnets": 0}, {"grid_size": 0}, {"subnets": 6}, {"users_per_subnet": 0}],
+        ids=["no_subnets", "empty_grid", "grid_too_small", "no_users"],
+    )
+    def test_bad_topology_rejected_before_the_session(self, tmp_path, capsys, topology):
+        doc = ideal_scenario_dict(seed=16)
+        doc["topology"].update(topology)
+        scenario_path = write_scenario(tmp_path, doc)
+        code = cli.main(["run", "--scenario", scenario_path, "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION
+        assert "topology: " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "transcript.jsonl").exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("path", ["devices.alice_fiber.length_km", "eve.fraction"])

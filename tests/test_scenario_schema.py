@@ -1,0 +1,167 @@
+"""Properties of the scenario schema: the round trip and the error contract."""
+
+import copy
+import json
+import re
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qsdcnet.errors import ScenarioError
+from qsdcnet.scenario import forty_km_scenario_dict, ideal_scenario_dict, scenario_from_dict
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+fixed = st.fixed_dictionaries
+probability = st.floats(0.0, 1.0)
+nonnegative = st.floats(0.0, 1e12) | st.integers(0, 10**6)
+positive = st.floats(1e-3, 1e12) | st.integers(1, 10**6)
+counts = st.integers(1, 10**6)
+
+fiber = fixed({"length_km": nonnegative}, optional={"attenuation_db_per_km": nonnegative})
+noise = fixed(
+    {},
+    optional={
+        "depolarizing_p": probability,
+        "dephasing_q": probability,
+        "phase_offset_rad": st.floats(-10.0, 10.0),
+    },
+)
+devices = fixed(
+    {
+        "alice_fiber": fiber,
+        "bob_fiber": fiber,
+        "detector": fixed(
+            {"efficiency": probability},
+            optional={"dark_count_rate_hz": nonnegative, "coincidence_window_s": nonnegative},
+        ),
+        "sfg": fixed({"conversion_efficiency": probability}, optional={"max_rate_hz": positive}),
+        "modulator": fixed({"rate_hz": positive}, optional={"extinction_error": probability}),
+        "source": fixed({"pair_rate_hz": nonnegative}, optional={"noise": noise}),
+    }
+)
+protocol = fixed(
+    {},
+    optional={
+        "block_size": counts,
+        "detection_size": counts,
+        "qber_threshold": st.floats(1e-6, 0.499),
+        "min_samples": counts,
+        "redetect_every_blocks": counts,
+        "max_retransmissions": st.integers(0, 10**6),
+        "photon_decrease_factor": probability,
+        "tdm_slot_s": nonnegative,
+    },
+)
+topology = fixed(
+    {},
+    optional={
+        "subnets": st.integers(1, 5),
+        "users_per_subnet": counts,
+        "grid_size": st.integers(15, 10**6),
+    },
+)
+eve = fixed(
+    {},
+    optional={
+        "kind": st.sampled_from(["none", "intercept_resend", "tap"]),
+        "fraction": probability,
+    },
+)
+hex_message = st.text("0123456789abcdefABCDEF", min_size=1, max_size=40).flatmap(
+    lambda h: fixed({"hex": st.just(h)}, optional={"bit_length": st.integers(1, 4 * len(h))})
+)
+documents = fixed(
+    {
+        "seed": st.integers(0, 2**64 - 1),
+        "devices": devices,
+        "message": hex_message | fixed({"random_bits": counts}),
+    },
+    optional={"topology": topology, "protocol": protocol, "eve": eve},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_round_trip_keeps_the_digest(doc):
+    scenario = scenario_from_dict(doc)
+    again = scenario_from_dict(scenario.to_dict())
+    assert again == scenario
+    assert again.digest() == scenario.digest()
+    assert again.to_dict() == scenario.to_dict()
+
+
+BASES = [
+    ideal_scenario_dict(seed=7, message_hex="b7e1d", message_bit_length=17),
+    forty_km_scenario_dict(seed=3),
+]
+
+
+def _sites(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _sites(value, prefix + (key,))
+
+
+SITES = [(index, path) for index, base in enumerate(BASES) for path in _sites(base)]
+ALL_KEYS = sorted({path[-1] for _, path in SITES if path})
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.sampled_from([2**63, 2**64, 2**1024, -(2**1024), 10**400])
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _edit(doc, path, action, key, value):
+    """Replace the node at path, remove it, or add key to the section holding it."""
+    if not path:
+        return value if action == "replace" else {**doc, key: value}
+    parent = doc
+    for name in path[:-1]:
+        parent = parent[name]
+    if action == "replace":
+        parent[path[-1]] = value
+    elif action == "remove":
+        del parent[path[-1]]
+    else:
+        target = parent[path[-1]]
+        (target if isinstance(target, dict) else parent)[key] = value
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    site=st.sampled_from(SITES),
+    action=st.sampled_from(["replace", "remove", "add"]),
+    key=st.sampled_from(ALL_KEYS) | st.text(max_size=8),
+    value=json_values,
+)
+@example(site=(0, ("devices", "alice_fiber", "length_km")), action="replace", key="", value=10**400)
+@example(site=(1, ("seed",)), action="replace", key="", value=float("nan"))
+@example(site=(0, ("eve", "kind")), action="replace", key="", value=[])
+def test_any_single_edit_builds_or_raises_scenario_error(site, action, key, value):
+    index, path = site
+    doc = _edit(copy.deepcopy(BASES[index]), path, action, key, value)
+    try:
+        scenario = scenario_from_dict(doc)
+    except ScenarioError:
+        return
+    assert scenario_from_dict(scenario.to_dict()).digest() == scenario.digest()
+
+
+def test_readme_example_matches_the_schema():
+    text = README.read_text()
+    section = text[text.index("## Scenario files") :]
+    block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    doc = json.loads(block)
+    # The example states every field, so the writer gives it back unchanged.
+    assert scenario_from_dict(doc).to_dict() == doc
