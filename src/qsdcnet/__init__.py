@@ -60,7 +60,6 @@ from .qstate import (
     NoiseParams,
     PauliEncoding,
     TwoQubitState,
-    apply_encoding,
     apply_noise,
     bell_state,
     depolarizing_p_for_fidelity,

@@ -9,7 +9,7 @@ over immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, InsufficientData
@@ -39,7 +39,17 @@ class SecrecyReport:
     entropy_arg_clamped: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "q_b": self.q_b,
+            "q_e": self.q_e,
+            "e": self.e,
+            "e_x": self.e_x,
+            "e_z": self.e_z,
+            "h_e": self.h_e,
+            "h_exez": self.h_exez,
+            "cs_lower": self.cs_lower,
+            "entropy_arg_clamped": self.entropy_arg_clamped,
+        }
 
 
 def secrecy_capacity_bound(
@@ -88,7 +98,15 @@ class QberEstimate:
     ci_high: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "e": self.e,
+            "e_x": self.e_x,
+            "e_z": self.e_z,
+            "n_x": self.n_x,
+            "n_z": self.n_z,
+            "ci_low": self.ci_low,
+            "ci_high": self.ci_high,
+        }
 
 
 def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -172,7 +190,12 @@ class ThroughputReport:
     info_rate_bits_per_s: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "symbol_rate_hz": self.symbol_rate_hz,
+            "erasure_fraction": self.erasure_fraction,
+            "overhead_fraction": self.overhead_fraction,
+            "info_rate_bits_per_s": self.info_rate_bits_per_s,
+        }
 
 
 def throughput(

@@ -14,6 +14,7 @@ produces is a pure function of (configuration, seed).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -24,16 +25,7 @@ import numpy as np
 from . import analysis
 from .errors import DomainError, InvariantViolation
 from .photonics import Devices, transmittance
-from .qstate import (
-    BELL_ORDER,
-    BellLabel,
-    NoiseParams,
-    PauliEncoding,
-    TwoQubitState,
-    apply_encoding,
-    apply_noise,
-    bell_state,
-)
+from .qstate import NoiseParams
 
 
 class SessionPhase(Enum):
@@ -273,29 +265,28 @@ def delay_control(sequence_length: int, slot_s: float) -> float:
     return sequence_length * slot_s
 
 
-# Measurement projectors on one time-bin qubit. Z outcomes are (s, l);
-# X outcomes are ((s+l)/sqrt2, (s-l)/sqrt2).
-_Z_STATES = (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
-_X_STATES = (
-    np.array([1, 1], dtype=complex) / np.sqrt(2),
-    np.array([1, -1], dtype=complex) / np.sqrt(2),
-)
-_BASIS_STATES = {"Z": _Z_STATES, "X": _X_STATES}
+# Bell-weight indices in BELL_ORDER (phi+, phi-, psi+, psi-). A Pauli on
+# either qubit permutes the four weights: sigma_z swaps j <-> j ^ 1, sigma_x
+# swaps j <-> j ^ 2, and encoding k sends weight j to j ^ k.
+_CODES = np.arange(4)
 
 
-def _projector(vector: np.ndarray) -> np.ndarray:
-    return np.outer(vector, vector.conj())
+def _bell_weights(noise: NoiseParams) -> np.ndarray:
+    """Bell weights of the source's noisy phi+ pair, in BELL_ORDER.
+
+    Dephasing flips the relative phase with net probability 2q(1 - q) and
+    the phase offset rotates it, which leaves c = (1 - 2q)^2 cos(theta) of
+    the phi+/phi- contrast; depolarizing then mixes in p/4 of each state.
+    """
+    c = (1.0 - 2.0 * noise.dephasing_q) ** 2 * math.cos(noise.phase_offset_rad)
+    p = noise.depolarizing_p
+    return (1.0 - p) * np.array([(1.0 + c) / 2.0, (1.0 - c) / 2.0, 0.0, 0.0]) + p / 4.0
 
 
-def _nonselective_measure_qubit(rho: np.ndarray, qubit: int, basis: str) -> np.ndarray:
-    """Decohere one qubit in a basis: the measure-and-resend channel."""
-    identity = np.eye(2, dtype=complex)
-    out = np.zeros_like(rho)
-    for vector in _BASIS_STATES[basis]:
-        p = _projector(vector)
-        full = np.kron(p, identity) if qubit == 0 else np.kron(identity, p)
-        out += full @ rho @ full
-    return out
+def _measure_resend(weights: np.ndarray, flip: int) -> np.ndarray:
+    """Bell weights after a Z (flip 1) or X (flip 2) measure-and-resend of one
+    qubit: half the weight of each state moves to its flipped partner."""
+    return (weights + weights[..., _CODES ^ flip]) / 2.0
 
 
 @lru_cache(maxsize=64)
@@ -306,24 +297,23 @@ def _detection_branch_cumulative(noise: NoiseParams) -> np.ndarray:
     1 = intercepted in Z, 2 = intercepted in X; joint outcomes are laid out
     (a, b) = (0,0), (0,1), (1,0), (1,1) and stored cumulatively for sampling.
     Alice measures in the same basis Bob publishes, so every surviving photon
-    yields a matched-basis comparison.
+    yields a matched-basis comparison. For the pair's Bell weights w, the
+    outcomes differ with probability e = w[psi+] + w[psi-] in Z and
+    e = w[phi-] + w[psi-] in X, and the joint law is
+    [(1 - e)/2, e/2, e/2, (1 - e)/2].
     """
-    rho = apply_noise(bell_state(BellLabel.PHI_PLUS), noise).rho
-    states = {0: rho}
-    states[1] = _nonselective_measure_qubit(rho, 1, "Z")
-    states[2] = _nonselective_measure_qubit(rho, 1, "X")
-    table = np.zeros((2, 3, 4))
-    for bob_index, basis in enumerate(_BASIS_NAMES):
-        vectors = _BASIS_STATES[basis]
-        for eve_action, state in states.items():
-            joint = []
-            for a in (0, 1):
-                for b in (0, 1):
-                    measurement = np.kron(_projector(vectors[a]), _projector(vectors[b]))
-                    joint.append(float(np.trace(measurement @ state).real))
-            probs = np.clip(np.array(joint), 0.0, None)
-            table[bob_index, eve_action] = np.cumsum(probs / probs.sum())
-    table[..., -1] = 1.0  # rounding can leave it below the largest draw
+    weights = _bell_weights(noise)
+    branches = np.stack(
+        (weights, _measure_resend(weights, 1), _measure_resend(weights, 2))
+    )
+    errors = np.stack(
+        (branches[:, 2] + branches[:, 3], branches[:, 1] + branches[:, 3])
+    )
+    table = np.empty((2, 3, 4))  # the running sums of that law
+    table[..., 0] = (1.0 - errors) / 2.0
+    table[..., 1] = 0.5
+    table[..., 2] = (1.0 + errors) / 2.0
+    table[..., 3] = 1.0
     return table
 
 
@@ -451,27 +441,19 @@ def run_security_detection(
 
 @lru_cache(maxsize=64)
 def _encoding_cumulative(noise: NoiseParams, eve: EveModel) -> np.ndarray:
-    """Bell-diagonal sampling tables per encoding after noise and Eve.
+    """Bell-weight sampling tables per encoding after noise and Eve.
 
-    Intercept-resend averages over Eve's basis and outcome, which is the
-    nonselective measurement channel on the in-transit qubit; the resulting
-    Bell-basis diagonal drives the SFG measurement statistics. Tap never
-    alters the state (it only removes photons), so it does not appear here.
+    Row k holds the cumulative Bell weights of the noisy pair after encoding
+    k, which moves weight j to j ^ k. Intercept-resend averages over Eve's
+    basis and outcome: a measured pair is an even mix of the Z and X
+    measure-and-resend weights. Tap never alters the state (it only removes
+    photons), so it does not appear here.
     """
-    base = apply_noise(bell_state(BellLabel.PHI_PLUS), noise)
-    table = np.zeros((4, 4))
-    for code, encoding in enumerate(PauliEncoding):
-        encoded = apply_encoding(base, encoding)
-        rho = encoded.rho
-        if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
-            dephased = 0.5 * (
-                _nonselective_measure_qubit(rho, 0, "Z")
-                + _nonselective_measure_qubit(rho, 0, "X")
-            )
-            rho = (1.0 - eve.fraction) * rho + eve.fraction * dephased
-        diag = TwoQubitState(rho).bell_diagonal()
-        diagonal = np.array([diag[label] for label in BELL_ORDER])
-        table[code] = np.cumsum(diagonal / diagonal.sum())
+    encoded = _bell_weights(noise)[_CODES[:, None] ^ _CODES]
+    if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
+        measured = (_measure_resend(encoded, 1) + _measure_resend(encoded, 2)) / 2.0
+        encoded = (1.0 - eve.fraction) * encoded + eve.fraction * measured
+    table = np.cumsum(encoded / encoded.sum(axis=1, keepdims=True), axis=1)
     table[:, -1] = 1.0  # rounding can leave it below the largest draw
     return table
 
@@ -507,6 +489,12 @@ def transmit_and_decode_block(
     return delivered, _sample(table, codes, rng.random(codes.size))
 
 
+# Ceilings on the counts that size a session's arrays: a block's symbols
+# and a detection round's photons (each survivor is one transcript line).
+MAX_BLOCK_SIZE = 10**7
+MAX_DETECTION_SIZE = 10**6
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Session-level policy knobs for run_qsdc."""
@@ -519,12 +507,17 @@ class ProtocolConfig:
     tdm_slot_s: float = 1e-6
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise DomainError(f"block_size must be >= 1, got {self.block_size}")
+        if not 1 <= self.block_size <= MAX_BLOCK_SIZE:
+            raise DomainError(
+                f"block_size must be in [1, {MAX_BLOCK_SIZE}], got {self.block_size}"
+            )
         if self.detection_size is None:
             object.__setattr__(self, "detection_size", max(1, self.block_size // 10))
-        if self.detection_size < 1:
-            raise DomainError(f"detection_size must be >= 1, got {self.detection_size}")
+        if not 1 <= self.detection_size <= MAX_DETECTION_SIZE:
+            raise DomainError(
+                f"detection_size must be in [1, {MAX_DETECTION_SIZE}], "
+                f"got {self.detection_size}"
+            )
         if self.redetect_every_blocks < 1:
             raise DomainError(
                 f"redetect_every_blocks must be >= 1, got {self.redetect_every_blocks}"

@@ -48,15 +48,6 @@ class PauliEncoding(Enum):
 
 _ID2 = np.eye(2, dtype=complex)
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_MINUS_I_SIGMA_Y = np.array([[0, -1], [1, 0]], dtype=complex)
-
-_ENCODING_MATRIX = {
-    PauliEncoding.I: _ID2,
-    PauliEncoding.SIGMA_Z: _SIGMA_Z,
-    PauliEncoding.SIGMA_X: _SIGMA_X,
-    PauliEncoding.MINUS_I_SIGMA_Y: _MINUS_I_SIGMA_Y,
-}
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -115,36 +106,11 @@ class TwoQubitState:
     def __setattr__(self, name, value):
         raise AttributeError("TwoQubitState is immutable")
 
-    def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
-
-    def bell_diagonal(self) -> dict[BellLabel, float]:
-        """Probabilities of each Bell-basis projection, <b|rho|b>."""
-        probs = {}
-        for label, vector in _BELL_VECTOR.items():
-            value = float((vector.conj() @ self.rho @ vector).real)
-            probs[label] = min(max(value, 0.0), 1.0)
-        return probs
-
 
 def bell_state(label: BellLabel) -> TwoQubitState:
     """Pure-state density matrix of the requested Bell state."""
     vector = _BELL_VECTOR[label]
     return TwoQubitState(np.outer(vector, vector.conj()))
-
-
-def maximally_mixed() -> TwoQubitState:
-    return TwoQubitState(np.eye(4, dtype=complex) / 4.0)
-
-
-def apply_encoding(state: TwoQubitState, encoding: PauliEncoding) -> TwoQubitState:
-    """Apply the encoding unitary to the first (sender's) qubit.
-
-    On bell_state(PHI_PLUS) the four encodings produce phi+, phi-, psi+ and
-    psi- respectively, matching the 2-bit code table.
-    """
-    unitary = np.kron(_ENCODING_MATRIX[encoding], _ID2)
-    return TwoQubitState(unitary @ state.rho @ unitary.conj().T)
 
 
 def _dephase_qubit(rho: np.ndarray, qubit: int, q: float) -> np.ndarray:
@@ -161,10 +127,6 @@ def apply_noise(state: TwoQubitState, noise: NoiseParams) -> TwoQubitState:
     phase_offset_rad (a diagonal unitary, so the ss<->ll coherence picks up
     the offset while populations are untouched).
     """
-    if not 0.0 <= noise.depolarizing_p <= 1.0:
-        raise DomainError(f"depolarizing_p must be in [0, 1], got {noise.depolarizing_p}")
-    if not 0.0 <= noise.dephasing_q <= 1.0:
-        raise DomainError(f"dephasing_q must be in [0, 1], got {noise.dephasing_q}")
     rho = state.rho
     if noise.dephasing_q > 0.0:
         rho = _dephase_qubit(rho, 0, noise.dephasing_q)

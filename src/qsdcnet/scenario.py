@@ -45,6 +45,12 @@ _SESSION_STREAM = 0x7365
 _HEX_DIGITS = re.compile("[0-9a-fA-F]+")
 
 
+# Ceilings on counts that size arrays or loops: each subnet member gets a TDM
+# slot in the plan, and the connectivity check visits every user pair.
+MAX_USERS_PER_SUBNET = 1000
+MAX_RANDOM_BITS = 10**7
+
+
 @dataclass(frozen=True)
 class Topology:
     subnets: int = 5
@@ -52,6 +58,11 @@ class Topology:
     grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):
+        if self.users_per_subnet > MAX_USERS_PER_SUBNET:
+            raise DomainError(
+                f"users_per_subnet must be <= {MAX_USERS_PER_SUBNET}, "
+                f"got {self.users_per_subnet}"
+            )
         # The plan's own check, so no session runs on a topology no plan fits.
         pairs_required(self.subnets, self.users_per_subnet, self.grid_size)
 
@@ -69,8 +80,10 @@ class MessageSpec:
         if (self.hex is None) == (self.random_bits is None):
             raise DomainError("provide exactly one of 'hex' or 'random_bits'")
         if self.random_bits is not None:
-            if self.random_bits < 1:
-                raise DomainError(f"random_bits must be >= 1, got {self.random_bits}")
+            if not 1 <= self.random_bits <= MAX_RANDOM_BITS:
+                raise DomainError(
+                    f"random_bits must be in [1, {MAX_RANDOM_BITS}], got {self.random_bits}"
+                )
             if self.bit_length is not None:
                 raise DomainError("bit_length applies only to a hex message")
         elif not _HEX_DIGITS.fullmatch(self.hex):

@@ -11,7 +11,17 @@ from qsdcnet.photonics import (
     SfgSpec,
     SourceSpec,
 )
-from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams, TwoQubitState
+from qsdcnet.protocol import EveKind, EveModel
+from qsdcnet.qstate import (
+    BELL_ORDER,
+    BellLabel,
+    NoiseParams,
+    PauliEncoding,
+    TwoQubitState,
+    apply_noise,
+    bell_state,
+    fidelity,
+)
 
 
 def random_density_matrix(seed: int) -> TwoQubitState:
@@ -20,6 +30,110 @@ def random_density_matrix(seed: int) -> TwoQubitState:
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
     return TwoQubitState(rho / np.trace(rho).real)
+
+
+def bell_diagonal(state: TwoQubitState) -> dict[BellLabel, float]:
+    """Probabilities of each Bell-basis projection, <b|rho|b>."""
+    return {label: fidelity(state, label) for label in BELL_ORDER}
+
+
+def maximally_mixed() -> TwoQubitState:
+    return TwoQubitState(np.eye(4, dtype=complex) / 4.0)
+
+
+def purity(state: TwoQubitState) -> float:
+    return float(np.trace(state.rho @ state.rho).real)
+
+
+_ID2 = np.eye(2, dtype=complex)
+_ENCODING_MATRIX = {
+    PauliEncoding.I: _ID2,
+    PauliEncoding.SIGMA_Z: np.array([[1, 0], [0, -1]], dtype=complex),
+    PauliEncoding.SIGMA_X: np.array([[0, 1], [1, 0]], dtype=complex),
+    PauliEncoding.MINUS_I_SIGMA_Y: np.array([[0, -1], [1, 0]], dtype=complex),
+}
+
+
+def apply_encoding(state: TwoQubitState, encoding: PauliEncoding) -> TwoQubitState:
+    """Apply the encoding unitary to the first (sender's) qubit.
+
+    On bell_state(PHI_PLUS) the four encodings produce phi+, phi-, psi+ and
+    psi- respectively, matching the 2-bit code table.
+    """
+    unitary = np.kron(_ENCODING_MATRIX[encoding], _ID2)
+    return TwoQubitState(unitary @ state.rho @ unitary.conj().T)
+
+
+# Measurement projectors on one time-bin qubit. Z outcomes are (s, l);
+# X outcomes are ((s+l)/sqrt2, (s-l)/sqrt2).
+_Z_STATES = (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
+_X_STATES = (
+    np.array([1, 1], dtype=complex) / np.sqrt(2),
+    np.array([1, -1], dtype=complex) / np.sqrt(2),
+)
+_BASIS_STATES = {"Z": _Z_STATES, "X": _X_STATES}
+
+
+def _projector(vector: np.ndarray) -> np.ndarray:
+    return np.outer(vector, vector.conj())
+
+
+def _nonselective_measure_qubit(rho: np.ndarray, qubit: int, basis: str) -> np.ndarray:
+    """Decohere one qubit in a basis: the measure-and-resend channel."""
+    out = np.zeros_like(rho)
+    for vector in _BASIS_STATES[basis]:
+        p = _projector(vector)
+        full = np.kron(p, _ID2) if qubit == 0 else np.kron(_ID2, p)
+        out += full @ rho @ full
+    return out
+
+
+def detection_branch_cumulative_oracle(noise: NoiseParams) -> np.ndarray:
+    """``protocol._detection_branch_cumulative`` from 4x4 density matrices.
+
+    The noisy phi+ pair, Eve's measure-and-resend on Bob's qubit and each
+    joint (alice, bob) outcome's projector, traced one at a time.
+    """
+    rho = apply_noise(bell_state(BellLabel.PHI_PLUS), noise).rho
+    states = {0: rho}
+    states[1] = _nonselective_measure_qubit(rho, 1, "Z")
+    states[2] = _nonselective_measure_qubit(rho, 1, "X")
+    table = np.zeros((2, 3, 4))
+    for bob_index, basis in enumerate(("Z", "X")):
+        vectors = _BASIS_STATES[basis]
+        for eve_action, state in states.items():
+            joint = []
+            for a in (0, 1):
+                for b in (0, 1):
+                    measurement = np.kron(_projector(vectors[a]), _projector(vectors[b]))
+                    joint.append(float(np.trace(measurement @ state).real))
+            probs = np.clip(np.array(joint), 0.0, None)
+            table[bob_index, eve_action] = np.cumsum(probs / probs.sum())
+    table[..., -1] = 1.0
+    return table
+
+
+def encoding_cumulative_oracle(noise: NoiseParams, eve: EveModel) -> np.ndarray:
+    """``protocol._encoding_cumulative`` from 4x4 density matrices.
+
+    Each encoding unitary and Eve's Z/X measure-and-resend act on the noisy
+    pair's matrix; the row is the result's Bell-basis diagonal.
+    """
+    base = apply_noise(bell_state(BellLabel.PHI_PLUS), noise)
+    table = np.zeros((4, 4))
+    for code, encoding in enumerate(PauliEncoding):
+        rho = apply_encoding(base, encoding).rho
+        if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
+            dephased = 0.5 * (
+                _nonselective_measure_qubit(rho, 0, "Z")
+                + _nonselective_measure_qubit(rho, 0, "X")
+            )
+            rho = (1.0 - eve.fraction) * rho + eve.fraction * dephased
+        diag = bell_diagonal(TwoQubitState(rho))
+        diagonal = np.array([diag[label] for label in BELL_ORDER])
+        table[code] = np.cumsum(diagonal / diagonal.sum())
+    table[:, -1] = 1.0
+    return table
 
 
 def sfg_bsm(
@@ -36,7 +150,7 @@ def sfg_bsm(
     """
     if rng.random() >= spec.conversion_efficiency:
         return None
-    diagonal = state.bell_diagonal()
+    diagonal = bell_diagonal(state)
     weights = np.array([diagonal[label] for label in BELL_ORDER])
     weights = weights / weights.sum()
     draw = rng.random()

@@ -33,7 +33,7 @@ from qsdcnet.scenario import (
     scenario_from_dict,
 )
 
-from conftest import make_devices, sfg_bsm
+from conftest import apply_encoding, bell_diagonal, make_devices, sfg_bsm
 
 
 @contextmanager
@@ -110,7 +110,7 @@ def test_criterion_03_encoding_table():
         for encoding, unitary in unitaries.items():
             u4 = np.kron(unitary, np.eye(2, dtype=complex))
             oracle = u4 @ rho_in @ u4.conj().T
-            produced = qstate.apply_encoding(
+            produced = apply_encoding(
                 qstate.bell_state(qstate.BellLabel.PHI_PLUS), encoding
             )
             assert np.max(np.abs(produced.rho - oracle)) < 1e-12
@@ -268,7 +268,7 @@ def test_criterion_10_sfg_bsm_statistics():
             state = qstate.apply_noise(
                 qstate.bell_state(label), qstate.NoiseParams(depolarizing_p=p)
             )
-            oracle = state.bell_diagonal()  # exact Bell-basis probabilities
+            oracle = bell_diagonal(state)  # exact Bell-basis probabilities
             rng = np.random.default_rng(1000 + seed)
             counts = {lbl: 0 for lbl in qstate.BELL_ORDER}
             for _ in range(trials):

@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -235,3 +236,15 @@ class TestSessionSecrecyReport:
         assert report.q_b == pytest.approx(0.7)
         assert report.q_e == pytest.approx(0.3)
         assert report.cs_lower < 0.7
+
+
+def test_to_dict_matches_asdict():
+    # The hand-written dicts must keep every field, in field order, as the
+    # report and transcript bytes depend on both.
+    reports = [
+        qber_from_counts(100, 3, 80, 5),
+        secrecy_capacity_bound(0.9, 0.1, 0.02, 0.01, 0.03),
+        throughput(1e5, 1e4, 0.2, 0.1),
+    ]
+    for report in reports:
+        assert list(report.to_dict().items()) == list(asdict(report).items())

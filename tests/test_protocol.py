@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qsdcnet.errors import DomainError, InvariantViolation
 from qsdcnet.photonics import SfgSpec
 from qsdcnet.protocol import (
+    EveKind,
     EveModel,
     ProtocolConfig,
     QberThresholdPolicy,
@@ -34,6 +35,8 @@ from qsdcnet.qstate import (
 
 from conftest import (
     bits_to_hex_oracle,
+    detection_branch_cumulative_oracle,
+    encoding_cumulative_oracle,
     hex_to_bits_oracle,
     make_devices,
     qber_from_transcript,
@@ -512,6 +515,40 @@ class TestSampler:
         draws[draws == 1.0] = LAST_DRAW
         np.testing.assert_array_equal(
             _sample(table, rows, draws), sample_oracle(table, rows, draws)
+        )
+
+
+def _or_zero(values):
+    return st.just(0.0) | values
+
+
+class TestBellWeightTables:
+    """The closed-form Bell-weight tables against the density-matrix oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        depolarizing_p=_or_zero(st.floats(0.0, 1.0)),
+        dephasing_q=_or_zero(st.floats(0.0, 1.0)),
+        phase_offset_rad=_or_zero(st.floats(-10.0, 10.0)),
+        eve_kind=st.sampled_from(["none", "intercept_resend", "tap"]),
+        fraction=_or_zero(st.floats(0.0, 1.0)) | st.just(1.0),
+    )
+    def test_match_density_matrix_oracle(
+        self, depolarizing_p, dephasing_q, phase_offset_rad, eve_kind, fraction
+    ):
+        noise = NoiseParams(depolarizing_p, dephasing_q, phase_offset_rad)
+        eve = EveModel(EveKind(eve_kind), 0.0 if eve_kind == "none" else fraction)
+        np.testing.assert_allclose(
+            _encoding_cumulative(noise, eve),
+            encoding_cumulative_oracle(noise, eve),
+            rtol=0.0,
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            _detection_branch_cumulative(noise),
+            detection_branch_cumulative_oracle(noise),
+            rtol=0.0,
+            atol=1e-12,
         )
 
 

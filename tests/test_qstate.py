@@ -10,20 +10,24 @@ from qsdcnet.qstate import (
     NoiseParams,
     PauliEncoding,
     TwoQubitState,
-    apply_encoding,
     apply_noise,
     bell_state,
     depolarizing_p_for_fidelity,
     fidelity,
     fit_fringe,
     fringe_coincidence,
-    maximally_mixed,
     visibility,
 )
 
 from qsdcnet.protocol import EveModel, ProtocolConfig, QberThresholdPolicy, run_qsdc
 
-from conftest import make_devices, random_density_matrix
+from conftest import (
+    apply_encoding,
+    make_devices,
+    maximally_mixed,
+    purity,
+    random_density_matrix,
+)
 
 ALL_LABELS = list(BellLabel)
 ALL_ENCODINGS = list(PauliEncoding)
@@ -45,7 +49,7 @@ class TestBellStates:
 
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_purity_is_one(self, label):
-        assert bell_state(label).purity() == pytest.approx(1.0, abs=1e-12)
+        assert purity(bell_state(label)) == pytest.approx(1.0, abs=1e-12)
 
     def test_mutual_orthogonality(self):
         for a in ALL_LABELS:

@@ -7,8 +7,11 @@ import pytest
 
 from qsdcnet import cli
 from qsdcnet.errors import ScenarioError
+from qsdcnet.protocol import MAX_BLOCK_SIZE, MAX_DETECTION_SIZE
 from qsdcnet.qstate import BellLabel
 from qsdcnet.scenario import (
+    MAX_RANDOM_BITS,
+    MAX_USERS_PER_SUBNET,
     forty_km_scenario_dict,
     ideal_scenario_dict,
     load_scenario,
@@ -241,6 +244,28 @@ class TestRunCommand:
         code = cli.main(["run", "--scenario", scenario_path, "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_VALIDATION
         assert f"{path}: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("excess", [1, 10**30])
+    @pytest.mark.parametrize(
+        "path, ceiling",
+        [
+            ("message.random_bits", MAX_RANDOM_BITS),
+            ("protocol.detection_size", MAX_DETECTION_SIZE),
+            ("protocol.block_size", MAX_BLOCK_SIZE),
+            ("topology.users_per_subnet", MAX_USERS_PER_SUBNET),
+        ],
+    )
+    def test_counts_above_their_ceiling_rejected(self, tmp_path, capsys, path, ceiling, excess):
+        doc = ideal_scenario_dict(seed=17)
+        section, key = path.split(".")
+        if section == "message":  # random_bits stands in for the hex payload
+            doc["message"] = {}
+        doc[section][key] = ceiling + excess
+        scenario_path = write_scenario(tmp_path, doc)
+        code = cli.main(["run", "--scenario", scenario_path, "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION
+        assert f"{path}: must be " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_report_json_is_strict(self):

@@ -8,8 +8,14 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qsdcnet import cli
 from qsdcnet.errors import ScenarioError
-from qsdcnet.scenario import forty_km_scenario_dict, ideal_scenario_dict, scenario_from_dict
+from qsdcnet.scenario import (
+    MAX_USERS_PER_SUBNET,
+    forty_km_scenario_dict,
+    ideal_scenario_dict,
+    scenario_from_dict,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,7 +64,7 @@ topology = fixed(
     {},
     optional={
         "subnets": st.integers(1, 5),
-        "users_per_subnet": counts,
+        "users_per_subnet": st.integers(1, MAX_USERS_PER_SUBNET),
         "grid_size": st.integers(15, 10**6),
     },
 )
@@ -148,7 +154,7 @@ def _edit(doc, path, action, key, value):
 @example(site=(0, ("devices", "alice_fiber", "length_km")), action="replace", key="", value=10**400)
 @example(site=(1, ("seed",)), action="replace", key="", value=float("nan"))
 @example(site=(0, ("eve", "kind")), action="replace", key="", value=[])
-def test_any_single_edit_builds_or_raises_scenario_error(site, action, key, value):
+def test_any_single_edit_builds_or_raises_scenario_error(tmp_path_factory, site, action, key, value):
     index, path = site
     doc = _edit(copy.deepcopy(BASES[index]), path, action, key, value)
     try:
@@ -156,6 +162,24 @@ def test_any_single_edit_builds_or_raises_scenario_error(site, action, key, valu
     except ScenarioError:
         return
     assert scenario_from_dict(scenario.to_dict()).digest() == scenario.digest()
+    if _small_enough_to_run(scenario):
+        out = tmp_path_factory.mktemp("run")
+        scenario_path = out / "scenario.json"
+        scenario_path.write_text(json.dumps(doc))
+        code = cli.main(["run", "--scenario", str(scenario_path), "--out", str(out)])
+        assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_ABORT)
+
+
+def _small_enough_to_run(scenario) -> bool:
+    """A session this test can afford: the sizes stay far below their ceilings."""
+    message = scenario.message
+    bits = message.random_bits or message.bit_length or 4 * len(message.hex)
+    topology = scenario.topology
+    return (
+        bits <= 256
+        and scenario.config.detection_size <= 10_000
+        and topology.subnets * topology.users_per_subnet <= 100
+    )
 
 
 def test_readme_example_matches_the_schema():
