@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, netplan, photonics, protocol, qstate
 from .errors import CapacityExceeded, QsdcError, ScenarioError
-from .scenario import Scenario, load_scenario, scenario_from_dict
+from .scenario import Scenario, Topology, load_scenario, scenario_from_dict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -180,6 +180,8 @@ def _write_rows(path: str, rows: list[dict], fieldnames: list[str], fmt: str):
 
 def cmd_plan(args) -> int:
     try:
+        # Topology holds the ceilings that keep the plan and its check small.
+        Topology(args.subnets, args.users_per_subnet, args.grid_size)
         plan = netplan.build_plan(args.subnets, args.users_per_subnet, args.grid_size)
     except CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -227,7 +229,7 @@ def cmd_run(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     transcript_path = os.path.join(out_dir, "transcript.jsonl")
     with open(transcript_path, "w") as handle:
-        handle.write(transcript.to_jsonl())
+        handle.writelines(transcript.chunks())
     report_json = report_to_json(build_report(scenario, transcript, "transcript.jsonl"))
     report_path = os.path.join(out_dir, "report.json")
     with open(report_path, "w") as handle:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -106,25 +106,28 @@ class TranscriptEvent:
     payload: dict
 
     def to_jsonl(self) -> str:
-        """The event's JSON line, without its newline."""
+        """The event's JSON line, with its newline."""
         return json.dumps(
             {
                 "timestamp_s": self.timestamp_s,
                 "event_kind": self.event_kind,
                 "payload": self.payload,
             }
-        )
+        ) + "\n"
 
 
 _BASIS_NAMES = ("Z", "X")
 
-# The bytes json.dumps gives a detection_record event: %r of a Python float
-# is json's float repr, and the payload keys are in sorted order.
-_RECORD_LINE = (
-    '{"timestamp_s": %r, "event_kind": "detection_record", "payload": '
-    '{"alice_outcome": %d, "basis": "%s", "bob_outcome": %d, '
-    '"position": %d, "published": true}}'
+# The fixed parts of the line json.dumps gives a detection_record event (its
+# payload keys sorted): head, timestamp, middle, position, tail. The middle
+# holds the outcomes and basis and is indexed by 4 * basis + 2 * alice + bob.
+_RECORD_HEAD = '{"timestamp_s": '
+_RECORD_MIDDLES = tuple(
+    f', "event_kind": "detection_record", "payload": {{"alice_outcome": {a}, '
+    f'"basis": "{basis}", "bob_outcome": {b}, "position": '
+    for basis in _BASIS_NAMES for a in (0, 1) for b in (0, 1)
 )
+_RECORD_TAIL = ', "published": true}}\n'
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +137,8 @@ class DetectionBatch:
     Bob publishes each survivor's slot position, basis (0 = Z, 1 = X) and
     outcome; Alice's outcome in the same basis sits beside it. In the
     transcript the batch stands for the round's ``detection_record`` events,
-    one per survivor, and becomes their lines only when it is serialized.
+    one per survivor, and becomes their lines only when it is serialized:
+    fixed text around each survivor's timestamp and position reprs.
     """
 
     event_kind: ClassVar[str] = "detection_record"
@@ -155,18 +159,18 @@ class DetectionBatch:
         return self.positions.size - n_x, errors_z, n_x, errors_x
 
     def to_jsonl(self) -> str:
-        """One detection_record line per survivor, in slot order."""
+        """One detection_record line per survivor, in slot order, each with
+        its newline: the fixed parts around json's float and int reprs."""
         # A photon is detected at the end of its slot.
         timestamps = self.send_start_s + (self.positions + 1) * self.slot_s
-        bases = np.array(_BASIS_NAMES)[self.bob_basis]
-        rows = zip(
-            timestamps.tolist(),
-            self.alice_bits.tolist(),
-            bases.tolist(),
-            self.bob_bits.tolist(),
-            self.positions.tolist(),
-        )
-        return "\n".join(map(_RECORD_LINE.__mod__, rows))
+        middles = 4 * self.bob_basis + 2 * self.alice_bits + self.bob_bits
+        parts = [_RECORD_TAIL + _RECORD_HEAD] * (4 * self.positions.size + 1)
+        parts[0] = _RECORD_HEAD
+        parts[1::4] = map(float.__repr__, timestamps.tolist())
+        parts[2::4] = map(_RECORD_MIDDLES.__getitem__, middles.tolist())
+        parts[3::4] = map(int.__repr__, self.positions.tolist())
+        parts[-1] = _RECORD_TAIL
+        return "".join(parts)
 
 
 class SessionTranscript:
@@ -187,9 +191,13 @@ class SessionTranscript:
             )
         )
 
+    def chunks(self) -> Iterator[str]:
+        """The transcript's text, one chunk per event or detection batch."""
+        return (event.to_jsonl() for event in self.events)
+
     def to_jsonl(self) -> str:
-        """One JSON record per event, stable field order."""
-        return "\n".join(event.to_jsonl() for event in self.events) + "\n"
+        """One JSON line per event, stable field order."""
+        return "".join(self.chunks())
 
     @property
     def completed(self) -> bool:

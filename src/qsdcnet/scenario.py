@@ -46,8 +46,11 @@ _HEX_DIGITS = re.compile("[0-9a-fA-F]+")
 
 
 # Ceilings on counts that size arrays or loops: each subnet member gets a TDM
-# slot in the plan, and the connectivity check visits every user pair.
+# slot in the plan, the plan builds up to grid_size channel pairs, and the
+# connectivity check visits every user pair.
 MAX_USERS_PER_SUBNET = 1000
+MAX_USERS = 5000
+MAX_GRID_SIZE = 10**4
 MAX_RANDOM_BITS = 10**7
 
 
@@ -58,6 +61,8 @@ class Topology:
     grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):
+        if self.grid_size > MAX_GRID_SIZE:
+            raise DomainError(f"grid_size must be <= {MAX_GRID_SIZE}, got {self.grid_size}")
         if self.users_per_subnet > MAX_USERS_PER_SUBNET:
             raise DomainError(
                 f"users_per_subnet must be <= {MAX_USERS_PER_SUBNET}, "
@@ -65,6 +70,12 @@ class Topology:
             )
         # The plan's own check, so no session runs on a topology no plan fits.
         pairs_required(self.subnets, self.users_per_subnet, self.grid_size)
+        if self.subnets * self.users_per_subnet > MAX_USERS:
+            raise DomainError(
+                f"subnets must be <= {MAX_USERS // self.users_per_subnet} with "
+                f"{self.users_per_subnet} users per subnet "
+                f"(at most {MAX_USERS} users), got {self.subnets}"
+            )
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsdcnet import cli
 from qsdcnet.errors import DomainError, InvariantViolation
 from qsdcnet.photonics import SfgSpec
 from qsdcnet.protocol import (
+    DetectionBatch,
     EveKind,
     EveModel,
     ProtocolConfig,
@@ -43,6 +45,7 @@ from conftest import (
     sample_oracle,
     sfg_bsm,
 )
+from qsdcnet.scenario import forty_km_scenario_dict, scenario_from_dict
 
 
 def detection_session(seed=0):
@@ -601,3 +604,66 @@ class TestTranscriptFormatting:
                 rounds += 1
         assert rounds == sum(e.event_kind == "detection_result" for e in transcript.events)
         assert rounds >= 1
+
+    @staticmethod
+    def json_lines(batch: DetectionBatch) -> str:
+        """The batch's detection_record events written one by one with json.dumps."""
+        lines = []
+        columns = (batch.positions, batch.bob_basis, batch.alice_bits, batch.bob_bits)
+        for position, basis, alice, bob in zip(*(c.tolist() for c in columns)):
+            event = {
+                "timestamp_s": batch.send_start_s + (position + 1) * batch.slot_s,
+                "event_kind": "detection_record",
+                "payload": {
+                    "alice_outcome": alice,
+                    "basis": "ZX"[basis],
+                    "bob_outcome": bob,
+                    "position": position,
+                    "published": True,
+                },
+            }
+            lines.append(json.dumps(event) + "\n")
+        return "".join(lines)
+
+    @pytest.mark.parametrize(
+        "send_start_s, slot_s, repr_part",
+        [(0.0, 1e-12, "e-"), (0.25, 1e-3, "."), (1e16, 1.0, "e+"), (3e17, 7.5, "e+")],
+        ids=["below_1e-4", "plain", "at_1e16", "above_1e16"],
+    )
+    def test_every_outcome_combination_matches_json(self, send_start_s, slot_s, repr_part):
+        codes = np.arange(8)  # 4 * basis + 2 * alice + bob
+        batch = DetectionBatch(
+            send_start_s=send_start_s,
+            slot_s=slot_s,
+            positions=np.array([0, 1, 7, 8, 99, 100, 4095, 10**6]),
+            bob_basis=codes >> 2,
+            alice_bits=(codes >> 1 & 1).astype(np.uint8),
+            bob_bits=(codes & 1).astype(np.uint8),
+        )
+        text = batch.to_jsonl()
+        assert text == self.json_lines(batch)
+        assert text.count("\n") == 8
+        for line in text.splitlines():
+            assert repr_part in line.split(",")[0]
+
+    def test_one_survivor(self):
+        batch = DetectionBatch(
+            send_start_s=2.0,
+            slot_s=1e-5,
+            positions=np.array([41]),
+            bob_basis=np.array([1]),
+            alice_bits=np.array([0], dtype=np.uint8),
+            bob_bits=np.array([1], dtype=np.uint8),
+        )
+        assert batch.to_jsonl() == self.json_lines(batch)
+        assert batch.to_jsonl().endswith('"published": true}}\n')
+
+    def test_run_writes_the_transcript_text(self, tmp_path):
+        doc = forty_km_scenario_dict(seed=19, random_bits=2000)
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--scenario", str(scenario_path), "--out", str(out)]) == cli.EXIT_OK
+        expected = cli.run_session(scenario_from_dict(doc)).to_jsonl()
+        assert "detection_record" in expected
+        assert (out / "transcript.jsonl").read_bytes() == expected.encode()

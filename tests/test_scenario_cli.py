@@ -10,7 +10,9 @@ from qsdcnet.errors import ScenarioError
 from qsdcnet.protocol import MAX_BLOCK_SIZE, MAX_DETECTION_SIZE
 from qsdcnet.qstate import BellLabel
 from qsdcnet.scenario import (
+    MAX_GRID_SIZE,
     MAX_RANDOM_BITS,
+    MAX_USERS,
     MAX_USERS_PER_SUBNET,
     forty_km_scenario_dict,
     ideal_scenario_dict,
@@ -166,6 +168,24 @@ class TestPlanCommand:
         assert code == cli.EXIT_CAPACITY
         assert "narrower-band DWDM" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subnets, users_per_subnet, grid_size",
+        [
+            (1, MAX_USERS_PER_SUBNET + 1, 15),
+            (1, 10**12, 15),
+            (1, 1, MAX_GRID_SIZE + 1),
+            (MAX_USERS // MAX_USERS_PER_SUBNET + 1, MAX_USERS_PER_SUBNET, 21),
+        ],
+        ids=["users_per_subnet", "users_per_subnet_1e12", "grid_size", "total_users"],
+    )
+    def test_counts_above_their_ceiling_rejected(
+        self, capsys, subnets, users_per_subnet, grid_size
+    ):
+        argv = ["plan", "--subnets", str(subnets), "--users-per-subnet", str(users_per_subnet)]
+        code = cli.main(argv + ["--grid-size", str(grid_size)])
+        assert code == cli.EXIT_VALIDATION
+        assert " must be <= " in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_ideal_run_writes_deterministic_outputs(self, tmp_path, capsys):
@@ -254,6 +274,7 @@ class TestRunCommand:
             ("protocol.detection_size", MAX_DETECTION_SIZE),
             ("protocol.block_size", MAX_BLOCK_SIZE),
             ("topology.users_per_subnet", MAX_USERS_PER_SUBNET),
+            ("topology.grid_size", MAX_GRID_SIZE),
         ],
     )
     def test_counts_above_their_ceiling_rejected(self, tmp_path, capsys, path, ceiling, excess):
@@ -267,6 +288,35 @@ class TestRunCommand:
         assert code == cli.EXIT_VALIDATION
         assert f"{path}: must be " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "topology, path",
+        [
+            ({"subnets": 10**6, "users_per_subnet": 3, "grid_size": 10**13}, "topology.grid_size"),
+            ({"subnets": 6, "users_per_subnet": MAX_USERS_PER_SUBNET, "grid_size": 21}, "topology.subnets"),
+        ],
+        ids=["huge_grid", "total_users"],
+    )
+    def test_topology_above_its_ceilings_rejected(self, tmp_path, capsys, topology, path):
+        doc = ideal_scenario_dict(seed=18)
+        doc["topology"] = topology
+        scenario_path = write_scenario(tmp_path, doc)
+        code = cli.main(["run", "--scenario", scenario_path, "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION
+        assert f"{path}: must be <= " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            {"subnets": 5, "users_per_subnet": MAX_USERS_PER_SUBNET},
+            {"subnets": 140, "users_per_subnet": 35, "grid_size": MAX_GRID_SIZE},
+        ],
+    )
+    def test_topology_at_its_ceilings_builds(self, topology):
+        doc = ideal_scenario_dict(seed=18)
+        doc["topology"].update(topology)
+        assert scenario_from_dict(doc).to_dict()["topology"] == doc["topology"]
 
     def test_report_json_is_strict(self):
         with pytest.raises(ValueError):

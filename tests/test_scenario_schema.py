@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qsdcnet import cli
 from qsdcnet.errors import ScenarioError
 from qsdcnet.scenario import (
+    MAX_GRID_SIZE,
     MAX_USERS_PER_SUBNET,
     forty_km_scenario_dict,
     ideal_scenario_dict,
@@ -65,7 +66,7 @@ topology = fixed(
     optional={
         "subnets": st.integers(1, 5),
         "users_per_subnet": st.integers(1, MAX_USERS_PER_SUBNET),
-        "grid_size": st.integers(15, 10**6),
+        "grid_size": st.integers(15, MAX_GRID_SIZE),
     },
 )
 eve = fixed(
