@@ -38,7 +38,6 @@ from .photonics import (
     SfgSpec,
     SourceSpec,
     accidental_rate,
-    modulate_and_detect,
     transmittance,
 )
 from .protocol import (

@@ -1,9 +1,10 @@
 """Command-line front-end: plan, run, sweep and fringe subcommands.
 
 Exit codes: 0 success (and, for plan, fully connected), 1 validation
-failure, 2 protocol abort, 3 capacity errors. Reports and transcripts are
-deterministic functions of (scenario, seed); wall-clock timing goes to
-stderr only so output files hash identically across reruns.
+failure (any QsdcError a command does not map itself), 2 protocol abort,
+3 capacity errors. Reports and transcripts are deterministic functions of
+(scenario, seed); wall-clock timing goes to stderr only so output files
+hash identically across reruns.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 import numpy as np
 
 from . import analysis, netplan, photonics, protocol, qstate
-from .errors import CapacityExceeded, QsdcError, ScenarioError
+from .errors import CapacityExceeded, DomainError, QsdcError, ScenarioError
 from .scenario import Scenario, Topology, load_scenario, scenario_from_dict
 
 EXIT_OK = 0
@@ -27,6 +28,11 @@ EXIT_ABORT = 2
 EXIT_CAPACITY = 3
 
 OUT_DIR_ENV = "QSDCNET_OUT_DIR"
+
+# fringe's --phases sizes the phase grid and the table; --shots-per-phase
+# must stay far inside Generator.binomial's int64.
+MAX_PHASES = 10**5
+MAX_SHOTS_PER_PHASE = 10**12
 
 _BELL_CHOICES = {label.name.lower(): label for label in qstate.BellLabel}
 
@@ -186,9 +192,6 @@ def cmd_plan(args) -> int:
     except CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except QsdcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     report = netplan.verify_full_connectivity(plan, args.subnets, args.users_per_subnet)
     print(plan.to_document(), end="")
     print(
@@ -214,11 +217,7 @@ def _load(args) -> Scenario:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = _load(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    scenario = _load(args)
     started = time.monotonic()
     try:
         transcript = run_session(scenario)
@@ -272,14 +271,14 @@ def _set_path(doc: dict, path: str, value):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        scenario = _load(args)
-        values = (
-            [float(v) for v in args.values.split(",")] if args.values.strip() else []
+    if args.param == "seed":
+        raise ScenarioError(
+            "--param seed: each row's seed is the base seed XOR its index; "
+            "set the base seed with --seed"
         )
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    scenario = _load(args)
+    try:
+        values = [float(v) for v in args.values.split(",")] if args.values.strip() else []
     except ValueError as exc:
         print(f"error: --values must be a comma-separated list of numbers: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -287,11 +286,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for index, value in enumerate(values):
         doc = scenario.to_dict()
-        try:
-            _set_path(doc, args.param, value)
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+        _set_path(doc, args.param, value)
         doc["seed"] = base_seed ^ index
         try:
             variant = scenario_from_dict(doc)
@@ -327,11 +322,13 @@ _FRINGE_FIELDS = ["phase_rad", "raw_counts", "expected_accidentals", "corrected_
 
 
 def cmd_fringe(args) -> int:
-    try:
-        scenario = _load(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    for flag, value, ceiling in (
+        ("--phases", args.phases, MAX_PHASES),
+        ("--shots-per-phase", args.shots_per_phase, MAX_SHOTS_PER_PHASE),
+    ):
+        if not 1 <= value <= ceiling:
+            raise DomainError(f"{flag} must be in [1, {ceiling}], got {value}")
+    scenario = _load(args)
     label = _BELL_CHOICES[args.bell_state]
     study = fringe_study(
         scenario, label, phases=args.phases, shots_per_phase=args.shots_per_phase

@@ -1,10 +1,10 @@
 """Stochastic device and channel models.
 
-Fiber attenuation, single-photon detection, polarization modulation, the
-SFG stage's conversion efficiency and rate cap, and accidental
-coincidences. Every random draw goes through the session's seeded numpy
-Generator, so whole runs are reproducible bit-for-bit. Device specs are
-immutable values; a Generator is owned by exactly one session.
+Fiber attenuation, single-photon detection, the modulation rate, the SFG
+stage's conversion efficiency and rate cap, and accidental coincidences.
+Every random draw goes through the session's seeded numpy Generator, so
+whole runs are reproducible bit-for-bit. Device specs are immutable
+values; a Generator is owned by exactly one session.
 """
 
 from __future__ import annotations
@@ -63,12 +63,10 @@ class SfgSpec:
 @dataclass(frozen=True)
 class ModulatorSpec:
     rate_hz: float
-    extinction_error: float = 0.0
 
     def __post_init__(self):
         if self.rate_hz <= 0.0:
             raise DomainError(f"rate_hz must be > 0, got {self.rate_hz}")
-        _check_probability("extinction_error", self.extinction_error)
 
 
 @dataclass(frozen=True)
@@ -95,65 +93,6 @@ class Devices:
 def transmittance(fiber: FiberSpec) -> float:
     """Fiber survival probability, 10^(-attenuation * length / 10)."""
     return 10.0 ** (-fiber.attenuation_db_per_km * fiber.length_km / 10.0)
-
-
-def modulate_and_detect(
-    bit: int,
-    mod: ModulatorSpec,
-    photon_rate_hz: float,
-    channel_eta: float,
-    det: DetectorSpec,
-    dwell_s: float,
-    rng: np.random.Generator,
-) -> int:
-    """Detector clicks for one modulated symbol over a dwell time.
-
-    Bit 0 leaves the polarization aligned for up-conversion (high level);
-    bit 1 rotates it away so only the extinction_error fraction converts
-    (low level). Dark counts add an independent Poisson background.
-    """
-    if dwell_s <= 0.0:
-        raise DomainError(f"dwell_s must be > 0, got {dwell_s}")
-    if bit not in (0, 1):
-        raise DomainError(f"bit must be 0 or 1, got {bit}")
-    _check_probability("channel_eta", channel_eta)
-    gate = 1.0 if bit == 0 else mod.extinction_error
-    mean = dwell_s * (
-        photon_rate_hz * channel_eta * det.efficiency * gate + det.dark_count_rate_hz
-    )
-    return int(rng.poisson(mean))
-
-
-def detection_waveform(
-    bits: str,
-    mod: ModulatorSpec,
-    photon_rate_hz: float,
-    channel_eta: float,
-    det: DetectorSpec,
-    rng: np.random.Generator,
-    bins_per_bit: int = 5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Binned click counts over a modulated bit sequence.
-
-    Each bit occupies 1/rate_hz seconds split into bins_per_bit histogram
-    bins; returns (bin_centers_s, counts). Accumulation time and histogram
-    bin width are independent display knobs, so both are exposed here.
-    """
-    if bins_per_bit < 1:
-        raise DomainError(f"bins_per_bit must be >= 1, got {bins_per_bit}")
-    bit_duration = 1.0 / mod.rate_hz
-    bin_width = bit_duration / bins_per_bit
-    centers = []
-    counts = []
-    for position, bit in enumerate(bits):
-        for sub in range(bins_per_bit):
-            centers.append((position + (sub + 0.5) / bins_per_bit) * bit_duration)
-            counts.append(
-                modulate_and_detect(
-                    int(bit), mod, photon_rate_hz, channel_eta, det, bin_width, rng
-                )
-            )
-    return np.array(centers), np.array(counts)
 
 
 def accidental_rate(singles_1_hz: float, singles_2_hz: float, window_s: float) -> float:

@@ -92,53 +92,69 @@ RUN_DIGESTS = {
     "forty_km_902": (
         cli.EXIT_OK,
         "17e3fe7bd5004fbbd2d4e7da5d32fb59f519f3c633e060a88b27450c7840ffb1",
-        "134da06ea29846cc22249882c162ded996dee25f5fff7489d00917753dc8a447",
+        "b842650bb66a0f44c72ed80a5b170a652e9be9390baa4224dddec73f35cae72a",
     ),
     "forty_km_reference": (
         cli.EXIT_OK,
         "93720bc5b4719f365f49a34b766a98e3076ba768505abe2c158f2104121e09b7",
-        "0df0b272514dd670e71f402c97e6839efbb48f4712f738e7632d40a20fcdac34",
+        "f3f545b7af6b35f448188d571dceb821c3a5d57cc28a2279377b9f188c062386",
     ),
     "ideal_901": (
         cli.EXIT_OK,
         "01a63901f15f57ca38a8f9dedc783801c0bcf12dd057ed4f7933619027a895aa",
-        "325c7f6be5a24f1d751eba553b379f39c42a15c22550016e9c9e852a79cd8108",
+        "6c83f97881a86d82c7d87fd46cab50b3ee81133386d6a7b88106981d4c94c11f",
     ),
     "intercept_resend_904": (
         cli.EXIT_ABORT,
         "d33dd8e0f1cbeedad83fa12d392be8019fe5a5bf2d89baab1b75fb5489dc4c09",
-        "1aafd8c63e22da4306413c26d0610ac23396dbeffb5a5278a792612322e3a0d1",
+        "a72344f380cd20730fb88fb1c0fb2c43b227c6f495ff642d40ef3efc0d9ea1bb",
     ),
     "megabit_ideal": (
         cli.EXIT_OK,
         "eb6fed89b36805a0455cee65a83878b2f96cfc92cada61975f5a21c949c75a92",
-        "62b47592d344ad9cdc881941915fdebf701ff3e80fe4290804e89d20741865ea",
+        "35f25862d55b870519d9e8ef9dca7e0fe096802528a8add5d250e2f441bb2dbf",
     ),
     "noisy_903": (
         cli.EXIT_OK,
         "24cfecf9e1bdc4c2cd7a50040c908db2ccab6cdc1fc8036fcfab0d02e53f5da3",
-        "7363f53cec2c76c70d1f8ae0fd9aca41e1686f4da1f101c24576a9b49819bc04",
+        "d655bbc4ac1570b746a5d68bd22dabcdf623718f71f440c86b17bba7b58cf5e8",
     ),
     "odd_length_noisy": (
         cli.EXIT_OK,
         "5d5c8df06a95abf1af38b034cdde6daf9113829cafc849a2c278bf4e9e4cdcba",
-        "3ef81f74b7ccfdce508154f44e07c7a0ada98d453be6224dac6d6818d62649c2",
+        "a0ee3fb5b7cbbfaa7e8ed11bda582883ba422ed461a73652db72016f379036a6",
     ),
     "small_blocks": (
         cli.EXIT_OK,
         "9b135258bc83e8ca46ce2c8c1bb308d6d586677f8f5225a94a753ddf0fc23c61",
-        "c361481e8c3cb81853d7bf175e0c9cdf9a4be887c1494c0b8b3e48b4b34df138",
+        "483886f7098b71acd55d3cec95f75f4604f1771f621a9d933b1c1ba406c75517",
     ),
     "tap_905": (
         cli.EXIT_OK,
         "400e12c02bc1d455b9606dfc926ebacbe14173e23e7b313b660c2880a2d4e8c1",
-        "880c2eb37300e92f98963dcfce72694921abe0c395022c2d25f92cd6b883e9ea",
+        "189780b444874f47e779f43c849e35637b968a50f43a205bbb098de8d7d2b9e5",
     ),
     "truncating_10km": (
         cli.EXIT_OK,
         "fa45d98b438405ca5e8f8f9f3785bda5541e0762c97f8f3849655b3b1909d185",
-        "f3bd37297665634af328a3f5c4f8b0765ca53f8335d4088584b1d6a0dc3c4776",
+        "f2602deff7c2bb4535b58206fe97bf0ce7530a17097d787ee93931f5ebbf93c2",
     ),
+}
+
+# name -> sha256 of report.json while the schema still had
+# devices.modulator.extinction_error; every scenario here left it at 0.0.
+# Reports carried it in the embedded scenario and its digest, and nothing else.
+PRE_REMOVAL_REPORT_DIGESTS = {
+    "forty_km_902": "134da06ea29846cc22249882c162ded996dee25f5fff7489d00917753dc8a447",
+    "forty_km_reference": "0df0b272514dd670e71f402c97e6839efbb48f4712f738e7632d40a20fcdac34",
+    "ideal_901": "325c7f6be5a24f1d751eba553b379f39c42a15c22550016e9c9e852a79cd8108",
+    "intercept_resend_904": "1aafd8c63e22da4306413c26d0610ac23396dbeffb5a5278a792612322e3a0d1",
+    "megabit_ideal": "62b47592d344ad9cdc881941915fdebf701ff3e80fe4290804e89d20741865ea",
+    "noisy_903": "7363f53cec2c76c70d1f8ae0fd9aca41e1686f4da1f101c24576a9b49819bc04",
+    "odd_length_noisy": "3ef81f74b7ccfdce508154f44e07c7a0ada98d453be6224dac6d6818d62649c2",
+    "small_blocks": "c361481e8c3cb81853d7bf175e0c9cdf9a4be887c1494c0b8b3e48b4b34df138",
+    "tap_905": "880c2eb37300e92f98963dcfce72694921abe0c395022c2d25f92cd6b883e9ea",
+    "truncating_10km": "f3bd37297665634af328a3f5c4f8b0765ca53f8335d4088584b1d6a0dc3c4776",
 }
 
 SWEEP_ARGS = ["--param", "eve.fraction", "--values", "0,0.25,0.5,1"]
@@ -174,6 +190,19 @@ def sweep_output(tmp_path) -> str:
 @pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
 def test_run_outputs_are_frozen(name, tmp_path, capsys):
     assert run_outputs(tmp_path, RUN_SCENARIOS[name]) == RUN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
+def test_report_is_the_pre_removal_report_less_one_key(name, tmp_path, capsys):
+    run_outputs(tmp_path, RUN_SCENARIOS[name])
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    scenario = report["scenario"]
+    scenario["devices"]["modulator"]["extinction_error"] = 0.0
+    # Scenario.canonical_json's rule.
+    canonical = json.dumps(scenario, sort_keys=True, separators=(",", ":"))
+    report["scenario_digest"] = hashlib.sha256(canonical.encode()).hexdigest()
+    restored = hashlib.sha256(cli.report_to_json(report).encode()).hexdigest()
+    assert restored == PRE_REMOVAL_REPORT_DIGESTS[name]
 
 
 def test_sweep_output_is_frozen(tmp_path, capsys):

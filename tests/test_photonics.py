@@ -5,14 +5,10 @@ from hypothesis import strategies as st
 
 from qsdcnet.errors import DomainError
 from qsdcnet.photonics import (
-    DetectorSpec,
     FiberSpec,
-    ModulatorSpec,
     SfgSpec,
     accidental_rate,
-    detection_waveform,
     fringe_scan,
-    modulate_and_detect,
     transmittance,
 )
 from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams, apply_noise, bell_state
@@ -102,45 +98,6 @@ class TestSfgBsm:
         seq_a = [sfg_bsm(state, SfgSpec(0.7), np.random.default_rng([8, i])) for i in range(50)]
         seq_b = [sfg_bsm(state, SfgSpec(0.7), np.random.default_rng([8, i])) for i in range(50)]
         assert seq_a == seq_b
-
-
-class TestModulateAndDetect:
-    def test_dark_and_extinction_free_bit_one_is_silent(self):
-        rng = np.random.default_rng(0)
-        mod = ModulatorSpec(rate_hz=1000.0, extinction_error=0.0)
-        det = DetectorSpec(efficiency=1.0, dark_count_rate_hz=0.0)
-        clicks = modulate_and_detect(1, mod, 1e6, 1.0, det, 0.01, rng)
-        assert clicks == 0
-
-    def test_poisson_mean(self):
-        # rate * eta * efficiency * dwell = 100 expected clicks per sample.
-        rng = np.random.default_rng(21)
-        mod = ModulatorSpec(rate_hz=1000.0)
-        det = DetectorSpec(efficiency=0.5)
-        samples = [
-            modulate_and_detect(0, mod, 1e6, 0.2, det, 1e-3, rng) for _ in range(3000)
-        ]
-        sample_mean = np.mean(samples)
-        # 3 standard errors of the mean for Poisson(100).
-        assert abs(sample_mean - 100.0) <= 3 * np.sqrt(100.0 / len(samples))
-
-    def test_waveform_resolves_square_wave(self):
-        # Alternating bits at 1 kHz: high/low levels alternate with 2 ms period.
-        rng = np.random.default_rng(33)
-        mod = ModulatorSpec(rate_hz=1000.0, extinction_error=0.0)
-        det = DetectorSpec(efficiency=0.8, dark_count_rate_hz=50.0)
-        bits = "01" * 10
-        centers, counts = detection_waveform(bits, mod, 1e6, 0.5, det, rng, bins_per_bit=5)
-        assert len(counts) == len(bits) * 5
-        assert centers[5] - centers[0] == pytest.approx(1e-3, abs=1e-9)
-        high = counts.reshape(len(bits), 5)[0::2].mean()
-        low = counts.reshape(len(bits), 5)[1::2].mean()
-        assert high > 10 * max(low, 1.0)
-
-    def test_bad_dwell_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(DomainError):
-            modulate_and_detect(0, ModulatorSpec(1000.0), 1e6, 1.0, DetectorSpec(1.0), 0.0, rng)
 
 
 class TestAccidentalRate:

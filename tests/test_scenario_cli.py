@@ -289,6 +289,16 @@ class TestRunCommand:
         assert f"{path}: must be " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_removed_extinction_error_key_rejected(self, tmp_path, capsys):
+        doc = ideal_scenario_dict(seed=18)
+        doc["devices"]["modulator"]["extinction_error"] = 0.0
+        out = tmp_path / "out"
+        code = cli.main(["run", "--scenario", write_scenario(tmp_path, doc), "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.endswith("devices.modulator.extinction_error: unknown field\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "topology, path",
         [
@@ -401,6 +411,18 @@ class TestSweepCommand:
         ])
         assert code == cli.EXIT_VALIDATION
 
+    def test_seed_parameter_rejected(self, tmp_path, capsys):
+        # Row seeds are base ^ index, so a swept seed would be overwritten.
+        scenario_path = write_scenario(tmp_path, ideal_scenario_dict(seed=1))
+        out = tmp_path / "out"
+        code = cli.main([
+            "sweep", "--scenario", scenario_path,
+            "--param", "seed", "--values", "7,7,99", "--out", str(out),
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert "set the base seed with --seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFringeCommand:
     def test_ideal_phi_plus_fringe(self, tmp_path, capsys):
@@ -441,6 +463,26 @@ class TestFringeCommand:
         assert set(json.loads(lines[0])) == {
             "phase_rad", "raw_counts", "expected_accidentals", "corrected_rate",
         }
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--phases", -1),
+            ("--phases", 0),
+            ("--phases", cli.MAX_PHASES + 1),
+            ("--phases", 10**12),
+            ("--shots-per-phase", -1),
+            ("--shots-per-phase", cli.MAX_SHOTS_PER_PHASE + 1),
+            ("--shots-per-phase", 10**19),
+        ],
+    )
+    def test_counts_outside_their_ceilings_rejected(self, tmp_path, capsys, flag, value):
+        scenario_path = write_scenario(tmp_path, ideal_scenario_dict(seed=34))
+        out = tmp_path / "out"
+        code = cli.main(["fringe", "--scenario", scenario_path, flag, str(value), "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert f"error: {flag} must be in [1, " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReportContents:

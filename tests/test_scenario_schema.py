@@ -5,14 +5,17 @@ import json
 import re
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsdcnet import cli
 from qsdcnet.errors import ScenarioError
 from qsdcnet.scenario import (
+    _TABLE,
     MAX_GRID_SIZE,
     MAX_USERS_PER_SUBNET,
+    Scenario,
     forty_km_scenario_dict,
     ideal_scenario_dict,
     scenario_from_dict,
@@ -44,7 +47,7 @@ devices = fixed(
             optional={"dark_count_rate_hz": nonnegative, "coincidence_window_s": nonnegative},
         ),
         "sfg": fixed({"conversion_efficiency": probability}, optional={"max_rate_hz": positive}),
-        "modulator": fixed({"rate_hz": positive}, optional={"extinction_error": probability}),
+        "modulator": fixed({"rate_hz": positive}),
         "source": fixed({"pair_rate_hz": nonnegative}, optional={"noise": noise}),
     }
 )
@@ -190,3 +193,104 @@ def test_readme_example_matches_the_schema():
     doc = json.loads(block)
     # The example states every field, so the writer gives it back unchanged.
     assert scenario_from_dict(doc).to_dict() == doc
+
+
+def _leaf_paths(cls=Scenario, prefix=""):
+    """The dotted path of every scalar field the schema table holds."""
+    for field in _TABLE[cls].values():
+        path = prefix + field.key
+        if field.section_keys is None:
+            yield path
+        else:
+            yield from _leaf_paths(field.kind, path + ".")
+
+
+def _with(doc, overrides):
+    """A copy of doc with each dotted path set to its value."""
+    doc = copy.deepcopy(doc)
+    for path, value in overrides.items():
+        *sections, key = path.split(".")
+        node = doc
+        for name in sections:
+            node = node[name]
+        node[key] = value
+    return doc
+
+
+# No scenario field may leave every output unchanged. Each leaf of the schema
+# has a witness: overrides of the base scenario, and a new value for the field
+# under which run or fringe gives different output. Some fields act only on a
+# special base: max_retransmissions needs lost pairs and a round that meets
+# min_samples, qber_threshold a nonzero QBER, redetect_every_blocks several
+# blocks and photon_decrease_factor a tap.
+WITNESS_BASE = ideal_scenario_dict(seed=5, message_hex="a5c3")
+_LOSSY = {"devices.alice_fiber.length_km": 10.0, "devices.bob_fiber.length_km": 10.0}
+_NOISY = {"devices.source.noise.depolarizing_p": 0.1}
+WITNESSES = {
+    "seed": ({}, 6),
+    "topology.subnets": ({}, 4),
+    "topology.users_per_subnet": ({}, 2),
+    "topology.grid_size": ({}, 20),
+    "devices.alice_fiber.length_km": ({}, 5.0),
+    "devices.alice_fiber.attenuation_db_per_km": (_LOSSY, 0.3),
+    "devices.bob_fiber.length_km": ({}, 5.0),
+    "devices.bob_fiber.attenuation_db_per_km": (_LOSSY, 0.3),
+    "devices.detector.efficiency": ({}, 0.9),
+    "devices.detector.dark_count_rate_hz": ({}, 100.0),
+    "devices.detector.coincidence_window_s": ({}, 2e-9),
+    "devices.sfg.conversion_efficiency": ({}, 0.5),
+    "devices.sfg.max_rate_hz": ({}, 5e4),
+    "devices.modulator.rate_hz": ({}, 5e4),
+    "devices.source.pair_rate_hz": ({}, 5e5),
+    "devices.source.noise.depolarizing_p": ({}, 0.05),
+    "devices.source.noise.dephasing_q": ({}, 0.05),
+    "devices.source.noise.phase_offset_rad": ({}, 0.1),
+    "protocol.block_size": ({}, 2),
+    "protocol.detection_size": ({}, 900),
+    "protocol.qber_threshold": (_NOISY, 0.02),
+    "protocol.min_samples": ({}, 2000),
+    "protocol.redetect_every_blocks": ({"protocol.block_size": 2}, 1),
+    "protocol.max_retransmissions": ({**_LOSSY, "protocol.detection_size": 4000}, 0),
+    "protocol.photon_decrease_factor": ({"eve": {"kind": "tap", "fraction": 0.3}}, 0.9),
+    "protocol.tdm_slot_s": ({}, 2e-6),
+    "eve.kind": ({"eve.fraction": 0.5}, "tap"),
+    "eve.fraction": ({"eve.kind": "intercept_resend"}, 0.5),
+    "message.hex": ({}, "a5c4"),
+    "message.bit_length": ({}, 12),
+    "message.random_bits": ({"message": {"random_bits": 16}}, 17),
+}
+
+
+def _outputs(tmp_path, doc, capsys):
+    """Everything run and fringe give for doc, less the scenario's own echo."""
+    tmp_path.mkdir()
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = cli.main(["run", "--scenario", str(scenario_path), "--out", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_ABORT)
+    report = json.loads((out / "report.json").read_text())
+    del report["scenario"], report["scenario_digest"]
+    transcript = (out / "transcript.jsonl").read_text()
+    capsys.readouterr()
+    code = cli.main(
+        ["fringe", "--scenario", str(scenario_path), "--phases", "16", "--out", str(out)]
+    )
+    assert code == cli.EXIT_OK
+    summary = capsys.readouterr().out
+    return report, transcript, summary, (out / "fringe_phi_plus.csv").read_text()
+
+
+def test_every_scenario_field_has_a_witness():
+    assert sorted(WITNESSES) == sorted(_leaf_paths())
+
+
+@pytest.mark.parametrize("path", sorted(WITNESSES))
+def test_every_scenario_field_changes_an_output(path, tmp_path, capsys):
+    overrides, value = WITNESSES[path]
+    base = _with(WITNESS_BASE, overrides)
+    changed = _with(base, {path: value})
+    assert changed != base
+    before = _outputs(tmp_path / "base", base, capsys)
+    after = _outputs(tmp_path / "changed", changed, capsys)
+    assert any(a != b for a, b in zip(before, after))
