@@ -57,13 +57,9 @@ from .protocol import (
 from .qstate import (
     BellLabel,
     NoiseParams,
-    PauliEncoding,
-    TwoQubitState,
-    apply_noise,
-    bell_state,
-    depolarizing_p_for_fidelity,
+    bell_weights,
     fidelity,
-    fringe_coincidence,
+    fringe_probability,
     visibility,
 )
 from .scenario import Scenario, load_scenario, scenario_from_dict

@@ -54,16 +54,12 @@ def run_session(scenario: Scenario) -> protocol.SessionTranscript:
 
 
 def fidelity_table(scenario: Scenario) -> list[dict]:
-    """Direct density-matrix fidelity of each Bell state under source noise."""
-    rows = []
-    for label in qstate.BELL_ORDER:
-        state = qstate.apply_noise(
-            qstate.bell_state(label), scenario.devices.source.heralding_noise
-        )
-        rows.append(
-            {"bell_state": label.name.lower(), "fidelity": qstate.fidelity(state, label)}
-        )
-    return rows
+    """Closed-form fidelity of each Bell state under source noise."""
+    noise = scenario.devices.source.heralding_noise
+    return [
+        {"bell_state": label.name.lower(), "fidelity": qstate.fidelity(label, noise)}
+        for label in qstate.BELL_ORDER
+    ]
 
 
 def session_metrics(
@@ -139,7 +135,6 @@ def fringe_study(
     fidelity estimates under both noise assumptions.
     """
     devices = scenario.devices
-    state = qstate.apply_noise(qstate.bell_state(label), devices.source.heralding_noise)
     eta_a = photonics.transmittance(devices.alice_fiber) * devices.detector.efficiency
     eta_b = photonics.transmittance(devices.bob_fiber) * devices.detector.efficiency
     singles_a = devices.source.pair_rate_hz * eta_a + devices.detector.dark_count_rate_hz
@@ -154,7 +149,10 @@ def fringe_study(
     )
     rng = np.random.default_rng([scenario.seed, 0xF21])
     grid = np.linspace(0.0, 2.0 * np.pi, phases, endpoint=False)
-    rows = photonics.fringe_scan(state, grid, shots_per_phase, accidental_prob, rng)
+    probabilities = qstate.fringe_probability(
+        label, devices.source.heralding_noise, grid
+    )
+    rows = photonics.fringe_scan(grid, probabilities, shots_per_phase, accidental_prob, rng)
     samples = [(row["phase_rad"], row["corrected_rate"]) for row in rows]
     fit = qstate.fit_fringe(samples)
     v = qstate.visibility(samples)

@@ -10,7 +10,7 @@ class DomainError(QsdcError):
 
 
 class InvariantViolation(QsdcError):
-    """A structural invariant was broken (bad density matrix, illegal phase transition)."""
+    """A structural invariant was broken (an illegal phase transition, a bad density matrix)."""
 
 
 class InsufficientData(QsdcError):

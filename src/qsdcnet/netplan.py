@@ -183,31 +183,44 @@ class ConnectivityReport:
         return self.covered_pairs == self.total_user_pairs
 
 
+def _intra_failures(link: IntraLink | None, m: int) -> dict[int, list[int]]:
+    """Members u2 > u1 that member u1 of a subnet cannot reach, by u1.
+
+    Empty for a healthy link: present, with a TDM slot for every member and
+    no slot shared by two members. Only a link that fails walks its pairs.
+    """
+    slots = [None] * m if link is None else [link.tdm_slots.get(u) for u in range(m)]
+    if None not in slots and len(set(slots)) == m:
+        return {}
+    failures: dict[int, list[int]] = {}
+    for u1, u2 in combinations(range(m), 2):
+        if slots[u1] is None or slots[u2] is None or slots[u1] == slots[u2]:
+            failures.setdefault(u1, []).append(u2)
+    return failures
+
+
 def verify_full_connectivity(plan: WavelengthPlan, k: int, m: int) -> ConnectivityReport:
     """Check every unordered user pair has a connecting resource.
 
-    Users in the same subnet need that subnet's intra channel pair plus TDM
-    slots for both members; users in different subnets need the inter-subnet
-    channel pair. Failures are reported, not raised.
+    Users in the same subnet need that subnet's intra channel pair plus
+    distinct TDM slots for both members; users in different subnets need the
+    inter-subnet channel pair. A healthy intra link covers its C(m, 2) pairs
+    and a present inter link its m^2 pairs, so user pairs are listed only for
+    links that fail, in the order of ``combinations`` over users sorted by
+    (subnet, member). Failures are reported, not raised.
     """
-    users = [UserId(s, u) for s in range(k) for u in range(m)]
+    total = k * m * (k * m - 1) // 2
     uncovered: list[tuple[UserId, UserId]] = []
-    total = 0
-    for first, second in combinations(users, 2):
-        total += 1
-        if first.subnet == second.subnet:
-            link = plan.intra_links.get(first.subnet)
-            connected = (
-                link is not None
-                and first.member in link.tdm_slots
-                and second.member in link.tdm_slots
-                and link.tdm_slots[first.member] != link.tdm_slots[second.member]
-            )
-        else:
-            key = (min(first.subnet, second.subnet), max(first.subnet, second.subnet))
-            connected = key in plan.inter_links
-        if not connected:
-            uncovered.append((first, second))
+    for s1 in range(k):
+        intra = _intra_failures(plan.intra_links.get(s1), m)
+        missing = [s2 for s2 in range(s1 + 1, k) if (s1, s2) not in plan.inter_links]
+        if not intra and not missing:
+            continue
+        for u1 in range(m):
+            first = UserId(s1, u1)
+            uncovered.extend((first, UserId(s1, u2)) for u2 in intra.get(u1, ()))
+            for s2 in missing:
+                uncovered.extend((first, UserId(s2, u2)) for u2 in range(m))
     return ConnectivityReport(
         total_user_pairs=total,
         covered_pairs=total - len(uncovered),

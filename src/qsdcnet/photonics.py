@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .qstate import NoiseParams, TwoQubitState, fringe_coincidence
+from .qstate import NoiseParams
 
 
 def _check_probability(name: str, value: float):
@@ -104,32 +104,34 @@ def accidental_rate(singles_1_hz: float, singles_2_hz: float, window_s: float) -
 
 
 def fringe_scan(
-    state: TwoQubitState,
     phases: np.ndarray,
+    probabilities: np.ndarray,
     shots_per_phase: int,
     accidental_prob: float,
     rng: np.random.Generator,
 ) -> list[dict]:
     """Monte Carlo two-photon interference scan with accidental subtraction.
 
-    At each analyzer phase (the partner analyzer held at zero), counts are
-    binomial in the coincidence probability plus a Poisson accidental
+    At each analyzer phase, counts are binomial in that phase's coincidence
+    probability (``qstate.fringe_probability``) plus a Poisson accidental
     background whose expectation is subtracted off, mirroring how measured
-    fringes are corrected before fitting.
+    fringes are corrected before fitting. Each phase takes one binomial and
+    then one Poisson draw, in phase order.
     """
     _check_probability("accidental_prob", accidental_prob)
     if shots_per_phase < 1:
         raise DomainError(f"shots_per_phase must be >= 1, got {shots_per_phase}")
     rows = []
     expected_accidentals = shots_per_phase * accidental_prob
-    for phase in phases:
-        probability = fringe_coincidence(state, float(phase), 0.0)
+    for phase, probability in zip(
+        np.asarray(phases).tolist(), np.asarray(probabilities).tolist(), strict=True
+    ):
         signal = int(rng.binomial(shots_per_phase, probability))
         accidentals = int(rng.poisson(expected_accidentals))
         corrected = (signal + accidentals - expected_accidentals) / shots_per_phase
         rows.append(
             {
-                "phase_rad": float(phase),
+                "phase_rad": phase,
                 "raw_counts": signal + accidentals,
                 "expected_accidentals": expected_accidentals,
                 "corrected_rate": corrected,

@@ -14,7 +14,6 @@ produces is a pure function of (configuration, seed).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -25,7 +24,7 @@ import numpy as np
 from . import analysis
 from .errors import DomainError, InvariantViolation
 from .photonics import Devices, transmittance
-from .qstate import NoiseParams
+from .qstate import NoiseParams, bell_weights
 
 
 class SessionPhase(Enum):
@@ -279,18 +278,6 @@ def delay_control(sequence_length: int, slot_s: float) -> float:
 _CODES = np.arange(4)
 
 
-def _bell_weights(noise: NoiseParams) -> np.ndarray:
-    """Bell weights of the source's noisy phi+ pair, in BELL_ORDER.
-
-    Dephasing flips the relative phase with net probability 2q(1 - q) and
-    the phase offset rotates it, which leaves c = (1 - 2q)^2 cos(theta) of
-    the phi+/phi- contrast; depolarizing then mixes in p/4 of each state.
-    """
-    c = (1.0 - 2.0 * noise.dephasing_q) ** 2 * math.cos(noise.phase_offset_rad)
-    p = noise.depolarizing_p
-    return (1.0 - p) * np.array([(1.0 + c) / 2.0, (1.0 - c) / 2.0, 0.0, 0.0]) + p / 4.0
-
-
 def _measure_resend(weights: np.ndarray, flip: int) -> np.ndarray:
     """Bell weights after a Z (flip 1) or X (flip 2) measure-and-resend of one
     qubit: half the weight of each state moves to its flipped partner."""
@@ -310,7 +297,7 @@ def _detection_branch_cumulative(noise: NoiseParams) -> np.ndarray:
     e = w[phi-] + w[psi-] in X, and the joint law is
     [(1 - e)/2, e/2, e/2, (1 - e)/2].
     """
-    weights = _bell_weights(noise)
+    weights = bell_weights(noise)
     branches = np.stack(
         (weights, _measure_resend(weights, 1), _measure_resend(weights, 2))
     )
@@ -457,7 +444,7 @@ def _encoding_cumulative(noise: NoiseParams, eve: EveModel) -> np.ndarray:
     measure-and-resend weights. Tap never alters the state (it only removes
     photons), so it does not appear here.
     """
-    encoded = _bell_weights(noise)[_CODES[:, None] ^ _CODES]
+    encoded = bell_weights(noise)[_CODES[:, None] ^ _CODES]
     if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
         measured = (_measure_resend(encoded, 1) + _measure_resend(encoded, 2)) / 2.0
         encoded = (1.0 - eve.fraction) * encoded + eve.fraction * measured
@@ -587,10 +574,12 @@ def run_qsdc(
     """Run one full QSDC session and return its transcript.
 
     Security detection gates the first block and re-runs every
-    redetect_every_blocks blocks; erased pairs re-enter the queue until the
-    per-symbol retransmission cap truncates them. The delivered message, BER
-    against the sent message, erasure and overhead fractions, and simulated
-    elapsed time all land in the transcript summary.
+    redetect_every_blocks blocks; erased pairs re-enter the queue, and a
+    block that erases a symbol for the (max_retransmissions + 1)-th time
+    aborts the session with reason ``retransmission_cap``, listing the
+    symbols over the cap in ``truncated_symbols``. The delivered message,
+    BER against the sent message, erasure and overhead fractions, and
+    simulated elapsed time all land in the transcript summary.
     """
     if not message_bits:
         raise DomainError("message must be non-empty")
@@ -611,8 +600,7 @@ def run_qsdc(
     pending = np.arange(total_symbols)
     requeued: list[np.ndarray] = []
     attempts = np.zeros(total_symbols, dtype=int)
-    received = np.zeros(total_symbols, dtype=np.uint8)  # 00 where never delivered
-    arrived = np.zeros(total_symbols, dtype=bool)
+    received = np.zeros(total_symbols, dtype=np.uint8)
 
     symbol_rate = min(devices.modulator.rate_hz, devices.sfg.max_rate_hz)
     detection_photons = 0
@@ -643,12 +631,11 @@ def run_qsdc(
 
     def finalize(status: str, reason: str | None):
         completed = status == "completed"
-        got_bits = np.column_stack((received >> 1, received & 1)).ravel()[: bits.size]
-        counted = arrived.repeat(2)[: bits.size]
-        delivered_count = int(np.count_nonzero(counted))
-        wrong_bits = int(np.count_nonzero((got_bits != bits) & counted))
-        delivered_bits = (got_bits + ord("0")).tobytes().decode() if completed else None
-        ber = (wrong_bits / delivered_count) if delivered_count else None
+        delivered_bits = ber = None
+        if completed:  # every symbol has arrived
+            got_bits = np.column_stack((received >> 1, received & 1)).ravel()[: bits.size]
+            delivered_bits = (got_bits + ord("0")).tobytes().decode()
+            ber = int(np.count_nonzero(got_bits != bits)) / bits.size
         erasure_fraction = (
             erased_transmissions / transmissions if transmissions else 0.0
         )
@@ -661,7 +648,7 @@ def run_qsdc(
             "message_length": len(message_bits),
             "delivered_bits": delivered_bits,
             "delivered_bits_hex": bits_to_hex(delivered_bits) if completed else None,
-            "ber": ber if completed else None,
+            "ber": ber,
             "truncated_symbols": np.flatnonzero(
                 attempts > config.max_retransmissions
             ).tolist(),
@@ -703,14 +690,13 @@ def run_qsdc(
         erased = batch[~delivered]
         erased_transmissions += erased.size
         attempts[erased] += 1
-        # Erased symbols under the cap rejoin the back of the queue in slot order.
-        requeued.append(erased[attempts[erased] <= config.max_retransmissions])
+        # Erased symbols rejoin the back of the queue in slot order.
+        requeued.append(erased)
         if pending.size < config.block_size:
             pending = np.concatenate((pending, *requeued))
             requeued.clear()
         got = batch[delivered]
         received[got] = decoded[delivered]
-        arrived[got] = True
         block_errors = int(np.count_nonzero(decoded[delivered] != sent[delivered]))
         symbol_errors += block_errors
         session.log(
@@ -722,6 +708,10 @@ def run_qsdc(
         )
         blocks_sent += 1
         blocks_since_check += 1
+        if erased.size and attempts[erased].max() > config.max_retransmissions:
+            session.transition(SessionPhase.ABORTED, reason="retransmission_cap")
+            finalize("aborted", session.abort_reason)
+            return session.transcript
 
     session.transition(SessionPhase.COMPLETED)
     finalize("completed", None)

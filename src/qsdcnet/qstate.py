@@ -1,25 +1,23 @@
-"""Exact two-qubit time-bin state algebra.
+"""Closed-form model of the source's noisy time-bin Bell pair.
 
-Density matrices live on the ordered product basis (ss, sl, ls, ll), where
-``s`` and ``l`` label the short and long interferometer paths of each photon.
-Single-qubit operators use the convention sigma_z = diag(1, -1) in (s, l) and
-sigma_x |s> = |l>. Everything here is a pure function over immutable 4x4
-complex arrays, safe to call from any thread.
+Every channel in the model is a Pauli channel on the pair, so the noisy
+state is diagonal in the Bell basis apart from the phi+/phi- (and psi+/psi-)
+coherence, and everything the simulator reads from it has a closed form in
+the noise knobs (p, q, theta): the Bell weights sessions sample from, each
+Bell state's fidelity and the two-photon fringe. All functions here are
+pure and safe to call from any thread.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InsufficientData, InvariantViolation
-
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-EIGENVALUE_TOL = 1e-10
+from .errors import DomainError, InsufficientData
 
 
 class BellLabel(Enum):
@@ -31,33 +29,11 @@ class BellLabel(Enum):
     PSI_MINUS = "11"
 
 
-# The code table: message code i (the 2-bit value 0..3) is sent as
-# PauliEncoding member i, which turns phi+ into BELL_ORDER[i], and
-# BELL_ORDER[i].value spells i in binary. Sessions index with the code.
+# The code table: message code i (the 2-bit value 0..3) is sent as the
+# i-th encoding (I, sigma_z, sigma_x, -i sigma_y) on the sender's qubit,
+# which turns phi+ into BELL_ORDER[i], and BELL_ORDER[i].value spells i in
+# binary. Sessions index with the code.
 BELL_ORDER = tuple(BellLabel)
-
-
-class PauliEncoding(Enum):
-    """Unitaries applied to the sender's qubit; member i encodes code i."""
-
-    I = "I"
-    SIGMA_Z = "sigma_z"
-    SIGMA_X = "sigma_x"
-    MINUS_I_SIGMA_Y = "minus_i_sigma_y"
-
-
-_ID2 = np.eye(2, dtype=complex)
-_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-
-# Basis order (ss, sl, ls, ll).
-_BELL_VECTOR = {
-    BellLabel.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) * _SQRT_HALF,
-    BellLabel.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) * _SQRT_HALF,
-    BellLabel.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) * _SQRT_HALF,
-    BellLabel.PSI_MINUS: np.array([0, -1, 1, 0], dtype=complex) * _SQRT_HALF,
-}
 
 
 @dataclass(frozen=True)
@@ -80,98 +56,56 @@ class NoiseParams:
                 raise DomainError(f"{name} must be in [0, 1], got {value}")
 
 
-class TwoQubitState:
-    """A validated 4x4 density matrix over the (ss, sl, ls, ll) basis."""
-
-    __slots__ = ("rho",)
-
-    def __init__(self, rho: np.ndarray):
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise InvariantViolation(f"density matrix must be 4x4, got {rho.shape}")
-        if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-            raise InvariantViolation("density matrix is not Hermitian")
-        trace = np.trace(rho).real
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise InvariantViolation(f"density matrix trace is {trace}, expected 1")
-        eigenvalues = np.linalg.eigvalsh(rho)
-        if eigenvalues.min() < -EIGENVALUE_TOL:
-            raise InvariantViolation(
-                f"density matrix has negative eigenvalue {eigenvalues.min():.3e}"
-            )
-        rho = rho.copy()
-        rho.flags.writeable = False
-        object.__setattr__(self, "rho", rho)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwoQubitState is immutable")
+def _contrast(noise: NoiseParams, theta: float) -> float:
+    """What dephasing and a phase offset theta leave of a Bell state's
+    coherence: each qubit's phase flips with probability q, a net flip
+    with 2q(1 - q), so c = (1 - 2q)^2 cos(theta)."""
+    return (1.0 - 2.0 * noise.dephasing_q) ** 2 * math.cos(theta)
 
 
-def bell_state(label: BellLabel) -> TwoQubitState:
-    """Pure-state density matrix of the requested Bell state."""
-    vector = _BELL_VECTOR[label]
-    return TwoQubitState(np.outer(vector, vector.conj()))
+_PHI_STATES = (BellLabel.PHI_PLUS, BellLabel.PHI_MINUS)
+_MINUS_STATES = (BellLabel.PHI_MINUS, BellLabel.PSI_MINUS)
 
 
-def _dephase_qubit(rho: np.ndarray, qubit: int, q: float) -> np.ndarray:
-    """Phase-flip channel with probability q on one qubit (0 = first)."""
-    z = np.kron(_SIGMA_Z, _ID2) if qubit == 0 else np.kron(_ID2, _SIGMA_Z)
-    return (1.0 - q) * rho + q * (z @ rho @ z)
+def _offset(label: BellLabel, noise: NoiseParams) -> float:
+    """The offset rotates the |ll> amplitude, which only phi+ and phi- hold."""
+    return noise.phase_offset_rad if label in _PHI_STATES else 0.0
 
 
-def apply_noise(state: TwoQubitState, noise: NoiseParams) -> TwoQubitState:
-    """Depolarizing + per-qubit dephasing + coherent phase offset.
+def bell_weights(noise: NoiseParams) -> np.ndarray:
+    """Bell weights of the source's noisy phi+ pair, in BELL_ORDER.
 
-    rho' = (1 - p) * D_q(rho) + p * I/4, where D_q phase-flips each qubit
-    independently with probability q and then rotates the |ll> amplitude by
-    phase_offset_rad (a diagonal unitary, so the ss<->ll coherence picks up
-    the offset while populations are untouched).
+    Dephasing and the phase offset leave c of the phi+/phi- contrast;
+    depolarizing then mixes in p/4 of each state:
+    (1 - p)[(1 + c)/2, (1 - c)/2, 0, 0] + p/4.
     """
-    rho = state.rho
-    if noise.dephasing_q > 0.0:
-        rho = _dephase_qubit(rho, 0, noise.dephasing_q)
-        rho = _dephase_qubit(rho, 1, noise.dephasing_q)
-    if noise.phase_offset_rad != 0.0:
-        phase = np.exp(1j * noise.phase_offset_rad)
-        unitary = np.diag([1.0, 1.0, 1.0, phase]).astype(complex)
-        rho = unitary @ rho @ unitary.conj().T
+    c = _contrast(noise, noise.phase_offset_rad)
     p = noise.depolarizing_p
-    rho = (1.0 - p) * rho + p * np.eye(4, dtype=complex) / 4.0
-    return TwoQubitState(rho)
+    return (1.0 - p) * np.array([(1.0 + c) / 2.0, (1.0 - c) / 2.0, 0.0, 0.0]) + p / 4.0
 
 
-def fidelity(state: TwoQubitState, target: BellLabel) -> float:
-    """F = <b|rho|b> for the target Bell state, clamped to [0, 1]."""
-    vector = _BELL_VECTOR[target]
-    value = float((vector.conj() @ state.rho @ vector).real)
-    return min(max(value, 0.0), 1.0)
+def fidelity(label: BellLabel, noise: NoiseParams) -> float:
+    """Fidelity of the noisy Bell state with its ideal self:
+    (1 - p)(1 + (1 - 2q)^2 cos(theta_L))/2 + p/4, where theta_L is the phase
+    offset for phi+/phi- and 0 for psi+/psi-."""
+    c = _contrast(noise, _offset(label, noise))
+    p = noise.depolarizing_p
+    return (1.0 - p) * ((1.0 + c) / 2.0) + p / 4.0
 
 
-def depolarizing_p_for_fidelity(target_fidelity: float) -> float:
-    """Depolarizing strength whose Werner state has the given phi+ fidelity.
+def fringe_probability(
+    label: BellLabel, noise: NoiseParams, phases: np.ndarray
+) -> np.ndarray:
+    """Two-photon coincidence probability at each analyzer phase.
 
-    Inverts F = 1 - 3p/4; only fidelities in [1/4, 1] are reachable.
+    One analyzer projects its photon onto (|s> + e^{i phase}|l>)/sqrt(2), its
+    partner is held at phase 0: (1 + s_L r cos(phase - theta_L))/4 with
+    r = (1 - p)(1 - 2q)^2, s_L = +1 for phi+/psi+ and -1 for phi-/psi-.
     """
-    if not 0.25 <= target_fidelity <= 1.0:
-        raise DomainError(
-            f"Werner fidelity must be in [0.25, 1], got {target_fidelity}"
-        )
-    return 4.0 * (1.0 - target_fidelity) / 3.0
-
-
-def _analyzer_vector(phase: float) -> np.ndarray:
-    return np.array([1.0, np.exp(1j * phase)], dtype=complex) * _SQRT_HALF
-
-
-def fringe_coincidence(state: TwoQubitState, phase_a: float, phase_b: float) -> float:
-    """Joint projection probability onto the two phase analyzers.
-
-    Each analyzer projects its photon onto (|s> + e^{i phi}|l>)/sqrt(2); for
-    a pure phi+ state the result is (1 + cos(phase_a + phase_b))/4.
-    """
-    analyzer = np.kron(_analyzer_vector(phase_a), _analyzer_vector(phase_b))
-    value = float((analyzer.conj() @ state.rho @ analyzer).real)
-    return min(max(value, 0.0), 1.0)
+    sign = -1.0 if label in _MINUS_STATES else 1.0
+    theta = _offset(label, noise)
+    r = (1.0 - noise.depolarizing_p) * (1.0 - 2.0 * noise.dephasing_q) ** 2
+    return (1.0 + sign * r * np.cos(np.asarray(phases, dtype=float) - theta)) / 4.0
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
+from enum import Enum
+
 import numpy as np
 import pytest
 
 from qsdcnet.analysis import QberEstimate, qber_from_counts
-from qsdcnet.errors import DomainError
+from qsdcnet.errors import DomainError, InvariantViolation
 from qsdcnet.photonics import (
     Devices,
     DetectorSpec,
@@ -12,16 +14,146 @@ from qsdcnet.photonics import (
     SourceSpec,
 )
 from qsdcnet.protocol import EveKind, EveModel
-from qsdcnet.qstate import (
-    BELL_ORDER,
-    BellLabel,
-    NoiseParams,
-    PauliEncoding,
-    TwoQubitState,
-    apply_noise,
-    bell_state,
-    fidelity,
-)
+from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams
+
+# The density-matrix model of the noisy pair: the oracle of the closed forms
+# in ``qsdcnet.qstate`` and of the session's sampling tables. Density
+# matrices live on the ordered product basis (ss, sl, ls, ll), where ``s``
+# and ``l`` label the short and long interferometer paths of each photon.
+# Single-qubit operators use the convention sigma_z = diag(1, -1) in (s, l)
+# and sigma_x |s> = |l>.
+
+HERMITICITY_TOL = 1e-12
+TRACE_TOL = 1e-12
+EIGENVALUE_TOL = 1e-10
+
+
+class PauliEncoding(Enum):
+    """Unitaries applied to the sender's qubit; member i encodes code i."""
+
+    I = "I"
+    SIGMA_Z = "sigma_z"
+    SIGMA_X = "sigma_x"
+    MINUS_I_SIGMA_Y = "minus_i_sigma_y"
+
+
+_ID2 = np.eye(2, dtype=complex)
+_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+# Basis order (ss, sl, ls, ll).
+_BELL_VECTOR = {
+    BellLabel.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) * _SQRT_HALF,
+    BellLabel.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) * _SQRT_HALF,
+    BellLabel.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) * _SQRT_HALF,
+    BellLabel.PSI_MINUS: np.array([0, -1, 1, 0], dtype=complex) * _SQRT_HALF,
+}
+
+
+class TwoQubitState:
+    """A validated 4x4 density matrix over the (ss, sl, ls, ll) basis."""
+
+    __slots__ = ("rho",)
+
+    def __init__(self, rho: np.ndarray):
+        rho = np.asarray(rho, dtype=complex)
+        if rho.shape != (4, 4):
+            raise InvariantViolation(f"density matrix must be 4x4, got {rho.shape}")
+        if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+            raise InvariantViolation("density matrix is not Hermitian")
+        trace = np.trace(rho).real
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise InvariantViolation(f"density matrix trace is {trace}, expected 1")
+        eigenvalues = np.linalg.eigvalsh(rho)
+        if eigenvalues.min() < -EIGENVALUE_TOL:
+            raise InvariantViolation(
+                f"density matrix has negative eigenvalue {eigenvalues.min():.3e}"
+            )
+        rho = rho.copy()
+        rho.flags.writeable = False
+        object.__setattr__(self, "rho", rho)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TwoQubitState is immutable")
+
+
+def bell_state(label: BellLabel) -> TwoQubitState:
+    """Pure-state density matrix of the requested Bell state."""
+    vector = _BELL_VECTOR[label]
+    return TwoQubitState(np.outer(vector, vector.conj()))
+
+
+def _dephase_qubit(rho: np.ndarray, qubit: int, q: float) -> np.ndarray:
+    """Phase-flip channel with probability q on one qubit (0 = first)."""
+    z = np.kron(_SIGMA_Z, _ID2) if qubit == 0 else np.kron(_ID2, _SIGMA_Z)
+    return (1.0 - q) * rho + q * (z @ rho @ z)
+
+
+def apply_noise(state: TwoQubitState, noise: NoiseParams) -> TwoQubitState:
+    """Depolarizing + per-qubit dephasing + coherent phase offset.
+
+    rho' = (1 - p) * D_q(rho) + p * I/4, where D_q phase-flips each qubit
+    independently with probability q and then rotates the |ll> amplitude by
+    phase_offset_rad (a diagonal unitary, so the ss<->ll coherence picks up
+    the offset while populations are untouched).
+    """
+    rho = state.rho
+    if noise.dephasing_q > 0.0:
+        rho = _dephase_qubit(rho, 0, noise.dephasing_q)
+        rho = _dephase_qubit(rho, 1, noise.dephasing_q)
+    if noise.phase_offset_rad != 0.0:
+        phase = np.exp(1j * noise.phase_offset_rad)
+        unitary = np.diag([1.0, 1.0, 1.0, phase]).astype(complex)
+        rho = unitary @ rho @ unitary.conj().T
+    p = noise.depolarizing_p
+    rho = (1.0 - p) * rho + p * np.eye(4, dtype=complex) / 4.0
+    return TwoQubitState(rho)
+
+
+def state_fidelity(state: TwoQubitState, target: BellLabel) -> float:
+    """F = <b|rho|b> for the target Bell state, clamped to [0, 1]."""
+    vector = _BELL_VECTOR[target]
+    value = float((vector.conj() @ state.rho @ vector).real)
+    return min(max(value, 0.0), 1.0)
+
+
+def depolarizing_p_for_fidelity(target_fidelity: float) -> float:
+    """Depolarizing strength whose Werner state has the given phi+ fidelity.
+
+    Inverts F = 1 - 3p/4; only fidelities in [1/4, 1] are reachable.
+    """
+    if not 0.25 <= target_fidelity <= 1.0:
+        raise DomainError(
+            f"Werner fidelity must be in [0.25, 1], got {target_fidelity}"
+        )
+    return 4.0 * (1.0 - target_fidelity) / 3.0
+
+
+def _analyzer_vector(phase: float) -> np.ndarray:
+    return np.array([1.0, np.exp(1j * phase)], dtype=complex) * _SQRT_HALF
+
+
+def fringe_coincidence(state: TwoQubitState, phase_a: float, phase_b: float) -> float:
+    """Joint projection probability onto the two phase analyzers.
+
+    Each analyzer projects its photon onto (|s> + e^{i phi}|l>)/sqrt(2); for
+    a pure phi+ state the result is (1 + cos(phase_a + phase_b))/4.
+    """
+    analyzer = np.kron(_analyzer_vector(phase_a), _analyzer_vector(phase_b))
+    value = float((analyzer.conj() @ state.rho @ analyzer).real)
+    return min(max(value, 0.0), 1.0)
+
+
+def fidelity_table_oracle(noise: NoiseParams) -> list[dict]:
+    """The report's ``fidelity_table`` from density matrices, row by row."""
+    return [
+        {
+            "bell_state": label.name.lower(),
+            "fidelity": state_fidelity(apply_noise(bell_state(label), noise), label),
+        }
+        for label in BELL_ORDER
+    ]
 
 
 def random_density_matrix(seed: int) -> TwoQubitState:
@@ -34,7 +166,7 @@ def random_density_matrix(seed: int) -> TwoQubitState:
 
 def bell_diagonal(state: TwoQubitState) -> dict[BellLabel, float]:
     """Probabilities of each Bell-basis projection, <b|rho|b>."""
-    return {label: fidelity(state, label) for label in BELL_ORDER}
+    return {label: state_fidelity(state, label) for label in BELL_ORDER}
 
 
 def maximally_mixed() -> TwoQubitState:
@@ -45,7 +177,6 @@ def purity(state: TwoQubitState) -> float:
     return float(np.trace(state.rho @ state.rho).real)
 
 
-_ID2 = np.eye(2, dtype=complex)
 _ENCODING_MATRIX = {
     PauliEncoding.I: _ID2,
     PauliEncoding.SIGMA_Z: np.array([[1, 0], [0, -1]], dtype=complex),

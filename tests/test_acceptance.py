@@ -33,7 +33,16 @@ from qsdcnet.scenario import (
     scenario_from_dict,
 )
 
-from conftest import apply_encoding, bell_diagonal, make_devices, sfg_bsm
+from conftest import (
+    PauliEncoding,
+    apply_encoding,
+    apply_noise,
+    bell_diagonal,
+    bell_state,
+    depolarizing_p_for_fidelity,
+    make_devices,
+    sfg_bsm,
+)
 
 
 @contextmanager
@@ -96,25 +105,23 @@ def test_criterion_03_encoding_table():
         phi_plus = sqrt_half * np.array([1, 0, 0, 1], dtype=complex)
         rho_in = np.outer(phi_plus, phi_plus.conj())
         unitaries = {
-            qstate.PauliEncoding.I: np.eye(2, dtype=complex),
-            qstate.PauliEncoding.SIGMA_Z: np.diag([1.0, -1.0]).astype(complex),
-            qstate.PauliEncoding.SIGMA_X: np.array([[0, 1], [1, 0]], dtype=complex),
-            qstate.PauliEncoding.MINUS_I_SIGMA_Y: np.array([[0, -1], [1, 0]], dtype=complex),
+            PauliEncoding.I: np.eye(2, dtype=complex),
+            PauliEncoding.SIGMA_Z: np.diag([1.0, -1.0]).astype(complex),
+            PauliEncoding.SIGMA_X: np.array([[0, 1], [1, 0]], dtype=complex),
+            PauliEncoding.MINUS_I_SIGMA_Y: np.array([[0, -1], [1, 0]], dtype=complex),
         }
         expected_labels = {
-            qstate.PauliEncoding.I: qstate.BellLabel.PHI_PLUS,
-            qstate.PauliEncoding.SIGMA_Z: qstate.BellLabel.PHI_MINUS,
-            qstate.PauliEncoding.SIGMA_X: qstate.BellLabel.PSI_PLUS,
-            qstate.PauliEncoding.MINUS_I_SIGMA_Y: qstate.BellLabel.PSI_MINUS,
+            PauliEncoding.I: qstate.BellLabel.PHI_PLUS,
+            PauliEncoding.SIGMA_Z: qstate.BellLabel.PHI_MINUS,
+            PauliEncoding.SIGMA_X: qstate.BellLabel.PSI_PLUS,
+            PauliEncoding.MINUS_I_SIGMA_Y: qstate.BellLabel.PSI_MINUS,
         }
         for encoding, unitary in unitaries.items():
             u4 = np.kron(unitary, np.eye(2, dtype=complex))
             oracle = u4 @ rho_in @ u4.conj().T
-            produced = apply_encoding(
-                qstate.bell_state(qstate.BellLabel.PHI_PLUS), encoding
-            )
+            produced = apply_encoding(bell_state(qstate.BellLabel.PHI_PLUS), encoding)
             assert np.max(np.abs(produced.rho - oracle)) < 1e-12
-            target = qstate.bell_state(expected_labels[encoding]).rho
+            target = bell_state(expected_labels[encoding]).rho
             assert np.max(np.abs(produced.rho - target)) < 1e-12
 
 
@@ -131,16 +138,11 @@ def test_criterion_04_calibrated_fidelity_recovery():
         phases, shots = 64, 20000  # 1.28e6 Monte Carlo samples per Bell state
         assert phases * shots >= 100_000
         for label, target in CALIBRATED_FIDELITIES.items():
-            p = qstate.depolarizing_p_for_fidelity(target)
+            p = depolarizing_p_for_fidelity(target)
             doc = ideal_scenario_dict(seed=400 + label.value.count("1"), message_hex="aa")
             doc["devices"]["source"]["noise"]["depolarizing_p"] = p
             scenario = scenario_from_dict(doc)
-            direct = qstate.fidelity(
-                qstate.apply_noise(
-                    qstate.bell_state(label), scenario.devices.source.heralding_noise
-                ),
-                label,
-            )
+            direct = qstate.fidelity(label, scenario.devices.source.heralding_noise)
             assert direct == pytest.approx(target, abs=1e-12)
             study = cli.fringe_study(scenario, label, phases=phases, shots_per_phase=shots)
             assert study["fidelity_isotropic"] == pytest.approx(target, abs=0.005)
@@ -265,9 +267,7 @@ def test_criterion_10_sfg_bsm_statistics():
         for seed, (label, p) in enumerate(
             [(qstate.BellLabel.PHI_MINUS, 0.06), (qstate.BellLabel.PSI_PLUS, 0.3)]
         ):
-            state = qstate.apply_noise(
-                qstate.bell_state(label), qstate.NoiseParams(depolarizing_p=p)
-            )
+            state = apply_noise(bell_state(label), qstate.NoiseParams(depolarizing_p=p))
             oracle = bell_diagonal(state)  # exact Bell-basis probabilities
             rng = np.random.default_rng(1000 + seed)
             counts = {lbl: 0 for lbl in qstate.BELL_ORDER}

@@ -24,7 +24,7 @@ from qsdcnet.protocol import (
     SessionPhase,
     run_security_detection,
 )
-from qsdcnet.qstate import BellLabel, NoiseParams, apply_noise, bell_state, fidelity
+from qsdcnet.qstate import BellLabel, NoiseParams, fidelity
 
 from conftest import make_devices, qber_from_transcript
 
@@ -191,8 +191,7 @@ class TestFidelityFromVisibility:
 
     def test_isotropic_matches_direct_werner_fidelity(self):
         for p in np.linspace(0.0, 1.0, 21):
-            state = apply_noise(bell_state(BellLabel.PHI_PLUS), NoiseParams(depolarizing_p=p))
-            direct = fidelity(state, BellLabel.PHI_PLUS)
+            direct = fidelity(BellLabel.PHI_PLUS, NoiseParams(depolarizing_p=p))
             estimated = fidelity_from_visibility(1.0 - p).fidelity
             assert estimated == pytest.approx(direct, abs=1e-10)
 

@@ -1,11 +1,12 @@
-"""Frozen output bytes of ``qsdcnet run`` and ``qsdcnet sweep``.
+"""Frozen output bytes of ``qsdcnet run``, ``qsdcnet sweep`` and ``qsdcnet fringe``.
 
 Each case writes a scenario file, runs the CLI in-process and compares the
 SHA-256 of every file it writes with the digest recorded when the case was
-added. Together the cases cover FIFO retransmission order, truncation by
+added. Together the cases cover FIFO retransmission order, the abort at
 the retransmission cap, the pad bit of an odd-length message, BER above
-zero, small blocks with frequent re-detection, aborts and a sweep. A
-refactor that keeps behaviour leaves every digest here unchanged.
+zero, small blocks with frequent re-detection, aborts, a sweep and a noisy
+fringe scan. A refactor that keeps behaviour leaves every digest here
+unchanged.
 """
 
 import hashlib
@@ -14,7 +15,9 @@ import json
 import pytest
 
 from qsdcnet import cli
-from qsdcnet.scenario import forty_km_scenario_dict, ideal_scenario_dict
+from qsdcnet.scenario import forty_km_scenario_dict, ideal_scenario_dict, scenario_from_dict
+
+from conftest import fidelity_table_oracle
 
 
 def _criterion_09_scenarios() -> dict[str, dict]:
@@ -40,8 +43,9 @@ def _megabit() -> dict:
 
 
 def _truncating() -> dict:
-    # About 60% of pairs are lost on 10 km arms; with no retransmissions
-    # 60 of the 100 symbols are truncated and the session still completes.
+    # About 60% of pairs are lost on 10 km arms; with no retransmissions the
+    # first block leaves 60 of the 100 symbols over the cap, and the session
+    # aborts with reason retransmission_cap after that block's block_sent.
     doc = ideal_scenario_dict(seed=12)
     doc["devices"]["alice_fiber"]["length_km"] = 10.0
     doc["devices"]["bob_fiber"]["length_km"] = 10.0
@@ -92,58 +96,76 @@ RUN_DIGESTS = {
     "forty_km_902": (
         cli.EXIT_OK,
         "17e3fe7bd5004fbbd2d4e7da5d32fb59f519f3c633e060a88b27450c7840ffb1",
-        "b842650bb66a0f44c72ed80a5b170a652e9be9390baa4224dddec73f35cae72a",
+        "aab322be6676af23f886986e55374a4206eb7799bc0a5da9a31a6c13ff35f793",
     ),
     "forty_km_reference": (
         cli.EXIT_OK,
         "93720bc5b4719f365f49a34b766a98e3076ba768505abe2c158f2104121e09b7",
-        "f3f545b7af6b35f448188d571dceb821c3a5d57cc28a2279377b9f188c062386",
+        "b18156577f45566f89eba8eb8970e7990456f025479fa233b5f7c90522196cab",
     ),
     "ideal_901": (
         cli.EXIT_OK,
         "01a63901f15f57ca38a8f9dedc783801c0bcf12dd057ed4f7933619027a895aa",
-        "6c83f97881a86d82c7d87fd46cab50b3ee81133386d6a7b88106981d4c94c11f",
+        "26f9834f2da0e2829db5c9f03fc789d58bf82cb5848db8ba0dac76004b88e84e",
     ),
     "intercept_resend_904": (
         cli.EXIT_ABORT,
         "d33dd8e0f1cbeedad83fa12d392be8019fe5a5bf2d89baab1b75fb5489dc4c09",
-        "a72344f380cd20730fb88fb1c0fb2c43b227c6f495ff642d40ef3efc0d9ea1bb",
+        "0c767da3478f35b4250b33aaa857fbe64f2b9cad8bc764ccbc950dfe6a82745b",
     ),
     "megabit_ideal": (
         cli.EXIT_OK,
         "eb6fed89b36805a0455cee65a83878b2f96cfc92cada61975f5a21c949c75a92",
-        "35f25862d55b870519d9e8ef9dca7e0fe096802528a8add5d250e2f441bb2dbf",
+        "c267aa046033d449d524378bef2f2f1e8cb00c9aef292a6c92942ed4ee8f5631",
     ),
     "noisy_903": (
         cli.EXIT_OK,
         "24cfecf9e1bdc4c2cd7a50040c908db2ccab6cdc1fc8036fcfab0d02e53f5da3",
-        "d655bbc4ac1570b746a5d68bd22dabcdf623718f71f440c86b17bba7b58cf5e8",
+        "32ca0444f7863261628f9d5d2ed1eb288e3627d4a6ce23b0e379dc9046267fe5",
     ),
     "odd_length_noisy": (
         cli.EXIT_OK,
         "5d5c8df06a95abf1af38b034cdde6daf9113829cafc849a2c278bf4e9e4cdcba",
-        "a0ee3fb5b7cbbfaa7e8ed11bda582883ba422ed461a73652db72016f379036a6",
+        "0e1441f7d84c50ddea374780784b37779422339acbd6a8c503dc7e8010cdac85",
     ),
     "small_blocks": (
         cli.EXIT_OK,
         "9b135258bc83e8ca46ce2c8c1bb308d6d586677f8f5225a94a753ddf0fc23c61",
-        "483886f7098b71acd55d3cec95f75f4604f1771f621a9d933b1c1ba406c75517",
+        "257dde26f225b3ef9daf69ef24ba0bc25ab4aff3495d1d65717a51ed738d2507",
     ),
     "tap_905": (
         cli.EXIT_OK,
         "400e12c02bc1d455b9606dfc926ebacbe14173e23e7b313b660c2880a2d4e8c1",
-        "189780b444874f47e779f43c849e35637b968a50f43a205bbb098de8d7d2b9e5",
+        "110f34f6431b12acb747748c0daa8f89313b40f2581b06c281ba57d66f090477",
     ),
     "truncating_10km": (
-        cli.EXIT_OK,
-        "fa45d98b438405ca5e8f8f9f3785bda5541e0762c97f8f3849655b3b1909d185",
-        "f2602deff7c2bb4535b58206fe97bf0ce7530a17097d787ee93931f5ebbf93c2",
+        cli.EXIT_ABORT,
+        "eb74be965c2060b4586c7429fa5d613298134fa9199faef4e1b16b8d84ca95ad",
+        "ac8f5911961b58fafd8463d7b19275aaf510082e2717b0dc3d84f0176af6b5c4",
     ),
+}
+
+# name -> sha256 of report.json while the fidelity table came from 4x4
+# density matrices (``conftest.fidelity_table_oracle``); nothing else in the
+# report changed when it became closed-form. truncating_10km is left out: it
+# has aborted at the retransmission cap since then, so its whole report
+# changed.
+DENSITY_MATRIX_REPORT_DIGESTS = {
+    "forty_km_902": "b842650bb66a0f44c72ed80a5b170a652e9be9390baa4224dddec73f35cae72a",
+    "forty_km_reference": "f3f545b7af6b35f448188d571dceb821c3a5d57cc28a2279377b9f188c062386",
+    "ideal_901": "6c83f97881a86d82c7d87fd46cab50b3ee81133386d6a7b88106981d4c94c11f",
+    "intercept_resend_904": "a72344f380cd20730fb88fb1c0fb2c43b227c6f495ff642d40ef3efc0d9ea1bb",
+    "megabit_ideal": "35f25862d55b870519d9e8ef9dca7e0fe096802528a8add5d250e2f441bb2dbf",
+    "noisy_903": "d655bbc4ac1570b746a5d68bd22dabcdf623718f71f440c86b17bba7b58cf5e8",
+    "odd_length_noisy": "a0ee3fb5b7cbbfaa7e8ed11bda582883ba422ed461a73652db72016f379036a6",
+    "small_blocks": "483886f7098b71acd55d3cec95f75f4604f1771f621a9d933b1c1ba406c75517",
+    "tap_905": "189780b444874f47e779f43c849e35637b968a50f43a205bbb098de8d7d2b9e5",
 }
 
 # name -> sha256 of report.json while the schema still had
 # devices.modulator.extinction_error; every scenario here left it at 0.0.
 # Reports carried it in the embedded scenario and its digest, and nothing else.
+# truncating_10km is left out, as above.
 PRE_REMOVAL_REPORT_DIGESTS = {
     "forty_km_902": "134da06ea29846cc22249882c162ded996dee25f5fff7489d00917753dc8a447",
     "forty_km_reference": "0df0b272514dd670e71f402c97e6839efbb48f4712f738e7632d40a20fcdac34",
@@ -154,7 +176,6 @@ PRE_REMOVAL_REPORT_DIGESTS = {
     "odd_length_noisy": "3ef81f74b7ccfdce508154f44e07c7a0ada98d453be6224dac6d6818d62649c2",
     "small_blocks": "c361481e8c3cb81853d7bf175e0c9cdf9a4be887c1494c0b8b3e48b4b34df138",
     "tap_905": "880c2eb37300e92f98963dcfce72694921abe0c395022c2d25f92cd6b883e9ea",
-    "truncating_10km": "f3bd37297665634af328a3f5c4f8b0765ca53f8335d4088584b1d6a0dc3c4776",
 }
 
 SWEEP_ARGS = ["--param", "eve.fraction", "--values", "0,0.25,0.5,1"]
@@ -192,18 +213,54 @@ def test_run_outputs_are_frozen(name, tmp_path, capsys):
     assert run_outputs(tmp_path, RUN_SCENARIOS[name]) == RUN_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
+def _sha256_of_report(report: dict) -> str:
+    return hashlib.sha256(cli.report_to_json(report).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PRE_REMOVAL_REPORT_DIGESTS))
 def test_report_is_the_pre_removal_report_less_one_key(name, tmp_path, capsys):
     run_outputs(tmp_path, RUN_SCENARIOS[name])
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     scenario = report["scenario"]
+    noise = scenario_from_dict(scenario).devices.source.heralding_noise
+    report["fidelity_table"] = fidelity_table_oracle(noise)
+    assert _sha256_of_report(report) == DENSITY_MATRIX_REPORT_DIGESTS[name]
     scenario["devices"]["modulator"]["extinction_error"] = 0.0
     # Scenario.canonical_json's rule.
     canonical = json.dumps(scenario, sort_keys=True, separators=(",", ":"))
     report["scenario_digest"] = hashlib.sha256(canonical.encode()).hexdigest()
-    restored = hashlib.sha256(cli.report_to_json(report).encode()).hexdigest()
-    assert restored == PRE_REMOVAL_REPORT_DIGESTS[name]
+    assert _sha256_of_report(report) == PRE_REMOVAL_REPORT_DIGESTS[name]
 
 
 def test_sweep_output_is_frozen(tmp_path, capsys):
     assert sweep_output(tmp_path) == SWEEP_DIGEST
+
+
+def _noisy_phi_minus_fringe() -> dict:
+    doc = ideal_scenario_dict(seed=31)
+    doc["devices"]["source"]["noise"] = {
+        "depolarizing_p": 0.05,
+        "dephasing_q": 0.02,
+        "phase_offset_rad": 0.1,
+    }
+    return doc
+
+
+# sha256 of fringe_phi_minus.csv and of the printed summary, recorded when
+# the fringe probabilities became closed-form. The density-matrix path gave
+# the same bytes for this case: no binomial draw met a 1-ulp difference.
+FRINGE_DIGESTS = (
+    "5dc05c55d7eefc636a0fbe32559356d5290a92d776f5d9670a4adea500f2045a",
+    "44e16c235bc22d528e84431dd0de53644fb832299ee35dc03677c09501829ced",
+)
+
+
+def test_fringe_outputs_are_frozen(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(
+        ["fringe", "--scenario", _write_scenario(tmp_path, _noisy_phi_minus_fringe()),
+         "--bell-state", "phi_minus", "--out", str(out)]
+    )
+    assert code == cli.EXIT_OK
+    summary = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (_sha256(out / "fringe_phi_minus.csv"), summary) == FRINGE_DIGESTS

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qsdcnet.errors import CapacityExceeded, DomainError
 from qsdcnet.netplan import (
+    IntraLink,
     UserId,
     WavelengthPlan,
     build_plan,
@@ -23,12 +24,39 @@ def brute_force_uncovered(plan, k, m):
     for (s1, u1), (s2, u2) in combinations(users, 2):
         if s1 == s2:
             link = plan.intra_links.get(s1)
-            ok = link is not None and u1 in link.tdm_slots and u2 in link.tdm_slots
+            ok = (
+                link is not None
+                and u1 in link.tdm_slots
+                and u2 in link.tdm_slots
+                and link.tdm_slots[u1] != link.tdm_slots[u2]
+            )
         else:
             ok = (min(s1, s2), max(s1, s2)) in plan.inter_links
         if not ok:
             missing.append(((s1, u1), (s2, u2)))
     return missing
+
+
+def _broken(plan, inter_links=None, intra_links=None):
+    """The plan with some of its link maps replaced."""
+    return WavelengthPlan(
+        subnets=plan.subnets,
+        users_per_subnet=plan.users_per_subnet,
+        grid_size=plan.grid_size,
+        inter_links=plan.inter_links if inter_links is None else inter_links,
+        intra_links=plan.intra_links if intra_links is None else intra_links,
+        total_channels=plan.total_channels,
+    )
+
+
+def _with_slots(plan, subnet, slots):
+    intra = dict(plan.intra_links)
+    intra[subnet] = IntraLink(pair=intra[subnet].pair, tdm_slots=slots)
+    return _broken(plan, intra_links=intra)
+
+
+def _as_tuples(report):
+    return [((a.subnet, a.member), (b.subnet, b.member)) for a, b in report.uncovered]
 
 
 class TestBuildPlan:
@@ -84,20 +112,71 @@ class TestConnectivity:
         plan = build_plan(5, 3)
         inter = dict(plan.inter_links)
         del inter[(1, 3)]
-        broken = WavelengthPlan(
-            subnets=plan.subnets,
-            users_per_subnet=plan.users_per_subnet,
-            grid_size=plan.grid_size,
-            inter_links=inter,
-            intra_links=plan.intra_links,
-            total_channels=plan.total_channels,
-        )
+        broken = _broken(plan, inter_links=inter)
         report = verify_full_connectivity(broken, 5, 3)
         assert not report.is_fully_connected
         assert len(report.uncovered) == 9
         assert len(brute_force_uncovered(broken, 5, 3)) == 9
         for first, second in report.uncovered:
             assert {first.subnet, second.subnet} == {1, 3}
+
+    def test_missing_inter_link_matches_oracle_pair_by_pair(self):
+        plan = build_plan(4, 3)
+        inter = dict(plan.inter_links)
+        del inter[(0, 2)]
+        del inter[(2, 3)]
+        broken = _broken(plan, inter_links=inter)
+        report = verify_full_connectivity(broken, 4, 3)
+        assert _as_tuples(report) == brute_force_uncovered(broken, 4, 3)
+        assert report.covered_pairs == report.total_user_pairs - 18
+
+    def test_duplicate_tdm_slot_matches_oracle_pair_by_pair(self):
+        plan = build_plan(3, 4)
+        broken = _with_slots(plan, 1, {0: 0, 1: 2, 2: 2, 3: 0})
+        report = verify_full_connectivity(broken, 3, 4)
+        assert _as_tuples(report) == brute_force_uncovered(broken, 3, 4)
+        assert _as_tuples(report) == [((1, 0), (1, 3)), ((1, 1), (1, 2))]
+
+    def test_member_without_slot_matches_oracle_pair_by_pair(self):
+        plan = build_plan(3, 4)
+        broken = _with_slots(plan, 2, {0: 0, 1: 1, 3: 3, 7: 7})
+        report = verify_full_connectivity(broken, 3, 4)
+        assert _as_tuples(report) == brute_force_uncovered(broken, 3, 4)
+        assert _as_tuples(report) == [((2, 0), (2, 2)), ((2, 1), (2, 2)), ((2, 2), (2, 3))]
+
+    def test_missing_intra_link_matches_oracle_pair_by_pair(self):
+        plan = build_plan(3, 3)
+        intra = dict(plan.intra_links)
+        del intra[0]
+        broken = _broken(plan, intra_links=intra)
+        report = verify_full_connectivity(broken, 3, 3)
+        assert _as_tuples(report) == brute_force_uncovered(broken, 3, 3)
+        assert len(report.uncovered) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        m=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_any_breakage_matches_oracle_pair_by_pair(self, k, m, data):
+        plan = build_plan(k, m)
+        inter = {
+            key: pair for key, pair in plan.inter_links.items() if data.draw(st.booleans())
+        }
+        intra = {}
+        for subnet, link in plan.intra_links.items():
+            if data.draw(st.booleans()):
+                slots = data.draw(
+                    st.dictionaries(st.integers(0, m), st.integers(0, m), max_size=m + 1)
+                )
+                intra[subnet] = IntraLink(pair=link.pair, tdm_slots=slots)
+            elif data.draw(st.booleans()):
+                intra[subnet] = link
+        broken = _broken(plan, inter_links=inter, intra_links=intra)
+        report = verify_full_connectivity(broken, k, m)
+        assert _as_tuples(report) == brute_force_uncovered(broken, k, m)
+        assert report.total_user_pairs == k * m * (k * m - 1) // 2
 
     def test_single_user_trivially_connected(self):
         report = verify_full_connectivity(build_plan(1, 1), 1, 1)

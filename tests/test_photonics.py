@@ -11,9 +11,9 @@ from qsdcnet.photonics import (
     fringe_scan,
     transmittance,
 )
-from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams, apply_noise, bell_state
+from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams, fringe_probability
 
-from conftest import sfg_bsm
+from conftest import apply_noise, bell_state, sfg_bsm
 
 
 class TestTransmittance:
@@ -115,16 +115,32 @@ class TestAccidentalRate:
 
 class TestFringeScan:
     def test_accidental_subtraction_is_unbiased(self):
-        state = bell_state(BellLabel.PHI_PLUS)
         phases = np.linspace(0, 2 * np.pi, 32, endpoint=False)
-        rows = fringe_scan(state, phases, 50_000, 0.01, np.random.default_rng(7))
+        probabilities = fringe_probability(BellLabel.PHI_PLUS, NoiseParams(), phases)
+        rows = fringe_scan(phases, probabilities, 50_000, 0.01, np.random.default_rng(7))
         for row in rows:
             expected = (1 + np.cos(row["phase_rad"])) / 4
             assert row["corrected_rate"] == pytest.approx(expected, abs=0.02)
 
     def test_reproducible(self):
-        state = bell_state(BellLabel.PSI_MINUS)
         phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        a = fringe_scan(state, phases, 1000, 0.0, np.random.default_rng(5))
-        b = fringe_scan(state, phases, 1000, 0.0, np.random.default_rng(5))
+        probabilities = fringe_probability(BellLabel.PSI_MINUS, NoiseParams(), phases)
+        a = fringe_scan(phases, probabilities, 1000, 0.0, np.random.default_rng(5))
+        b = fringe_scan(phases, probabilities, 1000, 0.0, np.random.default_rng(5))
         assert a == b
+
+    def test_one_binomial_then_one_poisson_per_phase(self):
+        phases = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+        probabilities = np.linspace(0.1, 0.8, 8)
+        rows = fringe_scan(phases, probabilities, 1000, 0.02, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for phase, probability, row in zip(phases, probabilities, rows):
+            signal = rng.binomial(1000, probability)
+            accidentals = rng.poisson(1000 * 0.02)
+            assert row["phase_rad"] == phase
+            assert row["raw_counts"] == signal + accidentals
+
+    def test_probability_per_phase_required(self):
+        phases = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+        with pytest.raises(ValueError):
+            fringe_scan(phases, np.full(7, 0.25), 100, 0.0, np.random.default_rng(0))

@@ -27,15 +27,11 @@ from qsdcnet.protocol import (
     _encoding_cumulative,
     _sample,
 )
-from qsdcnet.qstate import (
-    BELL_ORDER,
-    BellLabel,
-    NoiseParams,
-    apply_noise,
-    bell_state,
-)
+from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams
 
 from conftest import (
+    apply_noise,
+    bell_state,
     bits_to_hex_oracle,
     detection_branch_cumulative_oracle,
     encoding_cumulative_oracle,
@@ -376,9 +372,18 @@ class TestRunQsdc:
             "11" * 8, make_devices(conversion=0.0), EveModel.none(), FAST_POLICY,
             config, np.random.default_rng(25),
         )
-        assert transcript.completed
-        assert len(transcript.summary["truncated_symbols"]) == 8
-        assert transcript.ber is None  # nothing delivered to compare
+        assert transcript.aborted
+        assert transcript.abort_reason == "retransmission_cap"
+        assert transcript.summary["truncated_symbols"] == list(range(8))
+        assert transcript.delivered_bits is None
+        assert transcript.summary["delivered_bits_hex"] is None
+        assert transcript.ber is None
+        # Every symbol is erased on each of its 4 attempts: the abort follows
+        # the fourth block's block_sent.
+        kinds = [event.event_kind for event in transcript.events]
+        assert kinds.count("block_sent") == 4
+        assert kinds[-3:] == ["block_sent", "phase_transition", "session_abort"]
+        assert transcript.summary["blocks_sent"] == 4
 
     def test_periodic_redetection_runs(self):
         config = ProtocolConfig(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,25 +10,28 @@ from qsdcnet.qstate import (
     BELL_ORDER,
     BellLabel,
     NoiseParams,
-    PauliEncoding,
-    TwoQubitState,
-    apply_noise,
-    bell_state,
-    depolarizing_p_for_fidelity,
+    bell_weights,
     fidelity,
     fit_fringe,
-    fringe_coincidence,
+    fringe_probability,
     visibility,
 )
 
 from qsdcnet.protocol import EveModel, ProtocolConfig, QberThresholdPolicy, run_qsdc
 
 from conftest import (
+    PauliEncoding,
+    TwoQubitState,
     apply_encoding,
+    apply_noise,
+    bell_state,
+    depolarizing_p_for_fidelity,
+    fringe_coincidence,
     make_devices,
     maximally_mixed,
     purity,
     random_density_matrix,
+    state_fidelity,
 )
 
 ALL_LABELS = list(BellLabel)
@@ -55,7 +60,7 @@ class TestBellStates:
         for a in ALL_LABELS:
             for b in ALL_LABELS:
                 expected = 1.0 if a is b else 0.0
-                assert fidelity(bell_state(a), b) == pytest.approx(expected, abs=1e-12)
+                assert state_fidelity(bell_state(a), b) == pytest.approx(expected, abs=1e-12)
 
     def test_invalid_matrix_rejected(self):
         with pytest.raises(InvariantViolation):
@@ -98,7 +103,7 @@ class TestEncoding:
     def test_double_application_returns_phi_plus(self, encoding):
         state = bell_state(BellLabel.PHI_PLUS)
         out = apply_encoding(apply_encoding(state, encoding), encoding)
-        assert fidelity(out, BellLabel.PHI_PLUS) == pytest.approx(1.0, abs=1e-12)
+        assert state_fidelity(out, BellLabel.PHI_PLUS) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), encoding=st.sampled_from(ALL_ENCODINGS))
@@ -118,9 +123,18 @@ class TestNoise:
         out = apply_noise(state, NoiseParams())
         np.testing.assert_allclose(out.rho, state.rho, atol=1e-12)
 
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_noiseless_fidelity_is_exactly_one(self, label):
+        assert fidelity(label, NoiseParams()) == 1.0
+
     def test_full_depolarizing_gives_maximally_mixed(self):
         out = apply_noise(bell_state(BellLabel.PHI_PLUS), NoiseParams(depolarizing_p=1.0))
         np.testing.assert_allclose(out.rho, np.eye(4) / 4.0, atol=1e-12)
+        noise = NoiseParams(depolarizing_p=1.0, dephasing_q=0.3, phase_offset_rad=0.7)
+        phases = np.linspace(0, 2 * np.pi, 9)
+        for label in ALL_LABELS:
+            assert fidelity(label, noise) == 0.25
+            np.testing.assert_array_equal(fringe_probability(label, noise, phases), 0.25)
 
     def test_werner_fidelity_against_quadratic_form_oracle(self):
         # Direct evaluation of <phi+|rho'|phi+> with an independently built vector.
@@ -128,7 +142,9 @@ class TestNoise:
         v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         oracle = float((v.conj() @ out.rho @ v).real)
         assert oracle == pytest.approx(1 - 3 * 0.06 / 4, abs=1e-12)
-        assert fidelity(out, BellLabel.PHI_PLUS) == pytest.approx(0.955, abs=1e-12)
+        assert fidelity(BellLabel.PHI_PLUS, NoiseParams(depolarizing_p=0.06)) == pytest.approx(
+            0.955, abs=1e-12
+        )
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(DomainError):
@@ -150,17 +166,18 @@ class TestNoise:
 
     @pytest.mark.parametrize("p", [0.0, 0.06, 0.2, 0.5, 1.0])
     def test_werner_fidelity_and_visibility_laws(self, p):
-        werner = apply_noise(bell_state(BellLabel.PHI_PLUS), NoiseParams(depolarizing_p=p))
-        assert fidelity(werner, BellLabel.PHI_PLUS) == pytest.approx(1 - 3 * p / 4, abs=1e-12)
+        noise = NoiseParams(depolarizing_p=p)
+        assert fidelity(BellLabel.PHI_PLUS, noise) == pytest.approx(1 - 3 * p / 4, abs=1e-12)
         phases = np.linspace(0, 2 * np.pi, 24, endpoint=False)
-        samples = [(phi, fringe_coincidence(werner, phi, 0.0)) for phi in phases]
+        probabilities = fringe_probability(BellLabel.PHI_PLUS, noise, phases)
+        samples = list(zip(phases, probabilities))
         assert visibility(samples) == pytest.approx(1 - p, abs=1e-9)
 
     def test_calibration_inverse(self):
         for target in (0.9525, 0.9543, 0.9549, 0.9548):
             p = depolarizing_p_for_fidelity(target)
-            werner = apply_noise(bell_state(BellLabel.PHI_PLUS), NoiseParams(depolarizing_p=p))
-            assert fidelity(werner, BellLabel.PHI_PLUS) == pytest.approx(target, abs=1e-12)
+            noise = NoiseParams(depolarizing_p=p)
+            assert fidelity(BellLabel.PHI_PLUS, noise) == pytest.approx(target, abs=1e-12)
         with pytest.raises(DomainError):
             depolarizing_p_for_fidelity(0.1)
 
@@ -168,30 +185,41 @@ class TestNoise:
 class TestFidelity:
     def test_maximally_mixed_gives_quarter(self):
         for label in ALL_LABELS:
-            assert fidelity(maximally_mixed(), label) == pytest.approx(0.25, abs=1e-12)
+            assert state_fidelity(maximally_mixed(), label) == pytest.approx(0.25, abs=1e-12)
 
-    def test_clamped_to_unit_interval(self):
-        value = fidelity(bell_state(BellLabel.PHI_PLUS), BellLabel.PHI_PLUS)
-        assert 0.0 <= value <= 1.0
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.floats(0, 1),
+        q=st.floats(0, 1),
+        offset=st.floats(-10, 10),
+        label=st.sampled_from(ALL_LABELS),
+    )
+    def test_in_unit_interval(self, p, q, offset, label):
+        assert 0.0 <= fidelity(label, NoiseParams(p, q, offset)) <= 1.0
 
 
 class TestFringe:
     def test_phi_plus_at_zero_phases(self):
         # Hand evaluation: |<a b|phi+>|^2 with a = b = (s+l)/sqrt2 gives 1/2.
+        assert fringe_probability(BellLabel.PHI_PLUS, NoiseParams(), 0.0) == 0.5
         state = bell_state(BellLabel.PHI_PLUS)
         assert fringe_coincidence(state, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_phi_plus_at_quarter_phases(self):
         state = bell_state(BellLabel.PHI_PLUS)
         assert fringe_coincidence(state, np.pi / 2, np.pi / 2) == pytest.approx(0.0, abs=1e-12)
+        assert fringe_probability(BellLabel.PHI_PLUS, NoiseParams(), np.pi) == pytest.approx(
+            0.0, abs=1e-12
+        )
 
     def test_phi_minus_shifted_by_pi(self):
-        plus = bell_state(BellLabel.PHI_PLUS)
-        minus = bell_state(BellLabel.PHI_MINUS)
-        for phi in np.linspace(0, 2 * np.pi, 9):
-            assert fringe_coincidence(minus, phi, 0.0) == pytest.approx(
-                fringe_coincidence(plus, phi + np.pi, 0.0), abs=1e-12
-            )
+        noise = NoiseParams(depolarizing_p=0.1, dephasing_q=0.05, phase_offset_rad=0.3)
+        phases = np.linspace(0, 2 * np.pi, 9)
+        np.testing.assert_allclose(
+            fringe_probability(BellLabel.PHI_MINUS, noise, phases),
+            fringe_probability(BellLabel.PHI_PLUS, noise, phases + np.pi),
+            atol=1e-12,
+        )
 
     def test_closed_form_for_phi_plus(self):
         state = bell_state(BellLabel.PHI_PLUS)
@@ -208,6 +236,31 @@ class TestFringe:
         grid = np.linspace(0, 2 * np.pi, 8, endpoint=False)
         values = [fringe_coincidence(state, a, b) for a in grid for b in grid]
         assert np.mean(values) == pytest.approx(0.25, abs=1e-12)
+
+    def test_one_probability_per_phase(self):
+        phases = np.linspace(-np.pi, np.pi, 13)
+        out = fringe_probability(BellLabel.PSI_MINUS, NoiseParams(0.2, 0.1, 1.0), phases)
+        assert out.shape == phases.shape
+
+
+class TestClosedFormsMatchDensityMatrices:
+    """The closed forms in qstate against the density-matrix oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)),
+        q=st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)),
+        theta=st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)),
+        label=st.sampled_from(ALL_LABELS),
+    )
+    def test_fidelity_and_fringe(self, p, q, theta, label):
+        noise = NoiseParams(p, q, theta)
+        state = apply_noise(bell_state(label), noise)
+        assert fidelity(label, noise) == pytest.approx(state_fidelity(state, label), abs=1e-12)
+        phases = np.linspace(-math.pi, math.pi, 17)
+        oracle = [fringe_coincidence(state, phase, 0.0) for phase in phases]
+        np.testing.assert_allclose(fringe_probability(label, noise, phases), oracle, atol=1e-12)
+        assert bell_weights(noise)[0] == fidelity(BellLabel.PHI_PLUS, noise)
 
 
 class TestVisibility:
@@ -256,7 +309,7 @@ class TestBitCodes:
         for code, encoding in enumerate(ALL_ENCODINGS):
             label = BELL_ORDER[code]
             out = apply_encoding(phi_plus, encoding)
-            assert fidelity(out, label) == pytest.approx(1.0, abs=1e-12)
+            assert state_fidelity(out, label) == pytest.approx(1.0, abs=1e-12)
             assert label.value == format(code, "02b")
 
     def test_bad_code_rejected(self):

@@ -382,6 +382,25 @@ class TestSweepCommand:
         for value, expected in zip(measured, (0.0, 0.125, 0.25)):
             assert value == pytest.approx(expected, abs=0.015)
 
+    def test_retransmission_cap_rows_read_aborted(self, tmp_path, capsys):
+        # About 60% of pairs are lost on 10 km arms: with no retransmission
+        # the first block erases some symbol past the cap.
+        doc = ideal_scenario_dict(seed=12)
+        doc["devices"]["alice_fiber"]["length_km"] = 10.0
+        doc["devices"]["bob_fiber"]["length_km"] = 10.0
+        doc["protocol"]["detection_size"] = 4000
+        doc["message"] = {"random_bits": 200}
+        scenario_path = write_scenario(tmp_path, doc)
+        code = cli.main([
+            "sweep", "--scenario", scenario_path,
+            "--param", "protocol.max_retransmissions", "--values", "0,200",
+            "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_OK
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
+        assert [row["status"] for row in rows] == ["aborted", "completed"]
+        assert [row["ber"] for row in rows] == ["", "0.0"]
+
     def test_empty_values_gives_header_only_csv(self, tmp_path):
         scenario_path = write_scenario(tmp_path, sweep_base_dict())
         code = cli.main([
