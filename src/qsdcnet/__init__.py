@@ -44,6 +44,7 @@ from .protocol import (
     DetectionBatch,
     EveKind,
     EveModel,
+    Link,
     ProtocolConfig,
     QberThresholdPolicy,
     Session,
@@ -60,7 +61,6 @@ from .qstate import (
     bell_weights,
     fidelity,
     fringe_probability,
-    visibility,
 )
 from .scenario import Scenario, load_scenario, scenario_from_dict
 

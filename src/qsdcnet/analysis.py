@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import DomainError, InsufficientData
 
@@ -109,6 +110,8 @@ class QberEstimate:
         }
 
 
+# Pure, so memoised: a one-round session's pooled QBER repeats its round's counts.
+@lru_cache(maxsize=64)
 def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Exact binomial confidence interval; well behaved at tiny error rates.
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import operator
 import os
 import sys
 import time
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import analysis, netplan, photonics, protocol, qstate
 from .errors import CapacityExceeded, DomainError, QsdcError, ScenarioError
-from .scenario import Scenario, Topology, load_scenario, scenario_from_dict
+from .scenario import Scenario, Topology, load_scenario, replace_entries
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -155,7 +157,7 @@ def fringe_study(
     rows = photonics.fringe_scan(grid, probabilities, shots_per_phase, accidental_prob, rng)
     samples = [(row["phase_rad"], row["corrected_rate"]) for row in rows]
     fit = qstate.fit_fringe(samples)
-    v = qstate.visibility(samples)
+    v = fit.visibility
     isotropic = analysis.fidelity_from_visibility(v, analysis.NoiseAssumption.ISOTROPIC)
     phase_only = analysis.fidelity_from_visibility(v, analysis.NoiseAssumption.PHASE_ONLY)
     return {
@@ -171,15 +173,19 @@ def fringe_study(
     }
 
 
-def _write_rows(path: str, rows: list[dict], fieldnames: list[str], fmt: str):
+def _write_rows(path: str, rows: list[dict], fieldnames: list[str], fmt: str) -> str:
+    """Write the rows' fields as CSV under a header or as JSON lines; return the text."""
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(fieldnames)
+        writer.writerows(map(operator.itemgetter(*fieldnames), rows))
+        text = buffer.getvalue()
+    else:
+        text = "".join(json.dumps({k: row[k] for k in fieldnames}) + "\n" for row in rows)
     with open(path, "w", newline="") as handle:
-        if fmt == "csv":
-            writer = csv.DictWriter(handle, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(rows)
-        else:
-            for row in rows:
-                handle.write(json.dumps({k: row[k] for k in fieldnames}) + "\n")
+        handle.write(text)
+    return text
 
 
 def cmd_plan(args) -> int:
@@ -208,9 +214,7 @@ def cmd_plan(args) -> int:
 def _load(args) -> Scenario:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        doc = scenario.to_dict()
-        doc["seed"] = args.seed
-        scenario = scenario_from_dict(doc)
+        scenario = replace_entries(scenario, {"seed": args.seed})
     return scenario
 
 
@@ -253,19 +257,21 @@ _SWEEP_FIELDS = [
 ]
 
 
-def _set_path(doc: dict, path: str, value):
-    keys = path.split(".")
-    node = doc
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
+def _set_path(doc: dict, path: str, value) -> dict:
+    """doc with the scalar at the dotted path set, copying only the objects on the path."""
+    *sections, last = path.split(".")
+    root = node = dict(doc)
+    for key in sections:
+        if not isinstance(node.get(key), dict):
             raise ScenarioError(f"sweep parameter path not found: {path}")
+        node[key] = dict(node[key])
         node = node[key]
-    last = keys[-1]
-    if not isinstance(node, dict) or last not in node:
+    if last not in node:
         raise ScenarioError(f"sweep parameter path not found: {path}")
     if isinstance(node[last], (dict, list)):
         raise ScenarioError(f"sweep parameter path must address a scalar: {path}")
     node[last] = value
+    return root
 
 
 def cmd_sweep(args) -> int:
@@ -281,13 +287,15 @@ def cmd_sweep(args) -> int:
         print(f"error: --values must be a comma-separated list of numbers: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     base_seed = scenario.seed
+    doc = scenario.to_dict()
+    section = args.param.split(".")[0]
     rows = []
     for index, value in enumerate(values):
-        doc = scenario.to_dict()
-        _set_path(doc, args.param, value)
-        doc["seed"] = base_seed ^ index
+        # Only the swept section and the seed are read again.
+        entries = {section: _set_path(doc, args.param, value)[section]}
+        entries["seed"] = seed = base_seed ^ index
         try:
-            variant = scenario_from_dict(doc)
+            variant = replace_entries(scenario, entries)
         except ScenarioError as exc:
             print(f"error: {args.param}={value}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
@@ -298,7 +306,7 @@ def cmd_sweep(args) -> int:
                 "index": index,
                 "parameter": args.param,
                 "value": value,
-                "seed": doc["seed"],
+                "seed": seed,
                 "status": transcript.summary.get("status"),
                 "qber_e": qber.e if qber else "",
                 "cs_lower": secrecy.cs_lower if secrecy else "",
@@ -309,10 +317,9 @@ def cmd_sweep(args) -> int:
         )
     out_dir = _default_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
-    sweep_path = os.path.join(out_dir, "sweep.csv")
-    _write_rows(sweep_path, rows, _SWEEP_FIELDS, "csv")
-    with open(sweep_path) as handle:
-        print(handle.read(), end="")
+    text = _write_rows(os.path.join(out_dir, "sweep.csv"), rows, _SWEEP_FIELDS, "csv")
+    # As a text-mode read of the file would give it.
+    print(text.replace("\r\n", "\n"), end="")
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import ClassVar, Iterator
 
 import numpy as np
@@ -182,13 +182,8 @@ class SessionTranscript:
         self.detection_counts: list[tuple[int, int, int, int]] = []
 
     def log(self, timestamp_s: float, event_kind: str, **payload):
-        self.events.append(
-            TranscriptEvent(
-                timestamp_s=float(timestamp_s),
-                event_kind=event_kind,
-                payload=dict(sorted(payload.items())),
-            )
-        )
+        """Append an event; callers pass the payload keys in sorted order."""
+        self.events.append(TranscriptEvent(float(timestamp_s), event_kind, payload))
 
     def chunks(self) -> Iterator[str]:
         """The transcript's text, one chunk per event or detection batch."""
@@ -252,8 +247,8 @@ class Session:
         self.log(
             "phase_transition",
             from_phase=self.phase.value,
-            to_phase=new_phase.value,
             reason=reason,
+            to_phase=new_phase.value,
         )
         self.phase = new_phase
         if new_phase is SessionPhase.ABORTED:
@@ -312,11 +307,61 @@ def _detection_branch_cumulative(noise: NoiseParams) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=64)
+def _encoding_cumulative(noise: NoiseParams, eve: EveModel) -> np.ndarray:
+    """Bell-weight sampling tables per encoding after noise and Eve.
+
+    Row k holds the cumulative Bell weights of the noisy pair after encoding
+    k, which moves weight j to j ^ k. Intercept-resend averages over Eve's
+    basis and outcome: a measured pair is an even mix of the Z and X
+    measure-and-resend weights. Tap never alters the state (it only removes
+    photons), so it does not appear here.
+    """
+    encoded = bell_weights(noise)[_CODES[:, None] ^ _CODES]
+    if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
+        measured = (_measure_resend(encoded, 1) + _measure_resend(encoded, 2)) / 2.0
+        encoded = (1.0 - eve.fraction) * encoded + eve.fraction * measured
+    table = np.cumsum(encoded / encoded.sum(axis=1, keepdims=True), axis=1)
+    table[:, -1] = 1.0  # rounding can leave it below the largest draw
+    return table
+
+
+class Link:
+    """What the devices and Eve fix for all of a session's blocks and
+    detection rounds, computed once per session. Each sampling table is
+    looked up on first use: a session that aborts in its first detection
+    round needs no encoding table."""
+
+    def __init__(self, devices: Devices, eve: EveModel):
+        self.devices = devices
+        self.eve = eve
+        tap_fraction = eve.fraction if eve.kind is EveKind.TAP else 0.0
+        # Each arm's transmittance times the detector efficiency.
+        self.eta_alice = transmittance(devices.alice_fiber) * devices.detector.efficiency
+        self.eta_bob = transmittance(devices.bob_fiber) * devices.detector.efficiency
+        self.p_record = self.eta_alice * self.eta_bob * (1.0 - tap_fraction)
+        self.p_deliver = (
+            transmittance(devices.alice_fiber) * transmittance(devices.bob_fiber)
+            * (1.0 - tap_fraction) * devices.sfg.conversion_efficiency
+            * devices.detector.efficiency
+        )
+
+    @cached_property
+    def encoding_table(self) -> np.ndarray:
+        return _encoding_cumulative(self.devices.source.heralding_noise, self.eve)
+
+    @cached_property
+    def detection_table(self) -> np.ndarray:
+        """Row 3 * bob_basis + eve_action of the detection branches."""
+        return _detection_branch_cumulative(self.devices.source.heralding_noise).reshape(6, 4)
+
+
 def _sample(table: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Inverse-CDF sampling: per draw, the number of entries of its row of the
     cumulative table that the draw exceeds. Rows end at exactly 1.0, above
     every draw in [0, 1), so the last column is never compared."""
     indices = np.zeros(draws.size, dtype=np.uint8)
+    rows = rows.astype(np.intp, copy=False)  # once, not in each fancy index
     for column in table[:, :-1].T:
         indices += draws > column[rows]
     return indices
@@ -335,8 +380,7 @@ class DetectionResult:
 
 def run_security_detection(
     session: Session,
-    devices: Devices,
-    eve: EveModel,
+    link: Link,
     policy: QberThresholdPolicy,
     rng: np.random.Generator | None = None,
     *,
@@ -362,23 +406,19 @@ def run_security_detection(
     if not 0.0 <= decrease_factor <= 1.0:
         raise DomainError(f"decrease_factor must be in [0, 1], got {decrease_factor}")
     rng = rng or session.rng
-
-    eta_alice = transmittance(devices.alice_fiber) * devices.detector.efficiency
-    eta_bob = transmittance(devices.bob_fiber) * devices.detector.efficiency
-    tap_fraction = eve.fraction if eve.kind is EveKind.TAP else 0.0
-    p_record = eta_alice * eta_bob * (1.0 - tap_fraction)
-    expected = num_photons * eta_alice * eta_bob  # lossless-eavesdropper budget
+    eve = link.eve
+    rate_hz = link.devices.modulator.rate_hz
+    expected = num_photons * link.eta_alice * link.eta_bob  # lossless-eavesdropper budget
 
     session.log("detection_start", photons_sent=num_photons)
     send_start = session.time_s
-    session.time_s += num_photons / devices.modulator.rate_hz
+    session.time_s += num_photons / rate_hz
     alice_delay_s = delay_control(num_photons, tdm_slot_s)
 
-    surviving = np.flatnonzero(rng.random(num_photons) < p_record)
+    surviving = np.flatnonzero(rng.random(num_photons) < link.p_record)
     n = surviving.size
     batch = qber = None
     if n:
-        table = _detection_branch_cumulative(devices.source.heralding_noise)
         bob_basis = rng.integers(0, 2, n)
         if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
             intercepted = rng.random(n) < eve.fraction
@@ -386,10 +426,10 @@ def run_security_detection(
             eve_action = np.where(intercepted, 1 + eve_basis, 0)
         else:
             eve_action = np.zeros(n, dtype=int)
-        joint = _sample(table.reshape(6, 4), 3 * bob_basis + eve_action, rng.random(n))
+        joint = _sample(link.detection_table, 3 * bob_basis + eve_action, rng.random(n))
         batch = DetectionBatch(
             send_start_s=send_start,
-            slot_s=1.0 / devices.modulator.rate_hz,
+            slot_s=1.0 / rate_hz,
             positions=surviving,
             bob_basis=bob_basis,
             alice_bits=joint >> 1,
@@ -411,13 +451,13 @@ def run_security_detection(
 
     session.log(
         "detection_result",
-        passed=passed,
-        reason=reason,
-        photons_sent=num_photons,
-        photons_detected=int(n),
-        expected_detected=expected,
         alice_delay_s=alice_delay_s,
+        expected_detected=expected,
+        passed=passed,
+        photons_detected=int(n),
+        photons_sent=num_photons,
         qber=qber.to_dict() if qber else None,
+        reason=reason,
     )
     session.transition(
         SessionPhase.BLOCK_TRANSMISSION if passed else SessionPhase.ABORTED,
@@ -434,30 +474,8 @@ def run_security_detection(
     )
 
 
-@lru_cache(maxsize=64)
-def _encoding_cumulative(noise: NoiseParams, eve: EveModel) -> np.ndarray:
-    """Bell-weight sampling tables per encoding after noise and Eve.
-
-    Row k holds the cumulative Bell weights of the noisy pair after encoding
-    k, which moves weight j to j ^ k. Intercept-resend averages over Eve's
-    basis and outcome: a measured pair is an even mix of the Z and X
-    measure-and-resend weights. Tap never alters the state (it only removes
-    photons), so it does not appear here.
-    """
-    encoded = bell_weights(noise)[_CODES[:, None] ^ _CODES]
-    if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
-        measured = (_measure_resend(encoded, 1) + _measure_resend(encoded, 2)) / 2.0
-        encoded = (1.0 - eve.fraction) * encoded + eve.fraction * measured
-    table = np.cumsum(encoded / encoded.sum(axis=1, keepdims=True), axis=1)
-    table[:, -1] = 1.0  # rounding can leave it below the largest draw
-    return table
-
-
 def transmit_and_decode_block(
-    codes: np.ndarray,
-    devices: Devices,
-    eve: EveModel,
-    rng: np.random.Generator,
+    codes: np.ndarray, link: Link, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Send one block of 2-bit codes through the channel and decode it at Bob.
 
@@ -471,17 +489,8 @@ def transmit_and_decode_block(
     conversions come back as erasures, never as errors; the decoded code of
     an erased slot carries no information.
     """
-    tap_fraction = eve.fraction if eve.kind is EveKind.TAP else 0.0
-    p_deliver = (
-        transmittance(devices.alice_fiber)
-        * transmittance(devices.bob_fiber)
-        * (1.0 - tap_fraction)
-        * devices.sfg.conversion_efficiency
-        * devices.detector.efficiency
-    )
-    table = _encoding_cumulative(devices.source.heralding_noise, eve)
-    delivered = rng.random(codes.size) < p_deliver
-    return delivered, _sample(table, codes, rng.random(codes.size))
+    delivered = rng.random(codes.size) < link.p_deliver
+    return delivered, _sample(link.encoding_table, codes, rng.random(codes.size))
 
 
 # Ceilings on the counts that size a session's arrays: a block's symbols
@@ -589,6 +598,7 @@ def run_qsdc(
 
     session = Session(rng)
     session.log("session_start", message_length=len(message_bits))
+    link = Link(devices, eve)
 
     # Message code i is the 2-bit value of bits 2i, 2i+1; an odd-length
     # message is padded with one 0 bit, which the BER leaves out.
@@ -609,82 +619,31 @@ def run_qsdc(
     erased_transmissions = 0
     symbol_errors = 0
     blocks_sent = 0
-    blocks_since_check = 0
-
-    def run_detection() -> bool:
-        nonlocal detection_photons, detection_time_total
-        session.transition(SessionPhase.SECURITY_DETECTION)
-        start = session.time_s
-        result = run_security_detection(
-            session,
-            devices,
-            eve,
-            policy,
-            rng,
-            num_photons=config.detection_size,
-            decrease_factor=config.photon_decrease_factor,
-            tdm_slot_s=config.tdm_slot_s,
-        )
-        detection_photons += result.photons_sent
-        detection_time_total += session.time_s - start
-        return result.passed
-
-    def finalize(status: str, reason: str | None):
-        completed = status == "completed"
-        delivered_bits = ber = None
-        if completed:  # every symbol has arrived
-            got_bits = np.column_stack((received >> 1, received & 1)).ravel()[: bits.size]
-            delivered_bits = (got_bits + ord("0")).tobytes().decode()
-            ber = int(np.count_nonzero(got_bits != bits)) / bits.size
-        erasure_fraction = (
-            erased_transmissions / transmissions if transmissions else 0.0
-        )
-        block_time = transmissions / symbol_rate
-        total_time = detection_time_total + block_time
-        overhead_fraction = detection_time_total / total_time if total_time else 0.0
-        summary = {
-            "status": status,
-            "abort_reason": reason,
-            "message_length": len(message_bits),
-            "delivered_bits": delivered_bits,
-            "delivered_bits_hex": bits_to_hex(delivered_bits) if completed else None,
-            "ber": ber,
-            "truncated_symbols": np.flatnonzero(
-                attempts > config.max_retransmissions
-            ).tolist(),
-            "blocks_sent": blocks_sent,
-            "transmissions": transmissions,
-            "erased_transmissions": erased_transmissions,
-            "symbol_errors": symbol_errors,
-            "detection_photons_sent": detection_photons,
-            "erasure_fraction": erasure_fraction,
-            "overhead_fraction": overhead_fraction,
-            "elapsed_s": session.time_s,
-        }
-        session.transcript.summary = summary
-        if completed:
-            session.log(
-                "session_complete",
-                **{k: v for k, v in summary.items() if k != "status"},
-            )
-        else:
-            session.log("session_abort", reason=reason)
-
-    if not run_detection():
-        finalize("aborted", session.abort_reason)
-        return session.transcript
-    blocks_since_check = 0
+    # Detection gates the first block and every redetect_every_blocks-th after it.
+    blocks_since_check = config.redetect_every_blocks
 
     while pending.size:
         if blocks_since_check >= config.redetect_every_blocks:
-            if not run_detection():
-                finalize("aborted", session.abort_reason)
-                return session.transcript
+            session.transition(SessionPhase.SECURITY_DETECTION)
+            start = session.time_s
+            result = run_security_detection(
+                session,
+                link,
+                policy,
+                rng,
+                num_photons=config.detection_size,
+                decrease_factor=config.photon_decrease_factor,
+                tdm_slot_s=config.tdm_slot_s,
+            )
+            detection_photons += result.photons_sent
+            detection_time_total += session.time_s - start
+            if not result.passed:
+                break
             blocks_since_check = 0
         # A copy, so that the last batch does not keep the first queue array alive.
         batch, pending = pending[: config.block_size].copy(), pending[config.block_size :]
         sent = codes[batch]
-        delivered, decoded = transmit_and_decode_block(sent, devices, eve, rng)
+        delivered, decoded = transmit_and_decode_block(sent, link, rng)
         session.time_s += batch.size / symbol_rate
         transmissions += batch.size
         erased = batch[~delivered]
@@ -695,24 +654,56 @@ def run_qsdc(
         if pending.size < config.block_size:
             pending = np.concatenate((pending, *requeued))
             requeued.clear()
-        got = batch[delivered]
-        received[got] = decoded[delivered]
-        block_errors = int(np.count_nonzero(decoded[delivered] != sent[delivered]))
+        got = decoded[delivered]
+        received[batch[delivered]] = got
+        block_errors = int(np.count_nonzero(got != sent[delivered]))
         symbol_errors += block_errors
         session.log(
             "block_sent",
             block_index=blocks_sent,
-            pairs=batch.size,
             erasures=erased.size,
+            pairs=batch.size,
             symbol_errors=block_errors,
         )
         blocks_sent += 1
         blocks_since_check += 1
         if erased.size and attempts[erased].max() > config.max_retransmissions:
             session.transition(SessionPhase.ABORTED, reason="retransmission_cap")
-            finalize("aborted", session.abort_reason)
-            return session.transcript
+            break
+    else:
+        session.transition(SessionPhase.COMPLETED)
 
-    session.transition(SessionPhase.COMPLETED)
-    finalize("completed", None)
+    completed = session.phase is SessionPhase.COMPLETED
+    reason = session.abort_reason
+    delivered_bits = ber = None
+    if completed:  # every symbol has arrived
+        got_bits = np.column_stack((received >> 1, received & 1)).ravel()[: bits.size]
+        delivered_bits = (got_bits + ord("0")).tobytes().decode()
+        ber = int(np.count_nonzero(got_bits != bits)) / bits.size
+    erasure_fraction = erased_transmissions / transmissions if transmissions else 0.0
+    block_time = transmissions / symbol_rate
+    total_time = detection_time_total + block_time
+    overhead_fraction = detection_time_total / total_time if total_time else 0.0
+    summary = {  # keys in sorted order, as the transcript writes them
+        "abort_reason": reason,
+        "ber": ber,
+        "blocks_sent": blocks_sent,
+        "delivered_bits": delivered_bits,
+        "delivered_bits_hex": bits_to_hex(delivered_bits) if completed else None,
+        "detection_photons_sent": detection_photons,
+        "elapsed_s": session.time_s,
+        "erased_transmissions": erased_transmissions,
+        "erasure_fraction": erasure_fraction,
+        "message_length": len(message_bits),
+        "overhead_fraction": overhead_fraction,
+        "status": session.phase.value,
+        "symbol_errors": symbol_errors,
+        "transmissions": transmissions,
+        "truncated_symbols": np.flatnonzero(attempts > config.max_retransmissions).tolist(),
+    }
+    session.transcript.summary = summary
+    if completed:
+        session.log("session_complete", **{k: v for k, v in summary.items() if k != "status"})
+    else:
+        session.log("session_abort", reason=reason)
     return session.transcript

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -116,6 +116,13 @@ class FringeFit:
     amplitude: float
     theta_rad: float
 
+    @property
+    def visibility(self) -> float:
+        """Fringe contrast V = amplitude/offset, in [0, 1]."""
+        if self.offset <= 0.0:
+            raise InsufficientData("degenerate fringe fit (non-positive offset)")
+        return min(max(self.amplitude / self.offset, 0.0), 1.0)
+
 
 def fit_fringe(samples: Iterable[tuple[float, float]]) -> FringeFit:
     """Fit a + b*cos(phase + theta) to (phase, value) samples.
@@ -141,11 +148,3 @@ def fit_fringe(samples: Iterable[tuple[float, float]]) -> FringeFit:
     amplitude = float(np.hypot(c, d))
     theta = float(np.arctan2(-d, c))
     return FringeFit(offset=float(a), amplitude=amplitude, theta_rad=theta)
-
-
-def visibility(samples: Sequence[tuple[float, float]]) -> float:
-    """Fringe contrast V = amplitude/offset from a sinusoid fit, in [0, 1]."""
-    fit = fit_fringe(samples)
-    if fit.offset <= 0.0:
-        raise InsufficientData("degenerate fringe fit (non-positive offset)")
-    return min(max(fit.amplitude / fit.offset, 0.0), 1.0)

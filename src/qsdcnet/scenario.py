@@ -219,8 +219,9 @@ def _scalar(kind: type, value, label: str):
     return value
 
 
-def _read(cls: type, data, path: str, allowed: frozenset):
-    """Build ``cls`` from one JSON object; errors name the dotted path."""
+def _read(cls: type, data, path: str, allowed: frozenset, base=None):
+    """Build ``cls`` from one JSON object, or, given ``base``, replace the
+    fields the object holds in ``base``; errors name the dotted path."""
     if not isinstance(data, dict):
         raise ScenarioError(f"{path or 'scenario'}: expected an object")
     for key in data:
@@ -231,6 +232,8 @@ def _read(cls: type, data, path: str, allowed: frozenset):
         label = _join(path, key)
         if key in data:
             value = data[key]
+        elif base is not None:
+            continue  # base keeps its value
         elif required:
             what = "field" if section_keys is None else "section"
             raise ScenarioError(f"{label}: missing required {what}")
@@ -243,7 +246,7 @@ def _read(cls: type, data, path: str, allowed: frozenset):
         else:
             values[name] = _read(kind, value, label, section_keys)
     try:
-        return cls(**values)
+        return cls(**values) if base is None else dataclasses.replace(base, **values)
     except QsdcError as exc:
         # A message that starts with a field's name is about that field.
         name, _, rest = str(exc).partition(" ")
@@ -271,6 +274,13 @@ def _write(obj) -> dict:
 def scenario_from_dict(data: dict) -> Scenario:
     """Validate a scenario dictionary and build the typed Scenario."""
     return _read(Scenario, data, "", _ROOT_KEYS)
+
+
+def replace_entries(base: Scenario, entries: dict) -> Scenario:
+    """The Scenario, or the ScenarioError, that scenario_from_dict gives for
+    ``{**base.to_dict(), **entries}``, reading only the top-level entries
+    given (a ``protocol`` entry is both policy and config)."""
+    return _read(Scenario, entries, "", _ROOT_KEYS, base)
 
 
 def load_scenario(path: str) -> Scenario:

@@ -20,6 +20,7 @@ from qsdcnet import analysis, cli, netplan, qstate
 from qsdcnet.photonics import SfgSpec
 from qsdcnet.protocol import (
     EveModel,
+    Link,
     ProtocolConfig,
     QberThresholdPolicy,
     Session,
@@ -169,7 +170,7 @@ def test_criterion_06_eavesdropper_detection():
         session = Session(np.random.default_rng(601))
         session.transition(SessionPhase.SECURITY_DETECTION)
         full = run_security_detection(
-            session, devices, EveModel.intercept_resend(1.0), default_policy,
+            session, Link(devices, EveModel.intercept_resend(1.0)), default_policy,
             num_photons=12000,
         )
         assert full.photons_detected >= 10_000
@@ -179,7 +180,7 @@ def test_criterion_06_eavesdropper_detection():
         session = Session(np.random.default_rng(602))
         session.transition(SessionPhase.SECURITY_DETECTION)
         partial = run_security_detection(
-            session, devices, EveModel.intercept_resend(0.2), default_policy,
+            session, Link(devices, EveModel.intercept_resend(0.2)), default_policy,
             num_photons=12000,
         )
         assert partial.photons_detected >= 10_000

@@ -213,6 +213,16 @@ def test_run_outputs_are_frozen(name, tmp_path, capsys):
     assert run_outputs(tmp_path, RUN_SCENARIOS[name]) == RUN_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
+def test_transcript_payload_keys_are_sorted(name, tmp_path, capsys):
+    # The transcript writes each payload in the order its log call passed it.
+    run_outputs(tmp_path, RUN_SCENARIOS[name])
+    with open(tmp_path / "out" / "transcript.jsonl") as handle:
+        for line in handle:
+            keys = list(json.loads(line)["payload"])
+            assert keys == sorted(keys), line[:120]
+
+
 def _sha256_of_report(report: dict) -> str:
     return hashlib.sha256(cli.report_to_json(report).encode()).hexdigest()
 

@@ -13,6 +13,7 @@ from qsdcnet.protocol import (
     DetectionBatch,
     EveKind,
     EveModel,
+    Link,
     ProtocolConfig,
     QberThresholdPolicy,
     Session,
@@ -102,8 +103,7 @@ class TestSecurityDetection:
         session = detection_session(1)
         result = run_security_detection(
             session,
-            make_devices(),
-            EveModel.none(),
+            Link(make_devices(), EveModel.none()),
             QberThresholdPolicy(0.1, 500),
             num_photons=2000,
         )
@@ -115,8 +115,7 @@ class TestSecurityDetection:
         session = detection_session(2)
         result = run_security_detection(
             session,
-            make_devices(),
-            EveModel.intercept_resend(1.0),
+            Link(make_devices(), EveModel.intercept_resend(1.0)),
             QberThresholdPolicy(0.1, 500),
             num_photons=20000,
         )
@@ -129,8 +128,7 @@ class TestSecurityDetection:
         session = detection_session(3)
         result = run_security_detection(
             session,
-            make_devices(),
-            EveModel.intercept_resend(0.2),
+            Link(make_devices(), EveModel.intercept_resend(0.2)),
             QberThresholdPolicy(0.49, 500),
             num_photons=20000,
         )
@@ -141,8 +139,7 @@ class TestSecurityDetection:
         session = detection_session(int(fraction * 100))
         result = run_security_detection(
             session,
-            make_devices(),
-            EveModel.intercept_resend(fraction),
+            Link(make_devices(), EveModel.intercept_resend(fraction)),
             QberThresholdPolicy(0.49, 500),
             num_photons=40000,
         )
@@ -154,8 +151,7 @@ class TestSecurityDetection:
         session = detection_session(4)
         result = run_security_detection(
             session,
-            make_devices(),
-            EveModel.tap(0.8),
+            Link(make_devices(), EveModel.tap(0.8)),
             QberThresholdPolicy(0.1, 500),
             num_photons=20000,
         )
@@ -167,8 +163,7 @@ class TestSecurityDetection:
         session = detection_session(5)
         result = run_security_detection(
             session,
-            make_devices(),
-            EveModel.tap(0.2),
+            Link(make_devices(), EveModel.tap(0.2)),
             QberThresholdPolicy(0.1, 500),
             num_photons=20000,
             decrease_factor=0.5,
@@ -179,8 +174,7 @@ class TestSecurityDetection:
         session = detection_session(6)
         result = run_security_detection(
             session,
-            make_devices(fiber_km=40.0),
-            EveModel.none(),
+            Link(make_devices(fiber_km=40.0), EveModel.none()),
             QberThresholdPolicy(0.1, 500),
             num_photons=600,
         )
@@ -192,8 +186,7 @@ class TestSecurityDetection:
         session = detection_session(7)
         result = run_security_detection(
             session,
-            make_devices(noise=NoiseParams(depolarizing_p=p)),
-            EveModel.none(),
+            Link(make_devices(noise=NoiseParams(depolarizing_p=p)), EveModel.none()),
             QberThresholdPolicy(0.2, 500),
             num_photons=40000,
         )
@@ -204,8 +197,7 @@ class TestSecurityDetection:
         with pytest.raises(InvariantViolation):
             run_security_detection(
                 session,
-                make_devices(),
-                EveModel.none(),
+                Link(make_devices(), EveModel.none()),
                 QberThresholdPolicy(0.1, 1),
                 num_photons=10,
             )
@@ -227,7 +219,7 @@ class TestTransmitAndDecode:
         rng = np.random.default_rng(11)
         codes = np.array([0, 3, 2, 1, 3, 1, 0, 2], dtype=np.uint8)  # 0011100111010010
         delivered, decoded = transmit_and_decode_block(
-            codes, make_devices(), EveModel.none(), rng
+            codes, Link(make_devices(), EveModel.none()), rng
         )
         assert delivered.all()
         np.testing.assert_array_equal(decoded, codes)
@@ -236,7 +228,7 @@ class TestTransmitAndDecode:
         rng = np.random.default_rng(12)
         codes = np.full(50, 1, dtype=np.uint8)
         delivered, _ = transmit_and_decode_block(
-            codes, make_devices(conversion=0.0), EveModel.none(), rng
+            codes, Link(make_devices(conversion=0.0), EveModel.none()), rng
         )
         assert not delivered.any()
 
@@ -248,7 +240,7 @@ class TestTransmitAndDecode:
         n = 100_000
         codes = rng.integers(0, 4, n).astype(np.uint8)
         delivered, decoded = transmit_and_decode_block(
-            codes, make_devices(noise=NoiseParams(depolarizing_p=p)), EveModel.none(), rng
+            codes, Link(make_devices(noise=NoiseParams(depolarizing_p=p)), EveModel.none()), rng
         )
         assert delivered.all()
         errors = np.count_nonzero(decoded != codes)
@@ -262,7 +254,7 @@ class TestTransmitAndDecode:
         n = 40_000
         codes = np.full(n, 1, dtype=np.uint8)  # every pair encodes sigma_z
         delivered, decoded = transmit_and_decode_block(
-            codes, devices, EveModel.none(), np.random.default_rng(14)
+            codes, Link(devices, EveModel.none()), np.random.default_rng(14)
         )
         assert delivered.all()
         block_freq = {
@@ -285,7 +277,7 @@ class TestTransmitAndDecode:
         n = 50_000
         devices = make_devices(fiber_km=10.0, attenuation=1.0)  # eta = 0.1 per arm
         codes = np.zeros(n, dtype=np.uint8)
-        delivered, _ = transmit_and_decode_block(codes, devices, EveModel.none(), rng)
+        delivered, _ = transmit_and_decode_block(codes, Link(devices, EveModel.none()), rng)
         erased = np.count_nonzero(~delivered) / n
         expected = 1 - 0.1 * 0.1
         se = np.sqrt(expected * (1 - expected) / n)

@@ -14,7 +14,6 @@ from qsdcnet.qstate import (
     fidelity,
     fit_fringe,
     fringe_probability,
-    visibility,
 )
 
 from qsdcnet.protocol import EveModel, ProtocolConfig, QberThresholdPolicy, run_qsdc
@@ -171,7 +170,7 @@ class TestNoise:
         phases = np.linspace(0, 2 * np.pi, 24, endpoint=False)
         probabilities = fringe_probability(BellLabel.PHI_PLUS, noise, phases)
         samples = list(zip(phases, probabilities))
-        assert visibility(samples) == pytest.approx(1 - p, abs=1e-9)
+        assert fit_fringe(samples).visibility == pytest.approx(1 - p, abs=1e-9)
 
     def test_calibration_inverse(self):
         for target in (0.9525, 0.9543, 0.9549, 0.9548):
@@ -267,16 +266,16 @@ class TestVisibility:
     def test_perfect_fringe(self):
         phases = np.linspace(0, 2 * np.pi, 32, endpoint=False)
         samples = [(p, (1 + np.cos(p)) / 4) for p in phases]
-        assert visibility(samples) == pytest.approx(1.0, abs=1e-9)
+        assert fit_fringe(samples).visibility == pytest.approx(1.0, abs=1e-9)
 
     def test_flat_fringe(self):
         phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        assert visibility([(p, 0.25) for p in phases]) == pytest.approx(0.0, abs=1e-12)
+        assert fit_fringe([(p, 0.25) for p in phases]).visibility == pytest.approx(0.0, abs=1e-12)
 
     def test_partial_fringe_refit(self):
         phases = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         samples = [(p, (1 + 0.9 * np.cos(p)) / 4) for p in phases]
-        assert visibility(samples) == pytest.approx(0.9, abs=1e-6)
+        assert fit_fringe(samples).visibility == pytest.approx(0.9, abs=1e-6)
 
     def test_fitted_theta_tracks_fringe_phase(self):
         phases = np.linspace(0, 2 * np.pi, 32, endpoint=False)
@@ -286,12 +285,18 @@ class TestVisibility:
     def test_too_few_samples_rejected(self):
         phases = np.linspace(0, 2 * np.pi, 5, endpoint=False)
         with pytest.raises(InsufficientData):
-            visibility([(p, 0.25) for p in phases])
+            fit_fringe([(p, 0.25) for p in phases])
+
+    def test_non_positive_offset_rejected(self):
+        phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        fit = fit_fringe([(p, -0.25 + 0.1 * np.cos(p)) for p in phases])
+        with pytest.raises(InsufficientData, match="non-positive offset"):
+            fit.visibility
 
     def test_narrow_span_rejected(self):
         phases = np.linspace(0, 0.5, 12)
         with pytest.raises(InsufficientData):
-            visibility([(p, (1 + np.cos(p)) / 4) for p in phases])
+            fit_fringe([(p, (1 + np.cos(p)) / 4) for p in phases])
 
 
 class TestBitCodes:

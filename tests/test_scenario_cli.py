@@ -219,6 +219,23 @@ class TestRunCommand:
         digest_b = json.loads((out_b / "report.json").read_text())["scenario_digest"]
         assert digest_a != digest_b
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "fringe"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_override(self, tmp_path, capsys, command, seed):
+        # The text a full scenario parse gives for the seed, exit code 1,
+        # and nothing written.
+        scenario_path = write_scenario(tmp_path, ideal_scenario_dict(seed=1, message_hex="ab"))
+        sweep = ["--param", "eve.fraction", "--values", "0.1"] if command == "sweep" else []
+        out = tmp_path / "out"
+        code = cli.main(
+            [command, "--scenario", scenario_path, "--seed", str(seed), *sweep, "--out", str(out)]
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: seed: must be a 64-bit unsigned integer, got {seed}\n"
+        )
+        assert not out.exists()
+
     def test_abort_exit_code(self, tmp_path, capsys):
         doc = ideal_scenario_dict(seed=13, message_hex="abcd")
         doc["eve"] = {"kind": "intercept_resend", "fraction": 1.0}
@@ -429,6 +446,29 @@ class TestSweepCommand:
             "--param", "devices.alice_fiber", "--values", "1", "--out", str(tmp_path),
         ])
         assert code == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "param, values, error",
+        [
+            ("eve.fraction", "0.5,1.5", "eve.fraction=1.5: eve.fraction: must be in [0, 1], got 1.5"),
+            ("protocol.block_size", "2.5", "protocol.block_size=2.5: protocol.block_size: "
+             "expected int, got float"),
+            ("protocol.qber_threshold", "0.7", "protocol.qber_threshold=0.7: "
+             "protocol.qber_threshold: must be in (0, 0.5), got 0.7"),
+            ("devices.source.noise.depolarizing_p", "inf", "devices.source.noise.depolarizing_p=inf: "
+             "devices.source.noise.depolarizing_p: must be finite, got inf"),
+        ],
+    )
+    def test_bad_value_names_its_path(self, tmp_path, capsys, param, values, error):
+        scenario_path = write_scenario(tmp_path, sweep_base_dict())
+        out = tmp_path / "out"
+        code = cli.main([
+            "sweep", "--scenario", scenario_path,
+            "--param", param, "--values", values, "--out", str(out),
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
 
     def test_seed_parameter_rejected(self, tmp_path, capsys):
         # Row seeds are base ^ index, so a swept seed would be overwritten.

@@ -18,6 +18,7 @@ from qsdcnet.scenario import (
     Scenario,
     forty_km_scenario_dict,
     ideal_scenario_dict,
+    replace_entries,
     scenario_from_dict,
 )
 
@@ -294,3 +295,47 @@ def test_every_scenario_field_changes_an_output(path, tmp_path, capsys):
     before = _outputs(tmp_path / "base", base, capsys)
     after = _outputs(tmp_path / "changed", changed, capsys)
     assert any(a != b for a, b in zip(before, after))
+
+
+# A swept value is one leaf of one section; sweep reads only that section
+# (and the seed) again, into the base scenario.
+SECTION_LEAVES = [path for path in _leaf_paths() if "." in path]
+leaf_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.sampled_from([-1, 0, 1, 2, 2**63, 2**64, 10**7 + 1, 10**400])
+    | st.floats()
+    | st.floats(0.0, 1.0)
+    | st.text(max_size=8)
+    | st.sampled_from(["none", "intercept_resend", "tap", "ab", ""])
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    index=st.sampled_from(range(len(BASES))),
+    path=st.sampled_from(SECTION_LEAVES),
+    data=st.data(),
+    seed=st.integers(0, 2**64 - 1) | st.sampled_from([-1, 2**64]),
+)
+def test_section_variant_matches_the_edited_document(index, path, data, seed):
+    value = data.draw(st.just(WITNESSES[path][1]) | leaf_scalars, label="value")
+    base = scenario_from_dict(BASES[index])
+    doc = base.to_dict()
+    edited = _with(doc, {path: value, "seed": seed})
+    section = path.split(".")[0]
+    if tuple(path.split(".")) in set(_sites(doc)):  # sweep can address it
+        varied = cli._set_path(doc, path, value)
+        assert varied == _with(doc, {path: value})
+        assert doc == base.to_dict()  # only copies were written
+    try:
+        expected = scenario_from_dict(edited)
+    except ScenarioError as exc:
+        with pytest.raises(ScenarioError) as raised:
+            replace_entries(base, {section: edited[section], "seed": seed})
+        assert str(raised.value) == str(exc)
+        return
+    variant = replace_entries(base, {section: edited[section], "seed": seed})
+    assert variant == expected
+    assert variant.digest() == expected.digest()
