@@ -40,17 +40,7 @@ class SecrecyReport:
     entropy_arg_clamped: bool
 
     def to_dict(self) -> dict:
-        return {
-            "q_b": self.q_b,
-            "q_e": self.q_e,
-            "e": self.e,
-            "e_x": self.e_x,
-            "e_z": self.e_z,
-            "h_e": self.h_e,
-            "h_exez": self.h_exez,
-            "cs_lower": self.cs_lower,
-            "entropy_arg_clamped": self.entropy_arg_clamped,
-        }
+        return dict(vars(self))  # the fields in declared order
 
 
 def secrecy_capacity_bound(
@@ -99,15 +89,7 @@ class QberEstimate:
     ci_high: float
 
     def to_dict(self) -> dict:
-        return {
-            "e": self.e,
-            "e_x": self.e_x,
-            "e_z": self.e_z,
-            "n_x": self.n_x,
-            "n_z": self.n_z,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
+        return dict(vars(self))  # the fields in declared order
 
 
 # Pure, so memoised: a one-round session's pooled QBER repeats its round's counts.
@@ -193,12 +175,7 @@ class ThroughputReport:
     info_rate_bits_per_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "symbol_rate_hz": self.symbol_rate_hz,
-            "erasure_fraction": self.erasure_fraction,
-            "overhead_fraction": self.overhead_fraction,
-            "info_rate_bits_per_s": self.info_rate_bits_per_s,
-        }
+        return dict(vars(self))  # the fields in declared order
 
 
 def throughput(

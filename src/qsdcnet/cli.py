@@ -122,7 +122,13 @@ def build_report(
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    spliced = (  # the strings of bits and hex digits, which json writes unchanged
+        ("scenario", "message", "hex"),
+        ("session", "delivered_bits"),
+        ("session", "delivered_bits_hex"),
+    )
+    text = protocol.dumps_spliced(report, spliced, sort_keys=True, indent=2, allow_nan=False)
+    return text + "\n"
 
 
 def fringe_study(

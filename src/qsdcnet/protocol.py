@@ -98,6 +98,40 @@ class QberThresholdPolicy:
             raise DomainError(f"min_samples must be >= 1, got {self.min_samples}")
 
 
+# json.dumps writes _SPLICE_MARK % i as _SPLICE_TOKEN + f'{i}"'.
+_SPLICE_MARK, _SPLICE_TOKEN = "\x00splice %d", '"\\u0000splice '
+
+
+def _replaced(doc: dict, path, value) -> dict:
+    """doc with value at the key path, copying only the objects on the path."""
+    key, *rest = path
+    return {**doc, key: _replaced(doc[key], rest, value) if rest else value}
+
+
+def dumps_spliced(doc: dict, paths, **options) -> str:
+    """``json.dumps(doc, **options)``, but the string at each key path is
+    written as '"' + s + '"' without escaping it: only for strings that json
+    writes unchanged, such as bits and hex digits. A path that holds no
+    string is left to json; a splice mark in the rest of doc raises ValueError."""
+    values = []
+    for path in dict.fromkeys(paths):  # each path once
+        value = doc
+        for key in path:
+            value = value.get(key) if isinstance(value, dict) else None
+        if isinstance(value, str):
+            doc = _replaced(doc, path, _SPLICE_MARK % len(values))
+            values.append(value)
+    text = json.dumps(doc, **options)
+    head, *pieces = text.split(_SPLICE_TOKEN) if values else [text]
+    if len(pieces) != len(values):
+        raise ValueError("the document holds a splice mark outside the spliced strings")
+    parts = [head]
+    for piece in pieces:
+        index, rest = piece.split('"', 1)
+        parts += ('"', values[int(index)], '"', rest)
+    return "".join(parts)
+
+
 @dataclass(frozen=True)
 class TranscriptEvent:
     timestamp_s: float
@@ -106,13 +140,11 @@ class TranscriptEvent:
 
     def to_jsonl(self) -> str:
         """The event's JSON line, with its newline."""
-        return json.dumps(
-            {
-                "timestamp_s": self.timestamp_s,
-                "event_kind": self.event_kind,
-                "payload": self.payload,
-            }
-        ) + "\n"
+        doc = dict(timestamp_s=self.timestamp_s, event_kind=self.event_kind, payload=self.payload)
+        if self.event_kind != "session_complete":  # the one with strings to splice
+            return json.dumps(doc) + "\n"
+        spliced = (("payload", "delivered_bits"), ("payload", "delivered_bits_hex"))
+        return dumps_spliced(doc, spliced) + "\n"
 
 
 _BASIS_NAMES = ("Z", "X")
@@ -489,8 +521,10 @@ def transmit_and_decode_block(
     conversions come back as erasures, never as errors; the decoded code of
     an erased slot carries no information.
     """
-    delivered = rng.random(codes.size) < link.p_deliver
-    return delivered, _sample(link.encoding_table, codes, rng.random(codes.size))
+    # One call: for the PCG64 generator, random(n) then random(n) is random(2 * n).
+    draws = rng.random(2 * codes.size)
+    delivered = draws[: codes.size] < link.p_deliver
+    return delivered, _sample(link.encoding_table, codes, draws[codes.size :])
 
 
 # Ceilings on the counts that size a session's arrays: a block's symbols
@@ -544,23 +578,29 @@ def _bit_values(bits: str) -> np.ndarray:
     return np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
 
 
-def bits_to_hex(bits: str) -> str:
-    """Hex encoding of a bitstring, right-padded with zeros to whole nibbles."""
-    values = _bit_values(bits)
+def bits_to_hex(bits: str | np.ndarray) -> str:
+    """Hex of a bitstring or of a 0/1 array, right-padded with zeros to whole nibbles."""
+    values = _bit_values(bits) if isinstance(bits, str) else bits
     if np.any(values > 1):
         raise ValueError(f"not a bitstring: {bits[:32]!r}")
     return np.packbits(values).tobytes().hex()[: -(-values.size // 4)]
 
 
-def hex_to_bits(hex_string: str, bit_length: int | None = None) -> str:
-    """Bitstring from hex; optionally truncated to bit_length bits."""
+def hex_bytes(hex_string: str) -> bytes | None:
+    """The bytes of ASCII hex digits, an odd count padded with a 0; None for any other string."""
     padded = hex_string + "0" * (len(hex_string) % 2)
     try:
-        raw = bytes.fromhex(padded)
+        raw = bytes.fromhex(padded)  # which rejects any non-ASCII character
     except ValueError:
-        raw = b""
+        return None
     # fromhex skips whitespace, which leaves fewer bytes than digit pairs.
-    if 2 * len(raw) < len(padded):
+    return raw if 2 * len(raw) == len(padded) else None
+
+
+def hex_to_bits(hex_string: str, bit_length: int | None = None) -> str:
+    """Bitstring from hex; optionally truncated to bit_length bits."""
+    raw = hex_bytes(hex_string)
+    if raw is None:
         raise ValueError(f"not a hex string: {hex_string[:32]!r}")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=4 * len(hex_string))
     if bit_length is not None:
@@ -675,21 +715,24 @@ def run_qsdc(
 
     completed = session.phase is SessionPhase.COMPLETED
     reason = session.abort_reason
-    delivered_bits = ber = None
+    delivered_bits = delivered_hex = ber = None
     if completed:  # every symbol has arrived
         got_bits = np.column_stack((received >> 1, received & 1)).ravel()[: bits.size]
         delivered_bits = (got_bits + ord("0")).tobytes().decode()
+        delivered_hex = bits_to_hex(got_bits)
         ber = int(np.count_nonzero(got_bits != bits)) / bits.size
     erasure_fraction = erased_transmissions / transmissions if transmissions else 0.0
     block_time = transmissions / symbol_rate
     total_time = detection_time_total + block_time
     overhead_fraction = detection_time_total / total_time if total_time else 0.0
+    # A completed session has no symbol over the cap.
+    truncated = [] if completed else np.flatnonzero(attempts > config.max_retransmissions).tolist()
     summary = {  # keys in sorted order, as the transcript writes them
         "abort_reason": reason,
         "ber": ber,
         "blocks_sent": blocks_sent,
         "delivered_bits": delivered_bits,
-        "delivered_bits_hex": bits_to_hex(delivered_bits) if completed else None,
+        "delivered_bits_hex": delivered_hex,
         "detection_photons_sent": detection_photons,
         "elapsed_s": session.time_s,
         "erased_transmissions": erased_transmissions,
@@ -699,7 +742,7 @@ def run_qsdc(
         "status": session.phase.value,
         "symbol_errors": symbol_errors,
         "transmissions": transmissions,
-        "truncated_symbols": np.flatnonzero(attempts > config.max_retransmissions).tolist(),
+        "truncated_symbols": truncated,
     }
     session.transcript.summary = summary
     if completed:

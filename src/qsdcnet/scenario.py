@@ -17,7 +17,6 @@ import enum
 import hashlib
 import json
 import math
-import re
 import types
 import typing
 from dataclasses import dataclass
@@ -34,15 +33,13 @@ from .photonics import (
     SfgSpec,
     SourceSpec,
 )
-from .protocol import EveModel, ProtocolConfig, QberThresholdPolicy, hex_to_bits
+from .protocol import (
+    EveModel, ProtocolConfig, QberThresholdPolicy, dumps_spliced, hex_bytes, hex_to_bits
+)
 
 # Distinct RNG streams derived from the scenario seed.
 _MESSAGE_STREAM = 0x6D65
 _SESSION_STREAM = 0x7365
-
-# [0-9], unlike \d, admits no other script's digits; fullmatch, unlike a
-# trailing $, rejects a trailing newline.
-_HEX_DIGITS = re.compile("[0-9a-fA-F]+")
 
 
 # Ceilings on counts that size arrays or loops: each subnet member gets a TDM
@@ -97,7 +94,7 @@ class MessageSpec:
                 )
             if self.bit_length is not None:
                 raise DomainError("bit_length applies only to a hex message")
-        elif not _HEX_DIGITS.fullmatch(self.hex):
+        elif not self.hex or hex_bytes(self.hex) is None:
             raise DomainError("hex must be a non-empty hexadecimal string")
         elif self.bit_length is not None and not 1 <= self.bit_length <= 4 * len(self.hex):
             raise DomainError(
@@ -133,7 +130,8 @@ class Scenario:
         return np.random.default_rng([self.seed, _SESSION_STREAM])
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        spliced = (("message", "hex"),)  # MessageSpec admits only hex digits
+        return dumps_spliced(self.to_dict(), spliced, sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()

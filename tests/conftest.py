@@ -1,3 +1,4 @@
+import re
 from enum import Enum
 
 import numpy as np
@@ -324,6 +325,12 @@ def bits_to_hex_oracle(bits: str) -> str:
         raise ValueError(f"not a bitstring: {bits[:32]!r}")
     padded = bits + "0" * (-len(bits) % 4)
     return format(int(padded, 2), f"0{len(padded) // 4}x")
+
+
+# The hex digits a message may hold: the oracle of ``protocol.hex_bytes``,
+# which MessageSpec checks with. [0-9], unlike \d, admits no other script's
+# digits; fullmatch, unlike a trailing $, rejects a trailing newline.
+HEX_DIGITS = re.compile("[0-9a-fA-F]+")
 
 
 def hex_to_bits_oracle(hex_string: str, bit_length: int | None = None) -> str:

@@ -18,8 +18,10 @@ from qsdcnet.protocol import (
     QberThresholdPolicy,
     Session,
     SessionPhase,
+    _SPLICE_MARK,
     bits_to_hex,
     delay_control,
+    dumps_spliced,
     hex_to_bits,
     run_qsdc,
     run_security_detection,
@@ -42,7 +44,7 @@ from conftest import (
     sample_oracle,
     sfg_bsm,
 )
-from qsdcnet.scenario import forty_km_scenario_dict, scenario_from_dict
+from qsdcnet.scenario import forty_km_scenario_dict, ideal_scenario_dict, scenario_from_dict
 
 
 def detection_session(seed=0):
@@ -282,6 +284,33 @@ class TestTransmitAndDecode:
         expected = 1 - 0.1 * 0.1
         se = np.sqrt(expected * (1 - expected) / n)
         assert abs(erased - expected) <= 3 * se
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 2**16),
+        first=st.integers(0, 3000),
+        second=st.integers(0, 3000),
+    )
+    def test_one_draw_call_is_two_calls(self, seed, stream, first, second):
+        # A block draws random(2 * n) once, where the golden digests were
+        # recorded with random(n) twice. For PCG64 those are the same stream,
+        # and the generator ends in the same state.
+        split, joined = (np.random.default_rng([seed, stream]) for _ in range(2))
+        parts = np.concatenate((split.random(first), split.random(second)))
+        np.testing.assert_array_equal(joined.random(first + second), parts)
+        assert joined.bit_generator.state == split.bit_generator.state
+        # The first half decides delivery, the second half the decoded state.
+        link = Link(make_devices(conversion=0.5, noise=NoiseParams(0.3)), EveModel.none())
+        codes = np.random.default_rng(seed).integers(0, 4, first).astype(np.uint8)
+        delivered, decoded = transmit_and_decode_block(
+            codes, link, np.random.default_rng([seed, stream])
+        )
+        two_calls = np.random.default_rng([seed, stream])
+        np.testing.assert_array_equal(delivered, two_calls.random(first) < link.p_deliver)
+        np.testing.assert_array_equal(
+            decoded, _sample(link.encoding_table, codes, two_calls.random(first))
+        )
 
 
 class TestDelayControl:
@@ -664,3 +693,104 @@ class TestTranscriptFormatting:
         expected = cli.run_session(scenario_from_dict(doc)).to_jsonl()
         assert "detection_record" in expected
         assert (out / "transcript.jsonl").read_bytes() == expected.encode()
+
+    def test_megabit_run_writes_the_transcript_text(self, tmp_path):
+        # The session_complete line and the report splice the 1 Mbit
+        # delivered_bits and its hex in unescaped; both read as plain JSON.
+        doc = ideal_scenario_dict(seed=44)
+        doc["message"] = {"hex": np.random.default_rng(44).bytes(125_000).hex()}
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--scenario", str(scenario_path), "--out", str(out)]) == cli.EXIT_OK
+        expected = cli.run_session(scenario_from_dict(doc)).to_jsonl()
+        assert (out / "transcript.jsonl").read_bytes() == expected.encode()
+        *_, last = expected.splitlines(keepends=True)
+        event = json.loads(last)
+        assert event["payload"]["delivered_bits"] == hex_to_bits(doc["message"]["hex"])
+        assert last == json.dumps(event) + "\n"
+        report = (out / "report.json").read_text()
+        assert report == json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n"
+
+
+# One line of a transcript, the report and the canonical scenario.
+DUMP_STYLES = (
+    {},
+    {"sort_keys": True, "indent": 2, "allow_nan": False},
+    {"sort_keys": True, "separators": (",", ":")},
+)
+json_leaves = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+json_docs = st.recursive(
+    st.dictionaries(st.text(max_size=3), json_leaves, max_size=4),
+    lambda children: st.dictionaries(
+        st.text(max_size=3), children | st.lists(children, max_size=3), max_size=4
+    ),
+    max_leaves=12,
+)
+spliceable = st.text("01", max_size=40) | st.text("0123456789abcdefABCDEF", max_size=40)
+key_paths = st.lists(st.sampled_from(["a", "b", ""]), min_size=1, max_size=3)
+
+
+def put(doc: dict, path, value) -> None:
+    """Set the value at the key path, making each missing or non-object node an object."""
+    *sections, last = path
+    for key in sections:
+        if not isinstance(doc.get(key), dict):
+            doc[key] = {}
+        doc = doc[key]
+    doc[last] = value
+
+
+class TestSplicedJson:
+    """dumps_spliced writes bit and hex strings as they are; these properties
+    hold it to json.dumps in each of the three styles it is used with."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=json_docs, data=st.data())
+    def test_matches_json_dumps(self, doc, data):
+        paths = data.draw(st.lists(key_paths.map(tuple), max_size=4))  # repeats too
+        for path in paths:
+            if data.draw(st.booleans()):  # else the path may be absent or not a string
+                put(doc, path, data.draw(spliceable))
+        for style in DUMP_STYLES:
+            assert dumps_spliced(doc, paths, **style) == json.dumps(doc, **style)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        doc=json_docs,
+        path=key_paths.map(tuple),
+        value=spliceable,
+        other=st.lists(key_paths.map(tuple), min_size=1, max_size=2),
+        index=st.integers(0, 2),
+        affixes=st.tuples(st.sampled_from(["", '"', "x", "\\"]), st.sampled_from(["", '"', "1"])),
+        as_key=st.booleans(),
+    )
+    def test_a_mark_in_other_content_raises_or_still_matches(
+        self, doc, path, value, other, index, affixes, as_key
+    ):
+        mark = affixes[0] + _SPLICE_MARK % index + affixes[1]
+        for place in other:
+            put(doc, place, {mark: 1} if as_key else mark)
+        put(doc, path, value)
+        for style in DUMP_STYLES:
+            try:
+                text = dumps_spliced(doc, [path], **style)
+            except ValueError:
+                continue
+            assert text == json.dumps(doc, **style)
+
+    def test_a_colliding_mark_raises(self):
+        doc = {"bits": "0110", "note": _SPLICE_MARK % 0}
+        with pytest.raises(ValueError, match="splice mark"):
+            dumps_spliced(doc, [("bits",)])
+        # Not spliced: the mark is then plain content.
+        assert dumps_spliced(doc, [("none",)]) == json.dumps(doc)
+
+    def test_skips_null_absent_and_non_string_values(self):
+        doc = {"session": {"delivered_bits": None, "delivered_bits_hex": 5}}
+        paths = [("session", "delivered_bits"), ("session", "delivered_bits_hex"), ("x", "y")]
+        for style in DUMP_STYLES:
+            assert dumps_spliced(doc, paths, **style) == json.dumps(doc, **style)

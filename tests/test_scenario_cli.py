@@ -4,21 +4,36 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsdcnet import cli
-from qsdcnet.errors import ScenarioError
-from qsdcnet.protocol import MAX_BLOCK_SIZE, MAX_DETECTION_SIZE
+from qsdcnet.errors import DomainError, ScenarioError
+from qsdcnet.protocol import MAX_BLOCK_SIZE, MAX_DETECTION_SIZE, hex_to_bits
 from qsdcnet.qstate import BellLabel
 from qsdcnet.scenario import (
     MAX_GRID_SIZE,
     MAX_RANDOM_BITS,
     MAX_USERS,
     MAX_USERS_PER_SUBNET,
+    MessageSpec,
     forty_km_scenario_dict,
     ideal_scenario_dict,
     load_scenario,
     scenario_from_dict,
 )
+
+from conftest import HEX_DIGITS
+
+
+# Digits, whitespace, prefixes, signs and separators, other scripts' digits
+# and letters, and lone surrogates: what int(s, 16), \d or bytes.fromhex
+# would admit where a message must not.
+HEX_LOOKALIKES = [
+    *"0123456789abcdefABCDEF", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\xa0",
+    "x", "X", "+", "-", "_", "g", "\uff10", "\uff19", "\uff41", "\u0660",
+    "\u0669", "\u06f5", "\ud800", "\udfff",
+]
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -106,6 +121,34 @@ class TestScenarioParsing:
         doc["message"] = {"hex": payload}
         with pytest.raises(ScenarioError, match="^message.hex: must be a non-empty hexadecimal string$"):
             scenario_from_dict(doc)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.sampled_from(HEX_LOOKALIKES) | st.characters(), max_size=12))
+    @example("")
+    @example("a")
+    @example("ab")
+    @example("abc\n")
+    @example("0x1f")
+    @example("\ud800")
+    @example("\uff41\uff42")
+    def test_hex_check_accepts_what_the_regex_accepts(self, payload):
+        # MessageSpec and hex_to_bits share one bytes.fromhex check; the
+        # regex it replaced is the oracle.
+        accepted = HEX_DIGITS.fullmatch(payload) is not None
+        try:
+            MessageSpec(hex=payload)
+        except DomainError as exc:
+            assert not accepted
+            assert str(exc) == "hex must be a non-empty hexadecimal string"
+        else:
+            assert accepted
+        try:
+            bits = hex_to_bits(payload)
+        except ValueError:
+            assert not accepted and payload
+        else:
+            assert accepted or not payload
+            assert len(bits) == 4 * len(payload)
 
     @pytest.mark.parametrize(
         "message, error",
