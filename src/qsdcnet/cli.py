@@ -69,11 +69,13 @@ def session_metrics(
 ) -> tuple[
     analysis.QberEstimate | None, analysis.SecrecyReport | None, analysis.ThroughputReport
 ]:
-    """Pooled QBER, secrecy bound and throughput of one session."""
+    """Pooled QBER, secrecy bound and throughput of one session. Only a
+    completed session claims a secrecy bound; throughput is reported for
+    every session."""
     qber = transcript.pooled_qber
     secrecy = (
         analysis.session_secrecy_report(qber, transcript.erasure_fraction)
-        if qber
+        if transcript.completed  # which passed a detection round, so has a qber
         else None
     )
     throughput = analysis.throughput(

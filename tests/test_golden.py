@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from qsdcnet import cli
+from qsdcnet import analysis, cli
 from qsdcnet.scenario import forty_km_scenario_dict, ideal_scenario_dict, scenario_from_dict
 
 from conftest import fidelity_table_oracle
@@ -111,7 +111,7 @@ RUN_DIGESTS = {
     "intercept_resend_904": (
         cli.EXIT_ABORT,
         "d33dd8e0f1cbeedad83fa12d392be8019fe5a5bf2d89baab1b75fb5489dc4c09",
-        "0c767da3478f35b4250b33aaa857fbe64f2b9cad8bc764ccbc950dfe6a82745b",
+        "e3dd362d7e1178387e7696dd85d5a0c0e8e540daa53426e105e1be33cbbb059d",
     ),
     "megabit_ideal": (
         cli.EXIT_OK,
@@ -141,7 +141,7 @@ RUN_DIGESTS = {
     "truncating_10km": (
         cli.EXIT_ABORT,
         "eb74be965c2060b4586c7429fa5d613298134fa9199faef4e1b16b8d84ca95ad",
-        "ac8f5911961b58fafd8463d7b19275aaf510082e2717b0dc3d84f0176af6b5c4",
+        "779f8e69f76d43a7b49e26e8757bdc834c0d3242430c7fe5b6c41ac0e559e247",
     ),
 }
 
@@ -176,6 +176,14 @@ PRE_REMOVAL_REPORT_DIGESTS = {
     "odd_length_noisy": "3ef81f74b7ccfdce508154f44e07c7a0ada98d453be6224dac6d6818d62649c2",
     "small_blocks": "c361481e8c3cb81853d7bf175e0c9cdf9a4be887c1494c0b8b3e48b4b34df138",
     "tap_905": "880c2eb37300e92f98963dcfce72694921abe0c395022c2d25f92cd6b883e9ea",
+}
+
+# name -> sha256 of report.json while aborted sessions still claimed a
+# secrecy bound, built from the pooled QBER and the erasure fraction as for a
+# completed one; nothing else in those reports changed when it became null.
+SECRECY_CLAIMING_REPORT_DIGESTS = {
+    "intercept_resend_904": "0c767da3478f35b4250b33aaa857fbe64f2b9cad8bc764ccbc950dfe6a82745b",
+    "truncating_10km": "ac8f5911961b58fafd8463d7b19275aaf510082e2717b0dc3d84f0176af6b5c4",
 }
 
 SWEEP_ARGS = ["--param", "eve.fraction", "--values", "0,0.25,0.5,1"]
@@ -227,10 +235,32 @@ def _sha256_of_report(report: dict) -> str:
     return hashlib.sha256(cli.report_to_json(report).encode()).hexdigest()
 
 
+def _with_secrecy_put_back(report: dict) -> dict:
+    """The report with the secrecy bound every session once claimed."""
+    qber = analysis.QberEstimate(**report["qber"])
+    erasure_fraction = report["session"]["erasure_fraction"]
+    secrecy = analysis.session_secrecy_report(qber, erasure_fraction).to_dict()
+    return {**report, "secrecy": secrecy}
+
+
+@pytest.mark.parametrize("name", sorted(SECRECY_CLAIMING_REPORT_DIGESTS))
+def test_aborted_report_is_the_old_report_less_secrecy(name, tmp_path, capsys):
+    run_outputs(tmp_path, RUN_SCENARIOS[name])
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["session"]["status"] == "aborted"
+    assert report["secrecy"] is None
+    assert report["throughput"]["info_rate_bits_per_s"] >= 0.0
+    assert _sha256_of_report(_with_secrecy_put_back(report)) == (
+        SECRECY_CLAIMING_REPORT_DIGESTS[name]
+    )
+
+
 @pytest.mark.parametrize("name", sorted(PRE_REMOVAL_REPORT_DIGESTS))
 def test_report_is_the_pre_removal_report_less_one_key(name, tmp_path, capsys):
     run_outputs(tmp_path, RUN_SCENARIOS[name])
     report = json.loads((tmp_path / "out" / "report.json").read_text())
+    # These digests predate null secrecy for aborted sessions.
+    report = _with_secrecy_put_back(report)
     scenario = report["scenario"]
     noise = scenario_from_dict(scenario).devices.source.heralding_noise
     report["fidelity_table"] = fidelity_table_oracle(noise)

@@ -460,6 +460,9 @@ class TestSweepCommand:
         rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
         assert [row["status"] for row in rows] == ["aborted", "completed"]
         assert [row["ber"] for row in rows] == ["", "0.0"]
+        # Only the completed row claims a secrecy bound; both keep a rate.
+        assert rows[0]["cs_lower"] == "" and float(rows[1]["cs_lower"]) > 0.0
+        assert all(float(row["info_rate_bits_per_s"]) > 0.0 for row in rows)
 
     def test_empty_values_gives_header_only_csv(self, tmp_path):
         scenario_path = write_scenario(tmp_path, sweep_base_dict())
@@ -609,3 +612,29 @@ class TestReportContents:
         assert report["scenario"]["seed"] == 42
         assert report["scenario_digest"] == scenario_from_dict(doc).digest()
         assert report["secrecy"]["cs_lower"] <= 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fiber_km=st.floats(min_value=0.0, max_value=30.0),
+        eve_kind=st.sampled_from(["none", "intercept_resend", "tap"]),
+        eve_fraction=st.floats(min_value=0.0, max_value=1.0),
+        max_retransmissions=st.integers(min_value=0, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_only_completed_sessions_claim_secrecy(
+        self, fiber_km, eve_kind, eve_fraction, max_retransmissions, seed
+    ):
+        doc = ideal_scenario_dict(seed=seed, message_hex="c0ffee")
+        doc["devices"]["alice_fiber"]["length_km"] = fiber_km
+        doc["eve"] = {"kind": eve_kind, "fraction": eve_fraction}
+        doc["protocol"].update(
+            block_size=8, detection_size=200, min_samples=20,
+            max_retransmissions=max_retransmissions,
+        )
+        scenario = scenario_from_dict(doc)
+        report = cli.build_report(scenario, cli.run_session(scenario), None)
+        session = report["session"]
+        if session["status"] == "completed":
+            assert report["secrecy"] is not None
+        else:
+            assert (report["secrecy"], session["delivered_bits"], session["ber"]) == (None,) * 3
