@@ -112,7 +112,7 @@ def build_report(
             "itu_channels": plan.total_channels,
             "user_pairs": connectivity.total_user_pairs,
             "fully_connected": connectivity.is_fully_connected,
-            "document": json.loads(plan.to_document()),
+            "document": plan.to_dict(),
         },
         "transcript_path": transcript_path,
         "session": transcript.summary,
@@ -129,8 +129,9 @@ def report_to_json(report: dict) -> str:
         ("session", "delivered_bits"),
         ("session", "delivered_bits_hex"),
     )
-    text = protocol.dumps_spliced(report, spliced, sort_keys=True, indent=2, allow_nan=False)
-    return text + "\n"
+    return protocol.dumps_spliced(
+        report, spliced, end="\n", sort_keys=True, indent=2, allow_nan=False
+    )
 
 
 def fringe_study(

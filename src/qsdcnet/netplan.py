@@ -86,9 +86,9 @@ class WavelengthPlan:
     intra_links: dict[int, IntraLink]
     total_channels: int
 
-    def to_document(self) -> str:
-        """Stable structured-text export of the plan (JSON, fixed key order)."""
-        doc = {
+    def to_dict(self) -> dict:
+        """The plan as a JSON-ready document, keys in a fixed order."""
+        return {
             "subnets": self.subnets,
             "users_per_subnet": self.users_per_subnet,
             "grid_size": self.grid_size,
@@ -114,7 +114,10 @@ class WavelengthPlan:
                 for subnet, link in sorted(self.intra_links.items())
             ],
         }
-        return json.dumps(doc, indent=2) + "\n"
+
+    def to_document(self) -> str:
+        """Stable structured-text export of the plan (JSON, fixed key order)."""
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def channels_required(k: int, m: int) -> int:

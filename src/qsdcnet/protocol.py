@@ -73,18 +73,6 @@ class EveModel:
         if not 0.0 <= self.fraction <= 1.0:
             raise DomainError(f"fraction must be in [0, 1], got {self.fraction}")
 
-    @classmethod
-    def none(cls) -> "EveModel":
-        return cls(EveKind.NONE, 0.0)
-
-    @classmethod
-    def intercept_resend(cls, fraction: float) -> "EveModel":
-        return cls(EveKind.INTERCEPT_RESEND, fraction)
-
-    @classmethod
-    def tap(cls, fraction: float) -> "EveModel":
-        return cls(EveKind.TAP, fraction)
-
 
 @dataclass(frozen=True)
 class QberThresholdPolicy:
@@ -108,10 +96,10 @@ def _replaced(doc: dict, path, value) -> dict:
     return {**doc, key: _replaced(doc[key], rest, value) if rest else value}
 
 
-def dumps_spliced(doc: dict, paths, **options) -> str:
-    """``json.dumps(doc, **options)``, but the string at each key path is
-    written as '"' + s + '"' without escaping it: only for strings that json
-    writes unchanged, such as bits and hex digits. A path that holds no
+def dumps_spliced(doc: dict, paths, end: str = "", **options) -> str:
+    """``json.dumps(doc, **options) + end``, but the string at each key path
+    is written as '"' + s + '"' without escaping it: only for strings that
+    json writes unchanged, such as bits and hex digits. A path that holds no
     string is left to json; a splice mark in the rest of doc raises ValueError."""
     values = []
     for path in dict.fromkeys(paths):  # each path once
@@ -129,7 +117,7 @@ def dumps_spliced(doc: dict, paths, **options) -> str:
     for piece in pieces:
         index, rest = piece.split('"', 1)
         parts += ('"', values[int(index)], '"', rest)
-    return "".join(parts)
+    return "".join((*parts, end))  # the one copy of each big string
 
 
 @dataclass(frozen=True)
@@ -144,7 +132,7 @@ class TranscriptEvent:
         if self.event_kind != "session_complete":  # the one with strings to splice
             return json.dumps(doc) + "\n"
         spliced = (("payload", "delivered_bits"), ("payload", "delivered_bits_hex"))
-        return dumps_spliced(doc, spliced) + "\n"
+        return dumps_spliced(doc, spliced, end="\n")
 
 
 _BASIS_NAMES = ("Z", "X")
@@ -392,9 +380,10 @@ def _sample(table: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarra
     """Inverse-CDF sampling: per draw, the number of entries of its row of the
     cumulative table that the draw exceeds. Rows end at exactly 1.0, above
     every draw in [0, 1), so the last column is never compared."""
-    indices = np.zeros(draws.size, dtype=np.uint8)
     rows = rows.astype(np.intp, copy=False)  # once, not in each fancy index
-    for column in table[:, :-1].T:
+    first, *rest = table[:, :-1].T
+    indices = (draws > first[rows]).view(np.uint8)
+    for column in rest:
         indices += draws > column[rows]
     return indices
 
@@ -581,7 +570,7 @@ def _bit_values(bits: str) -> np.ndarray:
 def bits_to_hex(bits: str | np.ndarray) -> str:
     """Hex of a bitstring or of a 0/1 array, right-padded with zeros to whole nibbles."""
     values = _bit_values(bits) if isinstance(bits, str) else bits
-    if np.any(values > 1):
+    if (values > 1).any():
         raise ValueError(f"not a bitstring: {bits[:32]!r}")
     return np.packbits(values).tobytes().hex()[: -(-values.size // 4)]
 
@@ -633,7 +622,7 @@ def run_qsdc(
     if not message_bits:
         raise DomainError("message must be non-empty")
     bits = _bit_values(message_bits)
-    if np.any(bits > 1):
+    if (bits > 1).any():
         raise DomainError("message bits must contain only 0 and 1")
 
     session = Session(rng)
@@ -645,12 +634,13 @@ def run_qsdc(
     codes = bits[0::2] << 1
     codes[: bits.size // 2] |= bits[1::2]
     total_symbols = codes.size
-    # FIFO queue of symbol indices: pending, then the requeued arrays in the
-    # order they were erased, merged only when pending runs short of a block.
-    pending = np.arange(total_symbols)
+    # FIFO queue: the never-sent symbols [cursor, total_symbols), then the erased
+    # ones in erase order; requeued joins the backlog only when a block needs it.
+    cursor = 0
+    backlog = np.empty(0, dtype=np.intp)
     requeued: list[np.ndarray] = []
     attempts = np.zeros(total_symbols, dtype=int)
-    received = np.zeros(total_symbols, dtype=np.uint8)
+    received = np.empty(total_symbols, dtype=np.uint8)
 
     symbol_rate = min(devices.modulator.rate_hz, devices.sfg.max_rate_hz)
     detection_photons = 0
@@ -662,7 +652,7 @@ def run_qsdc(
     # Detection gates the first block and every redetect_every_blocks-th after it.
     blocks_since_check = config.redetect_every_blocks
 
-    while pending.size:
+    while cursor < total_symbols or backlog.size or requeued:
         if blocks_since_check >= config.redetect_every_blocks:
             session.transition(SessionPhase.SECURITY_DETECTION)
             start = session.time_s
@@ -680,23 +670,22 @@ def run_qsdc(
             if not result.passed:
                 break
             blocks_since_check = 0
-        # A copy, so that the last batch does not keep the first queue array alive.
-        batch, pending = pending[: config.block_size].copy(), pending[config.block_size :]
+        batch = np.arange(cursor, min(cursor + config.block_size, total_symbols))
+        cursor += batch.size
+        short = config.block_size - batch.size
+        if short:
+            if backlog.size < short:
+                backlog, requeued = np.concatenate((backlog, *requeued)), []
+            batch, backlog = np.concatenate((batch, backlog[:short])), backlog[short:]
         sent = codes[batch]
         delivered, decoded = transmit_and_decode_block(sent, link, rng)
+        # A delivered symbol is never sent again: this is its decode's last write.
+        received[batch] = decoded
         session.time_s += batch.size / symbol_rate
         transmissions += batch.size
         erased = batch[~delivered]
         erased_transmissions += erased.size
-        attempts[erased] += 1
-        # Erased symbols rejoin the back of the queue in slot order.
-        requeued.append(erased)
-        if pending.size < config.block_size:
-            pending = np.concatenate((pending, *requeued))
-            requeued.clear()
-        got = decoded[delivered]
-        received[batch[delivered]] = got
-        block_errors = int(np.count_nonzero(got != sent[delivered]))
+        block_errors = int(np.count_nonzero((decoded != sent) & delivered))
         symbol_errors += block_errors
         session.log(
             "block_sent",
@@ -707,9 +696,12 @@ def run_qsdc(
         )
         blocks_sent += 1
         blocks_since_check += 1
-        if erased.size and attempts[erased].max() > config.max_retransmissions:
-            session.transition(SessionPhase.ABORTED, reason="retransmission_cap")
-            break
+        if erased.size:
+            requeued.append(erased)  # behind every queued symbol, in slot order
+            attempts[erased] = tries = attempts[erased] + 1
+            if tries.max() > config.max_retransmissions:
+                session.transition(SessionPhase.ABORTED, reason="retransmission_cap")
+                break
     else:
         session.transition(SessionPhase.COMPLETED)
 
@@ -717,7 +709,9 @@ def run_qsdc(
     reason = session.abort_reason
     delivered_bits = delivered_hex = ber = None
     if completed:  # every symbol has arrived
-        got_bits = np.column_stack((received >> 1, received & 1)).ravel()[: bits.size]
+        got_bits = np.empty(2 * total_symbols, dtype=np.uint8)
+        got_bits[0::2], got_bits[1::2] = received >> 1, received & 1
+        got_bits = got_bits[: bits.size]
         delivered_bits = (got_bits + ord("0")).tobytes().decode()
         delivered_hex = bits_to_hex(got_bits)
         ber = int(np.count_nonzero(got_bits != bits)) / bits.size

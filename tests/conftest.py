@@ -14,6 +14,7 @@ from qsdcnet.photonics import (
     SfgSpec,
     SourceSpec,
 )
+from qsdcnet import protocol
 from qsdcnet.protocol import EveKind, EveModel
 from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams
 
@@ -360,6 +361,143 @@ def sample_oracle(table: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.
     time: per draw, the number of entries of its row that the draw exceeds.
     """
     return (draws[:, None] > table[rows]).sum(axis=1)
+
+
+def run_qsdc_oracle(
+    message_bits: str,
+    devices: Devices,
+    eve: protocol.EveModel,
+    policy: protocol.QberThresholdPolicy,
+    config: protocol.ProtocolConfig,
+    rng: np.random.Generator,
+) -> protocol.SessionTranscript:
+    """``protocol.run_qsdc`` with a whole-message index queue.
+
+    The reference for the session loop: a FIFO ``np.arange`` over every
+    symbol, the erased arrays merged behind it when it runs short of a
+    block, and per block a gather of the sent codes and a scatter of the
+    delivered decodes through the index array.
+    """
+    if not message_bits:
+        raise DomainError("message must be non-empty")
+    bits = protocol._bit_values(message_bits)
+    if np.any(bits > 1):
+        raise DomainError("message bits must contain only 0 and 1")
+
+    session = protocol.Session(rng)
+    session.log("session_start", message_length=len(message_bits))
+    link = protocol.Link(devices, eve)
+
+    # Message code i is the 2-bit value of bits 2i, 2i+1; an odd-length
+    # message is padded with one 0 bit, which the BER leaves out.
+    codes = bits[0::2] << 1
+    codes[: bits.size // 2] |= bits[1::2]
+    total_symbols = codes.size
+    # FIFO queue of symbol indices: pending, then the requeued arrays in the
+    # order they were erased, merged only when pending runs short of a block.
+    pending = np.arange(total_symbols)
+    requeued: list[np.ndarray] = []
+    attempts = np.zeros(total_symbols, dtype=int)
+    received = np.zeros(total_symbols, dtype=np.uint8)
+
+    symbol_rate = min(devices.modulator.rate_hz, devices.sfg.max_rate_hz)
+    detection_photons = 0
+    detection_time_total = 0.0
+    transmissions = 0
+    erased_transmissions = 0
+    symbol_errors = 0
+    blocks_sent = 0
+    # Detection gates the first block and every redetect_every_blocks-th after it.
+    blocks_since_check = config.redetect_every_blocks
+
+    while pending.size:
+        if blocks_since_check >= config.redetect_every_blocks:
+            session.transition(protocol.SessionPhase.SECURITY_DETECTION)
+            start = session.time_s
+            result = protocol.run_security_detection(
+                session,
+                link,
+                policy,
+                rng,
+                num_photons=config.detection_size,
+                decrease_factor=config.photon_decrease_factor,
+                tdm_slot_s=config.tdm_slot_s,
+            )
+            detection_photons += result.photons_sent
+            detection_time_total += session.time_s - start
+            if not result.passed:
+                break
+            blocks_since_check = 0
+        # A copy, so that the last batch does not keep the first queue array alive.
+        batch, pending = pending[: config.block_size].copy(), pending[config.block_size :]
+        sent = codes[batch]
+        delivered, decoded = protocol.transmit_and_decode_block(sent, link, rng)
+        session.time_s += batch.size / symbol_rate
+        transmissions += batch.size
+        erased = batch[~delivered]
+        erased_transmissions += erased.size
+        attempts[erased] += 1
+        # Erased symbols rejoin the back of the queue in slot order.
+        requeued.append(erased)
+        if pending.size < config.block_size:
+            pending = np.concatenate((pending, *requeued))
+            requeued.clear()
+        got = decoded[delivered]
+        received[batch[delivered]] = got
+        block_errors = int(np.count_nonzero(got != sent[delivered]))
+        symbol_errors += block_errors
+        session.log(
+            "block_sent",
+            block_index=blocks_sent,
+            erasures=erased.size,
+            pairs=batch.size,
+            symbol_errors=block_errors,
+        )
+        blocks_sent += 1
+        blocks_since_check += 1
+        if erased.size and attempts[erased].max() > config.max_retransmissions:
+            session.transition(protocol.SessionPhase.ABORTED, reason="retransmission_cap")
+            break
+    else:
+        session.transition(protocol.SessionPhase.COMPLETED)
+
+    completed = session.phase is protocol.SessionPhase.COMPLETED
+    reason = session.abort_reason
+    delivered_bits = delivered_hex = ber = None
+    if completed:  # every symbol has arrived
+        got_bits = np.column_stack((received >> 1, received & 1)).ravel()[: bits.size]
+        delivered_bits = (got_bits + ord("0")).tobytes().decode()
+        delivered_hex = protocol.bits_to_hex(got_bits)
+        ber = int(np.count_nonzero(got_bits != bits)) / bits.size
+    erasure_fraction = erased_transmissions / transmissions if transmissions else 0.0
+    block_time = transmissions / symbol_rate
+    total_time = detection_time_total + block_time
+    overhead_fraction = detection_time_total / total_time if total_time else 0.0
+    # A completed session has no symbol over the cap.
+    truncated = [] if completed else np.flatnonzero(attempts > config.max_retransmissions).tolist()
+    summary = {  # keys in sorted order, as the transcript writes them
+        "abort_reason": reason,
+        "ber": ber,
+        "blocks_sent": blocks_sent,
+        "delivered_bits": delivered_bits,
+        "delivered_bits_hex": delivered_hex,
+        "detection_photons_sent": detection_photons,
+        "elapsed_s": session.time_s,
+        "erased_transmissions": erased_transmissions,
+        "erasure_fraction": erasure_fraction,
+        "message_length": len(message_bits),
+        "overhead_fraction": overhead_fraction,
+        "status": session.phase.value,
+        "symbol_errors": symbol_errors,
+        "transmissions": transmissions,
+        "truncated_symbols": truncated,
+    }
+    session.transcript.summary = summary
+    if completed:
+        session.log("session_complete", **{k: v for k, v in summary.items() if k != "status"})
+    else:
+        session.log("session_abort", reason=reason)
+    return session.transcript
 
 
 def make_devices(

@@ -19,6 +19,7 @@ import pytest
 from qsdcnet import analysis, cli, netplan, qstate
 from qsdcnet.photonics import SfgSpec
 from qsdcnet.protocol import (
+    EveKind,
     EveModel,
     Link,
     ProtocolConfig,
@@ -170,7 +171,7 @@ def test_criterion_06_eavesdropper_detection():
         session = Session(np.random.default_rng(601))
         session.transition(SessionPhase.SECURITY_DETECTION)
         full = run_security_detection(
-            session, Link(devices, EveModel.intercept_resend(1.0)), default_policy,
+            session, Link(devices, EveModel(EveKind.INTERCEPT_RESEND, 1.0)), default_policy,
             num_photons=12000,
         )
         assert full.photons_detected >= 10_000
@@ -180,7 +181,7 @@ def test_criterion_06_eavesdropper_detection():
         session = Session(np.random.default_rng(602))
         session.transition(SessionPhase.SECURITY_DETECTION)
         partial = run_security_detection(
-            session, Link(devices, EveModel.intercept_resend(0.2)), default_policy,
+            session, Link(devices, EveModel(EveKind.INTERCEPT_RESEND, 0.2)), default_policy,
             num_photons=12000,
         )
         assert partial.photons_detected >= 10_000
@@ -198,7 +199,7 @@ def test_criterion_07_end_to_end_correctness():
             for value in range(2**length):
                 message = format(value, f"0{length}b")
                 transcript = run_qsdc(
-                    message, devices, EveModel.none(), policy, config,
+                    message, devices, EveModel(EveKind.NONE, 0.0), policy, config,
                     np.random.default_rng((length << 20) | value),
                 )
                 assert transcript.ber == 0.0

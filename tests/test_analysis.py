@@ -18,6 +18,7 @@ from qsdcnet.analysis import (
 )
 from qsdcnet.errors import DomainError, InsufficientData
 from qsdcnet.protocol import (
+    EveKind,
     EveModel,
     Link,
     QberThresholdPolicy,
@@ -145,7 +146,7 @@ class TestQberEstimation:
         session.transition(SessionPhase.SECURITY_DETECTION)
         result = run_security_detection(
             session,
-            Link(make_devices(), EveModel.intercept_resend(1.0)),
+            Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 1.0)),
             QberThresholdPolicy(0.49, 500),
             num_photons=20000,
         )

@@ -258,3 +258,9 @@ class TestPlanProperties:
         assert len(doc["inter_subnet_links"]) == 10
         assert len(doc["intra_subnet_links"]) == 5
         assert doc["intra_subnet_links"][0]["signal"] == "CH27"
+
+    @pytest.mark.parametrize("k, m, grid", [(5, 3, 15), (1, 1, 15), (3, 12, 15), (6, 2, 40)])
+    def test_dict_is_the_document_parsed(self, k, m, grid):
+        # report.json embeds to_dict() where it once embedded the parsed document.
+        plan = build_plan(k, m, grid)
+        assert plan.to_dict() == json.loads(plan.to_document())

@@ -41,6 +41,7 @@ from conftest import (
     hex_to_bits_oracle,
     make_devices,
     qber_from_transcript,
+    run_qsdc_oracle,
     sample_oracle,
     sfg_bsm,
 )
@@ -105,7 +106,7 @@ class TestSecurityDetection:
         session = detection_session(1)
         result = run_security_detection(
             session,
-            Link(make_devices(), EveModel.none()),
+            Link(make_devices(), EveModel(EveKind.NONE, 0.0)),
             QberThresholdPolicy(0.1, 500),
             num_photons=2000,
         )
@@ -117,7 +118,7 @@ class TestSecurityDetection:
         session = detection_session(2)
         result = run_security_detection(
             session,
-            Link(make_devices(), EveModel.intercept_resend(1.0)),
+            Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 1.0)),
             QberThresholdPolicy(0.1, 500),
             num_photons=20000,
         )
@@ -130,7 +131,7 @@ class TestSecurityDetection:
         session = detection_session(3)
         result = run_security_detection(
             session,
-            Link(make_devices(), EveModel.intercept_resend(0.2)),
+            Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 0.2)),
             QberThresholdPolicy(0.49, 500),
             num_photons=20000,
         )
@@ -141,7 +142,7 @@ class TestSecurityDetection:
         session = detection_session(int(fraction * 100))
         result = run_security_detection(
             session,
-            Link(make_devices(), EveModel.intercept_resend(fraction)),
+            Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, fraction)),
             QberThresholdPolicy(0.49, 500),
             num_photons=40000,
         )
@@ -153,7 +154,7 @@ class TestSecurityDetection:
         session = detection_session(4)
         result = run_security_detection(
             session,
-            Link(make_devices(), EveModel.tap(0.8)),
+            Link(make_devices(), EveModel(EveKind.TAP, 0.8)),
             QberThresholdPolicy(0.1, 500),
             num_photons=20000,
         )
@@ -165,7 +166,7 @@ class TestSecurityDetection:
         session = detection_session(5)
         result = run_security_detection(
             session,
-            Link(make_devices(), EveModel.tap(0.2)),
+            Link(make_devices(), EveModel(EveKind.TAP, 0.2)),
             QberThresholdPolicy(0.1, 500),
             num_photons=20000,
             decrease_factor=0.5,
@@ -176,7 +177,7 @@ class TestSecurityDetection:
         session = detection_session(6)
         result = run_security_detection(
             session,
-            Link(make_devices(fiber_km=40.0), EveModel.none()),
+            Link(make_devices(fiber_km=40.0), EveModel(EveKind.NONE, 0.0)),
             QberThresholdPolicy(0.1, 500),
             num_photons=600,
         )
@@ -188,7 +189,7 @@ class TestSecurityDetection:
         session = detection_session(7)
         result = run_security_detection(
             session,
-            Link(make_devices(noise=NoiseParams(depolarizing_p=p)), EveModel.none()),
+            Link(make_devices(noise=NoiseParams(depolarizing_p=p)), EveModel(EveKind.NONE, 0.0)),
             QberThresholdPolicy(0.2, 500),
             num_photons=40000,
         )
@@ -199,7 +200,7 @@ class TestSecurityDetection:
         with pytest.raises(InvariantViolation):
             run_security_detection(
                 session,
-                Link(make_devices(), EveModel.none()),
+                Link(make_devices(), EveModel(EveKind.NONE, 0.0)),
                 QberThresholdPolicy(0.1, 1),
                 num_photons=10,
             )
@@ -212,7 +213,7 @@ class TestEncodeBlock:
         # character other than 0 and 1 does not.
         for message in ("0a", "2", "01 10", "0b01", "\u0661", "0\ud800"):
             with pytest.raises(DomainError):
-                run_qsdc(message, make_devices(), EveModel.none(), FAST_POLICY,
+                run_qsdc(message, make_devices(), EveModel(EveKind.NONE, 0.0), FAST_POLICY,
                          FAST_CONFIG, np.random.default_rng(0))
 
 
@@ -221,7 +222,7 @@ class TestTransmitAndDecode:
         rng = np.random.default_rng(11)
         codes = np.array([0, 3, 2, 1, 3, 1, 0, 2], dtype=np.uint8)  # 0011100111010010
         delivered, decoded = transmit_and_decode_block(
-            codes, Link(make_devices(), EveModel.none()), rng
+            codes, Link(make_devices(), EveModel(EveKind.NONE, 0.0)), rng
         )
         assert delivered.all()
         np.testing.assert_array_equal(decoded, codes)
@@ -230,7 +231,7 @@ class TestTransmitAndDecode:
         rng = np.random.default_rng(12)
         codes = np.full(50, 1, dtype=np.uint8)
         delivered, _ = transmit_and_decode_block(
-            codes, Link(make_devices(conversion=0.0), EveModel.none()), rng
+            codes, Link(make_devices(conversion=0.0), EveModel(EveKind.NONE, 0.0)), rng
         )
         assert not delivered.any()
 
@@ -242,7 +243,9 @@ class TestTransmitAndDecode:
         n = 100_000
         codes = rng.integers(0, 4, n).astype(np.uint8)
         delivered, decoded = transmit_and_decode_block(
-            codes, Link(make_devices(noise=NoiseParams(depolarizing_p=p)), EveModel.none()), rng
+            codes,
+            Link(make_devices(noise=NoiseParams(depolarizing_p=p)), EveModel(EveKind.NONE, 0.0)),
+            rng,
         )
         assert delivered.all()
         errors = np.count_nonzero(decoded != codes)
@@ -256,7 +259,7 @@ class TestTransmitAndDecode:
         n = 40_000
         codes = np.full(n, 1, dtype=np.uint8)  # every pair encodes sigma_z
         delivered, decoded = transmit_and_decode_block(
-            codes, Link(devices, EveModel.none()), np.random.default_rng(14)
+            codes, Link(devices, EveModel(EveKind.NONE, 0.0)), np.random.default_rng(14)
         )
         assert delivered.all()
         block_freq = {
@@ -279,7 +282,8 @@ class TestTransmitAndDecode:
         n = 50_000
         devices = make_devices(fiber_km=10.0, attenuation=1.0)  # eta = 0.1 per arm
         codes = np.zeros(n, dtype=np.uint8)
-        delivered, _ = transmit_and_decode_block(codes, Link(devices, EveModel.none()), rng)
+        link = Link(devices, EveModel(EveKind.NONE, 0.0))
+        delivered, _ = transmit_and_decode_block(codes, link, rng)
         erased = np.count_nonzero(~delivered) / n
         expected = 1 - 0.1 * 0.1
         se = np.sqrt(expected * (1 - expected) / n)
@@ -301,7 +305,8 @@ class TestTransmitAndDecode:
         np.testing.assert_array_equal(joined.random(first + second), parts)
         assert joined.bit_generator.state == split.bit_generator.state
         # The first half decides delivery, the second half the decoded state.
-        link = Link(make_devices(conversion=0.5, noise=NoiseParams(0.3)), EveModel.none())
+        devices = make_devices(conversion=0.5, noise=NoiseParams(0.3))
+        link = Link(devices, EveModel(EveKind.NONE, 0.0))
         codes = np.random.default_rng(seed).integers(0, 4, first).astype(np.uint8)
         delivered, decoded = transmit_and_decode_block(
             codes, link, np.random.default_rng([seed, stream])
@@ -343,7 +348,7 @@ class TestRunQsdc:
         rng = np.random.default_rng(20)
         message = "".join(rng.choice(list("01"), 1000))
         transcript = run_qsdc(
-            message, make_devices(), EveModel.none(), FAST_POLICY, FAST_CONFIG,
+            message, make_devices(), EveModel(EveKind.NONE, 0.0), FAST_POLICY, FAST_CONFIG,
             np.random.default_rng(21),
         )
         assert transcript.completed
@@ -352,7 +357,7 @@ class TestRunQsdc:
 
     def test_odd_length_message_round_trips(self):
         transcript = run_qsdc(
-            "10101", make_devices(), EveModel.none(), FAST_POLICY, FAST_CONFIG,
+            "10101", make_devices(), EveModel(EveKind.NONE, 0.0), FAST_POLICY, FAST_CONFIG,
             np.random.default_rng(22),
         )
         assert transcript.delivered_bits == "10101"
@@ -362,7 +367,7 @@ class TestRunQsdc:
         policy = QberThresholdPolicy(threshold=0.1, min_samples=500)
         config = ProtocolConfig(block_size=512, detection_size=12000)
         transcript = run_qsdc(
-            message, make_devices(), EveModel.intercept_resend(1.0), policy, config,
+            message, make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 1.0), policy, config,
             np.random.default_rng(23),
         )
         assert transcript.aborted
@@ -376,7 +381,7 @@ class TestRunQsdc:
     def test_erasures_are_retransmitted_to_completion(self):
         message = "0110" * 100
         transcript = run_qsdc(
-            message, make_devices(conversion=0.5), EveModel.none(), FAST_POLICY,
+            message, make_devices(conversion=0.5), EveModel(EveKind.NONE, 0.0), FAST_POLICY,
             FAST_CONFIG, np.random.default_rng(24),
         )
         assert transcript.completed
@@ -390,7 +395,7 @@ class TestRunQsdc:
             max_retransmissions=3,
         )
         transcript = run_qsdc(
-            "11" * 8, make_devices(conversion=0.0), EveModel.none(), FAST_POLICY,
+            "11" * 8, make_devices(conversion=0.0), EveModel(EveKind.NONE, 0.0), FAST_POLICY,
             config, np.random.default_rng(25),
         )
         assert transcript.aborted
@@ -412,7 +417,7 @@ class TestRunQsdc:
             max_retransmissions=10,
         )
         transcript = run_qsdc(
-            "01" * 40, make_devices(), EveModel.none(), FAST_POLICY, config,
+            "01" * 40, make_devices(), EveModel(EveKind.NONE, 0.0), FAST_POLICY, config,
             np.random.default_rng(26),
         )
         detections = sum(1 for e in transcript.events if e.event_kind == "detection_result")
@@ -422,7 +427,7 @@ class TestRunQsdc:
     def test_transcript_is_pure_function_of_seed(self):
         def run(seed):
             return run_qsdc(
-                "0011" * 60, make_devices(conversion=0.8), EveModel.none(),
+                "0011" * 60, make_devices(conversion=0.8), EveModel(EveKind.NONE, 0.0),
                 FAST_POLICY, FAST_CONFIG, np.random.default_rng(seed),
             ).to_jsonl()
 
@@ -431,7 +436,7 @@ class TestRunQsdc:
 
     def test_transcript_schema(self):
         transcript = run_qsdc(
-            "0101", make_devices(), EveModel.none(), FAST_POLICY, FAST_CONFIG,
+            "0101", make_devices(), EveModel(EveKind.NONE, 0.0), FAST_POLICY, FAST_CONFIG,
             np.random.default_rng(27),
         )
         for line in transcript.to_jsonl().splitlines():
@@ -448,7 +453,7 @@ class TestRunQsdc:
             for value in range(2**length):
                 message = format(value, f"0{length}b")
                 transcript = run_qsdc(
-                    message, devices, EveModel.none(), policy, config,
+                    message, devices, EveModel(EveKind.NONE, 0.0), policy, config,
                     np.random.default_rng(value),
                 )
                 assert transcript.delivered_bits == message
@@ -456,8 +461,50 @@ class TestRunQsdc:
 
     def test_empty_message_rejected(self):
         with pytest.raises(DomainError):
-            run_qsdc("", make_devices(), EveModel.none(), FAST_POLICY, FAST_CONFIG,
+            run_qsdc("", make_devices(), EveModel(EveKind.NONE, 0.0), FAST_POLICY, FAST_CONFIG,
                      np.random.default_rng(0))
+
+
+class TestSessionLoopOracle:
+    """run_qsdc's block-sized queue against ``conftest.run_qsdc_oracle``,
+    which queues, gathers and scatters through a whole-message index array."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        message=st.text("01", min_size=1, max_size=300),
+        block_size=st.integers(min_value=1, max_value=64),
+        detection_size=st.integers(min_value=1, max_value=64),
+        fiber_km=st.floats(min_value=0.0, max_value=40.0),
+        conversion=st.sampled_from([0.5, 0.9, 1.0]),
+        depolarizing_p=st.floats(min_value=0.0, max_value=0.3),
+        max_retransmissions=st.integers(min_value=0, max_value=3),
+        redetect_every_blocks=st.integers(min_value=1, max_value=3),
+        eve_kind=st.sampled_from(list(EveKind)),
+        eve_fraction=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_whole_message_queue(
+        self, message, block_size, detection_size, fiber_km, conversion, depolarizing_p,
+        max_retransmissions, redetect_every_blocks, eve_kind, eve_fraction, seed,
+    ):
+        arguments = (
+            message,
+            make_devices(
+                fiber_km=fiber_km, conversion=conversion,
+                noise=NoiseParams(depolarizing_p=depolarizing_p),
+            ),
+            EveModel(eve_kind, eve_fraction),
+            QberThresholdPolicy(threshold=0.45, min_samples=1),
+            ProtocolConfig(
+                block_size=block_size, detection_size=detection_size,
+                redetect_every_blocks=redetect_every_blocks,
+                max_retransmissions=max_retransmissions,
+            ),
+        )
+        got = run_qsdc(*arguments, np.random.default_rng(seed))
+        expected = run_qsdc_oracle(*arguments, np.random.default_rng(seed))
+        assert got.to_jsonl() == expected.to_jsonl()
+        assert got.summary == expected.summary
 
 
 class TestBitstringHelpers:
@@ -510,7 +557,11 @@ class TestSampler:
         for noise, eve in product(
             (NoiseParams(), NoiseParams(depolarizing_p=0.27),
              NoiseParams(0.1, 0.05, 0.3)),
-            (EveModel.none(), EveModel.intercept_resend(0.75), EveModel.tap(0.5)),
+            (
+                EveModel(EveKind.NONE, 0.0),
+                EveModel(EveKind.INTERCEPT_RESEND, 0.75),
+                EveModel(EveKind.TAP, 0.5),
+            ),
         ):
             encoding = _encoding_cumulative(noise, eve)
             detection = _detection_branch_cumulative(noise).reshape(6, 4)
@@ -599,9 +650,9 @@ class TestTranscriptFormatting:
         self, rate_hz, detection_size, eve_kind, eve_fraction, fiber_km, message_bits, seed
     ):
         eve = {
-            "none": EveModel.none(),
-            "intercept_resend": EveModel.intercept_resend(eve_fraction),
-            "tap": EveModel.tap(eve_fraction),
+            "none": EveModel(EveKind.NONE, 0.0),
+            "intercept_resend": EveModel(EveKind.INTERCEPT_RESEND, eve_fraction),
+            "tap": EveModel(EveKind.TAP, eve_fraction),
         }[eve_kind]
         rng = np.random.default_rng(seed)
         message = "".join(map(str, rng.integers(0, 2, message_bits)))
@@ -757,6 +808,8 @@ class TestSplicedJson:
                 put(doc, path, data.draw(spliceable))
         for style in DUMP_STYLES:
             assert dumps_spliced(doc, paths, **style) == json.dumps(doc, **style)
+            end = data.draw(st.sampled_from(["\n", '"', "\u0000splice 0"]))
+            assert dumps_spliced(doc, paths, end, **style) == json.dumps(doc, **style) + end
 
     @settings(max_examples=300, deadline=None)
     @given(
