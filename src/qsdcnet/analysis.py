@@ -103,25 +103,23 @@ def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple
     Beta quantile with a unit shape parameter); interior counts use the
     inverse regularized incomplete beta function.
     """
-    # Imported here: scipy.special loads in a fraction of scipy.stats' time,
-    # and only sessions with detection records need it.
-    from scipy.special import betaincinv
-
     if trials < 1:
         raise InsufficientData("Clopper-Pearson interval needs at least one trial")
+    if not 0 <= errors <= trials:
+        raise DomainError(f"errors must be in [0, {trials}], got {errors}")
+    if not 0.0 < confidence < 1.0:
+        raise DomainError(f"confidence must be in (0, 1), got {confidence}")
     alpha = 1.0 - confidence
     if errors == 0:
-        low = 0.0
-    elif errors == trials:
-        low = (alpha / 2.0) ** (1.0 / trials)
-    else:
-        low = float(betaincinv(errors, trials - errors + 1, alpha / 2.0))
+        return 0.0, 1.0 - (alpha / 2.0) ** (1.0 / trials)
     if errors == trials:
-        high = 1.0
-    elif errors == 0:
-        high = 1.0 - (alpha / 2.0) ** (1.0 / trials)
-    else:
-        high = float(betaincinv(errors + 1, trials - errors, 1.0 - alpha / 2.0))
+        return (alpha / 2.0) ** (1.0 / trials), 1.0
+    # Imported here, so that an error-free run never loads scipy: scipy.special
+    # costs more CPU time at start-up than all of numpy and qsdcnet together.
+    from scipy.special import betaincinv
+
+    low = float(betaincinv(errors, trials - errors + 1, alpha / 2.0))
+    high = float(betaincinv(errors + 1, trials - errors, 1.0 - alpha / 2.0))
     return low, high
 
 

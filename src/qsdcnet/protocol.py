@@ -96,17 +96,28 @@ def _replaced(doc: dict, path, value) -> dict:
     return {**doc, key: _replaced(doc[key], rest, value) if rest else value}
 
 
+def _json_verbatim(value: str) -> bool:
+    """Whether json writes the string as '"' + value + '"', escaping nothing:
+    printable ASCII without quote or backslash."""
+    if not value.isascii() or '"' in value or "\\" in value:
+        return False
+    if len(value) < 1024:  # below this, one str scan beats numpy's call overhead
+        return value.isprintable()
+    codes = np.frombuffer(value.encode(), dtype=np.uint8)
+    return codes.min() >= 0x20 and codes.max() < 0x7F
+
+
 def dumps_spliced(doc: dict, paths, end: str = "", **options) -> str:
     """``json.dumps(doc, **options) + end``, but the string at each key path
-    is written as '"' + s + '"' without escaping it: only for strings that
-    json writes unchanged, such as bits and hex digits. A path that holds no
-    string is left to json; a splice mark in the rest of doc raises ValueError."""
+    is written as '"' + s + '"' without escaping it, such as bits and hex
+    digits. A path that holds no string, or a string that json would escape,
+    is left to json; a splice mark in the rest of doc raises ValueError."""
     values = []
     for path in dict.fromkeys(paths):  # each path once
         value = doc
         for key in path:
             value = value.get(key) if isinstance(value, dict) else None
-        if isinstance(value, str):
+        if isinstance(value, str) and _json_verbatim(value):
             doc = _replaced(doc, path, _SPLICE_MARK % len(values))
             values.append(value)
     text = json.dumps(doc, **options)
@@ -670,20 +681,24 @@ def run_qsdc(
             if not result.passed:
                 break
             blocks_since_check = 0
-        batch = np.arange(cursor, min(cursor + config.block_size, total_symbols))
-        cursor += batch.size
-        short = config.block_size - batch.size
+        # Never-sent symbols are one contiguous range, read and written as a
+        # slice; only a block that takes erased symbols needs an index array.
+        start, cursor = cursor, min(cursor + config.block_size, total_symbols)
+        batch = slice(start, cursor)
+        short = config.block_size - (cursor - start)
         if short:
             if backlog.size < short:
                 backlog, requeued = np.concatenate((backlog, *requeued)), []
-            batch, backlog = np.concatenate((batch, backlog[:short])), backlog[short:]
+            batch = np.concatenate((np.arange(start, cursor), backlog[:short]))
+            backlog = backlog[short:]
         sent = codes[batch]
         delivered, decoded = transmit_and_decode_block(sent, link, rng)
         # A delivered symbol is never sent again: this is its decode's last write.
         received[batch] = decoded
-        session.time_s += batch.size / symbol_rate
-        transmissions += batch.size
-        erased = batch[~delivered]
+        session.time_s += sent.size / symbol_rate
+        transmissions += sent.size
+        lost = ~delivered
+        erased = batch[lost] if short else lost.nonzero()[0] + start
         erased_transmissions += erased.size
         block_errors = int(np.count_nonzero((decoded != sent) & delivered))
         symbol_errors += block_errors
@@ -691,7 +706,7 @@ def run_qsdc(
             "block_sent",
             block_index=blocks_sent,
             erasures=erased.size,
-            pairs=batch.size,
+            pairs=sent.size,
             symbol_errors=block_errors,
         )
         blocks_sent += 1

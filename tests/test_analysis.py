@@ -1,3 +1,4 @@
+import sys
 from dataclasses import asdict
 from decimal import Decimal, getcontext
 
@@ -18,6 +19,7 @@ from qsdcnet.analysis import (
 )
 from qsdcnet.errors import DomainError, InsufficientData
 from qsdcnet.protocol import (
+    MAX_DETECTION_SIZE,
     EveKind,
     EveModel,
     Link,
@@ -177,6 +179,59 @@ class TestQberEstimation:
     def test_clopper_pearson_interior_matches_endpoints_continuously(self):
         low_a, high_a = clopper_pearson(1, 1000)
         assert 0.0 < low_a < 1e-3 < high_a < 1e-2
+
+
+@st.composite
+def counts_and_trials(draw):
+    """(k, n) with n up to a detection round's ceiling, the endpoints k = 0 and
+    k = n drawn as often as an interior count."""
+    n = draw(st.integers(1, MAX_DETECTION_SIZE))
+    k = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+    return k, n
+
+
+class TestClopperPearson:
+    @settings(max_examples=300, deadline=None)
+    @given(counts_and_trials())
+    def test_interval_holds_the_estimate_and_rises_with_k(self, case):
+        k, n = case
+        low, high = clopper_pearson(k, n)
+        assert 0.0 <= low <= k / n <= high <= 1.0
+        if k < n:
+            next_low, next_high = clopper_pearson(k + 1, n)
+            assert low <= next_low and high <= next_high
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, MAX_DETECTION_SIZE))
+    def test_closed_forms_are_the_beta_quantiles(self, n):
+        from scipy.special import betaincinv
+
+        none_low, none_high = clopper_pearson(0, n)
+        all_low, all_high = clopper_pearson(n, n)
+        assert none_low == 0.0 and all_high == 1.0
+        assert none_high == pytest.approx(betaincinv(1, n, 0.975), rel=1e-10)
+        assert all_low == pytest.approx(betaincinv(n, 1, 0.025), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "errors, trials, confidence",
+        [
+            (5, 3, 0.95),
+            (-1, 3, 0.95),
+            (0, 10, 1.2),
+            (0, 10, 1.0),
+            (0, 10, 0.0),
+            (3, 10, -0.5),
+            (3, 10, float("nan")),
+        ],
+    )
+    def test_out_of_range_rejected(self, monkeypatch, errors, trials, confidence):
+        monkeypatch.setitem(sys.modules, "scipy.special", None)  # its import now raises
+        with pytest.raises(DomainError):
+            clopper_pearson(errors, trials, confidence)
+
+    def test_no_trials_is_insufficient_data(self):
+        with pytest.raises(InsufficientData):
+            clopper_pearson(0, 0)
 
 
 class TestFidelityFromVisibility:

@@ -847,3 +847,12 @@ class TestSplicedJson:
         paths = [("session", "delivered_bits"), ("session", "delivered_bits_hex"), ("x", "y")]
         for style in DUMP_STYLES:
             assert dumps_spliced(doc, paths, **style) == json.dumps(doc, **style)
+
+    @pytest.mark.parametrize("length", [1, 1023, 1024, 5000])
+    @pytest.mark.parametrize("odd", ["\x00", "\x1f", "\x7f", '"', "\\", "\u00e9", "\n"])
+    def test_strings_json_would_escape_are_left_to_json(self, length, odd):
+        for at in (0, length // 2, length):
+            doc = {"bits": "01" * (length // 2) + "1" * (length % 2), "hex": "a5"}
+            doc["bits"] = doc["bits"][:at] + odd + doc["bits"][at:]
+            for style in DUMP_STYLES:
+                assert dumps_spliced(doc, [("bits",), ("hex",)], **style) == json.dumps(doc, **style)

@@ -1,6 +1,11 @@
 import csv
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -638,3 +643,62 @@ class TestReportContents:
             assert report["secrecy"] is not None
         else:
             assert (report["secrecy"], session["delivered_bits"], session["ber"]) == (None,) * 3
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs cli.main(argv) with stdout swallowed, then prints [exit code, whether
+# scipy was imported] on its last line.
+_COLD_START_CHILD = """
+import contextlib, io, json, sys
+from qsdcnet import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, "scipy" in sys.modules]))
+"""
+
+# report.json of the intercept-resend run below (interior QBER counts), as
+# written before scipy's import moved into the interior branch.
+INTERCEPT_RESEND_REPORT_SHA256 = "45992d320d5d872a141c2cc863985d6091d680c373c5cb0fadbfb844531b4ec6"
+
+
+def run_in_fresh_interpreter(argv):
+    """cli.main(argv) in a new interpreter, so that no import made by the test
+    process can hide one made by the command: (exit code, scipy loaded)."""
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START_CHILD, json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, scipy_loaded = json.loads(done.stdout.splitlines()[-1])
+    return code, scipy_loaded
+
+
+class TestColdStart:
+    """Only a Clopper-Pearson interval with 0 < errors < trials needs scipy."""
+
+    @pytest.mark.parametrize("command", ["plan", "fringe_40km", "run_ideal", "run_40km"])
+    def test_error_free_command_never_loads_scipy(self, tmp_path, command):
+        out = str(tmp_path / "out")
+        forty_km = write_scenario(tmp_path, forty_km_scenario_dict(), "forty_km.json")
+        argv = {
+            "plan": ["plan", "--subnets", "5", "--users-per-subnet", "3"],
+            "fringe_40km": ["fringe", "--scenario", forty_km, "--out", out],
+            "run_ideal": ["run", "--scenario", write_scenario(tmp_path, ideal_scenario_dict()),
+                          "--out", out],
+            "run_40km": ["run", "--scenario", forty_km, "--out", out],
+        }[command]
+        assert run_in_fresh_interpreter(argv) == (cli.EXIT_OK, False)
+
+    def test_run_with_errors_loads_scipy_and_writes_the_same_report(self, tmp_path):
+        doc = ideal_scenario_dict()
+        doc["eve"] = {"kind": "intercept_resend", "fraction": 0.3}
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", write_scenario(tmp_path, doc), "--out", str(out)]
+        assert run_in_fresh_interpreter(argv) == (cli.EXIT_OK, True)
+        report = json.loads((out / "report.json").read_text())
+        assert 0 < report["qber"]["e"] < 1
+        digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+        assert digest == INTERCEPT_RESEND_REPORT_SHA256
