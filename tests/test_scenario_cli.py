@@ -672,8 +672,7 @@ def run_in_fresh_interpreter(argv):
         text=True,
         check=True,
     )
-    code, scipy_loaded = json.loads(done.stdout.splitlines()[-1])
-    return code, scipy_loaded
+    return tuple(json.loads(done.stdout.splitlines()[-1]))
 
 
 class TestColdStart:
