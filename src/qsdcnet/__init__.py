@@ -45,6 +45,7 @@ from .protocol import (
     EveKind,
     EveModel,
     Link,
+    MessageCodes,
     ProtocolConfig,
     QberThresholdPolicy,
     Session,

@@ -39,8 +39,18 @@ MAX_SHOTS_PER_PHASE = 10**12
 _BELL_CHOICES = {label.name.lower(): label for label in qstate.BellLabel}
 
 
-def _default_out_dir(args_out: str | None) -> str:
-    return args_out or os.environ.get(OUT_DIR_ENV) or "."
+def _out_dir(args) -> str:
+    """The output directory, checked before anything is simulated: a path
+    that is, or lies under, anything but a directory fails the command with
+    nothing written. The directory is made when the outputs are written."""
+    out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "."
+    path = os.path.abspath(out_dir)
+    while not os.path.isdir(path):  # the root is a directory
+        if os.path.lexists(path):
+            label = "--out" if args.out else f"${OUT_DIR_ENV}"
+            raise DomainError(f"{label} {out_dir}: not a directory")
+        path = os.path.dirname(path)
+    return out_dir
 
 
 def run_session(scenario: Scenario) -> protocol.SessionTranscript:
@@ -229,13 +239,13 @@ def _load(args) -> Scenario:
 
 def cmd_run(args) -> int:
     scenario = _load(args)
+    out_dir = _out_dir(args)
     started = time.monotonic()
     try:
         transcript = run_session(scenario)
     except CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    out_dir = _default_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     transcript_path = os.path.join(out_dir, "transcript.jsonl")
     with open(transcript_path, "w") as handle:
@@ -295,6 +305,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: --values must be a comma-separated list of numbers: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    out_dir = _out_dir(args)
     base_seed = scenario.seed
     doc = scenario.to_dict()
     section = args.param.split(".")[0]
@@ -324,7 +335,6 @@ def cmd_sweep(args) -> int:
                 "ber": transcript.ber if transcript.ber is not None else "",
             }
         )
-    out_dir = _default_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     text = _write_rows(os.path.join(out_dir, "sweep.csv"), rows, _SWEEP_FIELDS, "csv")
     # As a text-mode read of the file would give it.
@@ -343,11 +353,11 @@ def cmd_fringe(args) -> int:
         if not 1 <= value <= ceiling:
             raise DomainError(f"{flag} must be in [1, {ceiling}], got {value}")
     scenario = _load(args)
+    out_dir = _out_dir(args)
     label = _BELL_CHOICES[args.bell_state]
     study = fringe_study(
         scenario, label, phases=args.phases, shots_per_phase=args.shots_per_phase
     )
-    out_dir = _default_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     table_path = os.path.join(out_dir, f"fringe_{args.bell_state}.{args.format}")
     _write_rows(table_path, study["samples"], _FRINGE_FIELDS, args.format)

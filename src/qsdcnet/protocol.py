@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import ClassVar, Iterator
+from typing import ClassVar, Iterator, NamedTuple
 
 import numpy as np
 
@@ -572,48 +572,75 @@ class ProtocolConfig:
             raise DomainError(f"tdm_slot_s must be >= 0, got {self.tdm_slot_s}")
 
 
-def _bit_values(bits: str) -> np.ndarray:
-    """Each character's code minus ord("0"): 0 or 1 for a bit, above 1 otherwise."""
-    # "replace" turns every non-ASCII character into "?", which is no bit.
-    return np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+def _pack_pairs(values: np.ndarray, width: int) -> np.ndarray:
+    """Element i is values[2i] << width | values[2i + 1]; an odd count is
+    padded with one 0."""
+    packed = values[0::2] << width
+    packed[: values.size // 2] |= values[1::2]
+    return packed
 
 
-def bits_to_hex(bits: str | np.ndarray) -> str:
-    """Hex of a bitstring or of a 0/1 array, right-padded with zeros to whole nibbles."""
-    values = _bit_values(bits) if isinstance(bits, str) else bits
-    if (values > 1).any():
-        raise ValueError(f"not a bitstring: {bits[:32]!r}")
-    return np.packbits(values).tobytes().hex()[: -(-values.size // 4)]
+# Byte b's four codes, high pair first, as the bytes of one uint32.
+_BYTE_CODES = (
+    (np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3
+).astype(np.uint8).view(np.uint32).ravel()
 
 
-def hex_bytes(hex_string: str) -> bytes | None:
-    """The bytes of ASCII hex digits, an odd count padded with a 0; None for any other string."""
-    padded = hex_string + "0" * (len(hex_string) % 2)
-    try:
-        raw = bytes.fromhex(padded)  # which rejects any non-ASCII character
-    except ValueError:
-        return None
-    # fromhex skips whitespace, which leaves fewer bytes than digit pairs.
-    return raw if 2 * len(raw) == len(padded) else None
+class MessageCodes(NamedTuple):
+    """A message as ``uint8`` 2-bit codes: code i is the value of message
+    bits 2i, 2i+1, and an odd bit count pads the last code with one 0 bit,
+    which no output reads."""
 
+    codes: np.ndarray
+    bit_count: int
 
-def hex_to_bits(hex_string: str, bit_length: int | None = None) -> str:
-    """Bitstring from hex; optionally truncated to bit_length bits."""
-    raw = hex_bytes(hex_string)
-    if raw is None:
-        raise ValueError(f"not a hex string: {hex_string[:32]!r}")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=4 * len(hex_string))
-    if bit_length is not None:
-        if bit_length > bits.size:
-            raise DomainError(
-                f"bit_length {bit_length} exceeds the {bits.size} bits in the hex string"
-            )
-        bits = bits[:bit_length]
-    return (bits + ord("0")).tobytes().decode()
+    @classmethod
+    def from_bit_values(cls, values: np.ndarray) -> MessageCodes:
+        """The codes of an array of 0s and 1s, one per bit."""
+        return cls(_pack_pairs(values.astype(np.uint8, copy=False), 1), values.size)
+
+    @classmethod
+    def from_bits(cls, bits: str) -> MessageCodes:
+        """The codes of a '0'/'1' string."""
+        # "replace" turns every non-ASCII character into "?", which is no bit.
+        values = np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+        if (values > 1).any():
+            raise DomainError("message bits must contain only 0 and 1")
+        return cls.from_bit_values(values)
+
+    @classmethod
+    def from_bytes(cls, raw: bytes, bit_count: int) -> MessageCodes:
+        """The codes of the first bit_count bits of raw: four per byte, high pair first."""
+        codes = np.take(_BYTE_CODES, np.frombuffer(raw, dtype=np.uint8)).view(np.uint8)
+        codes = codes[: -(-bit_count // 2)]
+        if bit_count % 2:
+            codes[-1] &= 2  # the pad bit
+        return cls(codes, bit_count)
+
+    def text(self) -> str:
+        """The bits as a '0'/'1' string, written once from the codes."""
+        # Each code's two characters as one little-endian uint16: the high
+        # bit's character in the low byte.
+        chars = (self.codes & 1).astype("<u2")
+        chars <<= 8
+        chars |= self.codes >> 1
+        chars += 0x3030  # ord("0") in both bytes
+        return str(chars.view(np.uint8)[: self.bit_count].data, "ascii")
+
+    def hex(self) -> str:
+        """Hex digits of the bits, right-padded with zeros to whole nibbles;
+        the pad bit must be 0."""
+        packed = _pack_pairs(_pack_pairs(self.codes, 2), 4)  # codes to nibbles to bytes
+        return packed.tobytes().hex()[: -(-self.bit_count // 4)]
+
+    def bit_errors(self, other: MessageCodes) -> int:
+        """The number of bits in which two messages with 0 pad bits differ."""
+        diff = self.codes ^ other.codes
+        return int(np.count_nonzero(diff)) + int(np.count_nonzero(diff == 3))
 
 
 def run_qsdc(
-    message_bits: str,
+    message: MessageCodes | str,
     devices: Devices,
     eve: EveModel,
     policy: QberThresholdPolicy,
@@ -628,22 +655,19 @@ def run_qsdc(
     aborts the session with reason ``retransmission_cap``, listing the
     symbols over the cap in ``truncated_symbols``. The delivered message,
     BER against the sent message, erasure and overhead fractions, and
-    simulated elapsed time all land in the transcript summary.
+    simulated elapsed time all land in the transcript summary. The message
+    is its MessageCodes, or its bits as a '0'/'1' string.
     """
-    if not message_bits:
+    if isinstance(message, str):
+        message = MessageCodes.from_bits(message)
+    codes, bit_count = message
+    if not bit_count:
         raise DomainError("message must be non-empty")
-    bits = _bit_values(message_bits)
-    if (bits > 1).any():
-        raise DomainError("message bits must contain only 0 and 1")
 
     session = Session(rng)
-    session.log("session_start", message_length=len(message_bits))
+    session.log("session_start", message_length=bit_count)
     link = Link(devices, eve)
 
-    # Message code i is the 2-bit value of bits 2i, 2i+1; an odd-length
-    # message is padded with one 0 bit, which the BER leaves out.
-    codes = bits[0::2] << 1
-    codes[: bits.size // 2] |= bits[1::2]
     total_symbols = codes.size
     # FIFO queue: the never-sent symbols [cursor, total_symbols), then the erased
     # ones in erase order; requeued joins the backlog only when a block needs it.
@@ -724,12 +748,11 @@ def run_qsdc(
     reason = session.abort_reason
     delivered_bits = delivered_hex = ber = None
     if completed:  # every symbol has arrived
-        got_bits = np.empty(2 * total_symbols, dtype=np.uint8)
-        got_bits[0::2], got_bits[1::2] = received >> 1, received & 1
-        got_bits = got_bits[: bits.size]
-        delivered_bits = (got_bits + ord("0")).tobytes().decode()
-        delivered_hex = bits_to_hex(got_bits)
-        ber = int(np.count_nonzero(got_bits != bits)) / bits.size
+        if bit_count % 2:
+            received[-1] &= 2  # the decoded pad bit is no message bit
+        got = MessageCodes(received, bit_count)
+        delivered_bits, delivered_hex = got.text(), got.hex()
+        ber = message.bit_errors(got) / bit_count
     erasure_fraction = erased_transmissions / transmissions if transmissions else 0.0
     block_time = transmissions / symbol_rate
     total_time = detection_time_total + block_time
@@ -746,7 +769,7 @@ def run_qsdc(
         "elapsed_s": session.time_s,
         "erased_transmissions": erased_transmissions,
         "erasure_fraction": erasure_fraction,
-        "message_length": len(message_bits),
+        "message_length": bit_count,
         "overhead_fraction": overhead_fraction,
         "status": session.phase.value,
         "symbol_errors": symbol_errors,

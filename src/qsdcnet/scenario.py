@@ -34,7 +34,7 @@ from .photonics import (
     SourceSpec,
 )
 from .protocol import (
-    EveModel, ProtocolConfig, QberThresholdPolicy, dumps_spliced, hex_bytes, hex_to_bits
+    EveModel, MessageCodes, ProtocolConfig, QberThresholdPolicy, dumps_spliced
 )
 
 # Distinct RNG streams derived from the scenario seed.
@@ -75,6 +75,17 @@ class Topology:
             )
 
 
+def hex_bytes(hex_string: str) -> bytes | None:
+    """The bytes of ASCII hex digits, an odd count padded with a 0; None for any other string."""
+    padded = hex_string + "0" * (len(hex_string) % 2)
+    try:
+        raw = bytes.fromhex(padded)  # which rejects any non-ASCII character
+    except ValueError:
+        return None
+    # fromhex skips whitespace, which leaves fewer bytes than digit pairs.
+    return raw if 2 * len(raw) == len(padded) else None
+
+
 @dataclass(frozen=True)
 class MessageSpec:
     """Either an explicit hex payload, optionally cut to its first bit_length
@@ -94,19 +105,22 @@ class MessageSpec:
                 )
             if self.bit_length is not None:
                 raise DomainError("bit_length applies only to a hex message")
-        elif not self.hex or hex_bytes(self.hex) is None:
+            return
+        raw = hex_bytes(self.hex) if self.hex else None
+        if raw is None:
             raise DomainError("hex must be a non-empty hexadecimal string")
-        elif self.bit_length is not None and not 1 <= self.bit_length <= 4 * len(self.hex):
+        if self.bit_length is not None and not 1 <= self.bit_length <= 4 * len(self.hex):
             raise DomainError(
                 f"bit_length must be in [1, {4 * len(self.hex)}], got {self.bit_length}"
             )
+        # Kept for resolve, so the digits are parsed once; not a field.
+        object.__setattr__(self, "_raw", raw)
 
-    def resolve(self, seed: int) -> str:
+    def resolve(self, seed: int) -> MessageCodes:
         if self.hex is not None:
-            return hex_to_bits(self.hex, self.bit_length)
+            return MessageCodes.from_bytes(self._raw, self.bit_length or 4 * len(self.hex))
         rng = np.random.default_rng([seed, _MESSAGE_STREAM])
-        draws = rng.integers(0, 2, self.random_bits)
-        return (draws.astype(np.uint8) + ord("0")).tobytes().decode()
+        return MessageCodes.from_bit_values(rng.integers(0, 2, self.random_bits))
 
 
 @dataclass(frozen=True)
@@ -123,7 +137,8 @@ class Scenario:
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
-    def message_bits(self) -> str:
+    def message_bits(self) -> MessageCodes:
+        """The message's bits, as the 2-bit codes a session sends."""
         return self.message.resolve(self.seed)
 
     def session_rng(self) -> np.random.Generator:
@@ -284,10 +299,12 @@ def replace_entries(base: Scenario, entries: dict) -> Scenario:
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file, with line-precise parse errors."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

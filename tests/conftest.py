@@ -317,7 +317,8 @@ def qber_from_transcript(records) -> QberEstimate:
 def bits_to_hex_oracle(bits: str) -> str:
     """Hex of a bitstring through one Python int.
 
-    The reference for ``protocol.bits_to_hex``, which packs with numpy.
+    The reference for ``protocol.MessageCodes.hex``, which packs codes with
+    numpy.
     """
     if not bits:
         return ""
@@ -328,7 +329,7 @@ def bits_to_hex_oracle(bits: str) -> str:
     return format(int(padded, 2), f"0{len(padded) // 4}x")
 
 
-# The hex digits a message may hold: the oracle of ``protocol.hex_bytes``,
+# The hex digits a message may hold: the oracle of ``scenario.hex_bytes``,
 # which MessageSpec checks with. [0-9], unlike \d, admits no other script's
 # digits; fullmatch, unlike a trailing $, rejects a trailing newline.
 HEX_DIGITS = re.compile("[0-9a-fA-F]+")
@@ -337,7 +338,8 @@ HEX_DIGITS = re.compile("[0-9a-fA-F]+")
 def hex_to_bits_oracle(hex_string: str, bit_length: int | None = None) -> str:
     """Bitstring of a hex string through one Python int.
 
-    The reference for ``protocol.hex_to_bits``, which unpacks with numpy.
+    The reference for the codes of a hex ``scenario.MessageSpec``, which
+    splits its bytes into codes with numpy.
     """
     bits = ""
     if hex_string:
@@ -352,6 +354,27 @@ def hex_to_bits_oracle(hex_string: str, bit_length: int | None = None) -> str:
             )
         bits = bits[:bit_length]
     return bits
+
+
+def bit_values_oracle(bits: str) -> np.ndarray:
+    """The ``uint8`` array of a bitstring, one 0 or 1 per character."""
+    # "replace" turns every non-ASCII character into "?", which is no bit.
+    values = np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    if np.any(values > 1):
+        raise DomainError("message bits must contain only 0 and 1")
+    return values
+
+
+def pack_codes_oracle(bits: np.ndarray) -> np.ndarray:
+    """The 2-bit codes of a bit array: code i is bits[2i] << 1 | bits[2i + 1],
+    an odd count padded with one 0 bit.
+
+    The reference for ``protocol.MessageCodes``, which scenario messages
+    build without a bit array.
+    """
+    codes = bits[0::2] << 1
+    codes[: bits.size // 2] |= bits[1::2]
+    return codes
 
 
 def sample_oracle(table: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -371,27 +394,25 @@ def run_qsdc_oracle(
     config: protocol.ProtocolConfig,
     rng: np.random.Generator,
 ) -> protocol.SessionTranscript:
-    """``protocol.run_qsdc`` with a whole-message index queue.
+    """``protocol.run_qsdc`` with a whole-message index queue and the
+    message as a bit array.
 
     The reference for the session loop: a FIFO ``np.arange`` over every
     symbol, the erased arrays merged behind it when it runs short of a
     block, and per block a gather of the sent codes and a scatter of the
-    delivered decodes through the index array.
+    delivered decodes through the index array. Finalize unpacks the
+    received codes into bits, and the BER leaves out the pad bit of an
+    odd-length message.
     """
     if not message_bits:
         raise DomainError("message must be non-empty")
-    bits = protocol._bit_values(message_bits)
-    if np.any(bits > 1):
-        raise DomainError("message bits must contain only 0 and 1")
+    bits = bit_values_oracle(message_bits)
 
     session = protocol.Session(rng)
     session.log("session_start", message_length=len(message_bits))
     link = protocol.Link(devices, eve)
 
-    # Message code i is the 2-bit value of bits 2i, 2i+1; an odd-length
-    # message is padded with one 0 bit, which the BER leaves out.
-    codes = bits[0::2] << 1
-    codes[: bits.size // 2] |= bits[1::2]
+    codes = pack_codes_oracle(bits)
     total_symbols = codes.size
     # FIFO queue of symbol indices: pending, then the requeued arrays in the
     # order they were erased, merged only when pending runs short of a block.
@@ -467,7 +488,7 @@ def run_qsdc_oracle(
     if completed:  # every symbol has arrived
         got_bits = np.column_stack((received >> 1, received & 1)).ravel()[: bits.size]
         delivered_bits = (got_bits + ord("0")).tobytes().decode()
-        delivered_hex = protocol.bits_to_hex(got_bits)
+        delivered_hex = bits_to_hex_oracle(delivered_bits)
         ber = int(np.count_nonzero(got_bits != bits)) / bits.size
     erasure_fraction = erased_transmissions / transmissions if transmissions else 0.0
     block_time = transmissions / symbol_rate

@@ -213,7 +213,7 @@ def test_criterion_07_end_to_end_correctness():
         transcript = cli.run_session(scenario)
         assert transcript.completed
         assert transcript.ber == 0.0
-        assert transcript.delivered_bits == scenario.message_bits()
+        assert transcript.delivered_bits == scenario.message_bits().text()
 
 
 def test_criterion_08_throughput_at_forty_km():

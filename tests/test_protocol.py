@@ -14,15 +14,14 @@ from qsdcnet.protocol import (
     EveKind,
     EveModel,
     Link,
+    MessageCodes,
     ProtocolConfig,
     QberThresholdPolicy,
     Session,
     SessionPhase,
     _SPLICE_MARK,
-    bits_to_hex,
     delay_control,
     dumps_spliced,
-    hex_to_bits,
     run_qsdc,
     run_security_detection,
     transmit_and_decode_block,
@@ -35,17 +34,25 @@ from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams
 from conftest import (
     apply_noise,
     bell_state,
+    bit_values_oracle,
     bits_to_hex_oracle,
     detection_branch_cumulative_oracle,
     encoding_cumulative_oracle,
     hex_to_bits_oracle,
     make_devices,
+    pack_codes_oracle,
     qber_from_transcript,
     run_qsdc_oracle,
     sample_oracle,
     sfg_bsm,
 )
-from qsdcnet.scenario import forty_km_scenario_dict, ideal_scenario_dict, scenario_from_dict
+from qsdcnet.scenario import (
+    _MESSAGE_STREAM,
+    MessageSpec,
+    forty_km_scenario_dict,
+    ideal_scenario_dict,
+    scenario_from_dict,
+)
 
 
 def detection_session(seed=0):
@@ -376,7 +383,7 @@ class TestRunQsdc:
         kinds = {event.event_kind for event in transcript.events}
         assert "block_sent" not in kinds and "session_complete" not in kinds
         assert message not in transcript.to_jsonl()
-        assert bits_to_hex(message) not in transcript.to_jsonl()
+        assert bits_to_hex_oracle(message) not in transcript.to_jsonl()
 
     def test_erasures_are_retransmitted_to_completion(self):
         message = "0110" * 100
@@ -509,13 +516,16 @@ class TestSessionLoopOracle:
 
 class TestBitstringHelpers:
     def test_round_trip(self):
-        assert hex_to_bits(bits_to_hex("10110"), 5) == "10110"
-        assert bits_to_hex("1101") == "d"
-        assert hex_to_bits("deadbeef") == "11011110101011011011111011101111"
+        assert MessageCodes.from_bits("10110").hex() == "b0"
+        assert MessageCodes.from_bits("1101").hex() == "d"
+        assert MessageCodes.from_bytes(bytes.fromhex("b0"), 5).text() == "10110"
+        deadbeef = MessageSpec(hex="deadbeef").resolve(seed=0)
+        assert deadbeef.text() == "11011110101011011011111011101111"
+        assert deadbeef.hex() == "deadbeef"
 
     def test_bit_length_overflow_rejected(self):
         with pytest.raises(DomainError):
-            hex_to_bits("ff", 9)
+            MessageSpec(hex="ff", bit_length=9)
 
     def test_malformed_strings_rejected(self):
         # int(s, 16) on the whole string would accept the first four and the
@@ -525,25 +535,68 @@ class TestBitstringHelpers:
             "0x1f", "1_f", " 1f", "1f ", "1g", "ff-", "\uff11\uff46",
             "de ad", "de\tad", "de\nad", "de ad be", "dead\r\n",
         ):
-            with pytest.raises(ValueError):
-                hex_to_bits(hex_string)
+            with pytest.raises(DomainError):
+                MessageSpec(hex=hex_string)
         for bits in ("0102", "1a", "01 ", "01\n", "\uff10\uff11"):
-            with pytest.raises(ValueError):
-                bits_to_hex(bits)
+            with pytest.raises(DomainError):
+                MessageCodes.from_bits(bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.text(alphabet="01", max_size=200))
+    def test_match_int_oracles(self, bits):
+        message = MessageCodes.from_bits(bits)
+        assert message.bit_count == len(bits)
+        assert message.text() == bits
+        assert message.hex() == bits_to_hex_oracle(bits)
+
+
+class TestMessagePath:
+    """Scenario messages go from hex digits or random draws to 2-bit codes,
+    and a completed session's summary from the received codes, with no bit
+    array or bit string between; ``conftest`` holds the bit-array path."""
+
+    @staticmethod
+    def oracle_bits(spec: MessageSpec, seed: int) -> str:
+        """The message's bitstring as the scenario built it before codes."""
+        if spec.hex is not None:
+            return hex_to_bits_oracle(spec.hex, spec.bit_length)
+        draws = np.random.default_rng([seed, _MESSAGE_STREAM]).integers(0, 2, spec.random_bits)
+        return "".join(map(str, draws.tolist()))
 
     @settings(max_examples=200, deadline=None)
     @given(
-        bits=st.text(alphabet="01", max_size=200),
-        hex_string=st.text(alphabet="0123456789abcdefABCDEF", max_size=200),
         data=st.data(),
+        hex_string=st.text("0123456789abcdefABCDEF", min_size=1, max_size=200),
+        random_bits=st.none() | st.integers(min_value=1, max_value=800),
+        depolarizing_p=st.sampled_from([0.0, 0.4, 0.8]),
+        block_size=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_match_int_oracles(self, bits, hex_string, data):
-        assert bits_to_hex(bits) == bits_to_hex_oracle(bits)
-        assert hex_to_bits(hex_string) == hex_to_bits_oracle(hex_string)
-        bit_length = data.draw(st.integers(0, 4 * len(hex_string)))
-        assert hex_to_bits(hex_string, bit_length) == hex_to_bits_oracle(
-            hex_string, bit_length
+    def test_codes_match_the_bit_array_path(
+        self, data, hex_string, random_bits, depolarizing_p, block_size, seed
+    ):
+        if random_bits is None:
+            bit_length = data.draw(st.none() | st.integers(1, 4 * len(hex_string)))
+            spec = MessageSpec(hex=hex_string, bit_length=bit_length)
+        else:
+            spec = MessageSpec(random_bits=random_bits)
+        bits = self.oracle_bits(spec, seed)
+        message = spec.resolve(seed)
+        assert message.bit_count == len(bits)
+        assert message.codes.dtype == np.uint8
+        np.testing.assert_array_equal(message.codes, pack_codes_oracle(bit_values_oracle(bits)))
+
+        # Noise flips decoded bits, the pad bit of an odd-length message too.
+        arguments = (
+            make_devices(noise=NoiseParams(depolarizing_p=depolarizing_p)),
+            EveModel(EveKind.NONE, 0.0),
+            QberThresholdPolicy(threshold=0.45, min_samples=1),
+            ProtocolConfig(block_size=block_size, detection_size=200),
         )
+        got = run_qsdc(message, *arguments, np.random.default_rng(seed))
+        expected = run_qsdc_oracle(bits, *arguments, np.random.default_rng(seed))
+        assert got.summary == expected.summary
+        assert got.to_jsonl() == expected.to_jsonl()
 
 
 LAST_DRAW = np.nextafter(1.0, 0.0)  # the largest value rng.random() returns
@@ -758,7 +811,7 @@ class TestTranscriptFormatting:
         assert (out / "transcript.jsonl").read_bytes() == expected.encode()
         *_, last = expected.splitlines(keepends=True)
         event = json.loads(last)
-        assert event["payload"]["delivered_bits"] == hex_to_bits(doc["message"]["hex"])
+        assert event["payload"]["delivered_bits"] == hex_to_bits_oracle(doc["message"]["hex"])
         assert last == json.dumps(event) + "\n"
         report = (out / "report.json").read_text()
         assert report == json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qsdcnet import cli
 from qsdcnet.errors import DomainError, ScenarioError
-from qsdcnet.protocol import MAX_BLOCK_SIZE, MAX_DETECTION_SIZE, hex_to_bits
+from qsdcnet.protocol import MAX_BLOCK_SIZE, MAX_DETECTION_SIZE
 from qsdcnet.qstate import BellLabel
 from qsdcnet.scenario import (
     MAX_GRID_SIZE,
@@ -28,7 +28,7 @@ from qsdcnet.scenario import (
     scenario_from_dict,
 )
 
-from conftest import HEX_DIGITS
+from conftest import HEX_DIGITS, hex_to_bits_oracle
 
 
 # Digits, whitespace, prefixes, signs and separators, other scripts' digits
@@ -51,18 +51,18 @@ class TestScenarioParsing:
     def test_round_trip_and_message_resolution(self):
         scenario = scenario_from_dict(ideal_scenario_dict(seed=3, message_hex="deadbeef"))
         assert scenario.seed == 3
-        assert scenario.message_bits() == "11011110101011011011111011101111"
+        assert scenario.message_bits().text() == "11011110101011011011111011101111"
         again = scenario_from_dict(scenario.to_dict())
         assert again.canonical_json() == scenario.canonical_json()
 
     def test_random_message_is_seed_deterministic(self):
         doc = ideal_scenario_dict(seed=5)
         doc["message"] = {"random_bits": 64}
-        first = scenario_from_dict(doc).message_bits()
-        second = scenario_from_dict(doc).message_bits()
+        first = scenario_from_dict(doc).message_bits().text()
+        second = scenario_from_dict(doc).message_bits().text()
         assert first == second and len(first) == 64
         doc["seed"] = 6
-        assert scenario_from_dict(doc).message_bits() != first
+        assert scenario_from_dict(doc).message_bits().text() != first
 
     def test_digest_stable_under_field_reordering(self):
         doc = ideal_scenario_dict(seed=9, message_hex="0f")
@@ -137,23 +137,17 @@ class TestScenarioParsing:
     @example("\ud800")
     @example("\uff41\uff42")
     def test_hex_check_accepts_what_the_regex_accepts(self, payload):
-        # MessageSpec and hex_to_bits share one bytes.fromhex check; the
-        # regex it replaced is the oracle.
+        # MessageSpec checks with one bytes.fromhex call and builds the
+        # codes from its bytes; the regex it replaced is the oracle.
         accepted = HEX_DIGITS.fullmatch(payload) is not None
         try:
-            MessageSpec(hex=payload)
+            spec = MessageSpec(hex=payload)
         except DomainError as exc:
             assert not accepted
             assert str(exc) == "hex must be a non-empty hexadecimal string"
         else:
             assert accepted
-        try:
-            bits = hex_to_bits(payload)
-        except ValueError:
-            assert not accepted and payload
-        else:
-            assert accepted or not payload
-            assert len(bits) == 4 * len(payload)
+            assert spec.resolve(seed=0).text() == hex_to_bits_oracle(payload)
 
     @pytest.mark.parametrize(
         "message, error",
@@ -593,6 +587,62 @@ class TestFringeCommand:
         assert code == cli.EXIT_VALIDATION
         assert f"error: {flag} must be in [1, " in capsys.readouterr().err
         assert not out.exists()
+
+
+# Each command with the arguments it needs besides --scenario and --out.
+COMMANDS = {
+    "run": ["run"],
+    "sweep": ["sweep", "--param", "eve.fraction", "--values", "0.1,0.2"],
+    "fringe": ["fringe", "--phases", "8", "--shots-per-phase", "100"],
+}
+
+
+class TestCommandInputs:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_scenario_not_utf8_names_its_path(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"seed": 1}')
+        out = tmp_path / "out"
+        code = cli.main([*COMMANDS[command], "--scenario", str(path), "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (byte 0: invalid start byte)\n"
+        )
+        assert not out.exists()
+
+    def test_scenario_read_as_utf8_in_any_locale(self, tmp_path):
+        # In the C locale without UTF-8 mode, open() without an encoding
+        # decodes as ASCII and fails on the key's UTF-8 bytes.
+        doc = ideal_scenario_dict(seed=1)
+        doc["r\u00e9seau"] = 1
+        path = tmp_path / "scenario.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from qsdcnet import cli; sys.exit(cli.main())",
+             "run", "--scenario", str(path), "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(SRC), "LC_ALL": "C",
+                 "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+            capture_output=True,
+        )
+        assert done.returncode == cli.EXIT_VALIDATION
+        # stderr escapes what the ASCII locale cannot write.
+        assert done.stderr == f"error: {path}: r\\xe9seau: unknown field\n".encode()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under_file"])
+    def test_out_naming_a_file_rejected_first(self, tmp_path, capsys, command, below):
+        scenario_path = write_scenario(tmp_path, ideal_scenario_dict(seed=1))
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if below else blocker
+        before = sorted(tmp_path.iterdir())
+        code = cli.main([*COMMANDS[command], "--scenario", scenario_path, "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out {out}: not a directory\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
+        assert blocker.read_text() == "kept\n"
 
 
 class TestReportContents:
