@@ -51,7 +51,6 @@ from .protocol import (
     Session,
     SessionPhase,
     SessionTranscript,
-    delay_control,
     run_qsdc,
     run_security_detection,
     transmit_and_decode_block,

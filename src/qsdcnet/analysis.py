@@ -123,6 +123,8 @@ def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple
     return low, high
 
 
+# Memoised for the same reason: a one-round session's pooled estimate is its round's.
+@lru_cache(maxsize=64)
 def qber_from_counts(n_z: int, errors_z: int, n_x: int, errors_x: int) -> QberEstimate:
     """QBER estimate from matched-basis comparison counts."""
     total = n_z + n_x

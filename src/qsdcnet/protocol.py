@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import ClassVar, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -131,8 +131,7 @@ def dumps_spliced(doc: dict, paths, end: str = "", **options) -> str:
     return "".join((*parts, end))  # the one copy of each big string
 
 
-@dataclass(frozen=True)
-class TranscriptEvent:
+class TranscriptEvent(NamedTuple):
     timestamp_s: float
     event_kind: str
     payload: dict
@@ -160,8 +159,7 @@ _RECORD_MIDDLES = tuple(
 _RECORD_TAIL = ', "published": true}}\n'
 
 
-@dataclass(frozen=True, eq=False)
-class DetectionBatch:
+class DetectionBatch(NamedTuple):
     """One detection round's surviving photons as parallel arrays.
 
     Bob publishes each survivor's slot position, basis (0 = Z, 1 = X) and
@@ -171,7 +169,6 @@ class DetectionBatch:
     fixed text around each survivor's timestamp and position reprs.
     """
 
-    event_kind: ClassVar[str] = "detection_record"
     send_start_s: float
     slot_s: float
     positions: np.ndarray
@@ -179,14 +176,14 @@ class DetectionBatch:
     alice_bits: np.ndarray
     bob_bits: np.ndarray
 
+    event_kind = "detection_record"  # a class attribute, not a field
+
     def counts(self) -> tuple[int, int, int, int]:
         """Matched-basis comparisons and errors: (n_z, errors_z, n_x, errors_x)."""
-        wrong = self.alice_bits != self.bob_bits
-        in_x = self.bob_basis == 1
-        n_x = int(np.count_nonzero(in_x))
-        errors_x = int(np.count_nonzero(wrong & in_x))
-        errors_z = int(np.count_nonzero(wrong)) - errors_x
-        return self.positions.size - n_x, errors_z, n_x, errors_x
+        z_right, z_wrong, x_right, x_wrong = np.bincount(
+            2 * self.bob_basis + (self.alice_bits != self.bob_bits), minlength=4
+        ).tolist()
+        return z_right + z_wrong, z_wrong, x_right + x_wrong, x_wrong
 
     def to_jsonl(self) -> str:
         """One detection_record line per survivor, in slot order, each with
@@ -211,10 +208,6 @@ class SessionTranscript:
         self.summary: dict = {}
         # Per detection round: (n_z, errors_z, n_x, errors_x).
         self.detection_counts: list[tuple[int, int, int, int]] = []
-
-    def log(self, timestamp_s: float, event_kind: str, **payload):
-        """Append an event; callers pass the payload keys in sorted order."""
-        self.events.append(TranscriptEvent(float(timestamp_s), event_kind, payload))
 
     def chunks(self) -> Iterator[str]:
         """The transcript's text, one chunk per event or detection batch."""
@@ -275,27 +268,21 @@ class Session:
             raise InvariantViolation(
                 f"illegal phase transition {self.phase.value} -> {new_phase.value}"
             )
+        # _value_ is what the value property reads, without the property call.
         self.log(
             "phase_transition",
-            from_phase=self.phase.value,
+            from_phase=self.phase._value_,
             reason=reason,
-            to_phase=new_phase.value,
+            to_phase=new_phase._value_,
         )
         self.phase = new_phase
         if new_phase is SessionPhase.ABORTED:
             self.abort_reason = reason
 
     def log(self, event_kind: str, **payload):
-        self.transcript.log(self.time_s, event_kind, **payload)
-
-
-def delay_control(sequence_length: int, slot_s: float) -> float:
-    """Idler storage delay for a detection sequence: length * slot."""
-    if sequence_length < 0:
-        raise DomainError(f"sequence_length must be >= 0, got {sequence_length}")
-    if slot_s < 0:
-        raise DomainError(f"slot_s must be >= 0, got {slot_s}")
-    return sequence_length * slot_s
+        """Append an event at the session clock; callers pass the payload
+        keys in sorted order."""
+        self.transcript.events.append(TranscriptEvent(self.time_s, event_kind, payload))
 
 
 # Bell-weight indices in BELL_ORDER (phi+, phi-, psi+, psi-). A Pauli on
@@ -339,68 +326,87 @@ def _detection_branch_cumulative(noise: NoiseParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def _detection_columns(noise: NoiseParams) -> tuple[np.ndarray, ...]:
+    """Row 3 * bob_basis + eve_action of the detection branches, as ``_sample`` reads it."""
+    return _columns(_detection_branch_cumulative(noise).reshape(6, 4))
+
+
+@lru_cache(maxsize=64)
+def _encoded_weights(noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
+    """The noisy pair's Bell weights per encoding, row k after encoding k
+    (which moves weight j to j ^ k), as they reach Bob untouched and after
+    Eve measures and resends: an even mix of the Z and X measure-and-resend
+    weights, her basis and outcome averaged over."""
+    encoded = bell_weights(noise)[_CODES[:, None] ^ _CODES]
+    measured = (_measure_resend(encoded, 1) + _measure_resend(encoded, 2)) / 2.0
+    return encoded, measured
+
+
+@lru_cache(maxsize=64)
 def _encoding_cumulative(noise: NoiseParams, eve: EveModel) -> np.ndarray:
     """Bell-weight sampling tables per encoding after noise and Eve.
 
     Row k holds the cumulative Bell weights of the noisy pair after encoding
-    k, which moves weight j to j ^ k. Intercept-resend averages over Eve's
-    basis and outcome: a measured pair is an even mix of the Z and X
-    measure-and-resend weights. Tap never alters the state (it only removes
-    photons), so it does not appear here.
+    k. Intercept-resend blends the untouched and the measured weights of
+    ``_encoded_weights`` by Eve's fraction, so a new fraction costs one blend
+    and one cumsum. Tap never alters the state (it only removes photons), so
+    it does not appear here.
     """
-    encoded = bell_weights(noise)[_CODES[:, None] ^ _CODES]
+    encoded, measured = _encoded_weights(noise)
     if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
-        measured = (_measure_resend(encoded, 1) + _measure_resend(encoded, 2)) / 2.0
         encoded = (1.0 - eve.fraction) * encoded + eve.fraction * measured
-    table = np.cumsum(encoded / encoded.sum(axis=1, keepdims=True), axis=1)
+    table = (encoded / encoded.sum(axis=1, keepdims=True)).cumsum(axis=1)
     table[:, -1] = 1.0  # rounding can leave it below the largest draw
     return table
 
 
 class Link:
     """What the devices and Eve fix for all of a session's blocks and
-    detection rounds, computed once per session. Each sampling table is
+    detection rounds, computed once per session. The encoding table is
     looked up on first use: a session that aborts in its first detection
-    round needs no encoding table."""
+    round needs none."""
 
     def __init__(self, devices: Devices, eve: EveModel):
         self.devices = devices
         self.eve = eve
         tap_fraction = eve.fraction if eve.kind is EveKind.TAP else 0.0
+        efficiency = devices.detector.efficiency
+        t_alice = transmittance(devices.alice_fiber)
+        t_bob = transmittance(devices.bob_fiber)
         # Each arm's transmittance times the detector efficiency.
-        self.eta_alice = transmittance(devices.alice_fiber) * devices.detector.efficiency
-        self.eta_bob = transmittance(devices.bob_fiber) * devices.detector.efficiency
+        self.eta_alice = t_alice * efficiency
+        self.eta_bob = t_bob * efficiency
         self.p_record = self.eta_alice * self.eta_bob * (1.0 - tap_fraction)
         self.p_deliver = (
-            transmittance(devices.alice_fiber) * transmittance(devices.bob_fiber)
-            * (1.0 - tap_fraction) * devices.sfg.conversion_efficiency
-            * devices.detector.efficiency
+            t_alice * t_bob * (1.0 - tap_fraction) * devices.sfg.conversion_efficiency
+            * efficiency
         )
+        self.detection_columns = _detection_columns(devices.source.heralding_noise)
 
     @cached_property
-    def encoding_table(self) -> np.ndarray:
-        return _encoding_cumulative(self.devices.source.heralding_noise, self.eve)
-
-    @cached_property
-    def detection_table(self) -> np.ndarray:
-        """Row 3 * bob_basis + eve_action of the detection branches."""
-        return _detection_branch_cumulative(self.devices.source.heralding_noise).reshape(6, 4)
+    def encoding_columns(self) -> tuple[np.ndarray, ...]:
+        return _columns(_encoding_cumulative(self.devices.source.heralding_noise, self.eve))
 
 
-def _sample(table: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sampling: per draw, the number of entries of its row of the
-    cumulative table that the draw exceeds. Rows end at exactly 1.0, above
-    every draw in [0, 1), so the last column is never compared."""
+def _columns(table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A cumulative table as ``_sample`` reads it: its columns but the last.
+    Rows end at exactly 1.0, above every draw in [0, 1), so the last column
+    is never compared."""
+    return tuple(table[:, :-1].T)
+
+
+def _sample(columns: tuple[np.ndarray, ...], rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sampling: per draw, the number of entries of its row of a
+    cumulative table, given as its ``_columns``, that the draw exceeds."""
     rows = rows.astype(np.intp, copy=False)  # once, not in each fancy index
-    first, *rest = table[:, :-1].T
+    first, *rest = columns
     indices = (draws > first[rows]).view(np.uint8)
     for column in rest:
         indices += draws > column[rows]
     return indices
 
 
-@dataclass(frozen=True)
-class DetectionResult:
+class DetectionResult(NamedTuple):
     passed: bool
     reason: str | None
     qber: analysis.QberEstimate | None
@@ -437,6 +443,8 @@ def run_security_detection(
         raise DomainError(f"num_photons must be >= 1, got {num_photons}")
     if not 0.0 <= decrease_factor <= 1.0:
         raise DomainError(f"decrease_factor must be in [0, 1], got {decrease_factor}")
+    if tdm_slot_s < 0:
+        raise DomainError(f"tdm_slot_s must be >= 0, got {tdm_slot_s}")
     rng = rng or session.rng
     eve = link.eve
     rate_hz = link.devices.modulator.rate_hz
@@ -445,28 +453,21 @@ def run_security_detection(
     session.log("detection_start", photons_sent=num_photons)
     send_start = session.time_s
     session.time_s += num_photons / rate_hz
-    alice_delay_s = delay_control(num_photons, tdm_slot_s)
 
-    surviving = np.flatnonzero(rng.random(num_photons) < link.p_record)
+    surviving = (rng.random(num_photons) < link.p_record).nonzero()[0]
     n = surviving.size
     batch = qber = None
     if n:
         bob_basis = rng.integers(0, 2, n)
+        # Row 3 * bob_basis + eve_action of the detection table.
+        rows = 3 * bob_basis
         if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
             intercepted = rng.random(n) < eve.fraction
-            eve_basis = rng.integers(0, 2, n)
-            eve_action = np.where(intercepted, 1 + eve_basis, 0)
-        else:
-            eve_action = np.zeros(n, dtype=int)
-        joint = _sample(link.detection_table, 3 * bob_basis + eve_action, rng.random(n))
-        batch = DetectionBatch(
-            send_start_s=send_start,
-            slot_s=1.0 / rate_hz,
-            positions=surviving,
-            bob_basis=bob_basis,
-            alice_bits=joint >> 1,
-            bob_bits=joint & 1,
-        )
+            eve_action = rng.integers(1, 3, n)  # her basis: 1 = Z, 2 = X
+            eve_action *= intercepted  # 0 where she let the photon pass
+            rows += eve_action
+        joint = _sample(link.detection_columns, rows, rng.random(n))
+        batch = DetectionBatch(send_start, 1 / rate_hz, surviving, bob_basis, joint >> 1, joint & 1)
         counts = batch.counts()
         session.transcript.events.append(batch)
         session.transcript.detection_counts.append(counts)
@@ -483,7 +484,7 @@ def run_security_detection(
 
     session.log(
         "detection_result",
-        alice_delay_s=alice_delay_s,
+        alice_delay_s=num_photons * tdm_slot_s,  # the idler's storage delay
         expected_detected=expected,
         passed=passed,
         photons_detected=int(n),
@@ -495,15 +496,7 @@ def run_security_detection(
         SessionPhase.BLOCK_TRANSMISSION if passed else SessionPhase.ABORTED,
         reason=reason,
     )
-    return DetectionResult(
-        passed=passed,
-        reason=reason,
-        qber=qber,
-        photons_sent=num_photons,
-        photons_detected=int(n),
-        expected_detected=expected,
-        batch=batch,
-    )
+    return DetectionResult(passed, reason, qber, num_photons, n, expected, batch)
 
 
 def transmit_and_decode_block(
@@ -521,10 +514,10 @@ def transmit_and_decode_block(
     conversions come back as erasures, never as errors; the decoded code of
     an erased slot carries no information.
     """
+    n = codes.size
     # One call: for the PCG64 generator, random(n) then random(n) is random(2 * n).
-    draws = rng.random(2 * codes.size)
-    delivered = draws[: codes.size] < link.p_deliver
-    return delivered, _sample(link.encoding_table, codes, draws[codes.size :])
+    draws = rng.random(2 * n)
+    return draws[:n] < link.p_deliver, _sample(link.encoding_columns, codes, draws[n:])
 
 
 # Ceilings on the counts that size a session's arrays: a block's symbols
@@ -669,6 +662,7 @@ def run_qsdc(
     link = Link(devices, eve)
 
     total_symbols = codes.size
+    block_size, cap = config.block_size, config.max_retransmissions
     # FIFO queue: the never-sent symbols [cursor, total_symbols), then the erased
     # ones in erase order; requeued joins the backlog only when a block needs it.
     cursor = 0
@@ -700,21 +694,22 @@ def run_qsdc(
                 decrease_factor=config.photon_decrease_factor,
                 tdm_slot_s=config.tdm_slot_s,
             )
-            detection_photons += result.photons_sent
+            detection_photons += config.detection_size
             detection_time_total += session.time_s - start
             if not result.passed:
                 break
             blocks_since_check = 0
         # Never-sent symbols are one contiguous range, read and written as a
         # slice; only a block that takes erased symbols needs an index array.
-        start, cursor = cursor, min(cursor + config.block_size, total_symbols)
+        start, cursor = cursor, min(cursor + block_size, total_symbols)
         batch = slice(start, cursor)
-        short = config.block_size - (cursor - start)
-        if short:
+        short = block_size - (cursor - start)
+        if short and (backlog.size or requeued):
             if backlog.size < short:
                 backlog, requeued = np.concatenate((backlog, *requeued)), []
-            batch = np.concatenate((np.arange(start, cursor), backlog[:short]))
-            backlog = backlog[short:]
+            batch, backlog = backlog[:short], backlog[short:]
+            if start < cursor:
+                batch = np.concatenate((np.arange(start, cursor), batch))
         sent = codes[batch]
         delivered, decoded = transmit_and_decode_block(sent, link, rng)
         # A delivered symbol is never sent again: this is its decode's last write.
@@ -722,9 +717,11 @@ def run_qsdc(
         session.time_s += sent.size / symbol_rate
         transmissions += sent.size
         lost = ~delivered
-        erased = batch[lost] if short else lost.nonzero()[0] + start
+        erased = lost.nonzero()[0] + start if isinstance(batch, slice) else batch[lost]
         erased_transmissions += erased.size
-        block_errors = int(np.count_nonzero((decoded != sent) & delivered))
+        wrong = decoded != sent
+        wrong &= delivered
+        block_errors = int(np.count_nonzero(wrong))
         symbol_errors += block_errors
         session.log(
             "block_sent",
@@ -737,8 +734,10 @@ def run_qsdc(
         blocks_since_check += 1
         if erased.size:
             requeued.append(erased)  # behind every queued symbol, in slot order
-            attempts[erased] = tries = attempts[erased] + 1
-            if tries.max() > config.max_retransmissions:
+            attempts[erased] += 1
+            # A block erases a symbol at most once, so none can be over the
+            # cap before more blocks than the cap have been sent.
+            if blocks_sent > cap and np.count_nonzero(attempts[erased] > cap):
                 session.transition(SessionPhase.ABORTED, reason="retransmission_cap")
                 break
     else:
@@ -757,8 +756,8 @@ def run_qsdc(
     block_time = transmissions / symbol_rate
     total_time = detection_time_total + block_time
     overhead_fraction = detection_time_total / total_time if total_time else 0.0
-    # A completed session has no symbol over the cap.
-    truncated = [] if completed else np.flatnonzero(attempts > config.max_retransmissions).tolist()
+    # Only the retransmission cap leaves symbols over the cap.
+    truncated = (attempts > cap).nonzero()[0].tolist() if reason == "retransmission_cap" else []
     summary = {  # keys in sorted order, as the transcript writes them
         "abort_reason": reason,
         "ber": ber,

@@ -386,6 +386,107 @@ def sample_oracle(table: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.
     return (draws[:, None] > table[rows]).sum(axis=1)
 
 
+def security_detection_oracle(
+    session: protocol.Session,
+    link: protocol.Link,
+    policy: protocol.QberThresholdPolicy,
+    rng: np.random.Generator,
+    *,
+    num_photons: int,
+    decrease_factor: float = 0.5,
+    tdm_slot_s: float = 1e-6,
+) -> protocol.DetectionResult:
+    """``protocol.run_security_detection`` with Eve's rows from
+    ``np.where``, the counts from six array operations and the idler delay
+    from the old ``delay_control``.
+
+    The reference for the detection round of ``run_qsdc_oracle``: the same
+    draws in the same order, so the same transcript events and result.
+    """
+    if session.phase is not protocol.SessionPhase.SECURITY_DETECTION:
+        raise InvariantViolation(
+            f"security detection requires phase security_detection, got {session.phase.value}"
+        )
+    if num_photons < 1:
+        raise DomainError(f"num_photons must be >= 1, got {num_photons}")
+    if not 0.0 <= decrease_factor <= 1.0:
+        raise DomainError(f"decrease_factor must be in [0, 1], got {decrease_factor}")
+    if tdm_slot_s < 0:
+        raise DomainError(f"slot_s must be >= 0, got {tdm_slot_s}")
+    eve = link.eve
+    rate_hz = link.devices.modulator.rate_hz
+    expected = num_photons * link.eta_alice * link.eta_bob  # lossless-eavesdropper budget
+
+    session.log("detection_start", photons_sent=num_photons)
+    send_start = session.time_s
+    session.time_s += num_photons / rate_hz
+    alice_delay_s = num_photons * tdm_slot_s
+
+    surviving = np.flatnonzero(rng.random(num_photons) < link.p_record)
+    n = surviving.size
+    batch = qber = None
+    if n:
+        bob_basis = rng.integers(0, 2, n)
+        if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
+            intercepted = rng.random(n) < eve.fraction
+            eve_basis = rng.integers(0, 2, n)
+            eve_action = np.where(intercepted, 1 + eve_basis, 0)
+        else:
+            eve_action = np.zeros(n, dtype=int)
+        table = protocol._detection_branch_cumulative(link.devices.source.heralding_noise)
+        joint = sample_oracle(table.reshape(6, 4), 3 * bob_basis + eve_action, rng.random(n))
+        batch = protocol.DetectionBatch(
+            send_start_s=send_start,
+            slot_s=1.0 / rate_hz,
+            positions=surviving,
+            bob_basis=bob_basis,
+            alice_bits=joint >> 1,
+            bob_bits=joint & 1,
+        )
+        wrong = batch.alice_bits != batch.bob_bits
+        in_x = bob_basis == 1
+        n_x = int(np.count_nonzero(in_x))
+        errors_x = int(np.count_nonzero(wrong & in_x))
+        errors_z = int(np.count_nonzero(wrong)) - errors_x
+        counts = (n - n_x, errors_z, n_x, errors_x)
+        session.transcript.events.append(batch)
+        session.transcript.detection_counts.append(counts)
+        qber = qber_from_counts(*counts)
+
+    if n < policy.min_samples:
+        passed, reason = False, "insufficient_detection_samples"
+    elif n < decrease_factor * expected:
+        passed, reason = False, "photon_count_drop"
+    elif qber.e >= policy.threshold:
+        passed, reason = False, "qber_threshold_exceeded"
+    else:
+        passed, reason = True, None
+
+    session.log(
+        "detection_result",
+        alice_delay_s=alice_delay_s,
+        expected_detected=expected,
+        passed=passed,
+        photons_detected=int(n),
+        photons_sent=num_photons,
+        qber=qber.to_dict() if qber else None,
+        reason=reason,
+    )
+    session.transition(
+        protocol.SessionPhase.BLOCK_TRANSMISSION if passed else protocol.SessionPhase.ABORTED,
+        reason=reason,
+    )
+    return protocol.DetectionResult(
+        passed=passed,
+        reason=reason,
+        qber=qber,
+        photons_sent=num_photons,
+        photons_detected=int(n),
+        expected_detected=expected,
+        batch=batch,
+    )
+
+
 def run_qsdc_oracle(
     message_bits: str,
     devices: Devices,
@@ -400,9 +501,9 @@ def run_qsdc_oracle(
     The reference for the session loop: a FIFO ``np.arange`` over every
     symbol, the erased arrays merged behind it when it runs short of a
     block, and per block a gather of the sent codes and a scatter of the
-    delivered decodes through the index array. Finalize unpacks the
-    received codes into bits, and the BER leaves out the pad bit of an
-    odd-length message.
+    delivered decodes through the index array. Detection rounds run in
+    ``security_detection_oracle``. Finalize unpacks the received codes into
+    bits, and the BER leaves out the pad bit of an odd-length message.
     """
     if not message_bits:
         raise DomainError("message must be non-empty")
@@ -435,7 +536,7 @@ def run_qsdc_oracle(
         if blocks_since_check >= config.redetect_every_blocks:
             session.transition(protocol.SessionPhase.SECURITY_DETECTION)
             start = session.time_s
-            result = protocol.run_security_detection(
+            result = security_detection_oracle(
                 session,
                 link,
                 policy,

@@ -4,9 +4,9 @@ Each case writes a scenario file, runs the CLI in-process and compares the
 SHA-256 of every file it writes with the digest recorded when the case was
 added. Together the cases cover FIFO retransmission order, the abort at
 the retransmission cap, the pad bit of an odd-length message, BER above
-zero, small blocks with frequent re-detection, aborts, a sweep and a noisy
-fringe scan. A refactor that keeps behaviour leaves every digest here
-unchanged.
+zero, small blocks with frequent re-detection, aborts, a completed session
+under a partial intercept-resend Eve, a sweep and a noisy fringe scan. A
+refactor that keeps behaviour leaves every digest here unchanged.
 """
 
 import hashlib
@@ -73,6 +73,21 @@ def _small_blocks() -> dict:
     return doc
 
 
+def _eve_tail() -> dict:
+    # eve_sweep's link under a 0.3 intercept-resend Eve: the session completes
+    # through Eve's blended encoding table, with erasures re-sent in ever
+    # smaller tail blocks (6 blocks for 128 symbols) and 23 symbol errors.
+    doc = ideal_scenario_dict(seed=906, message_hex="0123456789abcdef" * 4)
+    doc["devices"]["alice_fiber"]["length_km"] = 5.0
+    doc["devices"]["detector"]["efficiency"] = 0.9
+    doc["devices"]["sfg"]["conversion_efficiency"] = 0.85
+    doc["protocol"]["detection_size"] = 100
+    doc["protocol"]["min_samples"] = 30
+    doc["protocol"]["qber_threshold"] = 0.45
+    doc["eve"] = {"kind": "intercept_resend", "fraction": 0.3}
+    return doc
+
+
 def _eve_sweep_base() -> dict:
     doc = ideal_scenario_dict(seed=22)
     doc["eve"] = {"kind": "intercept_resend", "fraction": 0.0}
@@ -89,10 +104,16 @@ RUN_SCENARIOS = {
     "truncating_10km": _truncating(),
     "odd_length_noisy": _odd_noisy(),
     "small_blocks": _small_blocks(),
+    "eve_tail_906": _eve_tail(),
 }
 
 # name -> (exit code, sha256 of transcript.jsonl, sha256 of report.json)
 RUN_DIGESTS = {
+    "eve_tail_906": (
+        cli.EXIT_OK,
+        "5889c409c0c41224a07bb84f2ac23df1c01dfee69cb4e360de510c651dd0a7be",
+        "030d3a6d5388949ababa705e65b40778423fbb49ae5870c18899a6c245db7d9a",
+    ),
     "forty_km_902": (
         cli.EXIT_OK,
         "17e3fe7bd5004fbbd2d4e7da5d32fb59f519f3c633e060a88b27450c7840ffb1",

@@ -20,13 +20,13 @@ from qsdcnet.protocol import (
     Session,
     SessionPhase,
     _SPLICE_MARK,
-    delay_control,
     dumps_spliced,
     run_qsdc,
     run_security_detection,
     transmit_and_decode_block,
     _detection_branch_cumulative,
     _encoding_cumulative,
+    _columns,
     _sample,
 )
 from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams
@@ -44,6 +44,7 @@ from conftest import (
     qber_from_transcript,
     run_qsdc_oracle,
     sample_oracle,
+    security_detection_oracle,
     sfg_bsm,
 )
 from qsdcnet.scenario import (
@@ -321,24 +322,43 @@ class TestTransmitAndDecode:
         two_calls = np.random.default_rng([seed, stream])
         np.testing.assert_array_equal(delivered, two_calls.random(first) < link.p_deliver)
         np.testing.assert_array_equal(
-            decoded, _sample(link.encoding_table, codes, two_calls.random(first))
+            decoded, _sample(link.encoding_columns, codes, two_calls.random(first))
         )
 
 
 class TestDelayControl:
-    def test_zero_length(self):
-        assert delay_control(0, 1e-6) == 0.0
+    """The idler storage delay a detection round logs: photons times slot."""
+
+    @staticmethod
+    def alice_delay_s(num_photons, tdm_slot_s):
+        session = detection_session()
+        run_security_detection(
+            session, Link(make_devices(), EveModel(EveKind.NONE, 0.0)),
+            QberThresholdPolicy(0.1, 1), num_photons=num_photons, tdm_slot_s=tdm_slot_s,
+        )
+        (result,) = [e for e in session.transcript.events if e.event_kind == "detection_result"]
+        return result.payload["alice_delay_s"]
+
+    def test_zero_slot(self):
+        assert self.alice_delay_s(10, 0.0) == 0.0
 
     def test_product(self):
-        assert delay_control(100, 1e-6) == pytest.approx(1e-4, abs=1e-15)
+        assert self.alice_delay_s(100, 1e-6) == pytest.approx(1e-4, abs=1e-15)
 
     def test_monotone_in_length(self):
-        delays = [delay_control(n, 2e-6) for n in range(0, 200, 10)]
+        delays = [self.alice_delay_s(n, 2e-6) for n in range(1, 200, 10)]
         assert delays == sorted(delays)
 
-    def test_negative_rejected(self):
+    @pytest.mark.parametrize("num_photons, tdm_slot_s", [(0, 1e-6), (10, -1e-6)])
+    def test_out_of_range_rejected(self, num_photons, tdm_slot_s):
+        session = detection_session()
         with pytest.raises(DomainError):
-            delay_control(-1, 1e-6)
+            run_security_detection(
+                session, Link(make_devices(), EveModel(EveKind.NONE, 0.0)),
+                QberThresholdPolicy(0.1, 1), num_photons=num_photons, tdm_slot_s=tdm_slot_s,
+            )
+        # Rejected before the round logs anything.
+        assert [event.event_kind for event in session.transcript.events] == ["phase_transition"]
 
 
 FAST_CONFIG = ProtocolConfig(
@@ -602,6 +622,53 @@ class TestMessagePath:
 LAST_DRAW = np.nextafter(1.0, 0.0)  # the largest value rng.random() returns
 
 
+class TestDetectionRound:
+    """The detection round against ``conftest.security_detection_oracle``,
+    which draws Eve's rows through ``np.where`` and counts with six array
+    operations."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        before=st.integers(0, 5),
+        n=st.integers(0, 300),
+    )
+    def test_eve_rows_draw(self, seed, before, n):
+        # integers(1, 3, n) gives integers(0, 2, n) + 1 and leaves the
+        # generator in the same state, also with a half-used 32-bit word.
+        one, other = (np.random.default_rng(seed) for _ in range(2))
+        one.integers(0, 2, before)
+        other.integers(0, 2, before)
+        np.testing.assert_array_equal(one.integers(1, 3, n), other.integers(0, 2, n) + 1)
+        assert one.bit_generator.state == other.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_photons=st.integers(1, 400),
+        eve_kind=st.sampled_from(list(EveKind)),
+        fraction=st.floats(0.0, 1.0),
+        depolarizing_p=st.floats(0.0, 0.5),
+        fiber_km=st.floats(0.0, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle(self, num_photons, eve_kind, fraction, depolarizing_p, fiber_km, seed):
+        link = Link(
+            make_devices(fiber_km=fiber_km, noise=NoiseParams(depolarizing_p=depolarizing_p)),
+            EveModel(eve_kind, fraction),
+        )
+        policy = QberThresholdPolicy(0.3, 5)
+        sessions = []
+        for detect in (run_security_detection, security_detection_oracle):
+            session = detection_session()
+            result = detect(session, link, policy, session.rng, num_photons=num_photons)
+            sessions.append((session, result))
+        (got, got_result), (want, want_result) = sessions
+        assert got.transcript.to_jsonl() == want.transcript.to_jsonl()
+        assert got.transcript.detection_counts == want.transcript.detection_counts
+        assert got_result[:-1] == want_result[:-1]  # every field but the batch
+        assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+
 class TestSampler:
     def test_tables_end_at_exactly_one(self):
         # Unclamped, code 2's row under intercept-resend 0.75 and one
@@ -621,7 +688,7 @@ class TestSampler:
             for table in (encoding, detection):
                 assert (table[:, -1] == 1.0).all()
                 rows = np.arange(table.shape[0])
-                top = _sample(table, rows, np.full(rows.size, LAST_DRAW))
+                top = _sample(_columns(table), rows, np.full(rows.size, LAST_DRAW))
                 assert top.dtype == np.uint8 and top.max() <= 3
                 np.testing.assert_array_equal(
                     top, sample_oracle(table, rows, np.full(rows.size, LAST_DRAW))
@@ -647,7 +714,7 @@ class TestSampler:
         draws[ties] = table[rows[ties], rng.integers(0, 4, n_draws)[ties]]
         draws[draws == 1.0] = LAST_DRAW
         np.testing.assert_array_equal(
-            _sample(table, rows, draws), sample_oracle(table, rows, draws)
+            _sample(_columns(table), rows, draws), sample_oracle(table, rows, draws)
         )
 
 

@@ -728,16 +728,20 @@ def run_in_fresh_interpreter(argv):
 class TestColdStart:
     """Only a Clopper-Pearson interval with 0 < errors < trials needs scipy."""
 
-    @pytest.mark.parametrize("command", ["plan", "fringe_40km", "run_ideal", "run_40km"])
+    @pytest.mark.parametrize(
+        "command", ["plan", "fringe_40km", "run_ideal", "run_40km", "sweep_ideal"]
+    )
     def test_error_free_command_never_loads_scipy(self, tmp_path, command):
         out = str(tmp_path / "out")
         forty_km = write_scenario(tmp_path, forty_km_scenario_dict(), "forty_km.json")
+        ideal = write_scenario(tmp_path, ideal_scenario_dict())
         argv = {
             "plan": ["plan", "--subnets", "5", "--users-per-subnet", "3"],
             "fringe_40km": ["fringe", "--scenario", forty_km, "--out", out],
-            "run_ideal": ["run", "--scenario", write_scenario(tmp_path, ideal_scenario_dict()),
-                          "--out", out],
+            "run_ideal": ["run", "--scenario", ideal, "--out", out],
             "run_40km": ["run", "--scenario", forty_km, "--out", out],
+            "sweep_ideal": ["sweep", "--scenario", ideal, "--param",
+                            "devices.alice_fiber.length_km", "--values", "0,5", "--out", out],
         }[command]
         assert run_in_fresh_interpreter(argv) == (cli.EXIT_OK, False)
 
