@@ -156,18 +156,7 @@ def fringe_study(
     fidelity estimates under both noise assumptions.
     """
     devices = scenario.devices
-    eta_a = photonics.transmittance(devices.alice_fiber) * devices.detector.efficiency
-    eta_b = photonics.transmittance(devices.bob_fiber) * devices.detector.efficiency
-    singles_a = devices.source.pair_rate_hz * eta_a + devices.detector.dark_count_rate_hz
-    singles_b = devices.source.pair_rate_hz * eta_b + devices.detector.dark_count_rate_hz
-    acc_rate = photonics.accidental_rate(
-        singles_a, singles_b, devices.detector.coincidence_window_s
-    )
-    accidental_prob = (
-        min(acc_rate / devices.source.pair_rate_hz, 1.0)
-        if devices.source.pair_rate_hz > 0
-        else 0.0
-    )
+    accidental_prob = photonics.accidental_probability(devices)
     rng = np.random.default_rng([scenario.seed, 0xF21])
     grid = np.linspace(0.0, 2.0 * np.pi, phases, endpoint=False)
     probabilities = qstate.fringe_probability(

@@ -103,6 +103,24 @@ def accidental_rate(singles_1_hz: float, singles_2_hz: float, window_s: float) -
     return singles_1_hz * singles_2_hz * window_s
 
 
+def accidental_probability(devices: Devices) -> float:
+    """Accidental coincidences per emitted pair, capped at 1 (0 without pairs).
+
+    Each arm's singles are its surviving, detected pairs plus dark counts;
+    they meet by chance within the coincidence window (``accidental_rate``).
+    """
+    detector = devices.detector
+    pair_rate_hz = devices.source.pair_rate_hz
+    eta_a = transmittance(devices.alice_fiber) * detector.efficiency
+    eta_b = transmittance(devices.bob_fiber) * detector.efficiency
+    rate_hz = accidental_rate(
+        pair_rate_hz * eta_a + detector.dark_count_rate_hz,
+        pair_rate_hz * eta_b + detector.dark_count_rate_hz,
+        detector.coincidence_window_s,
+    )
+    return min(rate_hz / pair_rate_hz, 1.0) if pair_rate_hz > 0 else 0.0
+
+
 def fringe_scan(
     phases: np.ndarray,
     probabilities: np.ndarray,

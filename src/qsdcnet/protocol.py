@@ -191,13 +191,31 @@ class DetectionBatch(NamedTuple):
         # A photon is detected at the end of its slot.
         timestamps = self.send_start_s + (self.positions + 1) * self.slot_s
         middles = 4 * self.bob_basis + 2 * self.alice_bits + self.bob_bits
+        stamps = _number_texts(timestamps)
+        # orjson writes 0.00001 and 1e16 where repr (and json) write 1e-05 and
+        # 1e+16 (and null for nan); inside [1e-4, 1e16) its shortest digits
+        # are repr's.
+        outside = ~((timestamps >= 1e-4) & (timestamps < 1e16))
+        for index, stamp in zip(outside.nonzero()[0].tolist(), timestamps[outside].tolist()):
+            stamps[index] = float.__repr__(stamp)
         parts = [_RECORD_TAIL + _RECORD_HEAD] * (4 * self.positions.size + 1)
         parts[0] = _RECORD_HEAD
-        parts[1::4] = map(float.__repr__, timestamps.tolist())
+        parts[1::4] = stamps
         parts[2::4] = map(_RECORD_MIDDLES.__getitem__, middles.tolist())
-        parts[3::4] = map(int.__repr__, self.positions.tolist())
+        parts[3::4] = _number_texts(self.positions)
         parts[-1] = _RECORD_TAIL
         return "".join(parts)
+
+
+def _number_texts(values: np.ndarray) -> list[str]:
+    """JSON texts of a non-empty 1-d float64 or integer array's elements, by
+    orjson's shortest round-trip writer."""
+    # Imported here, so that only a command writing detection records loads
+    # orjson (with its uuid and zoneinfo imports).
+    import orjson
+
+    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
+    return text[1:-1].decode().split(",")
 
 
 class SessionTranscript:

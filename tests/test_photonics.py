@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from qsdcnet.errors import DomainError
 from qsdcnet.photonics import (
     FiberSpec,
     SfgSpec,
+    accidental_probability,
     accidental_rate,
     fringe_scan,
     transmittance,
 )
 from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams, fringe_probability
+from qsdcnet.scenario import forty_km_scenario_dict, ideal_scenario_dict, scenario_from_dict
 
 from conftest import apply_noise, bell_state, sfg_bsm
 
@@ -111,6 +115,38 @@ class TestAccidentalRate:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             accidental_rate(-1.0, 1.0, 1.0)
+
+
+def inline_accidental_probability(devices) -> float:
+    """The singles-and-accidentals formula fringe_study computed inline."""
+    eta_a = transmittance(devices.alice_fiber) * devices.detector.efficiency
+    eta_b = transmittance(devices.bob_fiber) * devices.detector.efficiency
+    singles_a = devices.source.pair_rate_hz * eta_a + devices.detector.dark_count_rate_hz
+    singles_b = devices.source.pair_rate_hz * eta_b + devices.detector.dark_count_rate_hz
+    acc_rate = accidental_rate(singles_a, singles_b, devices.detector.coincidence_window_s)
+    if devices.source.pair_rate_hz > 0:
+        return min(acc_rate / devices.source.pair_rate_hz, 1.0)
+    return 0.0
+
+
+class TestAccidentalProbability:
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [(forty_km_scenario_dict(), 1.284e-4), (ideal_scenario_dict(), 1e-3)],
+        ids=["forty_km", "ideal"],
+    )
+    def test_equals_the_inline_formula(self, doc, expected):
+        devices = scenario_from_dict(doc).devices
+        probability = accidental_probability(devices)
+        assert probability == inline_accidental_probability(devices)
+        assert probability == pytest.approx(expected, rel=1e-3)
+
+    def test_no_pairs_and_the_cap(self):
+        devices = scenario_from_dict(ideal_scenario_dict()).devices
+        detector = replace(devices.detector, dark_count_rate_hz=1e9, coincidence_window_s=1e-6)
+        no_pairs = replace(devices.source, pair_rate_hz=0.0)
+        assert accidental_probability(replace(devices, source=no_pairs)) == 0.0
+        assert accidental_probability(replace(devices, detector=detector)) == 1.0
 
 
 class TestFringeScan:

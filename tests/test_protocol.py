@@ -2,14 +2,16 @@ import json
 from itertools import product
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsdcnet import cli
 from qsdcnet.errors import DomainError, InvariantViolation
 from qsdcnet.photonics import SfgSpec
 from qsdcnet.protocol import (
+    MAX_DETECTION_SIZE,
     DetectionBatch,
     EveKind,
     EveModel,
@@ -752,6 +754,37 @@ class TestBellWeightTables:
         )
 
 
+def outcome_batch(send_start_s, slot_s, positions, codes) -> DetectionBatch:
+    """A batch whose survivor k has outcome code codes[k] = 4 * basis + 2 * alice + bob."""
+    codes = np.asarray(codes)
+    return DetectionBatch(
+        send_start_s=send_start_s,
+        slot_s=slot_s,
+        positions=positions,
+        bob_basis=codes >> 2,
+        alice_bits=(codes >> 1 & 1).astype(np.uint8),
+        bob_bits=(codes & 1).astype(np.uint8),
+    )
+
+
+@st.composite
+def straddling_batches(draw):
+    """Batches whose stamps straddle 1e-4 or 1e16, the edges of the range
+    in which orjson's float texts are repr's: the middle survivor's stamp
+    lands near the edge."""
+    positions = np.array(sorted(draw(st.sets(
+        st.integers(0, MAX_DETECTION_SIZE - 1), min_size=1, max_size=60
+    ))))
+    edge = draw(st.sampled_from([1e-4, 1e16]))
+    send_start_s = draw(st.floats(0.0, edge)) * draw(st.sampled_from([0.0, 1.0]))
+    middle = int(positions[positions.size // 2]) + 1
+    slot_s = (edge - send_start_s) / middle * draw(st.floats(0.5, 2.0))
+    if draw(st.booleans()):  # a strided view, which orjson takes only once copied
+        positions = np.repeat(positions, 2)[::2]
+    codes = draw(st.lists(st.integers(0, 7), min_size=positions.size, max_size=positions.size))
+    return outcome_batch(send_start_s, slot_s, positions, codes)
+
+
 class TestTranscriptFormatting:
     """Detection records are kept as arrays and formatted by hand; these
     properties hold them to json.dumps and to the scalar QBER oracle."""
@@ -822,21 +855,33 @@ class TestTranscriptFormatting:
             lines.append(json.dumps(event) + "\n")
         return "".join(lines)
 
+    @settings(max_examples=200, deadline=None)
+    @given(batch=straddling_batches())
+    # Every stamp below 1e-4 (9e-5 at most), and a strided view across 1e-4.
+    @example(batch=outcome_batch(0.0, 1e-9, np.arange(0, 90_000, 7), np.arange(90_000 // 7 + 1) % 8))
+    @example(batch=outcome_batch(1e-5, 3e-6, np.arange(40)[::3], np.arange(14) % 8))
+    def test_random_batches_match_json(self, batch):
+        # As lists of lines: pytest's diff of two long strings takes minutes.
+        lines = batch.to_jsonl().splitlines(keepends=True)
+        assert lines == self.json_lines(batch).splitlines(keepends=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(1e-4, 1e16, exclude_max=True), min_size=1, max_size=50))
+    @example([1e-4, float(np.nextafter(1e16, 0.0)), 0.1 + 0.2, 1e15])
+    def test_orjson_floats_are_reprs_inside_the_range(self, values):
+        # to_jsonl relies on this: an orjson that formats these differently
+        # fails here rather than changing transcript bytes.
+        text = orjson.dumps(np.array(values), option=orjson.OPT_SERIALIZE_NUMPY)
+        assert text.decode()[1:-1].split(",") == list(map(float.__repr__, values))
+
     @pytest.mark.parametrize(
         "send_start_s, slot_s, repr_part",
         [(0.0, 1e-12, "e-"), (0.25, 1e-3, "."), (1e16, 1.0, "e+"), (3e17, 7.5, "e+")],
         ids=["below_1e-4", "plain", "at_1e16", "above_1e16"],
     )
     def test_every_outcome_combination_matches_json(self, send_start_s, slot_s, repr_part):
-        codes = np.arange(8)  # 4 * basis + 2 * alice + bob
-        batch = DetectionBatch(
-            send_start_s=send_start_s,
-            slot_s=slot_s,
-            positions=np.array([0, 1, 7, 8, 99, 100, 4095, 10**6]),
-            bob_basis=codes >> 2,
-            alice_bits=(codes >> 1 & 1).astype(np.uint8),
-            bob_bits=(codes & 1).astype(np.uint8),
-        )
+        positions = np.array([0, 1, 7, 8, 99, 100, 4095, 10**6])
+        batch = outcome_batch(send_start_s, slot_s, positions, np.arange(8))
         text = batch.to_jsonl()
         assert text == self.json_lines(batch)
         assert text.count("\n") == 8

@@ -698,13 +698,13 @@ class TestReportContents:
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs cli.main(argv) with stdout swallowed, then prints [exit code, whether
-# scipy was imported] on its last line.
+# scipy was imported, whether orjson was imported] on its last line.
 _COLD_START_CHILD = """
 import contextlib, io, json, sys
 from qsdcnet import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, "scipy" in sys.modules]))
+print(json.dumps([code, "scipy" in sys.modules, "orjson" in sys.modules]))
 """
 
 # report.json of the intercept-resend run below (interior QBER counts), as
@@ -714,7 +714,8 @@ INTERCEPT_RESEND_REPORT_SHA256 = "45992d320d5d872a141c2cc863985d6091d680c373c5cb
 
 def run_in_fresh_interpreter(argv):
     """cli.main(argv) in a new interpreter, so that no import made by the test
-    process can hide one made by the command: (exit code, scipy loaded)."""
+    process can hide one made by the command: (exit code, scipy loaded,
+    orjson loaded)."""
     done = subprocess.run(
         [sys.executable, "-c", _COLD_START_CHILD, json.dumps(argv)],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -726,7 +727,8 @@ def run_in_fresh_interpreter(argv):
 
 
 class TestColdStart:
-    """Only a Clopper-Pearson interval with 0 < errors < trials needs scipy."""
+    """Only a Clopper-Pearson interval with 0 < errors < trials needs scipy,
+    and only a run, which writes detection records, needs orjson."""
 
     @pytest.mark.parametrize(
         "command", ["plan", "fringe_40km", "run_ideal", "run_40km", "sweep_ideal"]
@@ -743,14 +745,15 @@ class TestColdStart:
             "sweep_ideal": ["sweep", "--scenario", ideal, "--param",
                             "devices.alice_fiber.length_km", "--values", "0,5", "--out", out],
         }[command]
-        assert run_in_fresh_interpreter(argv) == (cli.EXIT_OK, False)
+        writes_records = command.startswith("run")
+        assert run_in_fresh_interpreter(argv) == (cli.EXIT_OK, False, writes_records)
 
     def test_run_with_errors_loads_scipy_and_writes_the_same_report(self, tmp_path):
         doc = ideal_scenario_dict()
         doc["eve"] = {"kind": "intercept_resend", "fraction": 0.3}
         out = tmp_path / "out"
         argv = ["run", "--scenario", write_scenario(tmp_path, doc), "--out", str(out)]
-        assert run_in_fresh_interpreter(argv) == (cli.EXIT_OK, True)
+        assert run_in_fresh_interpreter(argv) == (cli.EXIT_OK, True, True)
         report = json.loads((out / "report.json").read_text())
         assert 0 < report["qber"]["e"] < 1
         digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
