@@ -1,8 +1,6 @@
 """Deterministic simulator of an entanglement-based QSDC network."""
 
 from .analysis import (
-    FidelityEstimate,
-    NoiseAssumption,
     QberEstimate,
     SecrecyReport,
     ThroughputReport,
@@ -47,7 +45,6 @@ from .protocol import (
     Link,
     MessageCodes,
     ProtocolConfig,
-    QberThresholdPolicy,
     Session,
     SessionPhase,
     SessionTranscript,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 from .errors import DomainError, InsufficientData
@@ -137,34 +136,13 @@ def qber_from_counts(n_z: int, errors_z: int, n_x: int, errors_x: int) -> QberEs
     return QberEstimate(e=e, e_x=e_x, e_z=e_z, n_x=n_x, n_z=n_z, ci_low=ci_low, ci_high=ci_high)
 
 
-class NoiseAssumption(Enum):
-    ISOTROPIC = "isotropic"
-    PHASE_ONLY = "phase_only"
-
-
-@dataclass(frozen=True)
-class FidelityEstimate:
-    fidelity: float
-    assumption: NoiseAssumption
-
-
-def fidelity_from_visibility(
-    v: float, noise_assumption: NoiseAssumption = NoiseAssumption.ISOTROPIC
-) -> FidelityEstimate:
-    """Estimate Bell-state fidelity from fringe visibility.
-
-    Isotropic (Werner) noise gives F = (1 + 3V)/4; pure phase noise gives
-    F = (1 + V)/2. The assumption used is recorded in the result.
-    """
+def fidelity_from_visibility(v: float) -> tuple[float, float]:
+    """Bell-state fidelity from fringe visibility under two noise models:
+    isotropic (Werner) noise gives F = (1 + 3V)/4, pure phase noise
+    F = (1 + V)/2. Returns (isotropic, phase_only)."""
     if not 0.0 <= v <= 1.0:
         raise DomainError(f"visibility must be in [0, 1], got {v}")
-    if noise_assumption is NoiseAssumption.ISOTROPIC:
-        fidelity = (1.0 + 3.0 * v) / 4.0
-    elif noise_assumption is NoiseAssumption.PHASE_ONLY:
-        fidelity = (1.0 + v) / 2.0
-    else:
-        raise DomainError(f"unknown noise assumption {noise_assumption!r}")
-    return FidelityEstimate(fidelity=fidelity, assumption=noise_assumption)
+    return (1.0 + 3.0 * v) / 4.0, (1.0 + v) / 2.0
 
 
 @dataclass(frozen=True)

@@ -59,15 +59,14 @@ def run_session(scenario: Scenario) -> protocol.SessionTranscript:
         scenario.message_bits(),
         scenario.devices,
         scenario.eve,
-        scenario.policy,
-        scenario.config,
+        scenario.protocol,
         scenario.session_rng(),
     )
 
 
 def fidelity_table(scenario: Scenario) -> list[dict]:
     """Closed-form fidelity of each Bell state under source noise."""
-    noise = scenario.devices.source.heralding_noise
+    noise = scenario.devices.source.noise
     return [
         {"bell_state": label.name.lower(), "fidelity": qstate.fidelity(label, noise)}
         for label in qstate.BELL_ORDER
@@ -83,16 +82,17 @@ def session_metrics(
     completed session claims a secrecy bound; throughput is reported for
     every session."""
     qber = transcript.pooled_qber
+    summary = transcript.summary
     secrecy = (
-        analysis.session_secrecy_report(qber, transcript.erasure_fraction)
-        if transcript.completed  # which passed a detection round, so has a qber
+        analysis.session_secrecy_report(qber, summary["erasure_fraction"])
+        if summary["status"] == "completed"  # which passed a detection round, so has a qber
         else None
     )
     throughput = analysis.throughput(
         sfg_rate_hz=scenario.devices.sfg.max_rate_hz,
         modulation_rate_hz=scenario.devices.modulator.rate_hz,
-        erasure_fraction=transcript.erasure_fraction,
-        overhead_fraction=transcript.overhead_fraction,
+        erasure_fraction=summary["erasure_fraction"],
+        overhead_fraction=summary["overhead_fraction"],
     )
     return qber, secrecy, throughput
 
@@ -159,15 +159,12 @@ def fringe_study(
     accidental_prob = photonics.accidental_probability(devices)
     rng = np.random.default_rng([scenario.seed, 0xF21])
     grid = np.linspace(0.0, 2.0 * np.pi, phases, endpoint=False)
-    probabilities = qstate.fringe_probability(
-        label, devices.source.heralding_noise, grid
-    )
+    probabilities = qstate.fringe_probability(label, devices.source.noise, grid)
     rows = photonics.fringe_scan(grid, probabilities, shots_per_phase, accidental_prob, rng)
     samples = [(row["phase_rad"], row["corrected_rate"]) for row in rows]
     fit = qstate.fit_fringe(samples)
     v = fit.visibility
-    isotropic = analysis.fidelity_from_visibility(v, analysis.NoiseAssumption.ISOTROPIC)
-    phase_only = analysis.fidelity_from_visibility(v, analysis.NoiseAssumption.PHASE_ONLY)
+    isotropic, phase_only = analysis.fidelity_from_visibility(v)
     return {
         "bell_state": label.name.lower(),
         "phases": phases,
@@ -176,8 +173,8 @@ def fringe_study(
         "samples": rows,
         "visibility": v,
         "fringe_theta_rad": fit.theta_rad,
-        "fidelity_isotropic": isotropic.fidelity,
-        "fidelity_phase_only": phase_only.fidelity,
+        "fidelity_isotropic": isotropic,
+        "fidelity_phase_only": phase_only,
     }
 
 
@@ -245,8 +242,8 @@ def cmd_run(args) -> int:
         handle.write(report_json)
     print(report_json, end="")
     print(f"wall-clock: {time.monotonic() - started:.3f} s", file=sys.stderr)
-    if transcript.aborted:
-        print(f"session aborted: {transcript.abort_reason}", file=sys.stderr)
+    if transcript.summary["status"] == "aborted":
+        print(f"session aborted: {transcript.summary['abort_reason']}", file=sys.stderr)
         return EXIT_ABORT
     return EXIT_OK
 
@@ -310,18 +307,19 @@ def cmd_sweep(args) -> int:
             return EXIT_VALIDATION
         transcript = run_session(variant)
         qber, secrecy, throughput = session_metrics(variant, transcript)
+        summary = transcript.summary
         rows.append(
             {
                 "index": index,
                 "parameter": args.param,
                 "value": value,
                 "seed": seed,
-                "status": transcript.summary.get("status"),
+                "status": summary["status"],
                 "qber_e": qber.e if qber else "",
                 "cs_lower": secrecy.cs_lower if secrecy else "",
                 "info_rate_bits_per_s": throughput.info_rate_bits_per_s,
-                "erasure_fraction": transcript.erasure_fraction,
-                "ber": transcript.ber if transcript.ber is not None else "",
+                "erasure_fraction": summary["erasure_fraction"],
+                "ber": summary["ber"] if summary["ber"] is not None else "",
             }
         )
     os.makedirs(out_dir, exist_ok=True)
@@ -350,16 +348,7 @@ def cmd_fringe(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     table_path = os.path.join(out_dir, f"fringe_{args.bell_state}.{args.format}")
     _write_rows(table_path, study["samples"], _FRINGE_FIELDS, args.format)
-    summary = {key: study[key] for key in (
-        "bell_state",
-        "phases",
-        "shots_per_phase",
-        "accidental_prob",
-        "visibility",
-        "fringe_theta_rad",
-        "fidelity_isotropic",
-        "fidelity_phase_only",
-    )}
+    summary = {key: value for key, value in study.items() if key != "samples"}
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 

@@ -72,7 +72,7 @@ class ModulatorSpec:
 @dataclass(frozen=True)
 class SourceSpec:
     pair_rate_hz: float
-    heralding_noise: NoiseParams = field(default_factory=NoiseParams)
+    noise: NoiseParams = field(default_factory=NoiseParams)  # the heralded pairs' noise
 
     def __post_init__(self):
         _check_nonnegative("pair_rate_hz", self.pair_rate_hz)

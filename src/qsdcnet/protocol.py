@@ -74,18 +74,6 @@ class EveModel:
             raise DomainError(f"fraction must be in [0, 1], got {self.fraction}")
 
 
-@dataclass(frozen=True)
-class QberThresholdPolicy:
-    threshold: float = 0.1
-    min_samples: int = 500
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 0.5:
-            raise DomainError(f"threshold must be in (0, 0.5), got {self.threshold}")
-        if self.min_samples < 1:
-            raise DomainError(f"min_samples must be >= 1, got {self.min_samples}")
-
-
 # json.dumps writes _SPLICE_MARK % i as _SPLICE_TOKEN + f'{i}"'.
 _SPLICE_MARK, _SPLICE_TOKEN = "\x00splice %d", '"\\u0000splice '
 
@@ -236,34 +224,6 @@ class SessionTranscript:
         return "".join(self.chunks())
 
     @property
-    def completed(self) -> bool:
-        return self.summary.get("status") == "completed"
-
-    @property
-    def aborted(self) -> bool:
-        return self.summary.get("status") == "aborted"
-
-    @property
-    def abort_reason(self) -> str | None:
-        return self.summary.get("abort_reason")
-
-    @property
-    def delivered_bits(self) -> str | None:
-        return self.summary.get("delivered_bits")
-
-    @property
-    def ber(self) -> float | None:
-        return self.summary.get("ber")
-
-    @property
-    def erasure_fraction(self) -> float:
-        return self.summary.get("erasure_fraction", 0.0)
-
-    @property
-    def overhead_fraction(self) -> float:
-        return self.summary.get("overhead_fraction", 0.0)
-
-    @property
     def pooled_qber(self) -> analysis.QberEstimate | None:
         """All detection rounds pooled into one estimate."""
         if not self.detection_counts:
@@ -399,11 +359,11 @@ class Link:
             t_alice * t_bob * (1.0 - tap_fraction) * devices.sfg.conversion_efficiency
             * efficiency
         )
-        self.detection_columns = _detection_columns(devices.source.heralding_noise)
+        self.detection_columns = _detection_columns(devices.source.noise)
 
     @cached_property
     def encoding_columns(self) -> tuple[np.ndarray, ...]:
-        return _columns(_encoding_cumulative(self.devices.source.heralding_noise, self.eve))
+        return _columns(_encoding_cumulative(self.devices.source.noise, self.eve))
 
 
 def _columns(table: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -428,42 +388,27 @@ class DetectionResult(NamedTuple):
     passed: bool
     reason: str | None
     qber: analysis.QberEstimate | None
-    photons_sent: int
     photons_detected: int
-    expected_detected: float
     batch: DetectionBatch | None  # None when no photon survived
 
 
-def run_security_detection(
-    session: Session,
-    link: Link,
-    policy: QberThresholdPolicy,
-    rng: np.random.Generator | None = None,
-    *,
-    num_photons: int,
-    decrease_factor: float = 0.5,
-    tdm_slot_s: float = 1e-6,
-) -> DetectionResult:
+def run_security_detection(session: Session, link: Link, config: ProtocolConfig) -> DetectionResult:
     """Run one security-detection round and transition the session.
 
-    Alice sends ``num_photons`` detection photons drawn from the signal arm
-    of the pair source; Bob measures each survivor in a random basis and
-    publishes position, basis and outcome; Alice compares in the matching
-    basis. The round passes only if enough photons survive, the surviving
-    count is no lower than decrease_factor times the lossless-channel
-    expectation, and the pooled QBER stays below the policy threshold.
+    Alice sends ``config.detection_size`` detection photons drawn from the
+    signal arm of the pair source; Bob measures each survivor in a random
+    basis and publishes position, basis and outcome; Alice compares in the
+    matching basis. The round passes only if at least min_samples photons
+    survive, the surviving count is no lower than photon_decrease_factor
+    times the lossless-channel expectation, and the pooled QBER stays below
+    qber_threshold. Every draw comes from ``session.rng``.
     """
     if session.phase is not SessionPhase.SECURITY_DETECTION:
         raise InvariantViolation(
             f"security detection requires phase security_detection, got {session.phase.value}"
         )
-    if num_photons < 1:
-        raise DomainError(f"num_photons must be >= 1, got {num_photons}")
-    if not 0.0 <= decrease_factor <= 1.0:
-        raise DomainError(f"decrease_factor must be in [0, 1], got {decrease_factor}")
-    if tdm_slot_s < 0:
-        raise DomainError(f"tdm_slot_s must be >= 0, got {tdm_slot_s}")
-    rng = rng or session.rng
+    num_photons = config.detection_size
+    rng = session.rng
     eve = link.eve
     rate_hz = link.devices.modulator.rate_hz
     expected = num_photons * link.eta_alice * link.eta_bob  # lossless-eavesdropper budget
@@ -491,18 +436,18 @@ def run_security_detection(
         session.transcript.detection_counts.append(counts)
         qber = analysis.qber_from_counts(*counts)
 
-    if n < policy.min_samples:
+    if n < config.min_samples:
         passed, reason = False, "insufficient_detection_samples"
-    elif n < decrease_factor * expected:
+    elif n < config.photon_decrease_factor * expected:
         passed, reason = False, "photon_count_drop"
-    elif qber.e >= policy.threshold:
+    elif qber.e >= config.qber_threshold:
         passed, reason = False, "qber_threshold_exceeded"
     else:
         passed, reason = True, None
 
     session.log(
         "detection_result",
-        alice_delay_s=num_photons * tdm_slot_s,  # the idler's storage delay
+        alice_delay_s=num_photons * config.tdm_slot_s,  # the idler's storage delay
         expected_detected=expected,
         passed=passed,
         photons_detected=int(n),
@@ -514,7 +459,7 @@ def run_security_detection(
         SessionPhase.BLOCK_TRANSMISSION if passed else SessionPhase.ABORTED,
         reason=reason,
     )
-    return DetectionResult(passed, reason, qber, num_photons, n, expected, batch)
+    return DetectionResult(passed, reason, qber, n, batch)
 
 
 def transmit_and_decode_block(
@@ -546,8 +491,11 @@ MAX_DETECTION_SIZE = 10**6
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Session-level policy knobs for run_qsdc."""
+    """The protocol's knobs: the security check's QBER threshold and sample
+    floor, then block-wise transmission with periodic re-detection."""
 
+    qber_threshold: float = 0.1
+    min_samples: int = 500
     block_size: int = 10000
     detection_size: int | None = None  # None: 10% of a block, at least 1
     redetect_every_blocks: int = 10
@@ -556,6 +504,10 @@ class ProtocolConfig:
     tdm_slot_s: float = 1e-6
 
     def __post_init__(self):
+        if not 0.0 < self.qber_threshold < 0.5:
+            raise DomainError(f"qber_threshold must be in (0, 0.5), got {self.qber_threshold}")
+        if self.min_samples < 1:
+            raise DomainError(f"min_samples must be >= 1, got {self.min_samples}")
         if not 1 <= self.block_size <= MAX_BLOCK_SIZE:
             raise DomainError(
                 f"block_size must be in [1, {MAX_BLOCK_SIZE}], got {self.block_size}"
@@ -654,7 +606,6 @@ def run_qsdc(
     message: MessageCodes | str,
     devices: Devices,
     eve: EveModel,
-    policy: QberThresholdPolicy,
     config: ProtocolConfig,
     rng: np.random.Generator,
 ) -> SessionTranscript:
@@ -703,15 +654,7 @@ def run_qsdc(
         if blocks_since_check >= config.redetect_every_blocks:
             session.transition(SessionPhase.SECURITY_DETECTION)
             start = session.time_s
-            result = run_security_detection(
-                session,
-                link,
-                policy,
-                rng,
-                num_photons=config.detection_size,
-                decrease_factor=config.photon_decrease_factor,
-                tdm_slot_s=config.tdm_slot_s,
-            )
+            result = run_security_detection(session, link, config)
             detection_photons += config.detection_size
             detection_time_total += session.time_s - start
             if not result.passed:

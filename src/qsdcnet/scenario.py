@@ -33,9 +33,7 @@ from .photonics import (
     SfgSpec,
     SourceSpec,
 )
-from .protocol import (
-    EveModel, MessageCodes, ProtocolConfig, QberThresholdPolicy, dumps_spliced
-)
+from .protocol import EveModel, MessageCodes, ProtocolConfig, dumps_spliced
 
 # Distinct RNG streams derived from the scenario seed.
 _MESSAGE_STREAM = 0x6D65
@@ -128,8 +126,7 @@ class Scenario:
     seed: int
     topology: Topology
     devices: Devices
-    policy: QberThresholdPolicy
-    config: ProtocolConfig
+    protocol: ProtocolConfig
     eve: EveModel
     message: MessageSpec
 
@@ -155,22 +152,11 @@ class Scenario:
         return _write(self)
 
 
-# JSON keys that differ from the field names; policy and config share one
-# "protocol" section.
-_KEYS = {
-    "heralding_noise": "noise",
-    "threshold": "qber_threshold",
-    "policy": "protocol",
-    "config": "protocol",
-}
-
-
 class _Field(typing.NamedTuple):
     name: str
-    key: str
     kind: type  # float, int, str, an Enum, or a config dataclass
     required: bool
-    section_keys: frozenset | None  # every key a section may hold; None for a scalar
+    section: bool  # kind is a config dataclass
 
 
 # Each config dataclass's fields by attribute name, built once at import.
@@ -184,25 +170,19 @@ def _add_to_table(cls) -> None:
         kind = hints[field.name]
         if isinstance(kind, types.UnionType):  # X | None
             (kind,) = set(typing.get_args(kind)) - {type(None)}
-        if dataclasses.is_dataclass(kind) and kind not in _TABLE:
+        section = dataclasses.is_dataclass(kind)
+        if section and kind not in _TABLE:
             _add_to_table(kind)
         required = (
             field.default is dataclasses.MISSING
             and field.default_factory is dataclasses.MISSING
-            and (kind not in _TABLE or any(f.required for f in _TABLE[kind].values()))
+            and (not section or any(f.required for f in _TABLE[kind].values()))
         )
-        key = _KEYS.get(field.name, field.name)
-        fields[field.name] = _Field(field.name, key, kind, required, None)
-    for name, field in fields.items():
-        if field.kind in _TABLE:  # sections under one key share its object
-            shared = [f.kind for f in fields.values() if f.key == field.key]
-            keys = frozenset(f.key for kind in shared for f in _TABLE[kind].values())
-            fields[name] = field._replace(section_keys=keys)
+        fields[field.name] = _Field(field.name, kind, required, section)
     _TABLE[cls] = fields
 
 
 _add_to_table(Scenario)
-_ROOT_KEYS = frozenset(field.key for field in _TABLE[Scenario].values())
 
 
 def _join(path: str, key: str) -> str:
@@ -232,68 +212,65 @@ def _scalar(kind: type, value, label: str):
     return value
 
 
-def _read(cls: type, data, path: str, allowed: frozenset, base=None):
+def _read(cls: type, data, path: str, base=None):
     """Build ``cls`` from one JSON object, or, given ``base``, replace the
     fields the object holds in ``base``; errors name the dotted path."""
     if not isinstance(data, dict):
         raise ScenarioError(f"{path or 'scenario'}: expected an object")
+    fields = _TABLE[cls]
     for key in data:
-        if key not in allowed:
+        if key not in fields:
             raise ScenarioError(f"{_join(path, key)}: unknown field")
     values = {}
-    for name, key, kind, required, section_keys in _TABLE[cls].values():
-        label = _join(path, key)
-        if key in data:
-            value = data[key]
+    for name, kind, required, section in fields.values():
+        label = _join(path, name)
+        if name in data:
+            value = data[name]
         elif base is not None:
             continue  # base keeps its value
         elif required:
-            what = "field" if section_keys is None else "section"
+            what = "section" if section else "field"
             raise ScenarioError(f"{label}: missing required {what}")
-        elif section_keys is None:
+        elif not section:
             continue  # the dataclass default applies
         else:
             value = {}
-        if section_keys is None:
-            values[name] = _scalar(kind, value, label)
-        else:
-            values[name] = _read(kind, value, label, section_keys)
+        values[name] = _read(kind, value, label) if section else _scalar(kind, value, label)
     try:
         return cls(**values) if base is None else dataclasses.replace(base, **values)
     except QsdcError as exc:
         # A message that starts with a field's name is about that field.
         name, _, rest = str(exc).partition(" ")
-        field = _TABLE[cls].get(name)
-        if field is not None:
-            raise ScenarioError(f"{_join(path, field.key)}: {rest}") from exc
+        if name in fields:
+            raise ScenarioError(f"{_join(path, name)}: {rest}") from exc
         raise ScenarioError(f"{path or 'scenario'}: {exc}") from exc
 
 
 def _write(obj) -> dict:
     doc = {}
     values = obj.__dict__
-    for name, key, _, _, section_keys in _TABLE[type(obj)].values():
+    for name, _, _, section in _TABLE[type(obj)].values():
         value = values[name]
         if value is None:
             continue
-        if section_keys is not None:
-            doc.setdefault(key, {}).update(_write(value))
+        if section:
+            doc[name] = _write(value)
         else:
             # isinstance against builtins is cheaper than against Enum.
-            doc[key] = value if isinstance(value, (float, int, str)) else value.value
+            doc[name] = value if isinstance(value, (float, int, str)) else value.value
     return doc
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Validate a scenario dictionary and build the typed Scenario."""
-    return _read(Scenario, data, "", _ROOT_KEYS)
+    return _read(Scenario, data, "")
 
 
 def replace_entries(base: Scenario, entries: dict) -> Scenario:
     """The Scenario, or the ScenarioError, that scenario_from_dict gives for
     ``{**base.to_dict(), **entries}``, reading only the top-level entries
-    given (a ``protocol`` entry is both policy and config)."""
-    return _read(Scenario, entries, "", _ROOT_KEYS, base)
+    given."""
+    return _read(Scenario, entries, "", base)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -333,8 +310,7 @@ def ideal_scenario_dict(
             modulator=ModulatorSpec(rate_hz=1e5),
             source=SourceSpec(pair_rate_hz=1e6),
         ),
-        policy=QberThresholdPolicy(),
-        config=ProtocolConfig(),
+        protocol=ProtocolConfig(),
         eve=EveModel(),
         message=MessageSpec(hex=message_hex, bit_length=message_bit_length),
     ).to_dict()
@@ -359,8 +335,7 @@ def forty_km_scenario_dict(seed: int = 1, random_bits: int = 20000) -> dict:
             modulator=ModulatorSpec(rate_hz=1e4),
             source=SourceSpec(pair_rate_hz=1e6),
         ),
-        policy=QberThresholdPolicy(),
-        config=ProtocolConfig(detection_size=8000),
+        protocol=ProtocolConfig(detection_size=8000),
         eve=EveModel(),
         message=MessageSpec(random_bits=random_bits),
     ).to_dict()

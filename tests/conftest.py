@@ -389,12 +389,7 @@ def sample_oracle(table: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.
 def security_detection_oracle(
     session: protocol.Session,
     link: protocol.Link,
-    policy: protocol.QberThresholdPolicy,
-    rng: np.random.Generator,
-    *,
-    num_photons: int,
-    decrease_factor: float = 0.5,
-    tdm_slot_s: float = 1e-6,
+    config: protocol.ProtocolConfig,
 ) -> protocol.DetectionResult:
     """``protocol.run_security_detection`` with Eve's rows from
     ``np.where``, the counts from six array operations and the idler delay
@@ -403,6 +398,10 @@ def security_detection_oracle(
     The reference for the detection round of ``run_qsdc_oracle``: the same
     draws in the same order, so the same transcript events and result.
     """
+    rng = session.rng
+    num_photons = config.detection_size
+    decrease_factor = config.photon_decrease_factor
+    tdm_slot_s = config.tdm_slot_s
     if session.phase is not protocol.SessionPhase.SECURITY_DETECTION:
         raise InvariantViolation(
             f"security detection requires phase security_detection, got {session.phase.value}"
@@ -433,7 +432,7 @@ def security_detection_oracle(
             eve_action = np.where(intercepted, 1 + eve_basis, 0)
         else:
             eve_action = np.zeros(n, dtype=int)
-        table = protocol._detection_branch_cumulative(link.devices.source.heralding_noise)
+        table = protocol._detection_branch_cumulative(link.devices.source.noise)
         joint = sample_oracle(table.reshape(6, 4), 3 * bob_basis + eve_action, rng.random(n))
         batch = protocol.DetectionBatch(
             send_start_s=send_start,
@@ -453,11 +452,11 @@ def security_detection_oracle(
         session.transcript.detection_counts.append(counts)
         qber = qber_from_counts(*counts)
 
-    if n < policy.min_samples:
+    if n < config.min_samples:
         passed, reason = False, "insufficient_detection_samples"
     elif n < decrease_factor * expected:
         passed, reason = False, "photon_count_drop"
-    elif qber.e >= policy.threshold:
+    elif qber.e >= config.qber_threshold:
         passed, reason = False, "qber_threshold_exceeded"
     else:
         passed, reason = True, None
@@ -480,9 +479,7 @@ def security_detection_oracle(
         passed=passed,
         reason=reason,
         qber=qber,
-        photons_sent=num_photons,
         photons_detected=int(n),
-        expected_detected=expected,
         batch=batch,
     )
 
@@ -491,7 +488,6 @@ def run_qsdc_oracle(
     message_bits: str,
     devices: Devices,
     eve: protocol.EveModel,
-    policy: protocol.QberThresholdPolicy,
     config: protocol.ProtocolConfig,
     rng: np.random.Generator,
 ) -> protocol.SessionTranscript:
@@ -536,16 +532,8 @@ def run_qsdc_oracle(
         if blocks_since_check >= config.redetect_every_blocks:
             session.transition(protocol.SessionPhase.SECURITY_DETECTION)
             start = session.time_s
-            result = security_detection_oracle(
-                session,
-                link,
-                policy,
-                rng,
-                num_photons=config.detection_size,
-                decrease_factor=config.photon_decrease_factor,
-                tdm_slot_s=config.tdm_slot_s,
-            )
-            detection_photons += result.photons_sent
+            result = security_detection_oracle(session, link, config)
+            detection_photons += config.detection_size
             detection_time_total += session.time_s - start
             if not result.passed:
                 break

@@ -23,7 +23,6 @@ from qsdcnet.protocol import (
     EveModel,
     Link,
     ProtocolConfig,
-    QberThresholdPolicy,
     Session,
     SessionPhase,
     run_qsdc,
@@ -144,7 +143,7 @@ def test_criterion_04_calibrated_fidelity_recovery():
             doc = ideal_scenario_dict(seed=400 + label.value.count("1"), message_hex="aa")
             doc["devices"]["source"]["noise"]["depolarizing_p"] = p
             scenario = scenario_from_dict(doc)
-            direct = qstate.fidelity(label, scenario.devices.source.heralding_noise)
+            direct = qstate.fidelity(label, scenario.devices.source.noise)
             assert direct == pytest.approx(target, abs=1e-12)
             study = cli.fringe_study(scenario, label, phases=phases, shots_per_phase=shots)
             assert study["fidelity_isotropic"] == pytest.approx(target, abs=0.005)
@@ -166,13 +165,12 @@ def test_criterion_05_secrecy_capacity_reference_point():
 def test_criterion_06_eavesdropper_detection():
     with criterion(6, "intercept-resend detection", budget_s=30.0):
         devices = make_devices()
-        default_policy = QberThresholdPolicy()  # threshold 0.1
+        config = ProtocolConfig(detection_size=12000)  # default threshold 0.1
 
         session = Session(np.random.default_rng(601))
         session.transition(SessionPhase.SECURITY_DETECTION)
         full = run_security_detection(
-            session, Link(devices, EveModel(EveKind.INTERCEPT_RESEND, 1.0)), default_policy,
-            num_photons=12000,
+            session, Link(devices, EveModel(EveKind.INTERCEPT_RESEND, 1.0)), config
         )
         assert full.photons_detected >= 10_000
         assert full.qber.e == pytest.approx(0.25, abs=0.01)
@@ -181,8 +179,7 @@ def test_criterion_06_eavesdropper_detection():
         session = Session(np.random.default_rng(602))
         session.transition(SessionPhase.SECURITY_DETECTION)
         partial = run_security_detection(
-            session, Link(devices, EveModel(EveKind.INTERCEPT_RESEND, 0.2)), default_policy,
-            num_photons=12000,
+            session, Link(devices, EveModel(EveKind.INTERCEPT_RESEND, 0.2)), config
         )
         assert partial.photons_detected >= 10_000
         assert partial.qber.e == pytest.approx(0.05, abs=0.01)
@@ -192,18 +189,20 @@ def test_criterion_06_eavesdropper_detection():
 def test_criterion_07_end_to_end_correctness():
     with criterion(7, "noiseless delivery, exhaustive + megabit", budget_s=120.0):
         devices = make_devices()
-        config = ProtocolConfig(block_size=8, detection_size=4, redetect_every_blocks=10)
-        policy = QberThresholdPolicy(threshold=0.25, min_samples=2)
+        config = ProtocolConfig(
+            qber_threshold=0.25, min_samples=2, block_size=8, detection_size=4,
+            redetect_every_blocks=10,
+        )
         checked = 0
         for length in range(1, 17):
             for value in range(2**length):
                 message = format(value, f"0{length}b")
                 transcript = run_qsdc(
-                    message, devices, EveModel(EveKind.NONE, 0.0), policy, config,
+                    message, devices, EveModel(EveKind.NONE, 0.0), config,
                     np.random.default_rng((length << 20) | value),
                 )
-                assert transcript.ber == 0.0
-                assert transcript.delivered_bits == message
+                assert transcript.summary["ber"] == 0.0
+                assert transcript.summary["delivered_bits"] == message
                 checked += 1
         assert checked == 2**17 - 2
 
@@ -211,9 +210,9 @@ def test_criterion_07_end_to_end_correctness():
         doc["message"] = {"random_bits": 1_000_000}
         scenario = scenario_from_dict(doc)
         transcript = cli.run_session(scenario)
-        assert transcript.completed
-        assert transcript.ber == 0.0
-        assert transcript.delivered_bits == scenario.message_bits().text()
+        assert transcript.summary["status"] == "completed"
+        assert transcript.summary["ber"] == 0.0
+        assert transcript.summary["delivered_bits"] == scenario.message_bits().text()
 
 
 def test_criterion_08_throughput_at_forty_km():
@@ -226,7 +225,7 @@ def test_criterion_08_throughput_at_forty_km():
         assert scenario.devices.sfg.max_rate_hz == 1e5
         transcript = cli.run_session(scenario)
         report = cli.build_report(scenario, transcript, None)
-        assert transcript.completed
+        assert transcript.summary["status"] == "completed"
         assert report["throughput"]["info_rate_bits_per_s"] >= 1000.0
 
         # Modulation accelerated to match the SFG photon rate: 1e5 bits/s.

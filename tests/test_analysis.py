@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsdcnet.analysis import (
-    NoiseAssumption,
     binary_entropy,
     clopper_pearson,
     fidelity_from_visibility,
@@ -23,7 +22,7 @@ from qsdcnet.protocol import (
     EveKind,
     EveModel,
     Link,
-    QberThresholdPolicy,
+    ProtocolConfig,
     Session,
     SessionPhase,
     run_security_detection,
@@ -149,8 +148,7 @@ class TestQberEstimation:
         result = run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 1.0)),
-            QberThresholdPolicy(0.49, 500),
-            num_photons=20000,
+            ProtocolConfig(qber_threshold=0.49, min_samples=500, detection_size=20000),
         )
         estimate = result.qber
         assert estimate.ci_low <= 0.25 <= estimate.ci_high
@@ -236,19 +234,14 @@ class TestClopperPearson:
 
 class TestFidelityFromVisibility:
     def test_trivial_points(self):
-        assert fidelity_from_visibility(1.0).fidelity == 1.0
-        assert fidelity_from_visibility(0.0).fidelity == 0.25
-        assert fidelity_from_visibility(1.0, NoiseAssumption.PHASE_ONLY).fidelity == 1.0
-        assert fidelity_from_visibility(0.0, NoiseAssumption.PHASE_ONLY).fidelity == 0.5
-
-    def test_assumption_recorded(self):
-        estimate = fidelity_from_visibility(0.9, NoiseAssumption.PHASE_ONLY)
-        assert estimate.assumption is NoiseAssumption.PHASE_ONLY
+        # (isotropic, phase_only)
+        assert fidelity_from_visibility(1.0) == (1.0, 1.0)
+        assert fidelity_from_visibility(0.0) == (0.25, 0.5)
 
     def test_isotropic_matches_direct_werner_fidelity(self):
         for p in np.linspace(0.0, 1.0, 21):
             direct = fidelity(BellLabel.PHI_PLUS, NoiseParams(depolarizing_p=p))
-            estimated = fidelity_from_visibility(1.0 - p).fidelity
+            estimated, _ = fidelity_from_visibility(1.0 - p)
             assert estimated == pytest.approx(direct, abs=1e-10)
 
     def test_out_of_range_rejected(self):

@@ -283,7 +283,7 @@ def test_report_is_the_pre_removal_report_less_one_key(name, tmp_path, capsys):
     # These digests predate null secrecy for aborted sessions.
     report = _with_secrecy_put_back(report)
     scenario = report["scenario"]
-    noise = scenario_from_dict(scenario).devices.source.heralding_noise
+    noise = scenario_from_dict(scenario).devices.source.noise
     report["fidelity_table"] = fidelity_table_oracle(noise)
     assert _sha256_of_report(report) == DENSITY_MATRIX_REPORT_DIGESTS[name]
     scenario["devices"]["modulator"]["extinction_error"] = 0.0

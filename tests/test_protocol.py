@@ -18,7 +18,6 @@ from qsdcnet.protocol import (
     Link,
     MessageCodes,
     ProtocolConfig,
-    QberThresholdPolicy,
     Session,
     SessionPhase,
     _SPLICE_MARK,
@@ -117,8 +116,7 @@ class TestSecurityDetection:
         result = run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.NONE, 0.0)),
-            QberThresholdPolicy(0.1, 500),
-            num_photons=2000,
+            ProtocolConfig(qber_threshold=0.1, min_samples=500, detection_size=2000),
         )
         assert result.passed
         assert result.qber.e == 0.0
@@ -129,8 +127,7 @@ class TestSecurityDetection:
         result = run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 1.0)),
-            QberThresholdPolicy(0.1, 500),
-            num_photons=20000,
+            ProtocolConfig(qber_threshold=0.1, min_samples=500, detection_size=20000),
         )
         assert result.photons_detected >= 10_000
         assert result.qber.e == pytest.approx(intercept_resend_qber_oracle(1.0), abs=0.01)
@@ -142,8 +139,7 @@ class TestSecurityDetection:
         result = run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 0.2)),
-            QberThresholdPolicy(0.49, 500),
-            num_photons=20000,
+            ProtocolConfig(qber_threshold=0.49, min_samples=500, detection_size=20000),
         )
         assert result.qber.e == pytest.approx(intercept_resend_qber_oracle(0.2), abs=0.01)
 
@@ -153,8 +149,7 @@ class TestSecurityDetection:
         result = run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, fraction)),
-            QberThresholdPolicy(0.49, 500),
-            num_photons=40000,
+            ProtocolConfig(qber_threshold=0.49, min_samples=500, detection_size=40000),
         )
         expected = intercept_resend_qber_oracle(fraction)
         se = np.sqrt(expected * (1 - expected) / result.photons_detected)
@@ -165,8 +160,7 @@ class TestSecurityDetection:
         result = run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.TAP, 0.8)),
-            QberThresholdPolicy(0.1, 500),
-            num_photons=20000,
+            ProtocolConfig(qber_threshold=0.1, min_samples=500, detection_size=20000),
         )
         assert not result.passed and result.reason == "photon_count_drop"
         assert result.qber.e == 0.0  # tapping plants no errors, only loss
@@ -177,9 +171,10 @@ class TestSecurityDetection:
         result = run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.TAP, 0.2)),
-            QberThresholdPolicy(0.1, 500),
-            num_photons=20000,
-            decrease_factor=0.5,
+            ProtocolConfig(
+                qber_threshold=0.1, min_samples=500, detection_size=20000,
+                photon_decrease_factor=0.5,
+            ),
         )
         assert result.passed
 
@@ -188,8 +183,7 @@ class TestSecurityDetection:
         result = run_security_detection(
             session,
             Link(make_devices(fiber_km=40.0), EveModel(EveKind.NONE, 0.0)),
-            QberThresholdPolicy(0.1, 500),
-            num_photons=600,
+            ProtocolConfig(qber_threshold=0.1, min_samples=500, detection_size=600),
         )
         assert not result.passed and result.reason == "insufficient_detection_samples"
 
@@ -200,8 +194,7 @@ class TestSecurityDetection:
         result = run_security_detection(
             session,
             Link(make_devices(noise=NoiseParams(depolarizing_p=p)), EveModel(EveKind.NONE, 0.0)),
-            QberThresholdPolicy(0.2, 500),
-            num_photons=40000,
+            ProtocolConfig(qber_threshold=0.2, min_samples=500, detection_size=40000),
         )
         assert result.qber.e == pytest.approx(p / 2, abs=0.006)
 
@@ -211,8 +204,7 @@ class TestSecurityDetection:
             run_security_detection(
                 session,
                 Link(make_devices(), EveModel(EveKind.NONE, 0.0)),
-                QberThresholdPolicy(0.1, 1),
-                num_photons=10,
+                ProtocolConfig(qber_threshold=0.1, min_samples=1, detection_size=10),
             )
 
 
@@ -223,8 +215,8 @@ class TestEncodeBlock:
         # character other than 0 and 1 does not.
         for message in ("0a", "2", "01 10", "0b01", "\u0661", "0\ud800"):
             with pytest.raises(DomainError):
-                run_qsdc(message, make_devices(), EveModel(EveKind.NONE, 0.0), FAST_POLICY,
-                         FAST_CONFIG, np.random.default_rng(0))
+                run_qsdc(message, make_devices(), EveModel(EveKind.NONE, 0.0), FAST_CONFIG,
+                         np.random.default_rng(0))
 
 
 class TestTransmitAndDecode:
@@ -336,7 +328,7 @@ class TestDelayControl:
         session = detection_session()
         run_security_detection(
             session, Link(make_devices(), EveModel(EveKind.NONE, 0.0)),
-            QberThresholdPolicy(0.1, 1), num_photons=num_photons, tdm_slot_s=tdm_slot_s,
+            ProtocolConfig(min_samples=1, detection_size=num_photons, tdm_slot_s=tdm_slot_s),
         )
         (result,) = [e for e in session.transcript.events if e.event_kind == "detection_result"]
         return result.payload["alice_delay_s"]
@@ -351,25 +343,33 @@ class TestDelayControl:
         delays = [self.alice_delay_s(n, 2e-6) for n in range(1, 200, 10)]
         assert delays == sorted(delays)
 
-    @pytest.mark.parametrize("num_photons, tdm_slot_s", [(0, 1e-6), (10, -1e-6)])
-    def test_out_of_range_rejected(self, num_photons, tdm_slot_s):
-        session = detection_session()
-        with pytest.raises(DomainError):
-            run_security_detection(
-                session, Link(make_devices(), EveModel(EveKind.NONE, 0.0)),
-                QberThresholdPolicy(0.1, 1), num_photons=num_photons, tdm_slot_s=tdm_slot_s,
-            )
-        # Rejected before the round logs anything.
-        assert [event.event_kind for event in session.transcript.events] == ["phase_transition"]
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("detection_size", 0),
+            ("tdm_slot_s", -1e-6),
+            ("photon_decrease_factor", -0.1),
+            ("photon_decrease_factor", 1.1),
+            ("qber_threshold", 0.0),
+            ("qber_threshold", 0.5),
+            ("min_samples", 0),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        # The config a round reads is checked when it is built, before any
+        # session runs; the message starts with the field's name.
+        with pytest.raises(DomainError, match=f"^{field} must be"):
+            ProtocolConfig(**{field: value})
 
 
 FAST_CONFIG = ProtocolConfig(
+    qber_threshold=0.1,
+    min_samples=8,
     block_size=64,
     detection_size=32,
     redetect_every_blocks=10,
     max_retransmissions=50,
 )
-FAST_POLICY = QberThresholdPolicy(threshold=0.1, min_samples=8)
 
 
 class TestRunQsdc:
@@ -377,31 +377,32 @@ class TestRunQsdc:
         rng = np.random.default_rng(20)
         message = "".join(rng.choice(list("01"), 1000))
         transcript = run_qsdc(
-            message, make_devices(), EveModel(EveKind.NONE, 0.0), FAST_POLICY, FAST_CONFIG,
+            message, make_devices(), EveModel(EveKind.NONE, 0.0), FAST_CONFIG,
             np.random.default_rng(21),
         )
-        assert transcript.completed
-        assert transcript.ber == 0.0
-        assert transcript.delivered_bits == message
+        assert transcript.summary["status"] == "completed"
+        assert transcript.summary["ber"] == 0.0
+        assert transcript.summary["delivered_bits"] == message
 
     def test_odd_length_message_round_trips(self):
         transcript = run_qsdc(
-            "10101", make_devices(), EveModel(EveKind.NONE, 0.0), FAST_POLICY, FAST_CONFIG,
+            "10101", make_devices(), EveModel(EveKind.NONE, 0.0), FAST_CONFIG,
             np.random.default_rng(22),
         )
-        assert transcript.delivered_bits == "10101"
+        assert transcript.summary["delivered_bits"] == "10101"
 
     def test_full_intercept_aborts_without_exposing_message(self):
         message = "1011001110001111" * 64
-        policy = QberThresholdPolicy(threshold=0.1, min_samples=500)
-        config = ProtocolConfig(block_size=512, detection_size=12000)
+        config = ProtocolConfig(
+            qber_threshold=0.1, min_samples=500, block_size=512, detection_size=12000
+        )
         transcript = run_qsdc(
-            message, make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 1.0), policy, config,
+            message, make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 1.0), config,
             np.random.default_rng(23),
         )
-        assert transcript.aborted
-        assert transcript.abort_reason == "qber_threshold_exceeded"
-        assert transcript.delivered_bits is None
+        assert transcript.summary["status"] == "aborted"
+        assert transcript.summary["abort_reason"] == "qber_threshold_exceeded"
+        assert transcript.summary["delivered_bits"] is None
         kinds = {event.event_kind for event in transcript.events}
         assert "block_sent" not in kinds and "session_complete" not in kinds
         assert message not in transcript.to_jsonl()
@@ -410,29 +411,29 @@ class TestRunQsdc:
     def test_erasures_are_retransmitted_to_completion(self):
         message = "0110" * 100
         transcript = run_qsdc(
-            message, make_devices(conversion=0.5), EveModel(EveKind.NONE, 0.0), FAST_POLICY,
-            FAST_CONFIG, np.random.default_rng(24),
+            message, make_devices(conversion=0.5), EveModel(EveKind.NONE, 0.0), FAST_CONFIG,
+            np.random.default_rng(24),
         )
-        assert transcript.completed
-        assert transcript.delivered_bits == message
+        assert transcript.summary["status"] == "completed"
+        assert transcript.summary["delivered_bits"] == message
         assert transcript.summary["erased_transmissions"] > 0
-        assert transcript.erasure_fraction == pytest.approx(0.5, abs=0.05)
+        assert transcript.summary["erasure_fraction"] == pytest.approx(0.5, abs=0.05)
 
     def test_retransmission_cap_reports_truncation(self):
         config = ProtocolConfig(
-            block_size=16, detection_size=8, redetect_every_blocks=1000,
+            min_samples=8, block_size=16, detection_size=8, redetect_every_blocks=1000,
             max_retransmissions=3,
         )
         transcript = run_qsdc(
-            "11" * 8, make_devices(conversion=0.0), EveModel(EveKind.NONE, 0.0), FAST_POLICY,
-            config, np.random.default_rng(25),
+            "11" * 8, make_devices(conversion=0.0), EveModel(EveKind.NONE, 0.0), config,
+            np.random.default_rng(25),
         )
-        assert transcript.aborted
-        assert transcript.abort_reason == "retransmission_cap"
+        assert transcript.summary["status"] == "aborted"
+        assert transcript.summary["abort_reason"] == "retransmission_cap"
         assert transcript.summary["truncated_symbols"] == list(range(8))
-        assert transcript.delivered_bits is None
+        assert transcript.summary["delivered_bits"] is None
         assert transcript.summary["delivered_bits_hex"] is None
-        assert transcript.ber is None
+        assert transcript.summary["ber"] is None
         # Every symbol is erased on each of its 4 attempts: the abort follows
         # the fourth block's block_sent.
         kinds = [event.event_kind for event in transcript.events]
@@ -442,22 +443,22 @@ class TestRunQsdc:
 
     def test_periodic_redetection_runs(self):
         config = ProtocolConfig(
-            block_size=8, detection_size=16, redetect_every_blocks=2,
+            min_samples=8, block_size=8, detection_size=16, redetect_every_blocks=2,
             max_retransmissions=10,
         )
         transcript = run_qsdc(
-            "01" * 40, make_devices(), EveModel(EveKind.NONE, 0.0), FAST_POLICY, config,
+            "01" * 40, make_devices(), EveModel(EveKind.NONE, 0.0), config,
             np.random.default_rng(26),
         )
         detections = sum(1 for e in transcript.events if e.event_kind == "detection_result")
-        assert transcript.completed
+        assert transcript.summary["status"] == "completed"
         assert detections == 3  # initial + after blocks 2 and 4
 
     def test_transcript_is_pure_function_of_seed(self):
         def run(seed):
             return run_qsdc(
                 "0011" * 60, make_devices(conversion=0.8), EveModel(EveKind.NONE, 0.0),
-                FAST_POLICY, FAST_CONFIG, np.random.default_rng(seed),
+                FAST_CONFIG, np.random.default_rng(seed),
             ).to_jsonl()
 
         assert run(99) == run(99)
@@ -465,7 +466,7 @@ class TestRunQsdc:
 
     def test_transcript_schema(self):
         transcript = run_qsdc(
-            "0101", make_devices(), EveModel(EveKind.NONE, 0.0), FAST_POLICY, FAST_CONFIG,
+            "0101", make_devices(), EveModel(EveKind.NONE, 0.0), FAST_CONFIG,
             np.random.default_rng(27),
         )
         for line in transcript.to_jsonl().splitlines():
@@ -476,21 +477,23 @@ class TestRunQsdc:
 
     def test_exhaustive_short_messages(self):
         devices = make_devices()
-        config = ProtocolConfig(block_size=8, detection_size=4, redetect_every_blocks=10)
-        policy = QberThresholdPolicy(threshold=0.25, min_samples=2)
+        config = ProtocolConfig(
+            qber_threshold=0.25, min_samples=2, block_size=8, detection_size=4,
+            redetect_every_blocks=10,
+        )
         for length in range(1, 9):
             for value in range(2**length):
                 message = format(value, f"0{length}b")
                 transcript = run_qsdc(
-                    message, devices, EveModel(EveKind.NONE, 0.0), policy, config,
+                    message, devices, EveModel(EveKind.NONE, 0.0), config,
                     np.random.default_rng(value),
                 )
-                assert transcript.delivered_bits == message
-                assert transcript.ber == 0.0
+                assert transcript.summary["delivered_bits"] == message
+                assert transcript.summary["ber"] == 0.0
 
     def test_empty_message_rejected(self):
         with pytest.raises(DomainError):
-            run_qsdc("", make_devices(), EveModel(EveKind.NONE, 0.0), FAST_POLICY, FAST_CONFIG,
+            run_qsdc("", make_devices(), EveModel(EveKind.NONE, 0.0), FAST_CONFIG,
                      np.random.default_rng(0))
 
 
@@ -523,8 +526,8 @@ class TestSessionLoopOracle:
                 noise=NoiseParams(depolarizing_p=depolarizing_p),
             ),
             EveModel(eve_kind, eve_fraction),
-            QberThresholdPolicy(threshold=0.45, min_samples=1),
             ProtocolConfig(
+                qber_threshold=0.45, min_samples=1,
                 block_size=block_size, detection_size=detection_size,
                 redetect_every_blocks=redetect_every_blocks,
                 max_retransmissions=max_retransmissions,
@@ -612,8 +615,9 @@ class TestMessagePath:
         arguments = (
             make_devices(noise=NoiseParams(depolarizing_p=depolarizing_p)),
             EveModel(EveKind.NONE, 0.0),
-            QberThresholdPolicy(threshold=0.45, min_samples=1),
-            ProtocolConfig(block_size=block_size, detection_size=200),
+            ProtocolConfig(
+                qber_threshold=0.45, min_samples=1, block_size=block_size, detection_size=200
+            ),
         )
         got = run_qsdc(message, *arguments, np.random.default_rng(seed))
         expected = run_qsdc_oracle(bits, *arguments, np.random.default_rng(seed))
@@ -658,11 +662,11 @@ class TestDetectionRound:
             make_devices(fiber_km=fiber_km, noise=NoiseParams(depolarizing_p=depolarizing_p)),
             EveModel(eve_kind, fraction),
         )
-        policy = QberThresholdPolicy(0.3, 5)
+        config = ProtocolConfig(qber_threshold=0.3, min_samples=5, detection_size=num_photons)
         sessions = []
         for detect in (run_security_detection, security_detection_oracle):
             session = detection_session()
-            result = detect(session, link, policy, session.rng, num_photons=num_photons)
+            result = detect(session, link, config)
             sessions.append((session, result))
         (got, got_result), (want, want_result) = sessions
         assert got.transcript.to_jsonl() == want.transcript.to_jsonl()
@@ -813,8 +817,10 @@ class TestTranscriptFormatting:
             message,
             make_devices(fiber_km=fiber_km, conversion=0.7, mod_rate_hz=rate_hz),
             eve,
-            QberThresholdPolicy(threshold=0.3, min_samples=1),
-            ProtocolConfig(block_size=16, detection_size=detection_size, redetect_every_blocks=2),
+            ProtocolConfig(
+                qber_threshold=0.3, min_samples=1, block_size=16, detection_size=detection_size,
+                redetect_every_blocks=2,
+            ),
             rng,
         )
         round_records = None

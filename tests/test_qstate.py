@@ -16,7 +16,7 @@ from qsdcnet.qstate import (
     fringe_probability,
 )
 
-from qsdcnet.protocol import EveKind, EveModel, ProtocolConfig, QberThresholdPolicy, run_qsdc
+from qsdcnet.protocol import EveKind, EveModel, ProtocolConfig, run_qsdc
 
 from conftest import (
     PauliEncoding,
@@ -321,6 +321,5 @@ class TestBitCodes:
         # A message whose bits do not spell 2-bit codes never reaches the table.
         for message in ("2x", "0x", "x1"):
             with pytest.raises(DomainError):
-                run_qsdc(message, make_devices(), EveModel(EveKind.NONE, 0.0),
-                         QberThresholdPolicy(), ProtocolConfig(),
+                run_qsdc(message, make_devices(), EveModel(EveKind.NONE, 0.0), ProtocolConfig(),
                          np.random.default_rng(0))
