@@ -91,8 +91,8 @@ class QberEstimate:
         return dict(vars(self))  # the fields in declared order
 
 
-# Pure, so memoised: a one-round session's pooled QBER repeats its round's counts.
-@lru_cache(maxsize=64)
+# Pure, so memoised: one-round sessions and small rounds repeat their counts.
+@lru_cache(maxsize=256)
 def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Exact binomial confidence interval; well behaved at tiny error rates.
 

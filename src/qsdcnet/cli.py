@@ -133,15 +133,20 @@ def build_report(
     }
 
 
-def report_to_json(report: dict) -> str:
+def report_pieces(report: dict) -> list[str]:
+    """The report's JSON text and newline, in ``protocol.spliced_pieces``."""
     spliced = (  # the strings of bits and hex digits, which json writes unchanged
         ("scenario", "message", "hex"),
         ("session", "delivered_bits"),
         ("session", "delivered_bits_hex"),
     )
-    return protocol.dumps_spliced(
+    return protocol.spliced_pieces(
         report, spliced, end="\n", sort_keys=True, indent=2, allow_nan=False
     )
+
+
+def report_to_json(report: dict) -> str:
+    return "".join(report_pieces(report))
 
 
 def fringe_study(
@@ -233,14 +238,13 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     os.makedirs(out_dir, exist_ok=True)
-    transcript_path = os.path.join(out_dir, "transcript.jsonl")
-    with open(transcript_path, "w") as handle:
+    with open(os.path.join(out_dir, "transcript.jsonl"), "w") as handle:
         handle.writelines(transcript.chunks())
-    report_json = report_to_json(build_report(scenario, transcript, "transcript.jsonl"))
-    report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w") as handle:
-        handle.write(report_json)
-    print(report_json, end="")
+    # Written as pieces, never joined: a 1 Mbit report is about 1.5 MB.
+    report = report_pieces(build_report(scenario, transcript, "transcript.jsonl"))
+    with open(os.path.join(out_dir, "report.json"), "w") as handle:
+        handle.writelines(report)
+    sys.stdout.writelines(report)
     print(f"wall-clock: {time.monotonic() - started:.3f} s", file=sys.stderr)
     if transcript.summary["status"] == "aborted":
         print(f"session aborted: {transcript.summary['abort_reason']}", file=sys.stderr)

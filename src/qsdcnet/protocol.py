@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -95,11 +96,12 @@ def _json_verbatim(value: str) -> bool:
     return codes.min() >= 0x20 and codes.max() < 0x7F
 
 
-def dumps_spliced(doc: dict, paths, end: str = "", **options) -> str:
-    """``json.dumps(doc, **options) + end``, but the string at each key path
-    is written as '"' + s + '"' without escaping it, such as bits and hex
-    digits. A path that holds no string, or a string that json would escape,
-    is left to json; a splice mark in the rest of doc raises ValueError."""
+def spliced_pieces(doc: dict, paths, end: str = "", **options) -> list[str]:
+    """``json.dumps(doc, **options) + end`` as pieces that join to it, but
+    the string at each key path is written as '"' + s + '"' without escaping
+    it, such as bits and hex digits, and is a piece of its own. A path that
+    holds no string, or a string that json would escape, is left to json; a
+    splice mark in the rest of doc raises ValueError."""
     values = []
     for path in dict.fromkeys(paths):  # each path once
         value = doc
@@ -116,7 +118,12 @@ def dumps_spliced(doc: dict, paths, end: str = "", **options) -> str:
     for piece in pieces:
         index, rest = piece.split('"', 1)
         parts += ('"', values[int(index)], '"', rest)
-    return "".join((*parts, end))  # the one copy of each big string
+    return [*parts, end]
+
+
+def dumps_spliced(doc: dict, paths, end: str = "", **options) -> str:
+    """``spliced_pieces`` joined: ``json.dumps(doc, **options) + end``."""
+    return "".join(spliced_pieces(doc, paths, end, **options))
 
 
 class TranscriptEvent(NamedTuple):
@@ -124,13 +131,21 @@ class TranscriptEvent(NamedTuple):
     event_kind: str
     payload: dict
 
-    def to_jsonl(self) -> str:
-        """The event's JSON line, with its newline."""
-        doc = dict(timestamp_s=self.timestamp_s, event_kind=self.event_kind, payload=self.payload)
-        if self.event_kind != "session_complete":  # the one with strings to splice
-            return json.dumps(doc) + "\n"
-        spliced = (("payload", "delivered_bits"), ("payload", "delivered_bits_hex"))
-        return dumps_spliced(doc, spliced, end="\n")
+
+# What json.dumps writes between two events of a list, and nowhere inside a
+# string, where it escapes each quote.
+_EVENT_BOUNDARY = '}, {"timestamp_s": '
+
+
+def events_jsonl(events: list[TranscriptEvent]) -> str:
+    """The events' lines, each json.dumps(event._asdict()) and a newline, from
+    one json.dumps of their list split at the boundaries. A payload holding
+    the boundary too (a list of objects keyed timestamp_s first) raises
+    ValueError rather than being split in it."""
+    text = json.dumps([event._asdict() for event in events])[1:-1]
+    if text.count(_EVENT_BOUNDARY) != len(events) - 1:
+        raise ValueError("an event payload holds the text between two events")
+    return text.replace(_EVENT_BOUNDARY, '}\n{"timestamp_s": ') + "\n"
 
 
 _BASIS_NAMES = ("Z", "X")
@@ -139,11 +154,11 @@ _BASIS_NAMES = ("Z", "X")
 # payload keys sorted): head, timestamp, middle, position, tail. The middle
 # holds the outcomes and basis and is indexed by 4 * basis + 2 * alice + bob.
 _RECORD_HEAD = '{"timestamp_s": '
-_RECORD_MIDDLES = tuple(
+_RECORD_MIDDLES = np.array([  # of objects: indexed by an array, it gives the strs
     f', "event_kind": "detection_record", "payload": {{"alice_outcome": {a}, '
     f'"basis": "{basis}", "bob_outcome": {b}, "position": '
     for basis in _BASIS_NAMES for a in (0, 1) for b in (0, 1)
-)
+], dtype=object)
 _RECORD_TAIL = ', "published": true}}\n'
 
 
@@ -189,7 +204,7 @@ class DetectionBatch(NamedTuple):
         parts = [_RECORD_TAIL + _RECORD_HEAD] * (4 * self.positions.size + 1)
         parts[0] = _RECORD_HEAD
         parts[1::4] = stamps
-        parts[2::4] = map(_RECORD_MIDDLES.__getitem__, middles.tolist())
+        parts[2::4] = _RECORD_MIDDLES[middles].tolist()
         parts[3::4] = _number_texts(self.positions)
         parts[-1] = _RECORD_TAIL
         return "".join(parts)
@@ -216,8 +231,17 @@ class SessionTranscript:
         self.detection_counts: list[tuple[int, int, int, int]] = []
 
     def chunks(self) -> Iterator[str]:
-        """The transcript's text, one chunk per event or detection batch."""
-        return (event.to_jsonl() for event in self.events)
+        """The transcript's text in chunks never joined: one per run of events,
+        one per detection batch, and the session_complete line's pieces."""
+        for kind, events in groupby(self.events, _chunk_kind):
+            if kind is TranscriptEvent:
+                yield events_jsonl(list(events))
+            elif kind is DetectionBatch:
+                yield from (batch.to_jsonl() for batch in events)
+            else:  # session_complete: its bits and hex are pieces of their own
+                spliced = (("payload", "delivered_bits"), ("payload", "delivered_bits_hex"))
+                for event in events:
+                    yield from spliced_pieces(event._asdict(), spliced, end="\n")
 
     def to_jsonl(self) -> str:
         """One JSON line per event, stable field order."""
@@ -229,6 +253,11 @@ class SessionTranscript:
         if not self.detection_counts:
             return None
         return analysis.qber_from_counts(*map(sum, zip(*self.detection_counts)))
+
+
+def _chunk_kind(event: TranscriptEvent | DetectionBatch):
+    """The event's type, or "session_complete" for that event."""
+    return event.event_kind if event.event_kind == "session_complete" else type(event)
 
 
 class Session:
@@ -535,18 +564,15 @@ class ProtocolConfig:
             raise DomainError(f"tdm_slot_s must be >= 0, got {self.tdm_slot_s}")
 
 
-def _pack_pairs(values: np.ndarray, width: int) -> np.ndarray:
-    """Element i is values[2i] << width | values[2i + 1]; an odd count is
-    padded with one 0."""
-    packed = values[0::2] << width
-    packed[: values.size // 2] |= values[1::2]
-    return packed
-
-
 # Byte b's four codes, high pair first, as the bytes of one uint32.
 _BYTE_CODES = (
     (np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3
 ).astype(np.uint8).view(np.uint32).ravel()
+
+
+# Four codes c0..c3 as one little-endian uint32, times this, hold the byte
+# c0 << 6 | c1 << 4 | c2 << 2 | c3 on top: no other product term reaches it.
+_GATHER = np.uint32(1 << 30 | 1 << 20 | 1 << 10 | 1)
 
 
 class MessageCodes(NamedTuple):
@@ -560,7 +586,10 @@ class MessageCodes(NamedTuple):
     @classmethod
     def from_bit_values(cls, values: np.ndarray) -> MessageCodes:
         """The codes of an array of 0s and 1s, one per bit."""
-        return cls(_pack_pairs(values.astype(np.uint8, copy=False), 1), values.size)
+        values = values.astype(np.uint8, copy=False)
+        codes = values[0::2] << 1  # an odd count leaves the pad bit 0
+        codes[: values.size // 2] |= values[1::2]
+        return cls(codes, values.size)
 
     @classmethod
     def from_bits(cls, bits: str) -> MessageCodes:
@@ -593,8 +622,13 @@ class MessageCodes(NamedTuple):
     def hex(self) -> str:
         """Hex digits of the bits, right-padded with zeros to whole nibbles;
         the pad bit must be 0."""
-        packed = _pack_pairs(_pack_pairs(self.codes, 2), 4)  # codes to nibbles to bytes
-        return packed.tobytes().hex()[: -(-self.bit_count // 4)]
+        codes = self.codes
+        if codes.size % 4:
+            codes = np.concatenate((codes, np.zeros(-codes.size % 4, dtype=np.uint8)))
+        packed = np.ascontiguousarray(codes).view("<u4") * _GATHER
+        packed >>= 24
+        packed = packed.astype(np.uint8)  # four codes to a byte
+        return packed.data.hex()[: -(-self.bit_count // 4)]
 
     def bit_errors(self, other: MessageCodes) -> int:
         """The number of bits in which two messages with 0 pad bits differ."""
@@ -637,7 +671,8 @@ def run_qsdc(
     cursor = 0
     backlog = np.empty(0, dtype=np.intp)
     requeued: list[np.ndarray] = []
-    attempts = np.zeros(total_symbols, dtype=int)
+    # A symbol's erasures reach cap + 1 at most: the block that does it aborts.
+    attempts = np.zeros(total_symbols, dtype=np.min_scalar_type(cap + 1))
     received = np.empty(total_symbols, dtype=np.uint8)
 
     symbol_rate = min(devices.modulator.rate_hz, devices.sfg.max_rate_hz)

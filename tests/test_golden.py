@@ -252,6 +252,26 @@ def test_transcript_payload_keys_are_sorted(name, tmp_path, capsys):
             assert keys == sorted(keys), line[:120]
 
 
+@pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
+def test_run_writes_what_it_builds(name, tmp_path, capsys):
+    # run writes the report and transcript as pieces it never joins; joined,
+    # they are the texts that json.dumps and SessionTranscript.to_jsonl give.
+    doc = RUN_SCENARIOS[name]
+    capsys.readouterr()
+    run_outputs(tmp_path, doc)
+    stdout = capsys.readouterr().out
+    written = (tmp_path / "out" / "report.json").read_bytes()
+    assert stdout.encode() == written
+    scenario = scenario_from_dict(doc)
+    transcript = cli.run_session(scenario)
+    assert (tmp_path / "out" / "transcript.jsonl").read_bytes() == transcript.to_jsonl().encode()
+    report = cli.build_report(scenario, transcript, "transcript.jsonl")
+    joined = "".join(cli.report_pieces(report))
+    assert joined == cli.report_to_json(report)
+    assert joined == json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert joined.encode() == written
+
+
 def _sha256_of_report(report: dict) -> str:
     return hashlib.sha256(cli.report_to_json(report).encode()).hexdigest()
 

@@ -20,8 +20,11 @@ from qsdcnet.protocol import (
     ProtocolConfig,
     Session,
     SessionPhase,
+    TranscriptEvent,
+    _EVENT_BOUNDARY,
     _SPLICE_MARK,
     dumps_spliced,
+    events_jsonl,
     run_qsdc,
     run_security_detection,
     transmit_and_decode_block,
@@ -575,6 +578,35 @@ class TestBitstringHelpers:
         assert message.hex() == bits_to_hex_oracle(bits)
 
 
+class TestBitsAndHex:
+    """hex packs four codes to a byte by one uint32 multiply; text writes the
+    bits from the codes. Lengths cover odd bit counts and code counts that
+    four does not divide."""
+
+    @staticmethod
+    def check(bits: str, pad_bit: int) -> None:
+        codes = pack_codes_oracle(bit_values_oracle(bits))
+        if len(bits) % 2:
+            codes[-1] |= pad_bit
+        message = MessageCodes(codes, len(bits))
+        assert message.text() == bits  # text never reads the pad bit
+        if not pad_bit:  # which hex needs to be 0
+            assert message.hex() == bits_to_hex_oracle(bits)
+
+    @pytest.mark.parametrize("bit_count", range(1, 65))
+    def test_every_short_length(self, bit_count):
+        bits = "".join(
+            map(str, np.random.default_rng(bit_count).integers(0, 2, bit_count).tolist())
+        )
+        for pad_bit in (0, 1):
+            self.check(bits, pad_bit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.text(alphabet="01", min_size=1, max_size=4000), pad_bit=st.integers(0, 1))
+    def test_matches_the_int_oracles(self, bits, pad_bit):
+        self.check(bits, pad_bit)
+
+
 class TestMessagePath:
     """Scenario messages go from hex digits or random draws to 2-bit codes,
     and a completed session's summary from the received codes, with no bit
@@ -964,6 +996,75 @@ def put(doc: dict, path, value) -> None:
             doc[key] = {}
         doc = doc[key]
     doc[last] = value
+
+
+# Event payloads: any JSON value, and the strings and floats json escapes or
+# spells out, the boundary between two events among them; with timestamp_s
+# as a key, a list of objects may hold the boundary outside any string.
+event_leaves = (
+    json_leaves | st.floats()
+    | st.sampled_from([_EVENT_BOUNDARY, '"', "\\", '\\"', "\u00e9\u2028", "}\n{", "\x00"])
+)
+event_keys = st.text(max_size=3) | st.just("timestamp_s")
+event_payloads = st.recursive(
+    st.dictionaries(event_keys, event_leaves, max_size=4),
+    lambda children: st.dictionaries(
+        event_keys, children | st.lists(children, max_size=3), max_size=4
+    ),
+    max_leaves=12,
+)
+transcript_events = st.builds(TranscriptEvent, st.floats(), st.text(max_size=8), event_payloads)
+
+
+class TestEventRuns:
+    """events_jsonl writes a run of events with one json.dumps of their list;
+    it must give each event's own json.dumps line, or raise."""
+
+    @staticmethod
+    def lines(events) -> str:
+        return "".join(json.dumps(event._asdict()) + "\n" for event in events)
+
+    @settings(max_examples=300, deadline=None)
+    @given(events=st.lists(transcript_events, min_size=1, max_size=6))
+    def test_matches_json_dumps_per_event(self, events):
+        expected = self.lines(events)
+        try:
+            text = events_jsonl(events)
+        except ValueError:  # only where a payload holds the boundary itself
+            assert expected.count(_EVENT_BOUNDARY) > 0
+            return
+        assert text == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        events=st.lists(transcript_events, min_size=1, max_size=4),
+        index=st.integers(0, 3),
+        path=key_paths.map(tuple),
+        rows=st.lists(st.floats(), min_size=2, max_size=3),
+    )
+    def test_a_payload_holding_the_boundary_raises(self, events, index, path, rows):
+        # A list of objects whose first key is timestamp_s: in it, json writes
+        # the boundary between two events.
+        event = events[index % len(events)]
+        payload = json.loads(json.dumps(event.payload))  # a copy
+        put(payload, path, [{"timestamp_s": value, "payload": {}} for value in rows])
+        events[index % len(events)] = event._replace(payload=payload)
+        with pytest.raises(ValueError):
+            events_jsonl(events)
+
+    def test_a_transcript_splits_into_its_lines(self):
+        transcript = run_qsdc(
+            "1011" * 50, make_devices(), EveModel(), ProtocolConfig(min_samples=1),
+            np.random.default_rng(3),
+        )
+        chunks = list(transcript.chunks())
+        expected = "".join(
+            json.dumps(e._asdict()) + "\n" if isinstance(e, TranscriptEvent) else e.to_jsonl()
+            for e in transcript.events
+        )
+        assert "".join(chunks) == expected
+        assert chunks[0].count("\n") > 1  # a run of events is one chunk
+        assert transcript.summary["delivered_bits"] in chunks  # never joined
 
 
 class TestSplicedJson:
