@@ -145,10 +145,6 @@ def report_pieces(report: dict) -> list[str]:
     )
 
 
-def report_to_json(report: dict) -> str:
-    return "".join(report_pieces(report))
-
-
 def fringe_study(
     scenario: Scenario,
     label: qstate.BellLabel,
@@ -266,23 +262,6 @@ _SWEEP_FIELDS = [
 ]
 
 
-def _set_path(doc: dict, path: str, value) -> dict:
-    """doc with the scalar at the dotted path set, copying only the objects on the path."""
-    *sections, last = path.split(".")
-    root = node = dict(doc)
-    for key in sections:
-        if not isinstance(node.get(key), dict):
-            raise ScenarioError(f"sweep parameter path not found: {path}")
-        node[key] = dict(node[key])
-        node = node[key]
-    if last not in node:
-        raise ScenarioError(f"sweep parameter path not found: {path}")
-    if isinstance(node[last], (dict, list)):
-        raise ScenarioError(f"sweep parameter path must address a scalar: {path}")
-    node[last] = value
-    return root
-
-
 def cmd_sweep(args) -> int:
     if args.param == "seed":
         raise ScenarioError(
@@ -296,16 +275,16 @@ def cmd_sweep(args) -> int:
         print(f"error: --values must be a comma-separated list of numbers: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     out_dir = _out_dir(args)
-    base_seed = scenario.seed
-    doc = scenario.to_dict()
-    section = args.param.split(".")[0]
+    *sections, leaf = args.param.split(".")
     rows = []
     for index, value in enumerate(values):
-        # Only the swept section and the seed are read again.
-        entries = {section: _set_path(doc, args.param, value)[section]}
-        entries["seed"] = seed = base_seed ^ index
+        # Only the swept leaf and the seed are read again.
+        entry = {leaf: value}
+        for key in reversed(sections):
+            entry = {key: entry}
+        seed = scenario.seed ^ index
         try:
-            variant = replace_entries(scenario, entries)
+            variant = replace_entries(scenario, {"seed": seed, **entry})
         except ScenarioError as exc:
             print(f"error: {args.param}={value}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION

@@ -121,11 +121,6 @@ def spliced_pieces(doc: dict, paths, end: str = "", **options) -> list[str]:
     return [*parts, end]
 
 
-def dumps_spliced(doc: dict, paths, end: str = "", **options) -> str:
-    """``spliced_pieces`` joined: ``json.dumps(doc, **options) + end``."""
-    return "".join(spliced_pieces(doc, paths, end, **options))
-
-
 class TranscriptEvent(NamedTuple):
     timestamp_s: float
     event_kind: str
@@ -242,10 +237,6 @@ class SessionTranscript:
                 spliced = (("payload", "delivered_bits"), ("payload", "delivered_bits_hex"))
                 for event in events:
                     yield from spliced_pieces(event._asdict(), spliced, end="\n")
-
-    def to_jsonl(self) -> str:
-        """One JSON line per event, stable field order."""
-        return "".join(self.chunks())
 
     @property
     def pooled_qber(self) -> analysis.QberEstimate | None:
@@ -424,7 +415,7 @@ class DetectionResult(NamedTuple):
 def run_security_detection(session: Session, link: Link, config: ProtocolConfig) -> DetectionResult:
     """Run one security-detection round and transition the session.
 
-    Alice sends ``config.detection_size`` detection photons drawn from the
+    Alice sends ``config.photons_per_round`` detection photons drawn from the
     signal arm of the pair source; Bob measures each survivor in a random
     basis and publishes position, basis and outcome; Alice compares in the
     matching basis. The round passes only if at least min_samples photons
@@ -436,7 +427,7 @@ def run_security_detection(session: Session, link: Link, config: ProtocolConfig)
         raise InvariantViolation(
             f"security detection requires phase security_detection, got {session.phase.value}"
         )
-    num_photons = config.detection_size
+    num_photons = config.photons_per_round
     rng = session.rng
     eve = link.eve
     rate_hz = link.devices.modulator.rate_hz
@@ -541,9 +532,7 @@ class ProtocolConfig:
             raise DomainError(
                 f"block_size must be in [1, {MAX_BLOCK_SIZE}], got {self.block_size}"
             )
-        if self.detection_size is None:
-            object.__setattr__(self, "detection_size", max(1, self.block_size // 10))
-        if not 1 <= self.detection_size <= MAX_DETECTION_SIZE:
+        if self.detection_size is not None and not 1 <= self.detection_size <= MAX_DETECTION_SIZE:
             raise DomainError(
                 f"detection_size must be in [1, {MAX_DETECTION_SIZE}], "
                 f"got {self.detection_size}"
@@ -563,11 +552,12 @@ class ProtocolConfig:
         if self.tdm_slot_s < 0.0:
             raise DomainError(f"tdm_slot_s must be >= 0, got {self.tdm_slot_s}")
 
-
-# Byte b's four codes, high pair first, as the bytes of one uint32.
-_BYTE_CODES = (
-    (np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3
-).astype(np.uint8).view(np.uint32).ravel()
+    @property
+    def photons_per_round(self) -> int:
+        """A detection round's photons: detection_size, or by default 10% of a block."""
+        if self.detection_size is None:
+            return max(1, self.block_size // 10)
+        return self.detection_size
 
 
 # Four codes c0..c3 as one little-endian uint32, times this, hold the byte
@@ -603,8 +593,14 @@ class MessageCodes(NamedTuple):
     @classmethod
     def from_bytes(cls, raw: bytes, bit_count: int) -> MessageCodes:
         """The codes of the first bit_count bits of raw: four per byte, high pair first."""
-        codes = np.take(_BYTE_CODES, np.frombuffer(raw, dtype=np.uint8)).view(np.uint8)
-        codes = codes[: -(-bit_count // 2)]
+        # hex's packing undone: byte b times _GATHER, shifted right by 6, holds
+        # b's codes, high pair first, in the low bits of its four bytes. In
+        # place, so the codes are the one array made.
+        words = np.frombuffer(raw, dtype=np.uint8).astype("<u4")
+        words *= _GATHER
+        words >>= 6
+        words &= 0x03030303
+        codes = words.view(np.uint8)[: -(-bit_count // 2)]
         if bit_count % 2:
             codes[-1] &= 2  # the pad bit
         return cls(codes, bit_count)
@@ -690,7 +686,7 @@ def run_qsdc(
             session.transition(SessionPhase.SECURITY_DETECTION)
             start = session.time_s
             result = run_security_detection(session, link, config)
-            detection_photons += config.detection_size
+            detection_photons += config.photons_per_round
             detection_time_total += session.time_s - start
             if not result.passed:
                 break

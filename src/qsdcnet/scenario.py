@@ -33,7 +33,7 @@ from .photonics import (
     SfgSpec,
     SourceSpec,
 )
-from .protocol import EveModel, MessageCodes, ProtocolConfig, dumps_spliced
+from .protocol import EveModel, MessageCodes, ProtocolConfig, spliced_pieces
 
 # Distinct RNG streams derived from the scenario seed.
 _MESSAGE_STREAM = 0x6D65
@@ -143,7 +143,8 @@ class Scenario:
 
     def canonical_json(self) -> str:
         spliced = (("message", "hex"),)  # MessageSpec admits only hex digits
-        return dumps_spliced(self.to_dict(), spliced, sort_keys=True, separators=(",", ":"))
+        pieces = spliced_pieces(self.to_dict(), spliced, sort_keys=True, separators=(",", ":"))
+        return "".join(pieces)
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
@@ -214,7 +215,8 @@ def _scalar(kind: type, value, label: str):
 
 def _read(cls: type, data, path: str, base=None):
     """Build ``cls`` from one JSON object, or, given ``base``, replace the
-    fields the object holds in ``base``; errors name the dotted path."""
+    fields the object holds in ``base``, each section read against base's
+    own; errors name the dotted path."""
     if not isinstance(data, dict):
         raise ScenarioError(f"{path or 'scenario'}: expected an object")
     fields = _TABLE[cls]
@@ -235,7 +237,10 @@ def _read(cls: type, data, path: str, base=None):
             continue  # the dataclass default applies
         else:
             value = {}
-        values[name] = _read(kind, value, label) if section else _scalar(kind, value, label)
+        if section:
+            values[name] = _read(kind, value, label, base and getattr(base, name))
+        else:
+            values[name] = _scalar(kind, value, label)
     try:
         return cls(**values) if base is None else dataclasses.replace(base, **values)
     except QsdcError as exc:
@@ -268,8 +273,8 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 def replace_entries(base: Scenario, entries: dict) -> Scenario:
     """The Scenario, or the ScenarioError, that scenario_from_dict gives for
-    ``{**base.to_dict(), **entries}``, reading only the top-level entries
-    given."""
+    ``base.to_dict()`` with the entries merged in at every depth, reading
+    only the entries given: ``{"eve": {"fraction": v}}`` replaces one leaf."""
     return _read(Scenario, entries, "", base)
 
 
@@ -310,7 +315,7 @@ def ideal_scenario_dict(
             modulator=ModulatorSpec(rate_hz=1e5),
             source=SourceSpec(pair_rate_hz=1e6),
         ),
-        protocol=ProtocolConfig(),
+        protocol=ProtocolConfig(detection_size=1000),
         eve=EveModel(),
         message=MessageSpec(hex=message_hex, bit_length=message_bit_length),
     ).to_dict()

@@ -399,7 +399,7 @@ def security_detection_oracle(
     draws in the same order, so the same transcript events and result.
     """
     rng = session.rng
-    num_photons = config.detection_size
+    num_photons = config.photons_per_round
     decrease_factor = config.photon_decrease_factor
     tdm_slot_s = config.tdm_slot_s
     if session.phase is not protocol.SessionPhase.SECURITY_DETECTION:
@@ -533,7 +533,7 @@ def run_qsdc_oracle(
             session.transition(protocol.SessionPhase.SECURITY_DETECTION)
             start = session.time_s
             result = security_detection_oracle(session, link, config)
-            detection_photons += config.detection_size
+            detection_photons += config.photons_per_round
             detection_time_total += session.time_s - start
             if not result.passed:
                 break

@@ -238,8 +238,8 @@ def _run_files(doc):
     transcript = cli.run_session(scenario)
     report = cli.build_report(scenario, transcript, "transcript.jsonl")
     return (
-        hashlib.sha256(transcript.to_jsonl().encode()).hexdigest(),
-        hashlib.sha256(cli.report_to_json(report).encode()).hexdigest(),
+        hashlib.sha256("".join(transcript.chunks()).encode()).hexdigest(),
+        hashlib.sha256("".join(cli.report_pieces(report)).encode()).hexdigest(),
     )
 
 

@@ -23,10 +23,10 @@ from qsdcnet.protocol import (
     TranscriptEvent,
     _EVENT_BOUNDARY,
     _SPLICE_MARK,
-    dumps_spliced,
     events_jsonl,
     run_qsdc,
     run_security_detection,
+    spliced_pieces,
     transmit_and_decode_block,
     _detection_branch_cumulative,
     _encoding_cumulative,
@@ -408,8 +408,8 @@ class TestRunQsdc:
         assert transcript.summary["delivered_bits"] is None
         kinds = {event.event_kind for event in transcript.events}
         assert "block_sent" not in kinds and "session_complete" not in kinds
-        assert message not in transcript.to_jsonl()
-        assert bits_to_hex_oracle(message) not in transcript.to_jsonl()
+        assert message not in "".join(transcript.chunks())
+        assert bits_to_hex_oracle(message) not in "".join(transcript.chunks())
 
     def test_erasures_are_retransmitted_to_completion(self):
         message = "0110" * 100
@@ -459,10 +459,11 @@ class TestRunQsdc:
 
     def test_transcript_is_pure_function_of_seed(self):
         def run(seed):
-            return run_qsdc(
+            transcript = run_qsdc(
                 "0011" * 60, make_devices(conversion=0.8), EveModel(EveKind.NONE, 0.0),
                 FAST_CONFIG, np.random.default_rng(seed),
-            ).to_jsonl()
+            )
+            return "".join(transcript.chunks())
 
         assert run(99) == run(99)
         assert run(99) != run(100)
@@ -472,7 +473,7 @@ class TestRunQsdc:
             "0101", make_devices(), EveModel(EveKind.NONE, 0.0), FAST_CONFIG,
             np.random.default_rng(27),
         )
-        for line in transcript.to_jsonl().splitlines():
+        for line in "".join(transcript.chunks()).splitlines():
             record = json.loads(line)
             assert list(record) == ["timestamp_s", "event_kind", "payload"]
             assert isinstance(record["timestamp_s"], float)
@@ -538,7 +539,7 @@ class TestSessionLoopOracle:
         )
         got = run_qsdc(*arguments, np.random.default_rng(seed))
         expected = run_qsdc_oracle(*arguments, np.random.default_rng(seed))
-        assert got.to_jsonl() == expected.to_jsonl()
+        assert "".join(got.chunks()) == "".join(expected.chunks())
         assert got.summary == expected.summary
 
 
@@ -576,6 +577,17 @@ class TestBitstringHelpers:
         assert message.bit_count == len(bits)
         assert message.text() == bits
         assert message.hex() == bits_to_hex_oracle(bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.binary(min_size=1, max_size=40))
+    def test_from_bytes_matches_from_bits(self, raw):
+        bits = "".join(f"{byte:08b}" for byte in raw)
+        for bit_count in range(1, 8 * len(raw) + 1):
+            got = MessageCodes.from_bytes(raw, bit_count)
+            want = MessageCodes.from_bits(bits[:bit_count])
+            assert got.bit_count == want.bit_count
+            assert got.codes.dtype == want.codes.dtype
+            assert got.codes.tolist() == want.codes.tolist()
 
 
 class TestBitsAndHex:
@@ -654,7 +666,7 @@ class TestMessagePath:
         got = run_qsdc(message, *arguments, np.random.default_rng(seed))
         expected = run_qsdc_oracle(bits, *arguments, np.random.default_rng(seed))
         assert got.summary == expected.summary
-        assert got.to_jsonl() == expected.to_jsonl()
+        assert "".join(got.chunks()) == "".join(expected.chunks())
 
 
 LAST_DRAW = np.nextafter(1.0, 0.0)  # the largest value rng.random() returns
@@ -701,7 +713,7 @@ class TestDetectionRound:
             result = detect(session, link, config)
             sessions.append((session, result))
         (got, got_result), (want, want_result) = sessions
-        assert got.transcript.to_jsonl() == want.transcript.to_jsonl()
+        assert "".join(got.transcript.chunks()) == "".join(want.transcript.chunks())
         assert got.transcript.detection_counts == want.transcript.detection_counts
         assert got_result[:-1] == want_result[:-1]  # every field but the batch
         assert got.rng.bit_generator.state == want.rng.bit_generator.state
@@ -857,7 +869,7 @@ class TestTranscriptFormatting:
         )
         round_records = None
         rounds = 0
-        for line in transcript.to_jsonl().splitlines():
+        for line in "".join(transcript.chunks()).splitlines():
             event = json.loads(line)
             assert json.dumps(event) == line
             kind, payload = event["event_kind"], event["payload"]
@@ -944,7 +956,7 @@ class TestTranscriptFormatting:
         scenario_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert cli.main(["run", "--scenario", str(scenario_path), "--out", str(out)]) == cli.EXIT_OK
-        expected = cli.run_session(scenario_from_dict(doc)).to_jsonl()
+        expected = "".join(cli.run_session(scenario_from_dict(doc)).chunks())
         assert "detection_record" in expected
         assert (out / "transcript.jsonl").read_bytes() == expected.encode()
 
@@ -957,7 +969,7 @@ class TestTranscriptFormatting:
         scenario_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert cli.main(["run", "--scenario", str(scenario_path), "--out", str(out)]) == cli.EXIT_OK
-        expected = cli.run_session(scenario_from_dict(doc)).to_jsonl()
+        expected = "".join(cli.run_session(scenario_from_dict(doc)).chunks())
         assert (out / "transcript.jsonl").read_bytes() == expected.encode()
         *_, last = expected.splitlines(keepends=True)
         event = json.loads(last)
@@ -1067,9 +1079,14 @@ class TestEventRuns:
         assert transcript.summary["delivered_bits"] in chunks  # never joined
 
 
+def spliced_text(doc: dict, paths, end: str = "", **options) -> str:
+    return "".join(spliced_pieces(doc, paths, end, **options))
+
+
 class TestSplicedJson:
-    """dumps_spliced writes bit and hex strings as they are; these properties
-    hold it to json.dumps in each of the three styles it is used with."""
+    """spliced_pieces writes bit and hex strings as they are; these properties
+    hold its joined pieces to json.dumps in each of the three styles it is
+    used with."""
 
     @settings(max_examples=300, deadline=None)
     @given(doc=json_docs, data=st.data())
@@ -1079,9 +1096,9 @@ class TestSplicedJson:
             if data.draw(st.booleans()):  # else the path may be absent or not a string
                 put(doc, path, data.draw(spliceable))
         for style in DUMP_STYLES:
-            assert dumps_spliced(doc, paths, **style) == json.dumps(doc, **style)
+            assert spliced_text(doc, paths, **style) == json.dumps(doc, **style)
             end = data.draw(st.sampled_from(["\n", '"', "\u0000splice 0"]))
-            assert dumps_spliced(doc, paths, end, **style) == json.dumps(doc, **style) + end
+            assert spliced_text(doc, paths, end, **style) == json.dumps(doc, **style) + end
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1102,7 +1119,7 @@ class TestSplicedJson:
         put(doc, path, value)
         for style in DUMP_STYLES:
             try:
-                text = dumps_spliced(doc, [path], **style)
+                text = spliced_text(doc, [path], **style)
             except ValueError:
                 continue
             assert text == json.dumps(doc, **style)
@@ -1110,15 +1127,15 @@ class TestSplicedJson:
     def test_a_colliding_mark_raises(self):
         doc = {"bits": "0110", "note": _SPLICE_MARK % 0}
         with pytest.raises(ValueError, match="splice mark"):
-            dumps_spliced(doc, [("bits",)])
+            spliced_text(doc, [("bits",)])
         # Not spliced: the mark is then plain content.
-        assert dumps_spliced(doc, [("none",)]) == json.dumps(doc)
+        assert spliced_text(doc, [("none",)]) == json.dumps(doc)
 
     def test_skips_null_absent_and_non_string_values(self):
         doc = {"session": {"delivered_bits": None, "delivered_bits_hex": 5}}
         paths = [("session", "delivered_bits"), ("session", "delivered_bits_hex"), ("x", "y")]
         for style in DUMP_STYLES:
-            assert dumps_spliced(doc, paths, **style) == json.dumps(doc, **style)
+            assert spliced_text(doc, paths, **style) == json.dumps(doc, **style)
 
     @pytest.mark.parametrize("length", [1, 1023, 1024, 5000])
     @pytest.mark.parametrize("odd", ["\x00", "\x1f", "\x7f", '"', "\\", "\u00e9", "\n"])
@@ -1127,4 +1144,4 @@ class TestSplicedJson:
             doc = {"bits": "01" * (length // 2) + "1" * (length % 2), "hex": "a5"}
             doc["bits"] = doc["bits"][:at] + odd + doc["bits"][at:]
             for style in DUMP_STYLES:
-                assert dumps_spliced(doc, [("bits",), ("hex",)], **style) == json.dumps(doc, **style)
+                assert spliced_text(doc, [("bits",), ("hex",)], **style) == json.dumps(doc, **style)

@@ -389,7 +389,7 @@ class TestRunCommand:
 
     def test_report_json_is_strict(self):
         with pytest.raises(ValueError):
-            cli.report_to_json({"session": {"ber": float("nan")}})
+            cli.report_pieces({"session": {"ber": float("nan")}})
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))
@@ -475,22 +475,89 @@ class TestSweepCommand:
         assert len(lines) == 1
         assert lines[0].startswith("index,parameter,value,seed,status")
 
+    @staticmethod
+    def schema_error(doc) -> str:
+        with pytest.raises(ScenarioError) as raised:
+            scenario_from_dict(doc)
+        return str(raised.value)
+
     def test_bad_parameter_path(self, tmp_path, capsys):
-        scenario_path = write_scenario(tmp_path, sweep_base_dict())
+        doc = sweep_base_dict()
+        scenario_path = write_scenario(tmp_path, doc)
         code = cli.main([
             "sweep", "--scenario", scenario_path,
             "--param", "devices.pump_laser.power", "--values", "1,2", "--out", str(tmp_path),
         ])
         assert code == cli.EXIT_VALIDATION
-        assert "pump_laser" in capsys.readouterr().err
+        # The error a file with that key gets.
+        doc["devices"]["pump_laser"] = {"power": 1.0}
+        error = self.schema_error(doc)
+        assert error == "devices.pump_laser: unknown field"
+        assert capsys.readouterr().err == f"error: devices.pump_laser.power=1.0: {error}\n"
 
     def test_non_scalar_path_rejected(self, tmp_path, capsys):
-        scenario_path = write_scenario(tmp_path, sweep_base_dict())
+        doc = sweep_base_dict()
+        scenario_path = write_scenario(tmp_path, doc)
         code = cli.main([
             "sweep", "--scenario", scenario_path,
             "--param", "devices.alice_fiber", "--values", "1", "--out", str(tmp_path),
         ])
         assert code == cli.EXIT_VALIDATION
+        doc["devices"]["alice_fiber"] = 1.0
+        error = self.schema_error(doc)
+        assert error == "devices.alice_fiber: expected an object"
+        assert capsys.readouterr().err == f"error: devices.alice_fiber=1.0: {error}\n"
+
+    @pytest.mark.parametrize(
+        "unset, param, values",
+        [
+            # Each row's detection rounds follow its own block size: 2 photons
+            # abort at block_size 20, 10,000 complete at 100,000.
+            ("detection_size", "protocol.block_size", (20.0, 100000.0)),
+            # A leaf the hex message leaves unset.
+            ("bit_length", "message.bit_length", (12.0, 40.0)),
+        ],
+    )
+    def test_row_matches_run_of_the_edited_file(self, tmp_path, capsys, unset, param, values):
+        doc = ideal_scenario_dict(seed=23)
+        doc["protocol"].pop(unset, None)
+        assert unset not in doc["protocol"] and unset not in doc["message"]
+        scenario_path = write_scenario(tmp_path, doc)
+        code = cli.main([
+            "sweep", "--scenario", scenario_path, "--param", param,
+            "--values", ",".join(map(str, values)), "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == cli.EXIT_OK
+        rows = list(csv.DictReader((tmp_path / "sweep" / "sweep.csv").open()))
+        assert len(rows) == len(values)
+        section, leaf = param.split(".")
+        for index, (row, value) in enumerate(zip(rows, values)):
+            edited = json.loads(json.dumps(doc))
+            edited[section][leaf] = value
+            edited["seed"] = 23 ^ index
+            edited_path = write_scenario(tmp_path, edited, f"variant{index}.json")
+            out = tmp_path / f"run{index}"
+            code = cli.main(["run", "--scenario", edited_path, "--out", str(out)])
+            report = json.loads((out / "report.json").read_text())
+            status = report["session"]["status"]
+            assert code == (cli.EXIT_OK if status == "completed" else cli.EXIT_ABORT)
+            qber = report["qber"] or {}
+            secrecy = report["secrecy"] or {}
+            expected = {
+                "status": status,
+                "qber_e": qber.get("e"),
+                "cs_lower": secrecy.get("cs_lower"),
+                "info_rate_bits_per_s": report["throughput"]["info_rate_bits_per_s"],
+                "erasure_fraction": report["session"]["erasure_fraction"],
+                "ber": report["session"]["ber"],
+            }
+            got = {
+                name: text if name == "status" else (None if text == "" else float(text))
+                for name, text in row.items() if name in expected
+            }
+            assert got == expected, index
+        if unset == "detection_size":
+            assert [row["status"] for row in rows] == ["aborted", "completed"]
 
     @pytest.mark.parametrize(
         "param, values, error",

@@ -103,9 +103,16 @@ def test_round_trip_keeps_the_digest(doc):
     assert again.to_dict() == scenario.to_dict()
 
 
+def _without_detection_size(doc):
+    """doc with the protocol's detection_size left to its derived default."""
+    del doc["protocol"]["detection_size"]
+    return doc
+
+
 BASES = [
     ideal_scenario_dict(seed=7, message_hex="b7e1d", message_bit_length=17),
     forty_km_scenario_dict(seed=3),
+    _without_detection_size(ideal_scenario_dict(seed=9, message_hex="3c")),
 ]
 
 
@@ -182,7 +189,7 @@ def _small_enough_to_run(scenario) -> bool:
     topology = scenario.topology
     return (
         bits <= 256
-        and scenario.protocol.detection_size <= 10_000
+        and scenario.protocol.photons_per_round <= 10_000
         and topology.subnets * topology.users_per_subnet <= 100
     )
 
@@ -306,8 +313,8 @@ def test_every_scenario_field_changes_an_output(path, tmp_path, capsys):
     assert any(a != b for a, b in zip(before, after))
 
 
-# A swept value is one leaf of one section; sweep reads only that section
-# (and the seed) again, into the base scenario.
+# A swept value is one leaf of one section; sweep reads only that leaf (and
+# the seed) again, into the base scenario, whether the base sets it or not.
 SECTION_LEAVES = [path for path in _leaf_paths() if "." in path]
 leaf_scalars = (
     st.none()
@@ -331,20 +338,19 @@ leaf_scalars = (
 def test_section_variant_matches_the_edited_document(index, path, data, seed):
     value = data.draw(st.just(WITNESSES[path][1]) | leaf_scalars, label="value")
     base = scenario_from_dict(BASES[index])
-    doc = base.to_dict()
-    edited = _with(doc, {path: value, "seed": seed})
-    section = path.split(".")[0]
-    if tuple(path.split(".")) in set(_sites(doc)):  # sweep can address it
-        varied = cli._set_path(doc, path, value)
-        assert varied == _with(doc, {path: value})
-        assert doc == base.to_dict()  # only copies were written
+    edited = _with(base.to_dict(), {path: value, "seed": seed})
+    *sections, leaf = path.split(".")
+    entries = {leaf: value}  # the one-leaf entry sweep sends
+    for key in reversed(sections):
+        entries = {key: entries}
+    entries["seed"] = seed
     try:
         expected = scenario_from_dict(edited)
     except ScenarioError as exc:
         with pytest.raises(ScenarioError) as raised:
-            replace_entries(base, {section: edited[section], "seed": seed})
+            replace_entries(base, entries)
         assert str(raised.value) == str(exc)
         return
-    variant = replace_entries(base, {section: edited[section], "seed": seed})
+    variant = replace_entries(base, entries)
     assert variant == expected
     assert variant.digest() == expected.digest()
