@@ -79,16 +79,28 @@ def secrecy_capacity_bound(
 
 @dataclass(frozen=True)
 class QberEstimate:
+    """Pooled and per-basis error rates of matched-basis comparisons. The
+    Clopper-Pearson interval of e is computed when it is read, which only
+    the report and the transcript lines do: a sweep never loads scipy."""
+
     e: float
     e_x: float
     e_z: float
     n_x: int
     n_z: int
-    ci_low: float
-    ci_high: float
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        """(ci_low, ci_high): the 95% Clopper-Pearson interval of e."""
+        trials = self.n_x + self.n_z
+        # e is errors / trials in one correctly rounded division, so for any
+        # count below 2**50 this gives the error count back exactly.
+        return clopper_pearson(round(self.e * trials), trials)
 
     def to_dict(self) -> dict:
-        return dict(vars(self))  # the fields in declared order
+        """The fields in declared order, then the interval."""
+        ci_low, ci_high = self.interval
+        return {**vars(self), "ci_low": ci_low, "ci_high": ci_high}
 
 
 # Pure, so memoised: one-round sessions and small rounds repeat their counts.
@@ -132,8 +144,7 @@ def qber_from_counts(n_z: int, errors_z: int, n_x: int, errors_x: int) -> QberEs
     e_z = errors_z / n_z if n_z else 0.0
     e_x = errors_x / n_x if n_x else 0.0
     e = (errors_z + errors_x) / total
-    ci_low, ci_high = clopper_pearson(errors_z + errors_x, total)
-    return QberEstimate(e=e, e_x=e_x, e_z=e_z, n_x=n_x, n_z=n_z, ci_low=ci_low, ci_high=ci_high)
+    return QberEstimate(e=e, e_x=e_x, e_z=e_z, n_x=n_x, n_z=n_z)
 
 
 def fidelity_from_visibility(v: float) -> tuple[float, float]:

@@ -158,7 +158,7 @@ def fringe_study(
     """
     devices = scenario.devices
     accidental_prob = photonics.accidental_probability(devices)
-    rng = np.random.default_rng([scenario.seed, 0xF21])
+    rng = scenario.fringe_rng()
     grid = np.linspace(0.0, 2.0 * np.pi, phases, endpoint=False)
     probabilities = qstate.fringe_probability(label, devices.source.noise, grid)
     rows = photonics.fringe_scan(grid, probabilities, shots_per_phase, accidental_prob, rng)

@@ -137,7 +137,11 @@ def events_jsonl(events: list[TranscriptEvent]) -> str:
     one json.dumps of their list split at the boundaries. A payload holding
     the boundary too (a list of objects keyed timestamp_s first) raises
     ValueError rather than being split in it."""
-    text = json.dumps([event._asdict() for event in events])[1:-1]
+    # A detection_result's qber is its QberEstimate until here, so that only
+    # a written transcript computes the interval.
+    text = json.dumps(
+        [event._asdict() for event in events], default=analysis.QberEstimate.to_dict
+    )[1:-1]
     if text.count(_EVENT_BOUNDARY) != len(events) - 1:
         raise ValueError("an event payload holds the text between two events")
     return text.replace(_EVENT_BOUNDARY, '}\n{"timestamp_s": ') + "\n"
@@ -472,7 +476,7 @@ def run_security_detection(session: Session, link: Link, config: ProtocolConfig)
         passed=passed,
         photons_detected=int(n),
         photons_sent=num_photons,
-        qber=qber.to_dict() if qber else None,
+        qber=qber,  # written by events_jsonl
         reason=reason,
     )
     session.transition(
@@ -698,7 +702,9 @@ def run_qsdc(
         short = block_size - (cursor - start)
         if short and (backlog.size or requeued):
             if backlog.size < short:
-                backlog, requeued = np.concatenate((backlog, *requeued)), []
+                parts = (backlog, *requeued) if backlog.size else requeued
+                backlog = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                requeued = []
             batch, backlog = backlog[:short], backlog[short:]
             if start < cursor:
                 batch = np.concatenate((np.arange(start, cursor), batch))

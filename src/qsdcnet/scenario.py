@@ -38,6 +38,15 @@ from .protocol import EveModel, MessageCodes, ProtocolConfig, spliced_pieces
 # Distinct RNG streams derived from the scenario seed.
 _MESSAGE_STREAM = 0x6D65
 _SESSION_STREAM = 0x7365
+_FRINGE_STREAM = 0xF21
+
+
+def stream_rng(seed: int, stream: int) -> np.random.Generator:
+    """The generator of ``default_rng([seed, stream])`` for a 64-bit seed and
+    a 32-bit stream, from one integer: SeedSequence reads both as the same
+    32-bit words, the seed's one or two and then the stream's, and an integer
+    skips numpy's coercion of a list."""
+    return np.random.default_rng(seed | stream << (32 if seed < 2**32 else 64))
 
 
 # Ceilings on counts that size arrays or loops: each subnet member gets a TDM
@@ -111,13 +120,16 @@ class MessageSpec:
             raise DomainError(
                 f"bit_length must be in [1, {4 * len(self.hex)}], got {self.bit_length}"
             )
-        # Kept for resolve, so the digits are parsed once; not a field.
-        object.__setattr__(self, "_raw", raw)
+        # The codes are resolved once and shared by every session, so they
+        # are read-only; not a field.
+        codes = MessageCodes.from_bytes(raw, self.bit_length or 4 * len(self.hex))
+        codes.codes.flags.writeable = False
+        object.__setattr__(self, "_codes", codes)
 
     def resolve(self, seed: int) -> MessageCodes:
         if self.hex is not None:
-            return MessageCodes.from_bytes(self._raw, self.bit_length or 4 * len(self.hex))
-        rng = np.random.default_rng([seed, _MESSAGE_STREAM])
+            return self._codes
+        rng = stream_rng(seed, _MESSAGE_STREAM)
         return MessageCodes.from_bit_values(rng.integers(0, 2, self.random_bits))
 
 
@@ -139,7 +151,10 @@ class Scenario:
         return self.message.resolve(self.seed)
 
     def session_rng(self) -> np.random.Generator:
-        return np.random.default_rng([self.seed, _SESSION_STREAM])
+        return stream_rng(self.seed, _SESSION_STREAM)
+
+    def fringe_rng(self) -> np.random.Generator:
+        return stream_rng(self.seed, _FRINGE_STREAM)
 
     def canonical_json(self) -> str:
         spliced = (("message", "hex"),)  # MessageSpec admits only hex digits
@@ -186,69 +201,75 @@ def _add_to_table(cls) -> None:
 _add_to_table(Scenario)
 
 
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+def _label(path: tuple, *keys: str) -> str:
+    """The dotted path of a field, or 'scenario' for the document itself."""
+    return ".".join((*path, *keys)) or "scenario"
 
 
-def _scalar(kind: type, value, label: str):
-    """One JSON scalar as ``kind``: int->float, integral float->int, no bools."""
+def _scalar(kind: type, value):
+    """One JSON scalar as ``kind``: int->float, integral float->int, no bools.
+    Its ScenarioError holds no path; the caller prefixes it."""
     if issubclass(kind, enum.Enum):
         try:
             return kind(value)
         except ValueError:
             choices = ", ".join(member.value for member in kind)
-            raise ScenarioError(f"{label}: must be one of {choices}, got {value!r}") from None
+            raise ScenarioError(f"must be one of {choices}, got {value!r}") from None
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         try:
             value = float(value)
         except OverflowError:
-            raise ScenarioError(f"{label}: too large for a float") from None
+            raise ScenarioError("too large for a float") from None
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ScenarioError(f"{label}: expected {kind.__name__}, got {type(value).__name__}")
+        raise ScenarioError(f"expected {kind.__name__}, got {type(value).__name__}")
     # JSON parsing admits NaN and Infinity, which no range check catches.
     if kind is float and not math.isfinite(value):
-        raise ScenarioError(f"{label}: must be finite, got {value}")
+        raise ScenarioError(f"must be finite, got {value}")
     return value
 
 
-def _read(cls: type, data, path: str, base=None):
-    """Build ``cls`` from one JSON object, or, given ``base``, replace the
-    fields the object holds in ``base``, each section read against base's
-    own; errors name the dotted path."""
+def _read(cls: type, data, path: tuple = (), base=None):
+    """Build ``cls`` from one JSON object, or, given ``base``, the instance
+    with the fields the object holds replaced, each section read against
+    base's own: one constructor call either way. Only the given keys are
+    read, and an error's dotted path is formatted only when it is raised."""
     if not isinstance(data, dict):
-        raise ScenarioError(f"{path or 'scenario'}: expected an object")
+        raise ScenarioError(f"{_label(path)}: expected an object")
     fields = _TABLE[cls]
     for key in data:
         if key not in fields:
-            raise ScenarioError(f"{_join(path, key)}: unknown field")
+            raise ScenarioError(f"{_label(path, key)}: unknown field")
     values = {}
     for name, kind, required, section in fields.values():
-        label = _join(path, name)
         if name in data:
             value = data[name]
         elif base is not None:
-            continue  # base keeps its value
+            values[name] = getattr(base, name)  # base keeps its value
+            continue
         elif required:
             what = "section" if section else "field"
-            raise ScenarioError(f"{label}: missing required {what}")
+            raise ScenarioError(f"{_label(path, name)}: missing required {what}")
         elif not section:
             continue  # the dataclass default applies
         else:
             value = {}
         if section:
-            values[name] = _read(kind, value, label, base and getattr(base, name))
+            values[name] = _read(kind, value, (*path, name), base and getattr(base, name))
         else:
-            values[name] = _scalar(kind, value, label)
+            try:
+                values[name] = _scalar(kind, value)
+            except ScenarioError as exc:
+                raise ScenarioError(f"{_label(path, name)}: {exc}") from None
     try:
-        return cls(**values) if base is None else dataclasses.replace(base, **values)
+        return cls(**values)
     except QsdcError as exc:
         # A message that starts with a field's name is about that field.
         name, _, rest = str(exc).partition(" ")
         if name in fields:
-            raise ScenarioError(f"{_join(path, name)}: {rest}") from exc
-        raise ScenarioError(f"{path or 'scenario'}: {exc}") from exc
+            raise ScenarioError(f"{_label(path, name)}: {rest}") from exc
+        raise ScenarioError(f"{_label(path)}: {exc}") from exc
 
 
 def _write(obj) -> dict:
@@ -268,14 +289,14 @@ def _write(obj) -> dict:
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Validate a scenario dictionary and build the typed Scenario."""
-    return _read(Scenario, data, "")
+    return _read(Scenario, data)
 
 
 def replace_entries(base: Scenario, entries: dict) -> Scenario:
     """The Scenario, or the ScenarioError, that scenario_from_dict gives for
     ``base.to_dict()`` with the entries merged in at every depth, reading
     only the entries given: ``{"eve": {"fraction": v}}`` replaces one leaf."""
-    return _read(Scenario, entries, "", base)
+    return _read(Scenario, entries, (), base)
 
 
 def load_scenario(path: str) -> Scenario:

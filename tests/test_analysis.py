@@ -132,15 +132,17 @@ class TestQberEstimation:
         ]
         estimate = qber_from_transcript(records)
         assert estimate.e == 0.0
-        assert estimate.ci_low == 0.0
-        assert estimate.ci_high > 0.0
+        ci_low, ci_high = estimate.interval
+        assert ci_low == 0.0
+        assert ci_high > 0.0
 
     def test_counting_example(self):
         estimate = qber_from_counts(n_z=10_000, errors_z=25, n_x=10_000, errors_x=0)
         assert estimate.e_z == pytest.approx(0.0025, abs=1e-12)
         assert estimate.e_x == 0.0
         assert estimate.e == pytest.approx(0.00125, abs=1e-12)
-        assert estimate.ci_low <= estimate.e <= estimate.ci_high
+        ci_low, ci_high = estimate.interval
+        assert ci_low <= estimate.e <= ci_high
 
     def test_intercept_resend_transcript_covered_by_interval(self):
         session = Session(np.random.default_rng(31))
@@ -150,8 +152,8 @@ class TestQberEstimation:
             Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 1.0)),
             ProtocolConfig(qber_threshold=0.49, min_samples=500, detection_size=20000),
         )
-        estimate = result.qber
-        assert estimate.ci_low <= 0.25 <= estimate.ci_high
+        ci_low, ci_high = result.qber.interval
+        assert ci_low <= 0.25 <= ci_high
 
     def test_empty_records_rejected(self):
         with pytest.raises(InsufficientData):
@@ -169,8 +171,8 @@ class TestQberEstimation:
         for _ in range(trials):
             errors_z = int(rng.binomial(n, planted))
             errors_x = int(rng.binomial(n, planted))
-            estimate = qber_from_counts(n, errors_z, n, errors_x)
-            if estimate.ci_low <= planted <= estimate.ci_high:
+            ci_low, ci_high = qber_from_counts(n, errors_z, n, errors_x).interval
+            if ci_low <= planted <= ci_high:
                 covered += 1
         assert covered / trials >= 0.93
 
@@ -288,11 +290,33 @@ class TestSessionSecrecyReport:
 
 def test_to_dict_matches_asdict():
     # The hand-written dicts must keep every field, in field order, as the
-    # report and transcript bytes depend on both.
+    # report and transcript bytes depend on both. A QberEstimate's interval,
+    # computed when read, follows its fields.
+    qber = qber_from_counts(100, 3, 80, 5)
+    ci_low, ci_high = clopper_pearson(8, 180)
+    expected = [*asdict(qber).items(), ("ci_low", ci_low), ("ci_high", ci_high)]
+    assert list(qber.to_dict().items()) == expected
     reports = [
-        qber_from_counts(100, 3, 80, 5),
         secrecy_capacity_bound(0.9, 0.1, 0.02, 0.01, 0.03),
         throughput(1e5, 1e4, 0.2, 0.1),
     ]
     for report in reports:
         assert list(report.to_dict().items()) == list(asdict(report).items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_z=st.integers(0, 10**7),
+    n_x=st.integers(0, 10**7),
+    z_share=st.floats(0.0, 1.0),
+    x_share=st.floats(0.0, 1.0),
+)
+def test_interval_on_demand_is_clopper_pearson_of_the_counts(n_z, n_x, z_share, x_share):
+    # The estimate keeps no error count: its interval reads it back from e.
+    if n_z + n_x == 0:
+        n_z = 1
+    errors_z, errors_x = round(z_share * n_z), round(x_share * n_x)
+    qber = qber_from_counts(n_z, errors_z, n_x, errors_x)
+    expected = clopper_pearson(errors_z + errors_x, n_z + n_x)
+    assert qber.interval == expected
+    assert (qber.to_dict()["ci_low"], qber.to_dict()["ci_high"]) == expected

@@ -9,6 +9,7 @@ under a partial intercept-resend Eve, a sweep and a noisy fringe scan. A
 refactor that keeps behaviour leaves every digest here unchanged.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -278,7 +279,11 @@ def _sha256_of_report(report: dict) -> str:
 
 def _with_secrecy_put_back(report: dict) -> dict:
     """The report with the secrecy bound every session once claimed."""
-    qber = analysis.QberEstimate(**report["qber"])
+    # The estimate's fields; its interval is no field but is computed from them.
+    qber = analysis.QberEstimate(
+        **{field.name: report["qber"][field.name] for field in dataclasses.fields(analysis.QberEstimate)}
+    )
+    assert qber.to_dict() == report["qber"]
     erasure_fraction = report["session"]["erasure_fraction"]
     secrecy = analysis.session_secrecy_report(qber, erasure_fraction).to_dict()
     return {**report, "secrecy": secrecy}

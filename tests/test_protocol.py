@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsdcnet import cli
+from qsdcnet.analysis import QberEstimate
 from qsdcnet.errors import DomainError, InvariantViolation
 from qsdcnet.photonics import SfgSpec
 from qsdcnet.protocol import (
@@ -1070,8 +1071,10 @@ class TestEventRuns:
             np.random.default_rng(3),
         )
         chunks = list(transcript.chunks())
+        # A detection_result holds its QberEstimate, written as its to_dict.
         expected = "".join(
-            json.dumps(e._asdict()) + "\n" if isinstance(e, TranscriptEvent) else e.to_jsonl()
+            json.dumps(e._asdict(), default=QberEstimate.to_dict) + "\n"
+            if isinstance(e, TranscriptEvent) else e.to_jsonl()
             for e in transcript.events
         )
         assert "".join(chunks) == expected

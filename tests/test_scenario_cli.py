@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 
 from qsdcnet import cli
 from qsdcnet.errors import DomainError, ScenarioError
-from qsdcnet.protocol import MAX_BLOCK_SIZE, MAX_DETECTION_SIZE
+from qsdcnet.protocol import MAX_BLOCK_SIZE, MAX_DETECTION_SIZE, MessageCodes
 from qsdcnet.qstate import BellLabel
 from qsdcnet.scenario import (
+    _FRINGE_STREAM,
+    _MESSAGE_STREAM,
+    _SESSION_STREAM,
     MAX_GRID_SIZE,
     MAX_RANDOM_BITS,
     MAX_USERS,
@@ -26,6 +29,7 @@ from qsdcnet.scenario import (
     ideal_scenario_dict,
     load_scenario,
     scenario_from_dict,
+    stream_rng,
 )
 
 from conftest import HEX_DIGITS, hex_to_bits_oracle
@@ -189,6 +193,39 @@ class TestScenarioParsing:
         path.write_text('{\n  "seed": 1,\n  "oops"\n}\n')
         with pytest.raises(ScenarioError, match=r"broken\.json:4:1"):
             load_scenario(str(path))
+
+
+class TestStreamRng:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.sampled_from([_SESSION_STREAM, _MESSAGE_STREAM, _FRINGE_STREAM]),
+    )
+    @example(seed=0, stream=_SESSION_STREAM)
+    @example(seed=2**32 - 1, stream=_MESSAGE_STREAM)
+    @example(seed=2**32, stream=_SESSION_STREAM)
+    @example(seed=2**63, stream=_FRINGE_STREAM)
+    @example(seed=2**64 - 1, stream=_MESSAGE_STREAM)
+    def test_one_integer_seeds_the_generator_of_the_pair(self, seed, stream):
+        state = np.random.default_rng([seed, stream]).bit_generator.state
+        assert stream_rng(seed, stream).bit_generator.state == state
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    @example(seed=2**32)
+    def test_scenario_generators_are_its_seed_and_stream(self, seed):
+        doc = ideal_scenario_dict(seed=seed)
+        doc["message"] = {"random_bits": 9}
+        scenario = scenario_from_dict(doc)
+        for rng, stream in (
+            (scenario.session_rng(), _SESSION_STREAM),
+            (scenario.fringe_rng(), _FRINGE_STREAM),
+        ):
+            assert rng.bit_generator.state == np.random.default_rng([seed, stream]).bit_generator.state
+        draws = np.random.default_rng([seed, _MESSAGE_STREAM]).integers(0, 2, 9)
+        codes, bit_count = scenario.message_bits()
+        np.testing.assert_array_equal(codes, MessageCodes.from_bit_values(draws).codes)
+        assert bit_count == 9
 
 
 class TestPlanCommand:
@@ -408,6 +445,46 @@ def sweep_base_dict(seed=21):
 
 
 class TestSweepCommand:
+    @staticmethod
+    def sent_messages(monkeypatch, argv) -> list:
+        """The message of each row's session, as ``sweep`` passed it."""
+        sent = []
+        run_qsdc = cli.protocol.run_qsdc
+
+        def recording(message, *arguments):
+            sent.append(message)
+            return run_qsdc(message, *arguments)
+
+        monkeypatch.setattr(cli.protocol, "run_qsdc", recording)
+        assert cli.main(argv) == cli.EXIT_OK
+        return sent
+
+    def test_hex_message_is_resolved_once_for_every_row(self, tmp_path, monkeypatch, capsys):
+        doc = ideal_scenario_dict(message_hex="c0ffee5")
+        argv = ["sweep", "--scenario", write_scenario(tmp_path, doc), "--param",
+                "eve.fraction", "--values", "0,0.1,0.2", "--out", str(tmp_path)]
+        sent = self.sent_messages(monkeypatch, argv)
+        assert len(sent) == 3
+        codes = sent[0].codes
+        assert all(message.codes is codes for message in sent)
+        expected = MessageCodes.from_bytes(bytes.fromhex("c0ffee50"), 28)
+        np.testing.assert_array_equal(codes, expected.codes)
+        assert {message.bit_count for message in sent} == {28}
+        assert not codes.flags.writeable
+        with pytest.raises(ValueError):
+            codes[0] = 0
+
+    def test_bit_length_sweep_gives_each_row_its_codes(self, tmp_path, monkeypatch, capsys):
+        doc = ideal_scenario_dict(message_hex="c0ffee5")
+        argv = ["sweep", "--scenario", write_scenario(tmp_path, doc), "--param",
+                "message.bit_length", "--values", "5,28,12", "--out", str(tmp_path)]
+        sent = self.sent_messages(monkeypatch, argv)
+        assert [message.bit_count for message in sent] == [5, 28, 12]
+        assert len({id(message.codes) for message in sent}) == 3
+        for message in sent:
+            expected = MessageCodes.from_bytes(bytes.fromhex("c0ffee50"), message.bit_count)
+            np.testing.assert_array_equal(message.codes, expected.codes)
+
     def test_fiber_length_sweep_monotone(self, tmp_path, capsys):
         scenario_path = write_scenario(tmp_path, sweep_base_dict())
         code = cli.main([
@@ -795,7 +872,8 @@ def run_in_fresh_interpreter(argv):
 
 class TestColdStart:
     """Only a Clopper-Pearson interval with 0 < errors < trials needs scipy,
-    and only a run, which writes detection records, needs orjson."""
+    only a written report or transcript computes one, and only a run, which
+    writes detection records, needs orjson."""
 
     @pytest.mark.parametrize(
         "command", ["plan", "fringe_40km", "run_ideal", "run_40km", "sweep_ideal"]
@@ -825,3 +903,16 @@ class TestColdStart:
         assert 0 < report["qber"]["e"] < 1
         digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
         assert digest == INTERCEPT_RESEND_REPORT_SHA256
+
+    def test_sweep_with_errors_never_loads_scipy(self, tmp_path):
+        # A sweep writes no interval, so its rows' error counts need none.
+        doc = ideal_scenario_dict()
+        doc["eve"] = {"kind": "intercept_resend", "fraction": 0.0}
+        doc["protocol"]["qber_threshold"] = 0.45
+        out = tmp_path / "out"
+        argv = ["sweep", "--scenario", write_scenario(tmp_path, doc), "--param",
+                "eve.fraction", "--values", "0.3,0.6", "--out", str(out)]
+        assert run_in_fresh_interpreter(argv) == (cli.EXIT_OK, False, False)
+        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        assert [row["status"] for row in rows] == ["completed", "completed"]
+        assert all(0 < float(row["qber_e"]) < 1 for row in rows)
