@@ -1,3 +1,4 @@
+import json
 import re
 from enum import Enum
 
@@ -634,3 +635,75 @@ def make_devices(
 @pytest.fixture
 def ideal_devices() -> Devices:
     return make_devices()
+
+
+# (errors, trials) -> (ci_low, ci_high) for every count that the golden run
+# cases (tests/test_golden.py) and the cold-start intercept-resend run
+# (tests/test_scenario_cli.py) write, as written while interior bounds came
+# from scipy.special.betaincinv (scipy 1.17.1) and the k = 0 bound from
+# 1 - (alpha / 2) ** (1 / n).
+SCIPY_ERA_INTERVALS = {
+    (0, 700): (0.0, 0.005255966608486484),
+    (0, 962): (0.0, 0.003827251359849959),
+    (0, 981): (0.0, 0.0037532644703744955),
+    (0, 984): (0.0, 0.0037418430264146707),
+    (0, 1000): (0.0, 0.00368208389686564),
+    (0, 1002): (0.0, 0.003674747948320456),
+    (0, 1005): (0.0, 0.0036637986709135983),
+    (0, 1019): (0.0, 0.003613552946213572),
+    (0, 1022): (0.0, 0.0036029647798228037),
+    (0, 1027): (0.0, 0.0035854550529812457),
+    (0, 1033): (0.0, 0.003564666726082577),
+    (0, 1039): (0.0, 0.0035441180691312413),
+    (0, 1041): (0.0, 0.003537321061799603),
+    (0, 1053): (0.0, 0.0034970802794669353),
+    (0, 1054): (0.0, 0.003493768169262723),
+    (0, 1095): (0.0, 0.0033631715105562066),
+    (0, 1566): (0.0, 0.002352834029249129),
+    (0, 5000): (0.0, 0.0007375038011081525),
+    (0, 6000): (0.0, 0.0006146242834176308),
+    (0, 6224): (0.0, 0.0005925106837912919),
+    (0, 9093): (0.0, 0.00040560115436594213),
+    (5, 64): (0.025853840167968132, 0.17297832900420762),
+    (31, 1000): (0.021158171970208632, 0.043715085006238906),
+    (75, 1000): (0.059446128211263154, 0.09310844696149914),
+    (151, 1000): (0.12936136200265355, 0.17471546603819102),
+    (236, 1000): (0.2099908387686157, 0.2635732048664238),
+}
+
+
+# The relative distance within which each written interval value must lie of
+# its scipy-era value.
+SCIPY_ERA_RTOL = 1e-11
+
+
+def _scipy_era_qber(qber: dict) -> dict:
+    """A written qber object with the scipy-era interval of its counts."""
+    trials = qber["n_x"] + qber["n_z"]
+    old = SCIPY_ERA_INTERVALS[round(qber["e"] * trials), trials]
+    new = (qber["ci_low"], qber["ci_high"])
+    for old_value, new_value in zip(old, new):
+        assert old_value == pytest.approx(new_value, rel=SCIPY_ERA_RTOL, abs=0.0)
+    return {**qber, "ci_low": old[0], "ci_high": old[1]}
+
+
+def report_with_scipy_era_intervals(report: dict) -> dict:
+    """The report with its qber interval put back to the scipy-era values."""
+    if report["qber"] is None:
+        return report
+    return {**report, "qber": _scipy_era_qber(report["qber"])}
+
+
+def transcript_with_scipy_era_intervals(text: str) -> str:
+    """The transcript text with every detection_result interval put back to
+    the scipy-era values; every other line is left as it is."""
+    lines = text.splitlines(keepends=True)
+    for index, line in enumerate(lines):
+        if '"event_kind": "detection_result"' not in line:
+            continue
+        event = json.loads(line)
+        assert json.dumps(event) + "\n" == line  # the line is the event's json.dumps
+        if event["payload"].get("qber") is not None:
+            event["payload"]["qber"] = _scipy_era_qber(event["payload"]["qber"])
+            lines[index] = json.dumps(event) + "\n"
+    return "".join(lines)

@@ -1,12 +1,14 @@
-import sys
+import math
 from dataclasses import asdict
 from decimal import Decimal, getcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsdcnet import analysis
 from qsdcnet.analysis import (
     binary_entropy,
     clopper_pearson,
@@ -182,12 +184,123 @@ class TestQberEstimation:
 
 
 @st.composite
-def counts_and_trials(draw):
+def counts_and_trials(draw, max_trials=MAX_DETECTION_SIZE):
     """(k, n) with n up to a detection round's ceiling, the endpoints k = 0 and
     k = n drawn as often as an interior count."""
-    n = draw(st.integers(1, MAX_DETECTION_SIZE))
+    n = draw(st.integers(1, max_trials))
     k = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
     return k, n
+
+
+def _mp_at_least(k: int, n: int, x) -> mpmath.mpf:
+    """P(Bin(n, x) >= k), its binomial terms summed at the working precision
+    from k away from the mean, down to 1e-60 of the sum."""
+    if k == 0:
+        return mpmath.mpf(1)
+    if k > n * x:
+        j, step = k, 1  # the upper tail, summed up from k
+    else:
+        j, step = k - 1, -1  # the lower tail, summed down from k - 1
+    term = mpmath.binomial(n, j) * x**j * (1 - x) ** (n - j)
+    total = term
+    while 0 <= j + step <= n and term > total * mpmath.mpf(10) ** -60:
+        if step > 0:
+            term *= (n - j) * x / ((j + 1) * (1 - x))
+        else:
+            term *= j * (1 - x) / ((n - j + 1) * x)
+        j += step
+        total += term
+    return total if step > 0 else 1 - total
+
+
+def _mp_quantile(k: int, n: int, at_least) -> mpmath.mpf:
+    """x with P(Bin(n, x) >= k) = at_least, bisected at 50 digits to 1e-20 relative."""
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while hi - lo > lo * mpmath.mpf(10) ** -20:
+            mid = (lo + hi) / 2
+            if _mp_at_least(k, n, mid) < at_least:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def _mp_interval(k: int, n: int) -> tuple[float, float]:
+    """The 95% Clopper-Pearson interval at 50 digits, rounded to floats."""
+    with mpmath.workdps(50):
+        tail = mpmath.mpf(1.0 - 0.95) / 2  # the float alpha that clopper_pearson uses
+        low = _mp_quantile(k, n, tail) if k > 0 else 0
+        high = _mp_quantile(k + 1, n, 1 - tail) if k < n else 1
+        return float(low), float(high)
+
+
+def _mp_stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n / e)**n) at 40 digits."""
+    with mpmath.workdps(40):
+        return float(mpmath.loggamma(n + 1) - (n + 0.5) * mpmath.log(n) + n - mpmath.log(2 * mpmath.pi) / 2)
+
+
+# (k, n) -> (ci_low, ci_high) from scipy 1.17.1: betaincinv(k, n - k + 1,
+# alpha / 2) and betaincinv(k + 1, n - k, 1 - alpha / 2), with alpha the
+# float 1 - 0.95, recorded once. They cover every count of the golden corpus
+# (conftest.SCIPY_ERA_INTERVALS, whose k = 0 bounds came from the old closed
+# form), k >= n - 3, and trials up to 10**7, beyond MAX_DETECTION_SIZE, as a
+# pooled estimate can have.
+SCIPY_1_17_1_INTERVALS = {
+    (0, 700): (0.0, 0.005255966608486495),
+    (0, 962): (0.0, 0.003827251359849999),
+    (0, 981): (0.0, 0.0037532644703744513),
+    (0, 984): (0.0, 0.003741843026414679),
+    (0, 1000): (0.0, 0.003682083896865671),
+    (0, 1002): (0.0, 0.003674747948320408),
+    (0, 1005): (0.0, 0.0036637986709135693),
+    (0, 1019): (0.0, 0.0036135529462135514),
+    (0, 1022): (0.0, 0.003602964779822839),
+    (0, 1027): (0.0, 0.0035854550529812934),
+    (0, 1033): (0.0, 0.0035646667260825753),
+    (0, 1039): (0.0, 0.0035441180691311936),
+    (0, 1041): (0.0, 0.0035373210617995637),
+    (0, 1053): (0.0, 0.0034970802794669444),
+    (0, 1054): (0.0, 0.0034937681692626976),
+    (0, 1095): (0.0, 0.0033631715105561753),
+    (0, 1566): (0.0, 0.002352834029249099),
+    (0, 5000): (0.0, 0.000737503801108105),
+    (0, 6000): (0.0, 0.000614624283417639),
+    (0, 6224): (0.0, 0.0005925106837913164),
+    (0, 9093): (0.0, 0.0004056011543658919),
+    (0, 10**6): (0.0, 3.688872650206488e-06),
+    (0, 10**7): (0.0, 3.6888787737224376e-07),
+    (1, 1): (0.025000000000000022, 1.0),
+    (1, 2): (0.01257911709342506, 0.9874208829065749),
+    (1, 10**5): (2.531780477933316e-07, 5.571516034774275e-05),
+    (1, 10**6): (2.53178076637942e-08, 5.571630655166939e-06),
+    (2, 3): (0.09429932405024613, 0.9915962413403874),
+    (3, 4): (0.19412044968324346, 0.9936905367902902),
+    (4, 5): (0.28358206388191054, 0.9949492366205319),
+    (5, 64): (0.025853840167968132, 0.17297832900420762),
+    (5, 10**5): (1.623505681705786e-05, 0.00011667943042027703),
+    (8, 180): (0.019380472829908416, 0.08569257842896981),
+    (31, 1000): (0.021158171970208632, 0.043715085006238906),
+    (37, 3 * 10**6): (8.683819254359767e-06, 1.69998357152722e-05),
+    (100, 10**7): (8.136406299795298e-06, 1.2162666227232309e-05),
+    (151, 1000): (0.12936136200265355, 0.17471546603819102),
+    (236, 1000): (0.2099908387686157, 0.2635732048664238),
+    (800, 8000): (0.09351015555801763, 0.10678285497316738),
+    (997, 1000): (0.9912579767615217, 0.9993809000683505),
+    (998, 1000): (0.9927941610885425, 0.9997576988831227),
+    (999, 1000): (0.9944410757201734, 0.9999746825125088),
+    (1000, 1000): (0.9963179161031344, 1.0),
+    (2500, 10**7): (0.00024029639060886584, 0.0002599948488776528),
+    (99000, 10**7): (0.009838729105998839, 0.009961554900500642),
+    (250000, 10**6): (0.24915153568554574, 0.2508499125965476),
+    (10**6 - 3, 10**6): (0.9999912327522119, 0.9999993813274498),
+    (10**6 - 1, 10**6): (0.9999944283693448, 0.9999999746821924),
+    (5 * 10**6, 10**7): (0.4996900525213711, 0.5003099474786289),
+    (10**7 - 3, 10**7): (0.9999991232729458, 0.9999999381327834),
+    (10**7 - 1, 10**7): (0.9999994428357883, 0.9999999974682192),
+    (10**7, 10**7): (0.9999996311121226, 1.0),
+}
 
 
 class TestClopperPearson:
@@ -204,13 +317,44 @@ class TestClopperPearson:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, MAX_DETECTION_SIZE))
     def test_closed_forms_are_the_beta_quantiles(self, n):
-        from scipy.special import betaincinv
-
+        # Beta(1, n) and Beta(n, 1) have quantiles 1 - (1 - q)**(1/n) and q**(1/n).
         none_low, none_high = clopper_pearson(0, n)
         all_low, all_high = clopper_pearson(n, n)
         assert none_low == 0.0 and all_high == 1.0
-        assert none_high == pytest.approx(betaincinv(1, n, 0.975), rel=1e-10)
-        assert all_low == pytest.approx(betaincinv(n, 1, 0.025), rel=1e-10)
+        with mpmath.workdps(50):
+            tail = mpmath.mpf(1.0 - 0.95) / 2
+            root = tail ** (mpmath.mpf(1) / n)
+            assert none_high == pytest.approx(float(1 - root), rel=1e-15, abs=0.0)
+            assert all_low == pytest.approx(float(root), rel=1e-15, abs=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts_and_trials(max_trials=3000))
+    def test_interval_matches_a_50_digit_oracle(self, case):
+        k, n = case
+        assert clopper_pearson(k, n) == pytest.approx(_mp_interval(k, n), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("counts", sorted(SCIPY_1_17_1_INTERVALS))
+    def test_interval_matches_scipy_betaincinv(self, counts):
+        expected = SCIPY_1_17_1_INTERVALS[counts]
+        assert clopper_pearson(*counts) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("counts", [(1, 10**7), (3, 10**7), (2, 1_353_414)])
+    def test_upper_bound_holds_where_scipy_loses_digits(self, counts):
+        # scipy 1.17.1's ci_high is off by 6.6e-11, 3.2e-11 and 1.3e-11 here:
+        # few errors among millions of trials. Its 1 - x loses the digits of x.
+        assert clopper_pearson(*counts) == pytest.approx(_mp_interval(*counts), rel=1e-14, abs=0.0)
+
+    def test_stirlerr_table_is_log_factorial_less_stirling(self):
+        # One mistyped entry would pass every interval test of a count that
+        # misses it, and be off by 1e-5 at those that hit it.
+        for n, value in enumerate(analysis._STIRLERR, start=1):
+            stirling = (n + 0.5) * math.log(n) - n + 0.5 * math.log(2.0 * math.pi)
+            assert value == pytest.approx(math.lgamma(n + 1) - stirling, rel=0.0, abs=1e-13)
+            assert value == pytest.approx(_mp_stirlerr(n), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [16, 35, 36, 80, 81, 500, 501, 10**6])
+    def test_stirlerr_series_beyond_the_table(self, n):
+        assert analysis._stirlerr(n) == pytest.approx(_mp_stirlerr(n), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize(
         "errors, trials, confidence",
@@ -224,8 +368,7 @@ class TestClopperPearson:
             (3, 10, float("nan")),
         ],
     )
-    def test_out_of_range_rejected(self, monkeypatch, errors, trials, confidence):
-        monkeypatch.setitem(sys.modules, "scipy.special", None)  # its import now raises
+    def test_out_of_range_rejected(self, errors, trials, confidence):
         with pytest.raises(DomainError):
             clopper_pearson(errors, trials, confidence)
 

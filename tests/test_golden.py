@@ -6,7 +6,9 @@ added. Together the cases cover FIFO retransmission order, the abort at
 the retransmission cap, the pad bit of an odd-length message, BER above
 zero, small blocks with frequent re-detection, aborts, a completed session
 under a partial intercept-resend Eve, a sweep and a noisy fringe scan. A
-refactor that keeps behaviour leaves every digest here unchanged.
+refactor that keeps behaviour leaves every digest here unchanged; a
+behaviour change keeps the old digests beside the new ones, with a test that
+turns the new bytes back into the old.
 """
 
 import dataclasses
@@ -18,7 +20,11 @@ import pytest
 from qsdcnet import analysis, cli
 from qsdcnet.scenario import forty_km_scenario_dict, ideal_scenario_dict, scenario_from_dict
 
-from conftest import fidelity_table_oracle
+from conftest import (
+    fidelity_table_oracle,
+    report_with_scipy_era_intervals,
+    transcript_with_scipy_era_intervals,
+)
 
 
 def _criterion_09_scenarios() -> dict[str, dict]:
@@ -110,6 +116,69 @@ RUN_SCENARIOS = {
 
 # name -> (exit code, sha256 of transcript.jsonl, sha256 of report.json)
 RUN_DIGESTS = {
+    "eve_tail_906": (
+        cli.EXIT_OK,
+        "79a7e55e8305632a5b8d7c15a9c0da1dfeaa043d75207e85cea7aabe52e509f6",
+        "8ca21945cf2e10153539a3690575eda65508184e3f3ad6fcc07edaa0b15d8102",
+    ),
+    "forty_km_902": (
+        cli.EXIT_OK,
+        "f5d1d2056c03c4f3f2a221d410523e27bf72823dac58b1181a425194b829cee1",
+        "e0c03f58a183d402b27a0e432db81eb33852b905bd9d0d862ae671e82b6d9ee6",
+    ),
+    "forty_km_reference": (
+        cli.EXIT_OK,
+        "82f503581697e577662ffc98f6332687b19bb2ad1953e0ba439ab2f19e133270",
+        "2fec0f46a12afb9845f18c97190efdea4f9b42c852d37829045f7d2120c1e918",
+    ),
+    "ideal_901": (
+        cli.EXIT_OK,
+        "3220852eaccd4eb4e14d7c4dbd3418f5f44665288ec86a067a09bd95d7a453ec",
+        "9eb2b96558f06b6db20aecfb4d5c307554237c4ec1f8d972ef9fb7707e31d950",
+    ),
+    "intercept_resend_904": (
+        cli.EXIT_ABORT,
+        "e096a866b24834cf767bd647d2a845ca02e54792f051828fd7e054a2eb21395b",
+        "04f5a41921affd18a959743d4bde349da2073bef462d25bf2176f016c6c4fb87",
+    ),
+    "megabit_ideal": (
+        cli.EXIT_OK,
+        "09e54d8f8168a1aa808480ac739e47c6fa67c4add19c067b210594074d2f4f99",
+        "6063d826e9ea2d6b7b81a5df7b7d350b8b190370de6a312afe6be2bb2396464c",
+    ),
+    "noisy_903": (
+        cli.EXIT_OK,
+        "2559da34295da652eb2ee5142902472e338b15a4d6a69750cf81a8f641457e1c",
+        "355c52c11edc89cc9f9394588f7a48b1b4f40878e70bdb9642be3aeddca9e30e",
+    ),
+    "odd_length_noisy": (
+        cli.EXIT_OK,
+        "5d5c8df06a95abf1af38b034cdde6daf9113829cafc849a2c278bf4e9e4cdcba",
+        "0e1441f7d84c50ddea374780784b37779422339acbd6a8c503dc7e8010cdac85",
+    ),
+    "small_blocks": (
+        cli.EXIT_OK,
+        "c25c44e5f8d0e3cc8df9b3d513b7d989391153111745bc1867331c16dd7512d9",
+        "f6846db614f3fadc19fd5a8d46a390c057a190e56e2e9aa0514c6c26d70481f5",
+    ),
+    "tap_905": (
+        cli.EXIT_OK,
+        "a5c8ee8db0bad48623be1cc89c799e0fd3410badbb617a17394358234b4a9e8d",
+        "eb24746379fcdb9f5429b1560c89879e1f641ac4fe7a7545f714cb5f396c9d8f",
+    ),
+    "truncating_10km": (
+        cli.EXIT_ABORT,
+        "b6d8a64997e864ebb8a92411d38a317c41f54515ba17a69b34bd8b2100c9597c",
+        "afb45113e694f2529de4bf68020135eec88b194f5f0f94318349ccecfff74660",
+    ),
+}
+
+# name -> (exit code, sha256 of transcript.jsonl, sha256 of report.json) while
+# interior interval bounds came from scipy.special.betaincinv and the k = 0
+# bound from 1 - (alpha / 2) ** (1 / n). Nothing else in either file changed
+# when both became analysis.clopper_pearson's own: putting the old values
+# (conftest.SCIPY_ERA_INTERVALS) back gives these bytes again.
+SCIPY_INTERVAL_RUN_DIGESTS = {
     "eve_tail_906": (
         cli.EXIT_OK,
         "5889c409c0c41224a07bb84f2ac23df1c01dfee69cb4e360de510c651dd0a7be",
@@ -244,6 +313,20 @@ def test_run_outputs_are_frozen(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
+def test_run_outputs_are_the_scipy_era_outputs_but_for_the_interval(name, tmp_path, capsys):
+    # Each interval value written is within conftest.SCIPY_ERA_RTOL of the one
+    # written while scipy computed it; put back, the old values give the old bytes.
+    code = run_outputs(tmp_path, RUN_SCENARIOS[name])[0]
+    transcript = (tmp_path / "out" / "transcript.jsonl").read_text()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert (
+        code,
+        hashlib.sha256(transcript_with_scipy_era_intervals(transcript).encode()).hexdigest(),
+        _sha256_of_report(report_with_scipy_era_intervals(report)),
+    ) == SCIPY_INTERVAL_RUN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
 def test_transcript_payload_keys_are_sorted(name, tmp_path, capsys):
     # The transcript writes each payload in the order its log call passed it.
     run_outputs(tmp_path, RUN_SCENARIOS[name])
@@ -296,17 +379,16 @@ def test_aborted_report_is_the_old_report_less_secrecy(name, tmp_path, capsys):
     assert report["session"]["status"] == "aborted"
     assert report["secrecy"] is None
     assert report["throughput"]["info_rate_bits_per_s"] >= 0.0
-    assert _sha256_of_report(_with_secrecy_put_back(report)) == (
-        SECRECY_CLAIMING_REPORT_DIGESTS[name]
-    )
+    report = report_with_scipy_era_intervals(_with_secrecy_put_back(report))
+    assert _sha256_of_report(report) == SECRECY_CLAIMING_REPORT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(PRE_REMOVAL_REPORT_DIGESTS))
 def test_report_is_the_pre_removal_report_less_one_key(name, tmp_path, capsys):
     run_outputs(tmp_path, RUN_SCENARIOS[name])
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    # These digests predate null secrecy for aborted sessions.
-    report = _with_secrecy_put_back(report)
+    # These digests predate null secrecy for aborted sessions, and the in-repo interval.
+    report = report_with_scipy_era_intervals(_with_secrecy_put_back(report))
     scenario = report["scenario"]
     noise = scenario_from_dict(scenario).devices.source.noise
     report["fidelity_table"] = fidelity_table_oracle(noise)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -32,7 +33,7 @@ from qsdcnet.scenario import (
     stream_rng,
 )
 
-from conftest import HEX_DIGITS, hex_to_bits_oracle
+from conftest import HEX_DIGITS, hex_to_bits_oracle, report_with_scipy_era_intervals
 
 
 # Digits, whitespace, prefixes, signs and separators, other scripts' digits
@@ -842,24 +843,27 @@ class TestReportContents:
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs cli.main(argv) with stdout swallowed, then prints [exit code, whether
-# scipy was imported, whether orjson was imported] on its last line.
+# scipy was imported, whether orjson was imported, how many Clopper-Pearson
+# intervals were asked for] on its last line.
 _COLD_START_CHILD = """
 import contextlib, io, json, sys
-from qsdcnet import cli
+from qsdcnet import analysis, cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, "scipy" in sys.modules, "orjson" in sys.modules]))
+calls = analysis.clopper_pearson.cache_info()
+print(json.dumps([code, "scipy" in sys.modules, "orjson" in sys.modules, calls.hits + calls.misses]))
 """
 
 # report.json of the intercept-resend run below (interior QBER counts), as
-# written before scipy's import moved into the interior branch.
+# written before scipy's import moved into the interior branch, and with the
+# interval scipy computed (conftest.SCIPY_ERA_INTERVALS).
 INTERCEPT_RESEND_REPORT_SHA256 = "45992d320d5d872a141c2cc863985d6091d680c373c5cb0fadbfb844531b4ec6"
 
 
 def run_in_fresh_interpreter(argv):
     """cli.main(argv) in a new interpreter, so that no import made by the test
     process can hide one made by the command: (exit code, scipy loaded,
-    orjson loaded)."""
+    orjson loaded, intervals asked for)."""
     done = subprocess.run(
         [sys.executable, "-c", _COLD_START_CHILD, json.dumps(argv)],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -871,9 +875,9 @@ def run_in_fresh_interpreter(argv):
 
 
 class TestColdStart:
-    """Only a Clopper-Pearson interval with 0 < errors < trials needs scipy,
-    only a written report or transcript computes one, and only a run, which
-    writes detection records, needs orjson."""
+    """No command loads scipy, only a written report or transcript computes a
+    Clopper-Pearson interval, and only a run, which writes detection records,
+    needs orjson."""
 
     @pytest.mark.parametrize(
         "command", ["plan", "fringe_40km", "run_ideal", "run_40km", "sweep_ideal"]
@@ -891,28 +895,45 @@ class TestColdStart:
                             "devices.alice_fiber.length_km", "--values", "0,5", "--out", out],
         }[command]
         writes_records = command.startswith("run")
-        assert run_in_fresh_interpreter(argv) == (cli.EXIT_OK, False, writes_records)
+        code, scipy_loaded, orjson_loaded, intervals = run_in_fresh_interpreter(argv)
+        assert (code, scipy_loaded, orjson_loaded) == (cli.EXIT_OK, False, writes_records)
+        assert (intervals > 0) == writes_records
 
-    def test_run_with_errors_loads_scipy_and_writes_the_same_report(self, tmp_path):
+    def test_run_with_errors_never_loads_scipy_and_writes_the_same_report(self, tmp_path):
         doc = ideal_scenario_dict()
         doc["eve"] = {"kind": "intercept_resend", "fraction": 0.3}
         out = tmp_path / "out"
         argv = ["run", "--scenario", write_scenario(tmp_path, doc), "--out", str(out)]
-        assert run_in_fresh_interpreter(argv) == (cli.EXIT_OK, True, True)
+        code, scipy_loaded, orjson_loaded, intervals = run_in_fresh_interpreter(argv)
+        assert (code, scipy_loaded, orjson_loaded) == (cli.EXIT_OK, False, True)
+        assert intervals > 0
         report = json.loads((out / "report.json").read_text())
         assert 0 < report["qber"]["e"] < 1
-        digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+        old_report = report_with_scipy_era_intervals(report)
+        digest = hashlib.sha256("".join(cli.report_pieces(old_report)).encode()).hexdigest()
         assert digest == INTERCEPT_RESEND_REPORT_SHA256
 
     def test_sweep_with_errors_never_loads_scipy(self, tmp_path):
-        # A sweep writes no interval, so its rows' error counts need none.
+        # A sweep writes no interval, so it computes none for its rows' error
+        # counts: each would cost tens to hundreds of microseconds of Python.
         doc = ideal_scenario_dict()
         doc["eve"] = {"kind": "intercept_resend", "fraction": 0.0}
         doc["protocol"]["qber_threshold"] = 0.45
         out = tmp_path / "out"
         argv = ["sweep", "--scenario", write_scenario(tmp_path, doc), "--param",
                 "eve.fraction", "--values", "0.3,0.6", "--out", str(out)]
-        assert run_in_fresh_interpreter(argv) == (cli.EXIT_OK, False, False)
+        assert run_in_fresh_interpreter(argv) == (cli.EXIT_OK, False, False, 0)
         rows = list(csv.DictReader((out / "sweep.csv").open()))
         assert [row["status"] for row in rows] == ["completed", "completed"]
         assert all(0 < float(row["qber_e"]) < 1 for row in rows)
+
+    def test_no_source_file_imports_scipy(self):
+        for path in sorted((SRC / "qsdcnet").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                assert all(module.split(".")[0] != "scipy" for module in modules), path.name
