@@ -119,6 +119,8 @@ def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple
     ulp. So the bits depend on libm's exp, log, log1p and expm1 (and pow at
     k = n).
     """
+    if not (isinstance(errors, int) and isinstance(trials, int)):
+        raise DomainError(f"counts must be integers, got {errors!r} of {trials!r}")
     if trials < 1:
         raise InsufficientData("Clopper-Pearson interval needs at least one trial")
     if not 0 <= errors <= trials:

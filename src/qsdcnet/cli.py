@@ -4,7 +4,8 @@ Exit codes: 0 success (and, for plan, fully connected), 1 validation
 failure (any QsdcError a command does not map itself), 2 protocol abort,
 3 capacity errors. Reports and transcripts are deterministic functions of
 (scenario, seed); wall-clock timing goes to stderr only so output files
-hash identically across reruns.
+hash identically across reruns. Only the commands that simulate import
+numpy and the modules built on it, so ``plan`` loads the planner alone.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ import operator
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import analysis, netplan, photonics, protocol, qstate
+from . import analysis, netplan
 from .errors import CapacityExceeded, DomainError, QsdcError, ScenarioError
-from .scenario import Scenario, Topology, load_scenario, replace_entries
+
+if TYPE_CHECKING:
+    from . import protocol, qstate
+    from .scenario import Scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -36,7 +39,8 @@ OUT_DIR_ENV = "QSDCNET_OUT_DIR"
 MAX_PHASES = 10**5
 MAX_SHOTS_PER_PHASE = 10**12
 
-_BELL_CHOICES = {label.name.lower(): label for label in qstate.BellLabel}
+# qstate.BellLabel's names, lower-cased and sorted, without importing numpy.
+BELL_STATE_CHOICES = ("phi_minus", "phi_plus", "psi_minus", "psi_plus")
 
 
 def _out_dir(args) -> str:
@@ -55,6 +59,8 @@ def _out_dir(args) -> str:
 
 def run_session(scenario: Scenario) -> protocol.SessionTranscript:
     """Execute the scenario's QSDC session with its derived RNG."""
+    from . import protocol
+
     return protocol.run_qsdc(
         scenario.message_bits(),
         scenario.devices,
@@ -66,6 +72,8 @@ def run_session(scenario: Scenario) -> protocol.SessionTranscript:
 
 def fidelity_table(scenario: Scenario) -> list[dict]:
     """Closed-form fidelity of each Bell state under source noise."""
+    from . import qstate
+
     noise = scenario.devices.source.noise
     return [
         {"bell_state": label.name.lower(), "fidelity": qstate.fidelity(label, noise)}
@@ -108,9 +116,7 @@ def build_report(
         scenario.topology.users_per_subnet,
         scenario.topology.grid_size,
     )
-    connectivity = netplan.verify_full_connectivity(
-        plan, scenario.topology.subnets, scenario.topology.users_per_subnet
-    )
+    connectivity = netplan.verify_full_connectivity(plan)
     qber, secrecy, throughput = session_metrics(scenario, transcript)
     return {
         "scenario_digest": scenario.digest(),
@@ -135,6 +141,8 @@ def build_report(
 
 def report_pieces(report: dict) -> list[str]:
     """The report's JSON text and newline, in ``protocol.spliced_pieces``."""
+    from . import protocol
+
     spliced = (  # the strings of bits and hex digits, which json writes unchanged
         ("scenario", "message", "hex"),
         ("session", "delivered_bits"),
@@ -156,6 +164,10 @@ def fringe_study(
     Returns the sample table plus fitted visibility, fringe phase, and the
     fidelity estimates under both noise assumptions.
     """
+    import numpy as np
+
+    from . import photonics, qstate
+
     devices = scenario.devices
     accidental_prob = photonics.accidental_probability(devices)
     rng = scenario.fringe_rng()
@@ -197,12 +209,12 @@ def _write_rows(path: str, rows: list[dict], fieldnames: list[str], fmt: str) ->
 def cmd_plan(args) -> int:
     try:
         # Topology holds the ceilings that keep the plan and its check small.
-        Topology(args.subnets, args.users_per_subnet, args.grid_size)
+        netplan.Topology(args.subnets, args.users_per_subnet, args.grid_size)
         plan = netplan.build_plan(args.subnets, args.users_per_subnet, args.grid_size)
     except CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    report = netplan.verify_full_connectivity(plan, args.subnets, args.users_per_subnet)
+    report = netplan.verify_full_connectivity(plan)
     print(plan.to_document(), end="")
     print(
         json.dumps(
@@ -218,6 +230,8 @@ def cmd_plan(args) -> int:
 
 
 def _load(args) -> Scenario:
+    from .scenario import load_scenario, replace_entries
+
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace_entries(scenario, {"seed": args.seed})
@@ -268,6 +282,8 @@ def cmd_sweep(args) -> int:
             "--param seed: each row's seed is the base seed XOR its index; "
             "set the base seed with --seed"
         )
+    from .scenario import replace_entries
+
     scenario = _load(args)
     try:
         values = [float(v) for v in args.values.split(",")] if args.values.strip() else []
@@ -324,7 +340,9 @@ def cmd_fringe(args) -> int:
             raise DomainError(f"{flag} must be in [1, {ceiling}], got {value}")
     scenario = _load(args)
     out_dir = _out_dir(args)
-    label = _BELL_CHOICES[args.bell_state]
+    from .qstate import BellLabel
+
+    label = BellLabel[args.bell_state.upper()]
     study = fringe_study(
         scenario, label, phases=args.phases, shots_per_phase=args.shots_per_phase
     )
@@ -366,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     fringe = sub.add_parser("fringe", help="simulate a two-photon interference fringe")
     fringe.add_argument("--scenario", required=True)
     fringe.add_argument("--seed", type=int, default=None)
-    fringe.add_argument("--bell-state", choices=sorted(_BELL_CHOICES), default="phi_plus")
+    fringe.add_argument("--bell-state", choices=BELL_STATE_CHOICES, default="phi_plus")
     fringe.add_argument("--phases", type=int, default=64)
     fringe.add_argument("--shots-per-phase", type=int, default=20000)
     fringe.add_argument("--out", default=None)

@@ -147,6 +147,38 @@ def pairs_required(k: int, m: int, grid_size: int = DEFAULT_GRID_SIZE) -> int:
     return pairs_needed
 
 
+# Ceilings on counts that size arrays or loops: each subnet member gets a TDM
+# slot in the plan, the plan builds up to grid_size channel pairs, and the
+# connectivity check visits every user pair.
+MAX_USERS_PER_SUBNET = 1000
+MAX_USERS = 5000
+MAX_GRID_SIZE = 10**4
+
+
+@dataclass(frozen=True)
+class Topology:
+    subnets: int = 5
+    users_per_subnet: int = 3
+    grid_size: int = DEFAULT_GRID_SIZE
+
+    def __post_init__(self):
+        if self.grid_size > MAX_GRID_SIZE:
+            raise DomainError(f"grid_size must be <= {MAX_GRID_SIZE}, got {self.grid_size}")
+        if self.users_per_subnet > MAX_USERS_PER_SUBNET:
+            raise DomainError(
+                f"users_per_subnet must be <= {MAX_USERS_PER_SUBNET}, "
+                f"got {self.users_per_subnet}"
+            )
+        # The plan's own check, so no session runs on a topology no plan fits.
+        pairs_required(self.subnets, self.users_per_subnet, self.grid_size)
+        if self.subnets * self.users_per_subnet > MAX_USERS:
+            raise DomainError(
+                f"subnets must be <= {MAX_USERS // self.users_per_subnet} with "
+                f"{self.users_per_subnet} users per subnet "
+                f"(at most {MAX_USERS} users), got {self.subnets}"
+            )
+
+
 def build_plan(k: int, m: int, grid_size: int = DEFAULT_GRID_SIZE) -> WavelengthPlan:
     """Deterministically allocate channel pairs to every link of the network.
 
@@ -202,8 +234,8 @@ def _intra_failures(link: IntraLink | None, m: int) -> dict[int, list[int]]:
     return failures
 
 
-def verify_full_connectivity(plan: WavelengthPlan, k: int, m: int) -> ConnectivityReport:
-    """Check every unordered user pair has a connecting resource.
+def verify_full_connectivity(plan: WavelengthPlan) -> ConnectivityReport:
+    """Check every unordered user pair of the plan has a connecting resource.
 
     Users in the same subnet need that subnet's intra channel pair plus
     distinct TDM slots for both members; users in different subnets need the
@@ -212,6 +244,7 @@ def verify_full_connectivity(plan: WavelengthPlan, k: int, m: int) -> Connectivi
     links that fail, in the order of ``combinations`` over users sorted by
     (subnet, member). Failures are reported, not raised.
     """
+    k, m = plan.subnets, plan.users_per_subnet
     total = k * m * (k * m - 1) // 2
     uncovered: list[tuple[UserId, UserId]] = []
     for s1 in range(k):

@@ -95,29 +95,20 @@ def transmittance(fiber: FiberSpec) -> float:
     return 10.0 ** (-fiber.attenuation_db_per_km * fiber.length_km / 10.0)
 
 
-def accidental_rate(singles_1_hz: float, singles_2_hz: float, window_s: float) -> float:
-    """Accidental coincidence rate singles_1 * singles_2 * window."""
-    _check_nonnegative("singles_1_hz", singles_1_hz)
-    _check_nonnegative("singles_2_hz", singles_2_hz)
-    _check_nonnegative("window_s", window_s)
-    return singles_1_hz * singles_2_hz * window_s
-
-
 def accidental_probability(devices: Devices) -> float:
     """Accidental coincidences per emitted pair, capped at 1 (0 without pairs).
 
     Each arm's singles are its surviving, detected pairs plus dark counts;
-    they meet by chance within the coincidence window (``accidental_rate``).
+    they meet by chance within the coincidence window, at the rate
+    singles_a * singles_b * window.
     """
     detector = devices.detector
     pair_rate_hz = devices.source.pair_rate_hz
     eta_a = transmittance(devices.alice_fiber) * detector.efficiency
     eta_b = transmittance(devices.bob_fiber) * detector.efficiency
-    rate_hz = accidental_rate(
-        pair_rate_hz * eta_a + detector.dark_count_rate_hz,
-        pair_rate_hz * eta_b + detector.dark_count_rate_hz,
-        detector.coincidence_window_s,
-    )
+    singles_a_hz = pair_rate_hz * eta_a + detector.dark_count_rate_hz
+    singles_b_hz = pair_rate_hz * eta_b + detector.dark_count_rate_hz
+    rate_hz = singles_a_hz * singles_b_hz * detector.coincidence_window_s
     return min(rate_hz / pair_rate_hz, 1.0) if pair_rate_hz > 0 else 0.0
 
 

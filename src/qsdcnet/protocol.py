@@ -586,15 +586,6 @@ class MessageCodes(NamedTuple):
         return cls(codes, values.size)
 
     @classmethod
-    def from_bits(cls, bits: str) -> MessageCodes:
-        """The codes of a '0'/'1' string."""
-        # "replace" turns every non-ASCII character into "?", which is no bit.
-        values = np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
-        if (values > 1).any():
-            raise DomainError("message bits must contain only 0 and 1")
-        return cls.from_bit_values(values)
-
-    @classmethod
     def from_bytes(cls, raw: bytes, bit_count: int) -> MessageCodes:
         """The codes of the first bit_count bits of raw: four per byte, high pair first."""
         # hex's packing undone: byte b times _GATHER, shifted right by 6, holds
@@ -637,7 +628,7 @@ class MessageCodes(NamedTuple):
 
 
 def run_qsdc(
-    message: MessageCodes | str,
+    message: MessageCodes,
     devices: Devices,
     eve: EveModel,
     config: ProtocolConfig,
@@ -651,11 +642,8 @@ def run_qsdc(
     aborts the session with reason ``retransmission_cap``, listing the
     symbols over the cap in ``truncated_symbols``. The delivered message,
     BER against the sent message, erasure and overhead fractions, and
-    simulated elapsed time all land in the transcript summary. The message
-    is its MessageCodes, or its bits as a '0'/'1' string.
+    simulated elapsed time all land in the transcript summary.
     """
-    if isinstance(message, str):
-        message = MessageCodes.from_bits(message)
     codes, bit_count = message
     if not bit_count:
         raise DomainError("message must be non-empty")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QsdcError, ScenarioError
-from .netplan import DEFAULT_GRID_SIZE, pairs_required
+from .netplan import Topology
 from .photonics import (
     Devices,
     DetectorSpec,
@@ -49,37 +49,8 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(seed | stream << (32 if seed < 2**32 else 64))
 
 
-# Ceilings on counts that size arrays or loops: each subnet member gets a TDM
-# slot in the plan, the plan builds up to grid_size channel pairs, and the
-# connectivity check visits every user pair.
-MAX_USERS_PER_SUBNET = 1000
-MAX_USERS = 5000
-MAX_GRID_SIZE = 10**4
+# A generated message's bits size its arrays and the session.
 MAX_RANDOM_BITS = 10**7
-
-
-@dataclass(frozen=True)
-class Topology:
-    subnets: int = 5
-    users_per_subnet: int = 3
-    grid_size: int = DEFAULT_GRID_SIZE
-
-    def __post_init__(self):
-        if self.grid_size > MAX_GRID_SIZE:
-            raise DomainError(f"grid_size must be <= {MAX_GRID_SIZE}, got {self.grid_size}")
-        if self.users_per_subnet > MAX_USERS_PER_SUBNET:
-            raise DomainError(
-                f"users_per_subnet must be <= {MAX_USERS_PER_SUBNET}, "
-                f"got {self.users_per_subnet}"
-            )
-        # The plan's own check, so no session runs on a topology no plan fits.
-        pairs_required(self.subnets, self.users_per_subnet, self.grid_size)
-        if self.subnets * self.users_per_subnet > MAX_USERS:
-            raise DomainError(
-                f"subnets must be <= {MAX_USERS // self.users_per_subnet} with "
-                f"{self.users_per_subnet} users per subnet "
-                f"(at most {MAX_USERS} users), got {self.subnets}"
-            )
 
 
 def hex_bytes(hex_string: str) -> bytes | None:

@@ -366,6 +366,11 @@ def bit_values_oracle(bits: str) -> np.ndarray:
     return values
 
 
+def codes_from_bits(bits: str) -> protocol.MessageCodes:
+    """The MessageCodes of a '0'/'1' string, such as a session's message."""
+    return protocol.MessageCodes.from_bit_values(bit_values_oracle(bits))
+
+
 def pack_codes_oracle(bits: np.ndarray) -> np.ndarray:
     """The 2-bit codes of a bit array: code i is bits[2i] << 1 | bits[2i + 1],
     an odd count padded with one 0 bit.

@@ -40,6 +40,7 @@ from conftest import (
     apply_noise,
     bell_diagonal,
     bell_state,
+    codes_from_bits,
     depolarizing_p_for_fidelity,
     make_devices,
     sfg_bsm,
@@ -83,7 +84,7 @@ def test_criterion_01_network_plan():
             else:
                 assert (min(s1, s2), max(s1, s2)) in plan.inter_links
         assert pairs_checked == 105
-        report = netplan.verify_full_connectivity(plan, 5, 3)
+        report = netplan.verify_full_connectivity(plan)
         assert report.is_fully_connected and report.total_user_pairs == 105
 
 
@@ -198,7 +199,7 @@ def test_criterion_07_end_to_end_correctness():
             for value in range(2**length):
                 message = format(value, f"0{length}b")
                 transcript = run_qsdc(
-                    message, devices, EveModel(EveKind.NONE, 0.0), config,
+                    codes_from_bits(message), devices, EveModel(EveKind.NONE, 0.0), config,
                     np.random.default_rng((length << 20) | value),
                 )
                 assert transcript.summary["ber"] == 0.0

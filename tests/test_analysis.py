@@ -372,6 +372,11 @@ class TestClopperPearson:
         with pytest.raises(DomainError):
             clopper_pearson(errors, trials, confidence)
 
+    @pytest.mark.parametrize("errors, trials", [(2.0, 10), (2.5, 10), (2, 10.0)])
+    def test_counts_that_are_not_integers_rejected(self, errors, trials):
+        with pytest.raises(DomainError, match="counts must be integers"):
+            clopper_pearson(errors, trials)
+
     def test_no_trials_is_insufficient_data(self):
         with pytest.raises(InsufficientData):
             clopper_pearson(0, 0)

@@ -103,7 +103,7 @@ class TestBuildPlan:
 class TestConnectivity:
     def test_reference_network_fully_connected(self):
         plan = build_plan(5, 3)
-        report = verify_full_connectivity(plan, 5, 3)
+        report = verify_full_connectivity(plan)
         assert report.total_user_pairs == 105
         assert report.is_fully_connected
         assert brute_force_uncovered(plan, 5, 3) == []
@@ -113,7 +113,7 @@ class TestConnectivity:
         inter = dict(plan.inter_links)
         del inter[(1, 3)]
         broken = _broken(plan, inter_links=inter)
-        report = verify_full_connectivity(broken, 5, 3)
+        report = verify_full_connectivity(broken)
         assert not report.is_fully_connected
         assert len(report.uncovered) == 9
         assert len(brute_force_uncovered(broken, 5, 3)) == 9
@@ -126,21 +126,21 @@ class TestConnectivity:
         del inter[(0, 2)]
         del inter[(2, 3)]
         broken = _broken(plan, inter_links=inter)
-        report = verify_full_connectivity(broken, 4, 3)
+        report = verify_full_connectivity(broken)
         assert _as_tuples(report) == brute_force_uncovered(broken, 4, 3)
         assert report.covered_pairs == report.total_user_pairs - 18
 
     def test_duplicate_tdm_slot_matches_oracle_pair_by_pair(self):
         plan = build_plan(3, 4)
         broken = _with_slots(plan, 1, {0: 0, 1: 2, 2: 2, 3: 0})
-        report = verify_full_connectivity(broken, 3, 4)
+        report = verify_full_connectivity(broken)
         assert _as_tuples(report) == brute_force_uncovered(broken, 3, 4)
         assert _as_tuples(report) == [((1, 0), (1, 3)), ((1, 1), (1, 2))]
 
     def test_member_without_slot_matches_oracle_pair_by_pair(self):
         plan = build_plan(3, 4)
         broken = _with_slots(plan, 2, {0: 0, 1: 1, 3: 3, 7: 7})
-        report = verify_full_connectivity(broken, 3, 4)
+        report = verify_full_connectivity(broken)
         assert _as_tuples(report) == brute_force_uncovered(broken, 3, 4)
         assert _as_tuples(report) == [((2, 0), (2, 2)), ((2, 1), (2, 2)), ((2, 2), (2, 3))]
 
@@ -149,7 +149,7 @@ class TestConnectivity:
         intra = dict(plan.intra_links)
         del intra[0]
         broken = _broken(plan, intra_links=intra)
-        report = verify_full_connectivity(broken, 3, 3)
+        report = verify_full_connectivity(broken)
         assert _as_tuples(report) == brute_force_uncovered(broken, 3, 3)
         assert len(report.uncovered) == 3
 
@@ -174,12 +174,12 @@ class TestConnectivity:
             elif data.draw(st.booleans()):
                 intra[subnet] = link
         broken = _broken(plan, inter_links=inter, intra_links=intra)
-        report = verify_full_connectivity(broken, k, m)
+        report = verify_full_connectivity(broken)
         assert _as_tuples(report) == brute_force_uncovered(broken, k, m)
         assert report.total_user_pairs == k * m * (k * m - 1) // 2
 
     def test_single_user_trivially_connected(self):
-        report = verify_full_connectivity(build_plan(1, 1), 1, 1)
+        report = verify_full_connectivity(build_plan(1, 1))
         assert report.total_user_pairs == 0
         assert report.is_fully_connected
 
@@ -245,7 +245,7 @@ class TestPlanProperties:
     @given(k=st.integers(1, 5), m=st.integers(1, 4))
     def test_every_successful_plan_is_fully_connected(self, k, m):
         plan = build_plan(k, m)
-        assert verify_full_connectivity(plan, k, m).is_fully_connected
+        assert verify_full_connectivity(plan).is_fully_connected
         assert brute_force_uncovered(plan, k, m) == []
 
     def test_every_subnet_pair_appears_exactly_once(self):

@@ -10,7 +10,6 @@ from qsdcnet.photonics import (
     FiberSpec,
     SfgSpec,
     accidental_probability,
-    accidental_rate,
     fringe_scan,
     transmittance,
 )
@@ -104,17 +103,26 @@ class TestSfgBsm:
         assert seq_a == seq_b
 
 
+def lossless_devices(pair_rate_hz: float, efficiency: float = 1.0):
+    """The ideal scenario's devices: lossless fibers, no dark counts, a 1 ns window."""
+    devices = scenario_from_dict(ideal_scenario_dict()).devices
+    return replace(
+        devices,
+        detector=replace(devices.detector, efficiency=efficiency),
+        source=replace(devices.source, pair_rate_hz=pair_rate_hz),
+    )
+
+
 class TestAccidentalRate:
+    """The accidental rate singles_a * singles_b * window, per emitted pair."""
+
     def test_zero_singles(self):
-        assert accidental_rate(0.0, 1e5, 1e-9) == 0.0
+        assert accidental_probability(lossless_devices(1e5, efficiency=0.0)) == 0.0
 
     def test_reference_products(self):
-        assert accidental_rate(1e5, 1e5, 1e-9) == pytest.approx(10.0, abs=1e-9)
-        assert accidental_rate(1e3, 1e3, 1e-9) == pytest.approx(1e-3, abs=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            accidental_rate(-1.0, 1.0, 1.0)
+        # 1e5 * 1e5 * 1e-9 = 10 Hz and 1e3 * 1e3 * 1e-9 = 1e-3 Hz of accidentals.
+        assert accidental_probability(lossless_devices(1e5)) == pytest.approx(1e-4, rel=1e-12)
+        assert accidental_probability(lossless_devices(1e3)) == pytest.approx(1e-6, rel=1e-12)
 
 
 def inline_accidental_probability(devices) -> float:
@@ -123,7 +131,7 @@ def inline_accidental_probability(devices) -> float:
     eta_b = transmittance(devices.bob_fiber) * devices.detector.efficiency
     singles_a = devices.source.pair_rate_hz * eta_a + devices.detector.dark_count_rate_hz
     singles_b = devices.source.pair_rate_hz * eta_b + devices.detector.dark_count_rate_hz
-    acc_rate = accidental_rate(singles_a, singles_b, devices.detector.coincidence_window_s)
+    acc_rate = singles_a * singles_b * devices.detector.coincidence_window_s
     if devices.source.pair_rate_hz > 0:
         return min(acc_rate / devices.source.pair_rate_hz, 1.0)
     return 0.0

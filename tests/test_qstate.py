@@ -24,6 +24,7 @@ from conftest import (
     apply_encoding,
     apply_noise,
     bell_state,
+    codes_from_bits,
     depolarizing_p_for_fidelity,
     fringe_coincidence,
     make_devices,
@@ -321,5 +322,5 @@ class TestBitCodes:
         # A message whose bits do not spell 2-bit codes never reaches the table.
         for message in ("2x", "0x", "x1"):
             with pytest.raises(DomainError):
-                run_qsdc(message, make_devices(), EveModel(EveKind.NONE, 0.0), ProtocolConfig(),
-                         np.random.default_rng(0))
+                run_qsdc(codes_from_bits(message), make_devices(), EveModel(EveKind.NONE, 0.0),
+                         ProtocolConfig(), np.random.default_rng(0))

@@ -7,24 +7,23 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsdcnet import cli
+from qsdcnet import cli, protocol
 from qsdcnet.errors import DomainError, ScenarioError
+from qsdcnet.netplan import MAX_GRID_SIZE, MAX_USERS, MAX_USERS_PER_SUBNET
 from qsdcnet.protocol import MAX_BLOCK_SIZE, MAX_DETECTION_SIZE, MessageCodes
 from qsdcnet.qstate import BellLabel
 from qsdcnet.scenario import (
     _FRINGE_STREAM,
     _MESSAGE_STREAM,
     _SESSION_STREAM,
-    MAX_GRID_SIZE,
     MAX_RANDOM_BITS,
-    MAX_USERS,
-    MAX_USERS_PER_SUBNET,
     MessageSpec,
     forty_km_scenario_dict,
     ideal_scenario_dict,
@@ -176,8 +175,15 @@ class TestScenarioParsing:
             ("devices.sfg.max_rate_hz", 0, "devices.sfg.max_rate_hz: must be > 0, got 0.0"),
             ("protocol.tdm_slot_s", -1, "protocol.tdm_slot_s: must be >= 0, got -1.0"),
             ("devices.alice_fiber.length_km", 10**400, "devices.alice_fiber.length_km: too large for a float"),
+            # The accidental rate multiplies these three, so none may be negative.
+            ("devices.detector.dark_count_rate_hz", -1,
+             "devices.detector.dark_count_rate_hz: must be >= 0, got -1.0"),
+            ("devices.detector.coincidence_window_s", -1e-9,
+             "devices.detector.coincidence_window_s: must be >= 0, got -1e-09"),
+            ("devices.source.pair_rate_hz", -1, "devices.source.pair_rate_hz: must be >= 0, got -1.0"),
         ],
-        ids=["zero_sfg_rate", "negative_tdm_slot", "huge_int_as_float"],
+        ids=["zero_sfg_rate", "negative_tdm_slot", "huge_int_as_float", "negative_dark_counts",
+             "negative_window", "negative_pair_rate"],
     )
     def test_degenerate_values_rejected(self, path, value, error):
         doc = ideal_scenario_dict(seed=1)
@@ -450,13 +456,13 @@ class TestSweepCommand:
     def sent_messages(monkeypatch, argv) -> list:
         """The message of each row's session, as ``sweep`` passed it."""
         sent = []
-        run_qsdc = cli.protocol.run_qsdc
+        run_qsdc = protocol.run_qsdc
 
         def recording(message, *arguments):
             sent.append(message)
             return run_qsdc(message, *arguments)
 
-        monkeypatch.setattr(cli.protocol, "run_qsdc", recording)
+        monkeypatch.setattr(protocol, "run_qsdc", recording)
         assert cli.main(argv) == cli.EXIT_OK
         return sent
 
@@ -674,6 +680,9 @@ class TestSweepCommand:
 
 
 class TestFringeCommand:
+    def test_bell_state_choices_are_the_bell_labels(self):
+        assert list(cli.BELL_STATE_CHOICES) == sorted(label.name.lower() for label in BellLabel)
+
     def test_ideal_phi_plus_fringe(self, tmp_path, capsys):
         scenario_path = write_scenario(tmp_path, ideal_scenario_dict(seed=31, message_hex="aa"))
         code = cli.main([
@@ -842,17 +851,21 @@ class TestReportContents:
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs cli.main(argv) with stdout swallowed, then prints [exit code, whether
-# scipy was imported, whether orjson was imported, how many Clopper-Pearson
-# intervals were asked for] on its last line.
+# Runs cli.main(argv) with stdout swallowed, then prints [exit code, the
+# loaded modules that are numpy, scipy, orjson or in qsdcnet, how many
+# Clopper-Pearson intervals were asked for] on its last line.
 _COLD_START_CHILD = """
 import contextlib, io, json, sys
 from qsdcnet import analysis, cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
+loaded = [m for m in sys.modules if m in ("numpy", "scipy", "orjson") or m.startswith("qsdcnet")]
 calls = analysis.clopper_pearson.cache_info()
-print(json.dumps([code, "scipy" in sys.modules, "orjson" in sys.modules, calls.hits + calls.misses]))
+print(json.dumps([code, sorted(loaded), calls.hits + calls.misses]))
 """
+
+# What plan loads: the planner, and the numpy-free analysis the CLI reads.
+PLANNER_MODULES = ["qsdcnet", "qsdcnet.analysis", "qsdcnet.cli", "qsdcnet.errors", "qsdcnet.netplan"]
 
 # report.json of the intercept-resend run below (interior QBER counts), as
 # written before scipy's import moved into the interior branch, and with the
@@ -860,10 +873,15 @@ print(json.dumps([code, "scipy" in sys.modules, "orjson" in sys.modules, calls.h
 INTERCEPT_RESEND_REPORT_SHA256 = "45992d320d5d872a141c2cc863985d6091d680c373c5cb0fadbfb844531b4ec6"
 
 
-def run_in_fresh_interpreter(argv):
+class ColdStart(NamedTuple):
+    code: int
+    loaded: list  # numpy, scipy, orjson and qsdcnet modules, sorted
+    intervals: int  # Clopper-Pearson intervals asked for
+
+
+def run_in_fresh_interpreter(argv) -> ColdStart:
     """cli.main(argv) in a new interpreter, so that no import made by the test
-    process can hide one made by the command: (exit code, scipy loaded,
-    orjson loaded, intervals asked for)."""
+    process can hide one made by the command."""
     done = subprocess.run(
         [sys.executable, "-c", _COLD_START_CHILD, json.dumps(argv)],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -871,13 +889,13 @@ def run_in_fresh_interpreter(argv):
         text=True,
         check=True,
     )
-    return tuple(json.loads(done.stdout.splitlines()[-1]))
+    return ColdStart(*json.loads(done.stdout.splitlines()[-1]))
 
 
 class TestColdStart:
     """No command loads scipy, only a written report or transcript computes a
-    Clopper-Pearson interval, and only a run, which writes detection records,
-    needs orjson."""
+    Clopper-Pearson interval, only a run, which writes detection records,
+    needs orjson, and plan loads neither numpy nor the simulator."""
 
     @pytest.mark.parametrize(
         "command", ["plan", "fringe_40km", "run_ideal", "run_40km", "sweep_ideal"]
@@ -895,17 +913,30 @@ class TestColdStart:
                             "devices.alice_fiber.length_km", "--values", "0,5", "--out", out],
         }[command]
         writes_records = command.startswith("run")
-        code, scipy_loaded, orjson_loaded, intervals = run_in_fresh_interpreter(argv)
-        assert (code, scipy_loaded, orjson_loaded) == (cli.EXIT_OK, False, writes_records)
+        code, loaded, intervals = run_in_fresh_interpreter(argv)
+        assert code == cli.EXIT_OK
+        assert "scipy" not in loaded
+        assert ("orjson" in loaded) == writes_records
+        assert ("numpy" in loaded) == (command != "plan")
         assert (intervals > 0) == writes_records
+
+    @pytest.mark.parametrize(
+        "subnets, users_per_subnet, grid_size", [(5, 3, 15), (140, 35, MAX_GRID_SIZE)],
+        ids=["reference", "ceiling"],
+    )
+    def test_plan_loads_only_the_planner(self, subnets, users_per_subnet, grid_size):
+        argv = ["plan", "--subnets", str(subnets), "--users-per-subnet",
+                str(users_per_subnet), "--grid-size", str(grid_size)]
+        assert run_in_fresh_interpreter(argv) == (cli.EXIT_OK, PLANNER_MODULES, 0)
 
     def test_run_with_errors_never_loads_scipy_and_writes_the_same_report(self, tmp_path):
         doc = ideal_scenario_dict()
         doc["eve"] = {"kind": "intercept_resend", "fraction": 0.3}
         out = tmp_path / "out"
         argv = ["run", "--scenario", write_scenario(tmp_path, doc), "--out", str(out)]
-        code, scipy_loaded, orjson_loaded, intervals = run_in_fresh_interpreter(argv)
-        assert (code, scipy_loaded, orjson_loaded) == (cli.EXIT_OK, False, True)
+        code, loaded, intervals = run_in_fresh_interpreter(argv)
+        assert code == cli.EXIT_OK
+        assert "scipy" not in loaded and "orjson" in loaded
         assert intervals > 0
         report = json.loads((out / "report.json").read_text())
         assert 0 < report["qber"]["e"] < 1
@@ -922,10 +953,18 @@ class TestColdStart:
         out = tmp_path / "out"
         argv = ["sweep", "--scenario", write_scenario(tmp_path, doc), "--param",
                 "eve.fraction", "--values", "0.3,0.6", "--out", str(out)]
-        assert run_in_fresh_interpreter(argv) == (cli.EXIT_OK, False, False, 0)
+        code, loaded, intervals = run_in_fresh_interpreter(argv)
+        assert (code, intervals) == (cli.EXIT_OK, 0)
+        assert "scipy" not in loaded and "orjson" not in loaded
         rows = list(csv.DictReader((out / "sweep.csv").open()))
         assert [row["status"] for row in rows] == ["completed", "completed"]
         assert all(0 < float(row["qber_e"]) < 1 for row in rows)
+
+    def test_the_package_imports_nothing(self):
+        # Each name comes from its defining module, so importing qsdcnet.cli
+        # loads only what cli itself imports.
+        tree = ast.parse((SRC / "qsdcnet" / "__init__.py").read_text(encoding="utf-8"))
+        assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
     def test_no_source_file_imports_scipy(self):
         for path in sorted((SRC / "qsdcnet").glob("*.py")):

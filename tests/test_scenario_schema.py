@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from qsdcnet import cli
 from qsdcnet.errors import ScenarioError
+from qsdcnet.netplan import MAX_GRID_SIZE, MAX_USERS_PER_SUBNET
 from qsdcnet.scenario import (
     _TABLE,
-    MAX_GRID_SIZE,
-    MAX_USERS_PER_SUBNET,
     Scenario,
     forty_km_scenario_dict,
     ideal_scenario_dict,
