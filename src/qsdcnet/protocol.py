@@ -151,7 +151,7 @@ _BASIS_NAMES = ("Z", "X")
 
 # The fixed parts of the line json.dumps gives a detection_record event (its
 # payload keys sorted): head, timestamp, middle, position, tail. The middle
-# holds the outcomes and basis and is indexed by 4 * basis + 2 * alice + bob.
+# holds the outcomes and basis and is indexed by the outcome code.
 _RECORD_HEAD = '{"timestamp_s": '
 _RECORD_MIDDLES = np.array([  # of objects: indexed by an array, it gives the strs
     f', "event_kind": "detection_record", "payload": {{"alice_outcome": {a}, '
@@ -165,34 +165,30 @@ class DetectionBatch(NamedTuple):
     """One detection round's surviving photons as parallel arrays.
 
     Bob publishes each survivor's slot position, basis (0 = Z, 1 = X) and
-    outcome; Alice's outcome in the same basis sits beside it. In the
-    transcript the batch stands for the round's ``detection_record`` events,
-    one per survivor, and becomes their lines only when it is serialized:
-    fixed text around each survivor's timestamp and position reprs.
+    outcome; Alice's outcome in the same basis sits beside it, in the code
+    4 * basis + 2 * alice + bob. In the transcript the batch stands for the
+    round's ``detection_record`` events, one per survivor, and becomes their
+    lines only when it is serialized: fixed text around each survivor's
+    timestamp and position reprs.
     """
 
     send_start_s: float
     slot_s: float
     positions: np.ndarray
-    bob_basis: np.ndarray
-    alice_bits: np.ndarray
-    bob_bits: np.ndarray
+    outcomes: np.ndarray
 
     event_kind = "detection_record"  # a class attribute, not a field
 
     def counts(self) -> tuple[int, int, int, int]:
         """Matched-basis comparisons and errors: (n_z, errors_z, n_x, errors_x)."""
-        z_right, z_wrong, x_right, x_wrong = np.bincount(
-            2 * self.bob_basis + (self.alice_bits != self.bob_bits), minlength=4
-        ).tolist()
-        return z_right + z_wrong, z_wrong, x_right + x_wrong, x_wrong
+        z00, z01, z10, z11, x00, x01, x10, x11 = np.bincount(self.outcomes, minlength=8).tolist()
+        return z00 + z01 + z10 + z11, z01 + z10, x00 + x01 + x10 + x11, x01 + x10
 
     def to_jsonl(self) -> str:
         """One detection_record line per survivor, in slot order, each with
         its newline: the fixed parts around json's float and int reprs."""
         # A photon is detected at the end of its slot.
         timestamps = self.send_start_s + (self.positions + 1) * self.slot_s
-        middles = 4 * self.bob_basis + 2 * self.alice_bits + self.bob_bits
         stamps = _number_texts(timestamps)
         # orjson writes 0.00001 and 1e16 where repr (and json) write 1e-05 and
         # 1e+16 (and null for nan); inside [1e-4, 1e16) its shortest digits
@@ -203,7 +199,7 @@ class DetectionBatch(NamedTuple):
         parts = [_RECORD_TAIL + _RECORD_HEAD] * (4 * self.positions.size + 1)
         parts[0] = _RECORD_HEAD
         parts[1::4] = stamps
-        parts[2::4] = _RECORD_MIDDLES[middles].tolist()
+        parts[2::4] = _RECORD_MIDDLES[self.outcomes].tolist()
         parts[3::4] = _number_texts(self.positions)
         parts[-1] = _RECORD_TAIL
         return "".join(parts)
@@ -264,6 +260,20 @@ class Session:
         self.abort_reason: str | None = None
         self.time_s = 0.0
         self.transcript = SessionTranscript()
+        self._spare_bit = np.empty(0, dtype=np.uint8)  # a drawn, unused 32-bit half's bit
+
+    def random_bits(self, n: int) -> np.ndarray:
+        """``rng.integers(0, 2, n)`` as ``uint8``, without its per-call cost:
+        the top bit of each 32-bit half of the generator's raw 64-bit draws,
+        low half first. Like numpy's own spare half, an odd count's unused
+        half opens the next call, so this owns every 32-bit draw made on
+        the session generator."""
+        spare = self._spare_bit
+        raw = self.rng.bit_generator.random_raw((n - spare.size + 1) // 2)
+        # The top byte of each half, read as little-endian whatever the host.
+        bits = np.concatenate((spare, raw.astype("<u8", copy=False).view(np.uint8)[3::4] >> 7))
+        self._spare_bit = bits[n:]
+        return bits[:n]
 
     def transition(self, new_phase: SessionPhase, reason: str | None = None):
         if new_phase not in _ALLOWED_TRANSITIONS[self.phase]:
@@ -281,10 +291,11 @@ class Session:
         if new_phase is SessionPhase.ABORTED:
             self.abort_reason = reason
 
-    def log(self, event_kind: str, **payload):
-        """Append an event at the session clock; callers pass the payload
-        keys in sorted order."""
+    def log(self, event_kind: str, **payload) -> dict:
+        """Append an event at the session clock and return its payload;
+        callers pass the payload keys in sorted order."""
         self.transcript.events.append(TranscriptEvent(self.time_s, event_kind, payload))
+        return payload
 
 
 # Bell-weight indices in BELL_ORDER (phi+, phi-, psi+, psi-). A Pauli on
@@ -445,16 +456,17 @@ def run_security_detection(session: Session, link: Link, config: ProtocolConfig)
     n = surviving.size
     batch = qber = None
     if n:
-        bob_basis = rng.integers(0, 2, n)
+        bob_basis = session.random_bits(n)
         # Row 3 * bob_basis + eve_action of the detection table.
         rows = 3 * bob_basis
         if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
             intercepted = rng.random(n) < eve.fraction
-            eve_action = rng.integers(1, 3, n)  # her basis: 1 = Z, 2 = X
+            eve_action = session.random_bits(n) + 1  # her basis: 1 = Z, 2 = X
             eve_action *= intercepted  # 0 where she let the photon pass
             rows += eve_action
-        joint = _sample(link.detection_columns, rows, rng.random(n))
-        batch = DetectionBatch(send_start, 1 / rate_hz, surviving, bob_basis, joint >> 1, joint & 1)
+        outcomes = _sample(link.detection_columns, rows, rng.random(n))  # 2 * alice + bob
+        outcomes |= bob_basis << 2
+        batch = DetectionBatch(send_start, 1 / rate_hz, surviving, outcomes)
         counts = batch.counts()
         session.transcript.events.append(batch)
         session.transcript.detection_counts.append(counts)
@@ -486,25 +498,44 @@ def run_security_detection(session: Session, link: Link, config: ProtocolConfig)
     return DetectionResult(passed, reason, qber, n, batch)
 
 
-def transmit_and_decode_block(
-    codes: np.ndarray, link: Link, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Send one block of 2-bit codes through the channel and decode it at Bob.
+class _Window:
+    """A block and the blocks after it that resend only the erasures before
+    them, decoded once when the window closes. Per symbol of the first
+    block it keeps the decode draw and the window offset of the symbol's
+    last send; a delivered symbol is never sent again, so its draw is the
+    delivering one."""
 
-    Each pair starts as phi+ with the source's heralding noise, carries the
-    encoding of its slot's code, and survives the two fiber arms, any tap,
-    the SFG conversion and the detector with a single joint probability;
-    survivors draw their identified Bell state from the noisy state's Bell
-    diagonal (the vectorized equivalent of running the SFG measurement pair
-    by pair). Returns the delivered mask and the decoded ``uint8`` codes,
-    each the index of the identified state in BELL_ORDER. Losses and failed
-    conversions come back as erasures, never as errors; the decoded code of
-    an erased slot carries no information.
-    """
-    n = codes.size
-    # One call: for the PCG64 generator, random(n) then random(n) is random(2 * n).
-    draws = rng.random(2 * n)
-    return draws[:n] < link.p_deliver, _sample(link.encoding_columns, codes, draws[n:])
+    def __init__(self, symbols: slice | np.ndarray, sent: np.ndarray, draws: np.ndarray):
+        self.symbols, self.sent, self.draws = symbols, sent, draws
+        self.offsets = None  # made by the first resend
+        self.payloads: list[dict] = []  # each block's block_sent payload
+
+    def resend(self, positions: np.ndarray, draws: np.ndarray):
+        """Record a resend of the symbols at these positions of the first block."""
+        if self.offsets is None:
+            self.offsets = np.zeros(self.sent.size, dtype=np.intp)
+        self.draws[positions] = draws
+        self.offsets[positions] = len(self.payloads)
+
+    def close(self, queued: np.ndarray, erased: np.ndarray, link: Link, received, attempts) -> int:
+        """Decode the window, write its decodes, erasure counts and each
+        block's symbol_errors, and return its symbol errors. The symbols
+        still queued, at positions queued (the last block's erased), were
+        not delivered: they count no error."""
+        decoded = _sample(link.encoding_columns, self.sent, self.draws)
+        received[self.symbols] = decoded
+        wrong = decoded != self.sent
+        wrong[queued] = False
+        if self.offsets is None:
+            errors = [int(np.count_nonzero(wrong))]
+        else:  # a symbol last sent at offset k was erased by the k blocks before
+            errors = np.bincount(self.offsets[wrong], minlength=len(self.payloads)).tolist()
+            attempts[self.symbols] += self.offsets.astype(attempts.dtype)
+        if erased.size:
+            attempts[erased] += 1
+        for payload, count in zip(self.payloads, errors):
+            payload["symbol_errors"] = count
+        return sum(errors)
 
 
 # Ceilings on the counts that size a session's arrays: a block's symbols
@@ -672,62 +703,71 @@ def run_qsdc(
     blocks_sent = 0
     # Detection gates the first block and every redetect_every_blocks-th after it.
     blocks_since_check = config.redetect_every_blocks
+    # Each block opens a window, unless the queue is the last block's erasures
+    # alone: then it resends them in the open window, as does every block after.
+    window, resend = None, False
 
     while cursor < total_symbols or backlog.size or requeued:
         if blocks_since_check >= config.redetect_every_blocks:
             session.transition(SessionPhase.SECURITY_DETECTION)
-            start = session.time_s
+            round_start = session.time_s
             result = run_security_detection(session, link, config)
             detection_photons += config.photons_per_round
-            detection_time_total += session.time_s - start
+            detection_time_total += session.time_s - round_start
             if not result.passed:
                 break
             blocks_since_check = 0
-        # Never-sent symbols are one contiguous range, read and written as a
-        # slice; only a block that takes erased symbols needs an index array.
-        start, cursor = cursor, min(cursor + block_size, total_symbols)
-        batch = slice(start, cursor)
-        short = block_size - (cursor - start)
-        if short and (backlog.size or requeued):
-            if backlog.size < short:
-                parts = (backlog, *requeued) if backlog.size else requeued
-                backlog = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                requeued = []
-            batch, backlog = backlog[:short], backlog[short:]
-            if start < cursor:
-                batch = np.concatenate((np.arange(start, cursor), batch))
-        sent = codes[batch]
-        delivered, decoded = transmit_and_decode_block(sent, link, rng)
-        # A delivered symbol is never sent again: this is its decode's last write.
-        received[batch] = decoded
-        session.time_s += sent.size / symbol_rate
-        transmissions += sent.size
-        lost = ~delivered
-        erased = lost.nonzero()[0] + start if isinstance(batch, slice) else batch[lost]
+        if resend:
+            requeued = []
+            n = queued.size
+            draws = rng.random(2 * n)
+            window.resend(queued, draws[n:])
+            queued = queued[draws[:n] >= link.p_deliver]
+        else:
+            if window is not None:
+                symbol_errors += window.close(queued, erased, link, received, attempts)
+            # Never-sent symbols are one contiguous range, read and written as a
+            # slice; only a block that takes erased symbols needs an index array.
+            start, cursor = cursor, min(cursor + block_size, total_symbols)
+            batch = slice(start, cursor)
+            short = block_size - (cursor - start)
+            if short and (backlog.size or requeued):
+                if backlog.size < short:
+                    parts = (backlog, *requeued) if backlog.size else requeued
+                    backlog = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                    requeued = []
+                batch, backlog = backlog[:short], backlog[short:]
+                if start < cursor:
+                    batch = np.concatenate((np.arange(start, cursor), batch))
+            sent = codes[batch]
+            n = sent.size
+            # For PCG64, random(n) twice is random(2 * n): the first half decides
+            # delivery, the second the Bell state Bob identifies.
+            draws = rng.random(2 * n)
+            window = _Window(batch, sent, draws[n:])
+            queued = (draws[:n] >= link.p_deliver).nonzero()[0]  # positions in the window
+        erased = queued + start if isinstance(batch, slice) else batch[queued]
+        session.time_s += n / symbol_rate
+        transmissions += n
         erased_transmissions += erased.size
-        wrong = decoded != sent
-        wrong &= delivered
-        block_errors = int(np.count_nonzero(wrong))
-        symbol_errors += block_errors
-        session.log(
-            "block_sent",
-            block_index=blocks_sent,
-            erasures=erased.size,
-            pairs=sent.size,
-            symbol_errors=block_errors,
-        )
+        window.payloads.append(session.log(  # symbol_errors is set when the window closes
+            "block_sent", block_index=blocks_sent, erasures=erased.size, pairs=n, symbol_errors=None
+        ))
         blocks_sent += 1
         blocks_since_check += 1
+        resend = cursor == total_symbols and not backlog.size and not requeued
         if erased.size:
             requeued.append(erased)  # behind every queued symbol, in slot order
-            attempts[erased] += 1
-            # A block erases a symbol at most once, so none can be over the
-            # cap before more blocks than the cap have been sent.
-            if blocks_sent > cap and np.count_nonzero(attempts[erased] > cap):
+            # A block erases a symbol at most once, so none can be over the cap
+            # before more blocks than the cap have been sent. attempts counts
+            # erasures before the window, and its block at offset k makes k + 1.
+            if blocks_sent > cap and (attempts[erased] >= cap - len(window.payloads) + 1).any():
                 session.transition(SessionPhase.ABORTED, reason="retransmission_cap")
                 break
     else:
         session.transition(SessionPhase.COMPLETED)
+    if window is not None:
+        symbol_errors += window.close(queued, erased, link, received, attempts)
 
     completed = session.phase is SessionPhase.COMPLETED
     reason = session.abort_reason

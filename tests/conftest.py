@@ -276,7 +276,7 @@ def sfg_bsm(
     """Scalar Bell-state measurement through sum-frequency generation.
 
     The per-pair oracle for the vectorized block path in
-    ``protocol.transmit_and_decode_block``. With probability
+    ``transmit_and_decode_block``. With probability
     conversion_efficiency the pair converts and the outcome is sampled from
     the Bell-basis diagonal of the state, so all four labels are
     distinguishable in a single shot; otherwise the pair is erased and None
@@ -444,11 +444,9 @@ def security_detection_oracle(
             send_start_s=send_start,
             slot_s=1.0 / rate_hz,
             positions=surviving,
-            bob_basis=bob_basis,
-            alice_bits=joint >> 1,
-            bob_bits=joint & 1,
+            outcomes=4 * bob_basis + joint,
         )
-        wrong = batch.alice_bits != batch.bob_bits
+        wrong = (joint >> 1) != (joint & 1)
         in_x = bob_basis == 1
         n_x = int(np.count_nonzero(in_x))
         errors_x = int(np.count_nonzero(wrong & in_x))
@@ -488,6 +486,29 @@ def security_detection_oracle(
         photons_detected=int(n),
         batch=batch,
     )
+
+
+def transmit_and_decode_block(
+    codes: np.ndarray, link: protocol.Link, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Send one block of 2-bit codes through the channel and decode it at Bob.
+
+    The block path of ``run_qsdc_oracle``, which ``protocol.run_qsdc``
+    splits: it draws each block at once and decodes once per resend window.
+    Each pair starts as phi+ with the source's heralding noise, carries the
+    encoding of its slot's code, and survives the two fiber arms, any tap,
+    the SFG conversion and the detector with a single joint probability;
+    survivors draw their identified Bell state from the noisy state's Bell
+    diagonal (the vectorized equivalent of running the SFG measurement pair
+    by pair). Returns the delivered mask and the decoded ``uint8`` codes,
+    each the index of the identified state in BELL_ORDER. Losses and failed
+    conversions come back as erasures, never as errors; the decoded code of
+    an erased slot carries no information.
+    """
+    n = codes.size
+    # One call: for the PCG64 generator, random(n) then random(n) is random(2 * n).
+    draws = rng.random(2 * n)
+    return draws[:n] < link.p_deliver, protocol._sample(link.encoding_columns, codes, draws[n:])
 
 
 def run_qsdc_oracle(
@@ -547,7 +568,7 @@ def run_qsdc_oracle(
         # A copy, so that the last batch does not keep the first queue array alive.
         batch, pending = pending[: config.block_size].copy(), pending[config.block_size :]
         sent = codes[batch]
-        delivered, decoded = protocol.transmit_and_decode_block(sent, link, rng)
+        delivered, decoded = transmit_and_decode_block(sent, link, rng)
         session.time_s += batch.size / symbol_rate
         transmissions += batch.size
         erased = batch[~delivered]

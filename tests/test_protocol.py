@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsdcnet import cli
+from qsdcnet import cli, protocol
 from qsdcnet.analysis import QberEstimate
 from qsdcnet.errors import DomainError, InvariantViolation
 from qsdcnet.photonics import SfgSpec
@@ -29,7 +29,6 @@ from qsdcnet.protocol import (
     run_qsdc,
     run_security_detection,
     spliced_pieces,
-    transmit_and_decode_block,
     _detection_branch_cumulative,
     _encoding_cumulative,
     _columns,
@@ -53,6 +52,7 @@ from conftest import (
     sample_oracle,
     security_detection_oracle,
     sfg_bsm,
+    transmit_and_decode_block,
 )
 from qsdcnet.scenario import (
     _MESSAGE_STREAM,
@@ -507,29 +507,41 @@ class TestRunQsdc:
                      np.random.default_rng(0))
 
 
-class TestSessionLoopOracle:
-    """run_qsdc's block-sized queue against ``conftest.run_qsdc_oracle``,
-    which queues, gathers and scatters through a whole-message index array."""
+def assert_matches_loop_oracle(message, devices, eve, config, seed) -> dict:
+    """run_qsdc and ``conftest.run_qsdc_oracle`` write the same transcript
+    and summary for these arguments; returns the summary."""
+    got = run_qsdc(codes_from_bits(message), devices, eve, config, np.random.default_rng(seed))
+    expected = run_qsdc_oracle(message, devices, eve, config, np.random.default_rng(seed))
+    assert "".join(got.chunks()) == "".join(expected.chunks())
+    assert got.summary == expected.summary
+    return got.summary
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        message=st.text("01", min_size=1, max_size=300),
-        block_size=st.integers(min_value=1, max_value=64),
-        detection_size=st.integers(min_value=1, max_value=64),
-        fiber_km=st.floats(min_value=0.0, max_value=40.0),
-        conversion=st.sampled_from([0.5, 0.9, 1.0]),
-        depolarizing_p=st.floats(min_value=0.0, max_value=0.3),
-        max_retransmissions=st.integers(min_value=0, max_value=3),
-        redetect_every_blocks=st.integers(min_value=1, max_value=3),
-        eve_kind=st.sampled_from(list(EveKind)),
-        eve_fraction=st.floats(min_value=0.0, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_matches_whole_message_queue(
-        self, message, block_size, detection_size, fiber_km, conversion, depolarizing_p,
+
+loop_oracle_cases = dict(
+    block_size=st.integers(min_value=1, max_value=64),
+    detection_size=st.integers(min_value=1, max_value=64),
+    fiber_km=st.floats(min_value=0.0, max_value=40.0),
+    conversion=st.sampled_from([0.5, 0.9, 1.0]),
+    depolarizing_p=st.floats(min_value=0.0, max_value=0.3),
+    redetect_every_blocks=st.integers(min_value=1, max_value=3),
+    eve_kind=st.sampled_from(list(EveKind)),
+    eve_fraction=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+class TestSessionLoopOracle:
+    """run_qsdc's block-sized queue and resend windows against
+    ``conftest.run_qsdc_oracle``, which queues, gathers and scatters through
+    a whole-message index array and decodes every block as it is sent."""
+
+    @staticmethod
+    def check(
+        message, block_size, detection_size, fiber_km, conversion, depolarizing_p,
         max_retransmissions, redetect_every_blocks, eve_kind, eve_fraction, seed,
     ):
-        arguments = (
+        assert_matches_loop_oracle(
+            message,
             make_devices(
                 fiber_km=fiber_km, conversion=conversion,
                 noise=NoiseParams(depolarizing_p=depolarizing_p),
@@ -541,11 +553,160 @@ class TestSessionLoopOracle:
                 redetect_every_blocks=redetect_every_blocks,
                 max_retransmissions=max_retransmissions,
             ),
+            seed,
         )
-        got = run_qsdc(codes_from_bits(message), *arguments, np.random.default_rng(seed))
-        expected = run_qsdc_oracle(message, *arguments, np.random.default_rng(seed))
-        assert "".join(got.chunks()) == "".join(expected.chunks())
-        assert got.summary == expected.summary
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        message=st.text("01", min_size=1, max_size=300),
+        max_retransmissions=st.integers(min_value=0, max_value=3),
+        **loop_oracle_cases,
+    )
+    def test_matches_whole_message_queue(self, **arguments):
+        self.check(**arguments)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        message=st.text("01", min_size=1, max_size=600),
+        max_retransmissions=st.integers(min_value=0, max_value=200),
+        **loop_oracle_cases,
+    )
+    def test_matches_with_long_resend_windows(self, **arguments):
+        # Caps up to the default 200: windows run to many resends, and most
+        # sessions end in one, completed or aborted.
+        self.check(**arguments)
+
+
+def traced_windows(monkeypatch) -> list[tuple]:
+    """Make run_qsdc record its windows and detection rounds, in order:
+    ("open", window, first-block symbols, whether a slice), ("resend",
+    window), ("detection",) and ("close", window, symbols still queued)."""
+    trace = []
+
+    class Traced(protocol._Window):
+        def __init__(self, symbols, sent, draws):
+            super().__init__(symbols, sent, draws)
+            sliced = isinstance(symbols, slice)
+            listed = list(range(symbols.start, symbols.stop)) if sliced else symbols.tolist()
+            trace.append(("open", self, listed, sliced))
+
+        def resend(self, positions, draws):
+            trace.append(("resend", self))
+            super().resend(positions, draws)
+
+        def close(self, queued, erased, *arguments):
+            trace.append(("close", self, erased.tolist()))
+            return super().close(queued, erased, *arguments)
+
+    def detection(*arguments):
+        trace.append(("detection",))
+        return run_security_detection(*arguments)
+
+    monkeypatch.setattr(protocol, "_Window", Traced)
+    monkeypatch.setattr(protocol, "run_security_detection", detection)
+    return trace
+
+
+def windows(trace) -> list[list[tuple]]:
+    """Each window's entries, from its open to its close, with the
+    detection rounds between them, in order of opening."""
+    spans = []
+    for entry in trace:
+        if entry[0] == "open":
+            spans.append([])
+        if spans:
+            spans[-1].append(entry)
+    return spans
+
+
+class TestResendWindows:
+    """Explicit sessions whose windows take each path of the window code,
+    each checked against ``conftest.run_qsdc_oracle`` byte for byte."""
+
+    # Half the pairs erased, and a fifth of the delivered ones decoded wrong.
+    LOSSY = make_devices(conversion=0.5, noise=NoiseParams(depolarizing_p=0.3))
+
+    @staticmethod
+    def config(**fields) -> ProtocolConfig:
+        return ProtocolConfig(**{
+            "qber_threshold": 0.45, "min_samples": 1, "detection_size": 16,
+            "redetect_every_blocks": 10, "max_retransmissions": 50, **fields,
+        })
+
+    def test_a_window_spans_a_detection_round(self, monkeypatch):
+        trace = traced_windows(monkeypatch)
+        config = self.config(block_size=16, redetect_every_blocks=2)
+        summary = assert_matches_loop_oracle(
+            "0110" * 8, self.LOSSY, EveModel(EveKind.NONE, 0.0), config, seed=1
+        )
+        assert summary["status"] == "completed"
+        (span,) = windows(trace)  # one block of 16 symbols, then resends
+        kinds = [entry[0] for entry in span]
+        assert kinds[0] == "open" and kinds[-1] == "close"
+        assert kinds.count("detection") >= 2 and kinds.count("resend") >= 3
+        assert kinds.index("detection") < len(kinds) - 1 - kinds[::-1].index("resend")
+
+    def test_a_cap_abort_inside_a_window(self, monkeypatch):
+        trace = traced_windows(monkeypatch)
+        config = self.config(block_size=32, max_retransmissions=2)
+        summary = assert_matches_loop_oracle(
+            "1001" * 16, self.LOSSY, EveModel(EveKind.NONE, 0.0), config, seed=2
+        )
+        assert summary["abort_reason"] == "retransmission_cap"
+        assert summary["truncated_symbols"]
+        (span,) = windows(trace)
+        assert [entry[0] for entry in span][-3:] == ["resend", "resend", "close"]
+        assert span[-1][2]  # symbols still queued when the window closed
+
+    def test_a_detection_abort_inside_a_window(self, monkeypatch):
+        trace = traced_windows(monkeypatch)
+        # About ten survivors a round against min_samples 10: rounds fail at random.
+        devices = make_devices(fiber_km=5.0, conversion=0.5, noise=NoiseParams(depolarizing_p=0.3))
+        config = self.config(min_samples=10, block_size=32, redetect_every_blocks=1)
+        summary = assert_matches_loop_oracle(
+            "1100" * 16, devices, EveModel(EveKind.NONE, 0.0), config, seed=2
+        )
+        assert summary["abort_reason"] == "insufficient_detection_samples"
+        (span,) = windows(trace)
+        assert [entry[0] for entry in span][-3:] == ["resend", "detection", "close"]
+        assert span[-1][2]
+
+    def test_a_slice_block_opens_a_window(self, monkeypatch):
+        # The last of two full blocks erases, the first does not: the window
+        # opened by that slice block resends its erasures.
+        trace = traced_windows(monkeypatch)
+        config = self.config(block_size=4)
+        summary = assert_matches_loop_oracle(
+            "0111" * 4, self.LOSSY, EveModel(EveKind.NONE, 0.0), config, seed=11
+        )
+        assert summary["status"] == "completed"
+        first, last = windows(trace)
+        assert first[0][2:] == ([0, 1, 2, 3], True) and first[-1] == ("close", first[0][1], [])
+        assert last[0][2:] == ([4, 5, 6, 7], True)
+        assert "resend" in [entry[0] for entry in last]
+
+    @pytest.mark.parametrize(
+        "message, seed, before",
+        [("101101", 0, 0), ("10110100", 0, 1)],
+        ids=["with_a_fresh_symbol", "with_older_erasures"],
+    )
+    def test_the_last_erasures_with_other_symbols_open_a_window(
+        self, monkeypatch, message, seed, before
+    ):
+        # Blocks of two: the block after the last fresh one takes the erasures
+        # of the window before it and other symbols, the third symbol or the
+        # first block's erasures, so it opens a window of its own.
+        trace = traced_windows(monkeypatch)
+        config = self.config(block_size=2)
+        summary = assert_matches_loop_oracle(
+            message, self.LOSSY, EveModel(EveKind.NONE, 0.0), config, seed
+        )
+        assert summary["status"] == "completed"
+        spans = windows(trace)
+        assert all(entry[0] != "resend" for span in spans[: before + 1] for entry in span)
+        still_queued, opened = spans[before][-1][2], spans[before + 1][0][2]
+        assert still_queued and set(still_queued) < set(opened)
+
 
 
 class TestBitstringHelpers:
@@ -697,6 +858,23 @@ class TestDetectionRound:
         np.testing.assert_array_equal(one.integers(1, 3, n), other.integers(0, 2, n) + 1)
         assert one.bit_generator.state == other.bit_generator.state
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        rounds=st.lists(st.tuples(st.integers(0, 301), st.integers(0, 40)), min_size=1, max_size=8),
+    )
+    def test_random_bits_are_integers_draws(self, seed, rounds):
+        # Session.random_bits against Generator.integers(0, 2, n) over rounds
+        # of odd and even counts, with random() calls between them: those take
+        # whole 64-bit words and leave a pending 32-bit half where it is.
+        session, rng = Session(np.random.default_rng(seed)), np.random.default_rng(seed)
+        for n, between in rounds:
+            bits = session.random_bits(n)
+            assert bits.dtype == np.uint8
+            np.testing.assert_array_equal(bits, rng.integers(0, 2, n))
+            np.testing.assert_array_equal(session.rng.random(between), rng.random(between))
+        assert_same_generator(session, rng)
+
     @settings(max_examples=60, deadline=None)
     @given(
         num_photons=st.integers(1, 400),
@@ -721,7 +899,17 @@ class TestDetectionRound:
         assert "".join(got.transcript.chunks()) == "".join(want.transcript.chunks())
         assert got.transcript.detection_counts == want.transcript.detection_counts
         assert got_result[:-1] == want_result[:-1]  # every field but the batch
-        assert got.rng.bit_generator.state == want.rng.bit_generator.state
+        assert_same_generator(got, want.rng)
+
+
+def assert_same_generator(session: Session, rng: np.random.Generator):
+    """The session generator is rng's PCG64 state, and the session keeps the
+    bit of rng's pending 32-bit half if it has one. numpy keeps a used
+    half's value (uinteger) after has_uint32 drops, so the whole state dicts
+    can differ."""
+    got, want = session.rng.bit_generator.state, rng.bit_generator.state
+    assert got["state"] == want["state"]
+    assert session._spare_bit.tolist() == ([want["uinteger"] >> 31] if want["has_uint32"] else [])
 
 
 class TestSampler:
@@ -809,15 +997,8 @@ class TestBellWeightTables:
 
 def outcome_batch(send_start_s, slot_s, positions, codes) -> DetectionBatch:
     """A batch whose survivor k has outcome code codes[k] = 4 * basis + 2 * alice + bob."""
-    codes = np.asarray(codes)
-    return DetectionBatch(
-        send_start_s=send_start_s,
-        slot_s=slot_s,
-        positions=positions,
-        bob_basis=codes >> 2,
-        alice_bits=(codes >> 1 & 1).astype(np.uint8),
-        bob_bits=(codes & 1).astype(np.uint8),
-    )
+    return DetectionBatch(send_start_s=send_start_s, slot_s=slot_s, positions=positions,
+                          outcomes=np.asarray(codes))
 
 
 @st.composite
@@ -894,7 +1075,8 @@ class TestTranscriptFormatting:
     def json_lines(batch: DetectionBatch) -> str:
         """The batch's detection_record events written one by one with json.dumps."""
         lines = []
-        columns = (batch.positions, batch.bob_basis, batch.alice_bits, batch.bob_bits)
+        outcomes = batch.outcomes
+        columns = (batch.positions, outcomes >> 2, outcomes >> 1 & 1, outcomes & 1)
         for position, basis, alice, bob in zip(*(c.tolist() for c in columns)):
             event = {
                 "timestamp_s": batch.send_start_s + (position + 1) * batch.slot_s,
@@ -948,9 +1130,7 @@ class TestTranscriptFormatting:
             send_start_s=2.0,
             slot_s=1e-5,
             positions=np.array([41]),
-            bob_basis=np.array([1]),
-            alice_bits=np.array([0], dtype=np.uint8),
-            bob_bits=np.array([1], dtype=np.uint8),
+            outcomes=np.array([5], dtype=np.uint8),  # basis X, alice 0, bob 1
         )
         assert batch.to_jsonl() == self.json_lines(batch)
         assert batch.to_jsonl().endswith('"published": true}}\n')
