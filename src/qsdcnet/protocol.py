@@ -262,12 +262,12 @@ class Session:
         self.transcript = SessionTranscript()
         self._spare_bit = np.empty(0, dtype=np.uint8)  # a drawn, unused 32-bit half's bit
 
-    def random_bits(self, n: int) -> np.ndarray:
+    def draw_bits(self, n: int) -> np.ndarray:
         """``rng.integers(0, 2, n)`` as ``uint8``, without its per-call cost:
         the top bit of each 32-bit half of the generator's raw 64-bit draws,
-        low half first. Like numpy's own spare half, an odd count's unused
-        half opens the next call, so this owns every 32-bit draw made on
-        the session generator."""
+        low half first. An odd count's unused half opens the next call, as
+        numpy's own spare half would, so every 32-bit draw on the session
+        generator must come from here."""
         spare = self._spare_bit
         raw = self.rng.bit_generator.random_raw((n - spare.size + 1) // 2)
         # The top byte of each half, read as little-endian whatever the host.
@@ -456,12 +456,12 @@ def run_security_detection(session: Session, link: Link, config: ProtocolConfig)
     n = surviving.size
     batch = qber = None
     if n:
-        bob_basis = session.random_bits(n)
+        bob_basis = session.draw_bits(n)
         # Row 3 * bob_basis + eve_action of the detection table.
         rows = 3 * bob_basis
         if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
             intercepted = rng.random(n) < eve.fraction
-            eve_action = session.random_bits(n) + 1  # her basis: 1 = Z, 2 = X
+            eve_action = session.draw_bits(n) + 1  # her basis: 1 = Z, 2 = X
             eve_action *= intercepted  # 0 where she let the photon pass
             rows += eve_action
         outcomes = _sample(link.detection_columns, rows, rng.random(n))  # 2 * alice + bob

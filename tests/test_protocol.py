@@ -863,13 +863,13 @@ class TestDetectionRound:
         seed=st.integers(0, 2**64 - 1),
         rounds=st.lists(st.tuples(st.integers(0, 301), st.integers(0, 40)), min_size=1, max_size=8),
     )
-    def test_random_bits_are_integers_draws(self, seed, rounds):
-        # Session.random_bits against Generator.integers(0, 2, n) over rounds
+    def test_draw_bits_are_integers_draws(self, seed, rounds):
+        # Session.draw_bits against Generator.integers(0, 2, n) over rounds
         # of odd and even counts, with random() calls between them: those take
         # whole 64-bit words and leave a pending 32-bit half where it is.
         session, rng = Session(np.random.default_rng(seed)), np.random.default_rng(seed)
         for n, between in rounds:
-            bits = session.random_bits(n)
+            bits = session.draw_bits(n)
             assert bits.dtype == np.uint8
             np.testing.assert_array_equal(bits, rng.integers(0, 2, n))
             np.testing.assert_array_equal(session.rng.random(between), rng.random(between))
