@@ -13,13 +13,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InsufficientData
+from .errors import DomainError, InsufficientData, check_range
 
 
 def binary_entropy(e: float) -> float:
     """Binary Shannon entropy H(e) in bits, with H(0) = H(1) = 0."""
-    if not 0.0 <= e <= 1.0:
-        raise DomainError(f"entropy argument must be in [0, 1], got {e}")
+    check_range("entropy argument", e, 0, 1)
     if e == 0.0 or e == 1.0:
         return 0.0
     return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
@@ -52,12 +51,8 @@ def secrecy_capacity_bound(
     reported as-is (the bound can be vacuous). When e_x + e_z leaves [0, 1]
     the entropy argument is clamped and flagged rather than silently wrapped.
     """
-    for name, value in (("q_b", q_b), ("q_e", q_e)):
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"{name} must be in [0, 1], got {value}")
-    for name, value in (("e", e), ("e_x", e_x), ("e_z", e_z)):
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"{name} must be in [0, 1], got {value}")
+    for name, value in (("q_b", q_b), ("q_e", q_e), ("e", e), ("e_x", e_x), ("e_z", e_z)):
+        check_range(name, value, 0, 1)
     argument = e_x + e_z
     clamped = argument > 1.0
     if clamped:
@@ -123,10 +118,8 @@ def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple
         raise DomainError(f"counts must be integers, got {errors!r} of {trials!r}")
     if trials < 1:
         raise InsufficientData("Clopper-Pearson interval needs at least one trial")
-    if not 0 <= errors <= trials:
-        raise DomainError(f"errors must be in [0, {trials}], got {errors}")
-    if not 0.0 < confidence < 1.0:
-        raise DomainError(f"confidence must be in (0, 1), got {confidence}")
+    check_range("errors", errors, 0, trials)
+    check_range("confidence", confidence, 0, 1, open_low=True, open_high=True)
     tail = (1.0 - confidence) / 2.0
     if errors == 0:  # 1 - tail**(1/n), without its cancellation at large n
         return 0.0, -math.expm1(math.log(tail) / trials)
@@ -290,8 +283,7 @@ def fidelity_from_visibility(v: float) -> tuple[float, float]:
     """Bell-state fidelity from fringe visibility under two noise models:
     isotropic (Werner) noise gives F = (1 + 3V)/4, pure phase noise
     F = (1 + V)/2. Returns (isotropic, phase_only)."""
-    if not 0.0 <= v <= 1.0:
-        raise DomainError(f"visibility must be in [0, 1], got {v}")
+    check_range("visibility", v, 0, 1)
     return (1.0 + 3.0 * v) / 4.0, (1.0 + v) / 2.0
 
 
@@ -318,15 +310,10 @@ def throughput(
     stage is slower; erasures (loss or failed conversion, including their
     retransmissions) and protocol overhead scale it down.
     """
-    for name, value in (("sfg_rate_hz", sfg_rate_hz), ("modulation_rate_hz", modulation_rate_hz)):
-        if value < 0.0:
-            raise DomainError(f"{name} must be >= 0, got {value}")
-    for name, value in (
-        ("erasure_fraction", erasure_fraction),
-        ("overhead_fraction", overhead_fraction),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"{name} must be in [0, 1], got {value}")
+    check_range("sfg_rate_hz", sfg_rate_hz, 0)
+    check_range("modulation_rate_hz", modulation_rate_hz, 0)
+    check_range("erasure_fraction", erasure_fraction, 0, 1)
+    check_range("overhead_fraction", overhead_fraction, 0, 1)
     symbol_rate = min(modulation_rate_hz, sfg_rate_hz)
     info_rate = 2.0 * symbol_rate * (1.0 - erasure_fraction) * (1.0 - overhead_fraction)
     return ThroughputReport(
@@ -344,8 +331,7 @@ def session_secrecy_report(qber: QberEstimate, erasure_fraction: float) -> Secre
     symbol lost before detection is conservatively ceded to the eavesdropper
     as Q_E, treating signal loss as information leakage.
     """
-    if not 0.0 <= erasure_fraction <= 1.0:
-        raise DomainError(f"erasure_fraction must be in [0, 1], got {erasure_fraction}")
+    check_range("erasure_fraction", erasure_fraction, 0, 1)
     return secrecy_capacity_bound(
         q_b=1.0 - erasure_fraction,
         q_e=erasure_fraction,

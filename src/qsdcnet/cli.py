@@ -21,7 +21,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import analysis, netplan
-from .errors import CapacityExceeded, DomainError, QsdcError, ScenarioError
+from .errors import CapacityExceeded, DomainError, QsdcError, ScenarioError, check_range
 
 if TYPE_CHECKING:
     from . import protocol, qstate
@@ -332,12 +332,8 @@ _FRINGE_FIELDS = ["phase_rad", "raw_counts", "expected_accidentals", "corrected_
 
 
 def cmd_fringe(args) -> int:
-    for flag, value, ceiling in (
-        ("--phases", args.phases, MAX_PHASES),
-        ("--shots-per-phase", args.shots_per_phase, MAX_SHOTS_PER_PHASE),
-    ):
-        if not 1 <= value <= ceiling:
-            raise DomainError(f"{flag} must be in [1, {ceiling}], got {value}")
+    check_range("--phases", args.phases, 1, MAX_PHASES)
+    check_range("--shots-per-phase", args.shots_per_phase, 1, MAX_SHOTS_PER_PHASE)
     scenario = _load(args)
     out_dir = _out_dir(args)
     from .qstate import BellLabel

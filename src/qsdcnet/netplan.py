@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CapacityExceeded, DomainError
+from .errors import CapacityExceeded, DomainError, check_range
 
 DEFAULT_GRID_SIZE = 15
 
@@ -49,8 +49,7 @@ def itu_name(pair_index: int, side: str, grid_size: int = DEFAULT_GRID_SIZE) -> 
     """
     if side not in ("signal", "idler"):
         raise DomainError(f"side must be 'signal' or 'idler', got {side!r}")
-    if grid_size < 1:
-        raise DomainError(f"grid_size must be >= 1, got {grid_size}")
+    check_range("grid_size", grid_size, 1)
     if not 1 <= pair_index <= grid_size:
         raise CapacityExceeded(
             f"pair index {pair_index} is outside the {grid_size}-pair grid; "
@@ -126,10 +125,8 @@ def channels_required(k: int, m: int) -> int:
     Independent of m: each subnet shares one intra pair through its splitter
     and TDM slots, so extra members cost delay slots, not channels.
     """
-    if k < 1:
-        raise DomainError(f"subnet count must be >= 1, got {k}")
-    if m < 1:
-        raise DomainError(f"users per subnet must be >= 1, got {m}")
+    check_range("subnet count", k, 1)
+    check_range("users per subnet", m, 1)
     return 2 * (k * (k - 1) // 2 + k)
 
 
@@ -162,13 +159,8 @@ class Topology:
     grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):
-        if self.grid_size > MAX_GRID_SIZE:
-            raise DomainError(f"grid_size must be <= {MAX_GRID_SIZE}, got {self.grid_size}")
-        if self.users_per_subnet > MAX_USERS_PER_SUBNET:
-            raise DomainError(
-                f"users_per_subnet must be <= {MAX_USERS_PER_SUBNET}, "
-                f"got {self.users_per_subnet}"
-            )
+        check_range("grid_size", self.grid_size, high=MAX_GRID_SIZE)
+        check_range("users_per_subnet", self.users_per_subnet, high=MAX_USERS_PER_SUBNET)
         # The plan's own check, so no session runs on a topology no plan fits.
         pairs_required(self.subnets, self.users_per_subnet, self.grid_size)
         if self.subnets * self.users_per_subnet > MAX_USERS:

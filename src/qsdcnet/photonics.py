@@ -13,18 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import check_range
 from .qstate import NoiseParams
-
-
-def _check_probability(name: str, value: float):
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must be in [0, 1], got {value}")
-
-
-def _check_nonnegative(name: str, value: float):
-    if value < 0.0:
-        raise DomainError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -33,8 +23,8 @@ class FiberSpec:
     attenuation_db_per_km: float = 0.2
 
     def __post_init__(self):
-        _check_nonnegative("length_km", self.length_km)
-        _check_nonnegative("attenuation_db_per_km", self.attenuation_db_per_km)
+        check_range("length_km", self.length_km, 0)
+        check_range("attenuation_db_per_km", self.attenuation_db_per_km, 0)
 
 
 @dataclass(frozen=True)
@@ -44,9 +34,9 @@ class DetectorSpec:
     coincidence_window_s: float = 1e-9
 
     def __post_init__(self):
-        _check_probability("efficiency", self.efficiency)
-        _check_nonnegative("dark_count_rate_hz", self.dark_count_rate_hz)
-        _check_nonnegative("coincidence_window_s", self.coincidence_window_s)
+        check_range("efficiency", self.efficiency, 0, 1)
+        check_range("dark_count_rate_hz", self.dark_count_rate_hz, 0)
+        check_range("coincidence_window_s", self.coincidence_window_s, 0)
 
 
 @dataclass(frozen=True)
@@ -55,9 +45,8 @@ class SfgSpec:
     max_rate_hz: float = 1e5
 
     def __post_init__(self):
-        _check_probability("conversion_efficiency", self.conversion_efficiency)
-        if self.max_rate_hz <= 0.0:
-            raise DomainError(f"max_rate_hz must be > 0, got {self.max_rate_hz}")
+        check_range("conversion_efficiency", self.conversion_efficiency, 0, 1)
+        check_range("max_rate_hz", self.max_rate_hz, 0, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -65,8 +54,7 @@ class ModulatorSpec:
     rate_hz: float
 
     def __post_init__(self):
-        if self.rate_hz <= 0.0:
-            raise DomainError(f"rate_hz must be > 0, got {self.rate_hz}")
+        check_range("rate_hz", self.rate_hz, 0, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -75,7 +63,7 @@ class SourceSpec:
     noise: NoiseParams = field(default_factory=NoiseParams)  # the heralded pairs' noise
 
     def __post_init__(self):
-        _check_nonnegative("pair_rate_hz", self.pair_rate_hz)
+        check_range("pair_rate_hz", self.pair_rate_hz, 0)
 
 
 @dataclass(frozen=True)
@@ -127,9 +115,8 @@ def fringe_scan(
     fringes are corrected before fitting. Each phase takes one binomial and
     then one Poisson draw, in phase order.
     """
-    _check_probability("accidental_prob", accidental_prob)
-    if shots_per_phase < 1:
-        raise DomainError(f"shots_per_phase must be >= 1, got {shots_per_phase}")
+    check_range("accidental_prob", accidental_prob, 0, 1)
+    check_range("shots_per_phase", shots_per_phase, 1)
     rows = []
     expected_accidentals = shots_per_phase * accidental_prob
     for phase, probability in zip(

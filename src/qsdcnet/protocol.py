@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import analysis
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, check_range
 from .photonics import Devices, transmittance
 from .qstate import NoiseParams, bell_weights
 
@@ -71,8 +71,7 @@ class EveModel:
     fraction: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.fraction <= 1.0:
-            raise DomainError(f"fraction must be in [0, 1], got {self.fraction}")
+        check_range("fraction", self.fraction, 0, 1)
 
 
 # json.dumps writes _SPLICE_MARK % i as _SPLICE_TOKEN + f'{i}"'.
@@ -559,33 +558,15 @@ class ProtocolConfig:
     tdm_slot_s: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < self.qber_threshold < 0.5:
-            raise DomainError(f"qber_threshold must be in (0, 0.5), got {self.qber_threshold}")
-        if self.min_samples < 1:
-            raise DomainError(f"min_samples must be >= 1, got {self.min_samples}")
-        if not 1 <= self.block_size <= MAX_BLOCK_SIZE:
-            raise DomainError(
-                f"block_size must be in [1, {MAX_BLOCK_SIZE}], got {self.block_size}"
-            )
-        if self.detection_size is not None and not 1 <= self.detection_size <= MAX_DETECTION_SIZE:
-            raise DomainError(
-                f"detection_size must be in [1, {MAX_DETECTION_SIZE}], "
-                f"got {self.detection_size}"
-            )
-        if self.redetect_every_blocks < 1:
-            raise DomainError(
-                f"redetect_every_blocks must be >= 1, got {self.redetect_every_blocks}"
-            )
-        if self.max_retransmissions < 0:
-            raise DomainError(
-                f"max_retransmissions must be >= 0, got {self.max_retransmissions}"
-            )
-        if not 0.0 <= self.photon_decrease_factor <= 1.0:
-            raise DomainError(
-                f"photon_decrease_factor must be in [0, 1], got {self.photon_decrease_factor}"
-            )
-        if self.tdm_slot_s < 0.0:
-            raise DomainError(f"tdm_slot_s must be >= 0, got {self.tdm_slot_s}")
+        check_range("qber_threshold", self.qber_threshold, 0, 0.5, open_low=True, open_high=True)
+        check_range("min_samples", self.min_samples, 1)
+        check_range("block_size", self.block_size, 1, MAX_BLOCK_SIZE)
+        if self.detection_size is not None:
+            check_range("detection_size", self.detection_size, 1, MAX_DETECTION_SIZE)
+        check_range("redetect_every_blocks", self.redetect_every_blocks, 1)
+        check_range("max_retransmissions", self.max_retransmissions, 0)
+        check_range("photon_decrease_factor", self.photon_decrease_factor, 0, 1)
+        check_range("tdm_slot_s", self.tdm_slot_s, 0)
 
     @property
     def photons_per_round(self) -> int:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, InsufficientData
+from .errors import InsufficientData, check_range
 
 
 class BellLabel(Enum):
@@ -50,10 +50,8 @@ class NoiseParams:
     phase_offset_rad: float = 0.0
 
     def __post_init__(self):
-        for name in ("depolarizing_p", "dephasing_q"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"{name} must be in [0, 1], got {value}")
+        check_range("depolarizing_p", self.depolarizing_p, 0, 1)
+        check_range("dephasing_q", self.dephasing_q, 0, 1)
 
 
 def _contrast(noise: NoiseParams, theta: float) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QsdcError, ScenarioError
+from .errors import DomainError, QsdcError, ScenarioError, check_range
 from .netplan import Topology
 from .photonics import (
     Devices,
@@ -77,20 +77,15 @@ class MessageSpec:
         if (self.hex is None) == (self.random_bits is None):
             raise DomainError("provide exactly one of 'hex' or 'random_bits'")
         if self.random_bits is not None:
-            if not 1 <= self.random_bits <= MAX_RANDOM_BITS:
-                raise DomainError(
-                    f"random_bits must be in [1, {MAX_RANDOM_BITS}], got {self.random_bits}"
-                )
+            check_range("random_bits", self.random_bits, 1, MAX_RANDOM_BITS)
             if self.bit_length is not None:
                 raise DomainError("bit_length applies only to a hex message")
             return
         raw = hex_bytes(self.hex) if self.hex else None
         if raw is None:
             raise DomainError("hex must be a non-empty hexadecimal string")
-        if self.bit_length is not None and not 1 <= self.bit_length <= 4 * len(self.hex):
-            raise DomainError(
-                f"bit_length must be in [1, {4 * len(self.hex)}], got {self.bit_length}"
-            )
+        if self.bit_length is not None:
+            check_range("bit_length", self.bit_length, 1, 4 * len(self.hex))
         # The codes are resolved once and shared by every session, so they
         # are read-only; not a field.
         codes = MessageCodes.from_bytes(raw, self.bit_length or 4 * len(self.hex))

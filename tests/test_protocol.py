@@ -843,21 +843,6 @@ class TestDetectionRound:
     which draws Eve's rows through ``np.where`` and counts with six array
     operations."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**64 - 1),
-        before=st.integers(0, 5),
-        n=st.integers(0, 300),
-    )
-    def test_eve_rows_draw(self, seed, before, n):
-        # integers(1, 3, n) gives integers(0, 2, n) + 1 and leaves the
-        # generator in the same state, also with a half-used 32-bit word.
-        one, other = (np.random.default_rng(seed) for _ in range(2))
-        one.integers(0, 2, before)
-        other.integers(0, 2, before)
-        np.testing.assert_array_equal(one.integers(1, 3, n), other.integers(0, 2, n) + 1)
-        assert one.bit_generator.state == other.bit_generator.state
-
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
