@@ -117,6 +117,7 @@ def build_report(
         scenario.topology.grid_size,
     )
     connectivity = netplan.verify_full_connectivity(plan)
+    document = plan.to_dict()
     qber, secrecy, throughput = session_metrics(scenario, transcript)
     return {
         "scenario_digest": scenario.digest(),
@@ -124,11 +125,11 @@ def build_report(
         "plan": {
             "subnets": plan.subnets,
             "users_per_subnet": plan.users_per_subnet,
-            "channel_pairs": len(plan.inter_links) + len(plan.intra_links),
-            "itu_channels": plan.total_channels,
+            "channel_pairs": document["channel_pairs"],
+            "itu_channels": document["itu_channels"],
             "user_pairs": connectivity.total_user_pairs,
             "fully_connected": connectivity.is_fully_connected,
-            "document": plan.to_dict(),
+            "document": document,
         },
         "transcript_path": transcript_path,
         "session": transcript.summary,

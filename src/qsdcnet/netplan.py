@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 from .errors import CapacityExceeded, DomainError, check_range
 
@@ -60,14 +60,6 @@ def itu_name(pair_index: int, side: str, grid_size: int = DEFAULT_GRID_SIZE) -> 
     return f"CH{16 + grid_size + 1 + pair_index}"
 
 
-def channel_pair(index: int, grid_size: int = DEFAULT_GRID_SIZE) -> ChannelPair:
-    return ChannelPair(
-        index=index,
-        signal_itu=itu_name(index, "signal", grid_size),
-        idler_itu=itu_name(index, "idler", grid_size),
-    )
-
-
 @dataclass(frozen=True)
 class IntraLink:
     """One subnet's shared channel pair and its TDM delay slot per member."""
@@ -83,16 +75,16 @@ class WavelengthPlan:
     grid_size: int
     inter_links: dict[tuple[int, int], ChannelPair]
     intra_links: dict[int, IntraLink]
-    total_channels: int
 
     def to_dict(self) -> dict:
         """The plan as a JSON-ready document, keys in a fixed order."""
+        pairs = len(self.inter_links) + len(self.intra_links)
         return {
             "subnets": self.subnets,
             "users_per_subnet": self.users_per_subnet,
             "grid_size": self.grid_size,
-            "channel_pairs": len(self.inter_links) + len(self.intra_links),
-            "itu_channels": self.total_channels,
+            "channel_pairs": pairs,
+            "itu_channels": 2 * pairs,  # a signal and an idler channel each
             "inter_subnet_links": [
                 {
                     "subnets": list(key),
@@ -119,23 +111,17 @@ class WavelengthPlan:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def channels_required(k: int, m: int) -> int:
-    """Distinct ITU channels needed for k subnets of m users: 2*(C(k,2) + k).
+def pairs_required(k: int, m: int, grid_size: int = DEFAULT_GRID_SIZE) -> int:
+    """Channel pairs a plan for k subnets of m users takes from the grid:
+    C(k, 2) + k, one per subnet pair and one per subnet.
 
     Independent of m: each subnet shares one intra pair through its splitter
-    and TDM slots, so extra members cost delay slots, not channels.
+    and TDM slots, so extra members cost delay slots, not channels. Raises
+    CapacityExceeded when the grid has fewer than that.
     """
     check_range("subnet count", k, 1)
     check_range("users per subnet", m, 1)
-    return 2 * (k * (k - 1) // 2 + k)
-
-
-def pairs_required(k: int, m: int, grid_size: int = DEFAULT_GRID_SIZE) -> int:
-    """Channel pairs a plan for k subnets of m users takes from the grid.
-
-    Raises CapacityExceeded when the grid has fewer than that.
-    """
-    pairs_needed = channels_required(k, m) // 2
+    pairs_needed = k * (k - 1) // 2 + k
     if pairs_needed > grid_size:
         raise CapacityExceeded(
             f"network needs {pairs_needed} channel pairs but the grid has "
@@ -178,24 +164,19 @@ def build_plan(k: int, m: int, grid_size: int = DEFAULT_GRID_SIZE) -> Wavelength
     over subnet pairs, then each subnet takes the next index for its intra
     link. Raises CapacityExceeded when the grid has too few pairs.
     """
-    pairs_needed = pairs_required(k, m, grid_size)
-    inter_links: dict[tuple[int, int], ChannelPair] = {}
-    next_index = 1
-    for a, b in combinations(range(k), 2):
-        inter_links[(a, b)] = channel_pair(next_index, grid_size)
-        next_index += 1
-    intra_links: dict[int, IntraLink] = {}
-    for subnet in range(k):
-        slots = {member: member for member in range(m)}
-        intra_links[subnet] = IntraLink(pair=channel_pair(next_index, grid_size), tdm_slots=slots)
-        next_index += 1
+    pairs_required(k, m, grid_size)
+    pairs = (
+        ChannelPair(i, itu_name(i, "signal", grid_size), itu_name(i, "idler", grid_size))
+        for i in count(1)
+    )
+    inter_links = {key: next(pairs) for key in combinations(range(k), 2)}
+    intra_links = {s: IntraLink(next(pairs), {u: u for u in range(m)}) for s in range(k)}
     return WavelengthPlan(
         subnets=k,
         users_per_subnet=m,
         grid_size=grid_size,
         inter_links=inter_links,
         intra_links=intra_links,
-        total_channels=2 * pairs_needed,
     )
 
 

@@ -1,81 +1,23 @@
-"""Stochastic device and channel models.
+"""Device and channel models over the scenario's device specs.
 
-Fiber attenuation, single-photon detection, the modulation rate, the SFG
-stage's conversion efficiency and rate cap, and accidental coincidences.
-Every random draw goes through the session's seeded numpy Generator, so
-whole runs are reproducible bit-for-bit. Device specs are immutable
-values; a Generator is owned by exactly one session.
+Fiber transmittance, accidental coincidences between the two arms'
+detectors, and the Monte Carlo two-photon fringe scan. The specs they read
+(``FiberSpec``, ``DetectorSpec``, ``SfgSpec``, ``ModulatorSpec``,
+``SourceSpec`` and ``Devices``) are sections of the scenario schema, defined
+in ``scenario``. Every random draw goes through the caller's seeded numpy
+Generator, so whole runs are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import check_range
-from .qstate import NoiseParams
 
-
-@dataclass(frozen=True)
-class FiberSpec:
-    length_km: float
-    attenuation_db_per_km: float = 0.2
-
-    def __post_init__(self):
-        check_range("length_km", self.length_km, 0)
-        check_range("attenuation_db_per_km", self.attenuation_db_per_km, 0)
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    efficiency: float
-    dark_count_rate_hz: float = 0.0
-    coincidence_window_s: float = 1e-9
-
-    def __post_init__(self):
-        check_range("efficiency", self.efficiency, 0, 1)
-        check_range("dark_count_rate_hz", self.dark_count_rate_hz, 0)
-        check_range("coincidence_window_s", self.coincidence_window_s, 0)
-
-
-@dataclass(frozen=True)
-class SfgSpec:
-    conversion_efficiency: float
-    max_rate_hz: float = 1e5
-
-    def __post_init__(self):
-        check_range("conversion_efficiency", self.conversion_efficiency, 0, 1)
-        check_range("max_rate_hz", self.max_rate_hz, 0, open_low=True)
-
-
-@dataclass(frozen=True)
-class ModulatorSpec:
-    rate_hz: float
-
-    def __post_init__(self):
-        check_range("rate_hz", self.rate_hz, 0, open_low=True)
-
-
-@dataclass(frozen=True)
-class SourceSpec:
-    pair_rate_hz: float
-    noise: NoiseParams = field(default_factory=NoiseParams)  # the heralded pairs' noise
-
-    def __post_init__(self):
-        check_range("pair_rate_hz", self.pair_rate_hz, 0)
-
-
-@dataclass(frozen=True)
-class Devices:
-    """The full device suite one session runs over."""
-
-    alice_fiber: FiberSpec
-    bob_fiber: FiberSpec
-    detector: DetectorSpec
-    sfg: SfgSpec
-    modulator: ModulatorSpec
-    source: SourceSpec
+if TYPE_CHECKING:
+    from .scenario import Devices, FiberSpec
 
 
 def transmittance(fiber: FiberSpec) -> float:

@@ -14,18 +14,21 @@ produces is a pure function of (configuration, seed).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import groupby
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
 from . import analysis
-from .errors import DomainError, InvariantViolation, check_range
-from .photonics import Devices, transmittance
-from .qstate import NoiseParams, bell_weights
+from .errors import DomainError, InvariantViolation
+from .photonics import transmittance
+from .qstate import bell_weights
+from .scenario import EveKind
+
+if TYPE_CHECKING:
+    from .scenario import Devices, EveModel, NoiseParams, ProtocolConfig
 
 
 class SessionPhase(Enum):
@@ -50,28 +53,6 @@ _ALLOWED_TRANSITIONS = {
     SessionPhase.COMPLETED: set(),
     SessionPhase.ABORTED: set(),
 }
-
-
-class EveKind(Enum):
-    NONE = "none"
-    INTERCEPT_RESEND = "intercept_resend"
-    TAP = "tap"
-
-
-@dataclass(frozen=True)
-class EveModel:
-    """The eavesdropper acting on the flying photon.
-
-    Intercept-resend measures a fraction of photons in a random basis and
-    resends, planting errors; tap silently diverts a fraction, planting a
-    photon-count drop but no errors.
-    """
-
-    kind: EveKind = EveKind.NONE
-    fraction: float = 0.0
-
-    def __post_init__(self):
-        check_range("fraction", self.fraction, 0, 1)
 
 
 # json.dumps writes _SPLICE_MARK % i as _SPLICE_TOKEN + f'{i}"'.
@@ -535,45 +516,6 @@ class _Window:
         for payload, count in zip(self.payloads, errors):
             payload["symbol_errors"] = count
         return sum(errors)
-
-
-# Ceilings on the counts that size a session's arrays: a block's symbols
-# and a detection round's photons (each survivor is one transcript line).
-MAX_BLOCK_SIZE = 10**7
-MAX_DETECTION_SIZE = 10**6
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """The protocol's knobs: the security check's QBER threshold and sample
-    floor, then block-wise transmission with periodic re-detection."""
-
-    qber_threshold: float = 0.1
-    min_samples: int = 500
-    block_size: int = 10000
-    detection_size: int | None = None  # None: 10% of a block, at least 1
-    redetect_every_blocks: int = 10
-    max_retransmissions: int = 200
-    photon_decrease_factor: float = 0.5
-    tdm_slot_s: float = 1e-6
-
-    def __post_init__(self):
-        check_range("qber_threshold", self.qber_threshold, 0, 0.5, open_low=True, open_high=True)
-        check_range("min_samples", self.min_samples, 1)
-        check_range("block_size", self.block_size, 1, MAX_BLOCK_SIZE)
-        if self.detection_size is not None:
-            check_range("detection_size", self.detection_size, 1, MAX_DETECTION_SIZE)
-        check_range("redetect_every_blocks", self.redetect_every_blocks, 1)
-        check_range("max_retransmissions", self.max_retransmissions, 0)
-        check_range("photon_decrease_factor", self.photon_decrease_factor, 0, 1)
-        check_range("tdm_slot_s", self.tdm_slot_s, 0)
-
-    @property
-    def photons_per_round(self) -> int:
-        """A detection round's photons: detection_size, or by default 10% of a block."""
-        if self.detection_size is None:
-            return max(1, self.block_size // 10)
-        return self.detection_size
 
 
 # Four codes c0..c3 as one little-endian uint32, times this, hold the byte

@@ -13,11 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import InsufficientData, check_range
+from .errors import InsufficientData
+
+if TYPE_CHECKING:
+    from .scenario import NoiseParams
 
 
 class BellLabel(Enum):
@@ -34,24 +37,6 @@ class BellLabel(Enum):
 # which turns phi+ into BELL_ORDER[i], and BELL_ORDER[i].value spells i in
 # binary. Sessions index with the code.
 BELL_ORDER = tuple(BellLabel)
-
-
-@dataclass(frozen=True)
-class NoiseParams:
-    """Calibration knobs for the source/channel noise model.
-
-    depolarizing_p mixes in the maximally mixed state, dephasing_q applies an
-    independent phase flip to each qubit with that probability, and
-    phase_offset_rad rotates the ss<->ll coherence by a fixed angle.
-    """
-
-    depolarizing_p: float = 0.0
-    dephasing_q: float = 0.0
-    phase_offset_rad: float = 0.0
-
-    def __post_init__(self):
-        check_range("depolarizing_p", self.depolarizing_p, 0, 1)
-        check_range("dephasing_q", self.dephasing_q, 0, 1)
 
 
 def _contrast(noise: NoiseParams, theta: float) -> float:

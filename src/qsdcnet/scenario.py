@@ -1,13 +1,14 @@
-"""Scenario configuration: parsing, validation, canonical form and digest.
+"""Scenario configuration: the schema, parsing, validation, canonical form and digest.
 
 Scenarios are JSON documents whose schema is the frozen config dataclasses
-themselves: each section is one dataclass and each key one of its fields,
-with explicit units in the field name (length_km, rate_hz, ...) so a value
-can never be mistaken for the wrong unit. A field with no default is
-required, and a section is optional when every field of its class has a
-default. Bounds live in each dataclass's ``__post_init__``. The canonical
-form sorts keys, which makes the digest stable under field reordering in
-the input file.
+themselves, all defined here but ``netplan.Topology``: each section is one
+dataclass and each key one of its fields, with explicit units in the field
+name (length_km, rate_hz, ...) so a value can never be mistaken for the
+wrong unit. A field with no default is required, and a section is optional
+when every field of its class has a default. Bounds live in each
+dataclass's ``__post_init__``, and none of this needs numpy, so a bad
+scenario is rejected before numpy loads. The canonical form sorts keys,
+which makes the digest stable under field reordering in the input file.
 """
 
 from __future__ import annotations
@@ -20,20 +21,15 @@ import math
 import types
 import typing
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .errors import DomainError, QsdcError, ScenarioError, check_range
 from .netplan import Topology
-from .photonics import (
-    Devices,
-    DetectorSpec,
-    FiberSpec,
-    ModulatorSpec,
-    SfgSpec,
-    SourceSpec,
-)
-from .protocol import EveModel, MessageCodes, ProtocolConfig, spliced_pieces
+
+if typing.TYPE_CHECKING:
+    import numpy as np
+
+    from .protocol import MessageCodes
 
 # Distinct RNG streams derived from the scenario seed.
 _MESSAGE_STREAM = 0x6D65
@@ -46,7 +42,151 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     a 32-bit stream, from one integer: SeedSequence reads both as the same
     32-bit words, the seed's one or two and then the stream's, and an integer
     skips numpy's coercion of a list."""
+    import numpy as np
+
     return np.random.default_rng(seed | stream << (32 if seed < 2**32 else 64))
+
+
+@dataclass(frozen=True)
+class FiberSpec:
+    length_km: float
+    attenuation_db_per_km: float = 0.2
+
+    def __post_init__(self):
+        check_range("length_km", self.length_km, 0)
+        check_range("attenuation_db_per_km", self.attenuation_db_per_km, 0)
+
+
+@dataclass(frozen=True)
+class DetectorSpec:
+    efficiency: float
+    dark_count_rate_hz: float = 0.0
+    coincidence_window_s: float = 1e-9
+
+    def __post_init__(self):
+        check_range("efficiency", self.efficiency, 0, 1)
+        check_range("dark_count_rate_hz", self.dark_count_rate_hz, 0)
+        check_range("coincidence_window_s", self.coincidence_window_s, 0)
+
+
+@dataclass(frozen=True)
+class SfgSpec:
+    conversion_efficiency: float
+    max_rate_hz: float = 1e5
+
+    def __post_init__(self):
+        check_range("conversion_efficiency", self.conversion_efficiency, 0, 1)
+        check_range("max_rate_hz", self.max_rate_hz, 0, open_low=True)
+
+
+@dataclass(frozen=True)
+class ModulatorSpec:
+    rate_hz: float
+
+    def __post_init__(self):
+        check_range("rate_hz", self.rate_hz, 0, open_low=True)
+
+
+@dataclass(frozen=True)
+class NoiseParams:
+    """Calibration knobs for the source/channel noise model.
+
+    depolarizing_p mixes in the maximally mixed state, dephasing_q applies an
+    independent phase flip to each qubit with that probability, and
+    phase_offset_rad rotates the ss<->ll coherence by a fixed angle.
+    """
+
+    depolarizing_p: float = 0.0
+    dephasing_q: float = 0.0
+    phase_offset_rad: float = 0.0
+
+    def __post_init__(self):
+        check_range("depolarizing_p", self.depolarizing_p, 0, 1)
+        check_range("dephasing_q", self.dephasing_q, 0, 1)
+        offset = self.phase_offset_rad  # finite: only nan and the infinities are out
+        check_range("phase_offset_rad", offset, -math.inf, math.inf, open_low=True, open_high=True)
+
+
+@dataclass(frozen=True)
+class SourceSpec:
+    pair_rate_hz: float
+    noise: NoiseParams = dataclasses.field(default_factory=NoiseParams)  # the heralded pairs' noise
+
+    def __post_init__(self):
+        check_range("pair_rate_hz", self.pair_rate_hz, 0)
+
+
+@dataclass(frozen=True)
+class Devices:
+    """The full device suite one session runs over."""
+
+    alice_fiber: FiberSpec
+    bob_fiber: FiberSpec
+    detector: DetectorSpec
+    sfg: SfgSpec
+    modulator: ModulatorSpec
+    source: SourceSpec
+
+
+class EveKind(enum.Enum):
+    NONE = "none"
+    INTERCEPT_RESEND = "intercept_resend"
+    TAP = "tap"
+
+
+@dataclass(frozen=True)
+class EveModel:
+    """The eavesdropper acting on the flying photon.
+
+    Intercept-resend measures a fraction of photons in a random basis and
+    resends, planting errors; tap silently diverts a fraction, planting a
+    photon-count drop but no errors.
+    """
+
+    kind: EveKind = EveKind.NONE
+    fraction: float = 0.0
+
+    def __post_init__(self):
+        check_range("fraction", self.fraction, 0, 1)
+
+
+# Ceilings on the counts that size a session's arrays: a block's symbols
+# and a detection round's photons (each survivor is one transcript line).
+MAX_BLOCK_SIZE = 10**7
+MAX_DETECTION_SIZE = 10**6
+
+
+@dataclass(frozen=True)
+class ProtocolConfig:
+    """The protocol's knobs: the security check's QBER threshold and sample
+    floor, then block-wise transmission with periodic re-detection."""
+
+    qber_threshold: float = 0.1
+    min_samples: int = 500
+    block_size: int = 10000
+    detection_size: int | None = None  # None: 10% of a block, at least 1
+    redetect_every_blocks: int = 10
+    max_retransmissions: int = 200
+    photon_decrease_factor: float = 0.5
+    tdm_slot_s: float = 1e-6
+
+    def __post_init__(self):
+        check_range("qber_threshold", self.qber_threshold, 0, 0.5, open_low=True, open_high=True)
+        check_range("min_samples", self.min_samples, 1)
+        check_range("block_size", self.block_size, 1, MAX_BLOCK_SIZE)
+        if self.detection_size is not None:
+            check_range("detection_size", self.detection_size, 1, MAX_DETECTION_SIZE)
+        check_range("redetect_every_blocks", self.redetect_every_blocks, 1)
+        check_range("max_retransmissions", self.max_retransmissions, 0)
+        check_range("photon_decrease_factor", self.photon_decrease_factor, 0, 1)
+        check_range("tdm_slot_s", self.tdm_slot_s, 0)
+
+    @property
+    def photons_per_round(self) -> int:
+        """A detection round's photons: detection_size, or by default 10% of a block."""
+        if self.detection_size is None:
+            return max(1, self.block_size // 10)
+        return self.detection_size
 
 
 # A generated message's bits size its arrays and the session.
@@ -81,20 +221,25 @@ class MessageSpec:
             if self.bit_length is not None:
                 raise DomainError("bit_length applies only to a hex message")
             return
-        raw = hex_bytes(self.hex) if self.hex else None
-        if raw is None:
+        if not self.hex or hex_bytes(self.hex) is None:
             raise DomainError("hex must be a non-empty hexadecimal string")
         if self.bit_length is not None:
             check_range("bit_length", self.bit_length, 1, 4 * len(self.hex))
-        # The codes are resolved once and shared by every session, so they
-        # are read-only; not a field.
-        codes = MessageCodes.from_bytes(raw, self.bit_length or 4 * len(self.hex))
+
+    @cached_property
+    def _codes(self) -> MessageCodes:
+        """A hex message's codes, made once and shared by every session, so read-only."""
+        from .protocol import MessageCodes
+
+        codes = MessageCodes.from_bytes(hex_bytes(self.hex), self.bit_length or 4 * len(self.hex))
         codes.codes.flags.writeable = False
-        object.__setattr__(self, "_codes", codes)
+        return codes
 
     def resolve(self, seed: int) -> MessageCodes:
         if self.hex is not None:
             return self._codes
+        from .protocol import MessageCodes
+
         rng = stream_rng(seed, _MESSAGE_STREAM)
         return MessageCodes.from_bit_values(rng.integers(0, 2, self.random_bits))
 
@@ -123,6 +268,8 @@ class Scenario:
         return stream_rng(self.seed, _FRINGE_STREAM)
 
     def canonical_json(self) -> str:
+        from .protocol import spliced_pieces
+
         spliced = (("message", "hex"),)  # MessageSpec admits only hex digits
         pieces = spliced_pieces(self.to_dict(), spliced, sort_keys=True, separators=(",", ":"))
         return "".join(pieces)

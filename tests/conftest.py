@@ -7,17 +7,20 @@ import pytest
 
 from qsdcnet.analysis import QberEstimate, qber_from_counts
 from qsdcnet.errors import DomainError, InvariantViolation
-from qsdcnet.photonics import (
+from qsdcnet import protocol
+from qsdcnet.qstate import BELL_ORDER, BellLabel
+from qsdcnet.scenario import (
     Devices,
     DetectorSpec,
+    EveKind,
+    EveModel,
     FiberSpec,
     ModulatorSpec,
+    NoiseParams,
+    ProtocolConfig,
     SfgSpec,
     SourceSpec,
 )
-from qsdcnet import protocol
-from qsdcnet.protocol import EveKind, EveModel
-from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams
 
 # The density-matrix model of the noisy pair: the oracle of the closed forms
 # in ``qsdcnet.qstate`` and of the session's sampling tables. Density
@@ -395,7 +398,7 @@ def sample_oracle(table: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.
 def security_detection_oracle(
     session: protocol.Session,
     link: protocol.Link,
-    config: protocol.ProtocolConfig,
+    config: ProtocolConfig,
 ) -> protocol.DetectionResult:
     """``protocol.run_security_detection`` with Eve's rows from
     ``np.where``, the counts from six array operations and the idler delay
@@ -514,8 +517,8 @@ def transmit_and_decode_block(
 def run_qsdc_oracle(
     message_bits: str,
     devices: Devices,
-    eve: protocol.EveModel,
-    config: protocol.ProtocolConfig,
+    eve: EveModel,
+    config: ProtocolConfig,
     rng: np.random.Generator,
 ) -> protocol.SessionTranscript:
     """``protocol.run_qsdc`` with a whole-message index queue and the

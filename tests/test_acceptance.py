@@ -17,18 +17,19 @@ import numpy as np
 import pytest
 
 from qsdcnet import analysis, cli, netplan, qstate
-from qsdcnet.photonics import SfgSpec
 from qsdcnet.protocol import (
-    EveKind,
-    EveModel,
     Link,
-    ProtocolConfig,
     Session,
     SessionPhase,
     run_qsdc,
     run_security_detection,
 )
 from qsdcnet.scenario import (
+    EveKind,
+    EveModel,
+    NoiseParams,
+    ProtocolConfig,
+    SfgSpec,
     forty_km_scenario_dict,
     ideal_scenario_dict,
     scenario_from_dict,
@@ -269,7 +270,7 @@ def test_criterion_10_sfg_bsm_statistics():
         for seed, (label, p) in enumerate(
             [(qstate.BellLabel.PHI_MINUS, 0.06), (qstate.BellLabel.PSI_PLUS, 0.3)]
         ):
-            state = apply_noise(bell_state(label), qstate.NoiseParams(depolarizing_p=p))
+            state = apply_noise(bell_state(label), NoiseParams(depolarizing_p=p))
             oracle = bell_diagonal(state)  # exact Bell-basis probabilities
             rng = np.random.default_rng(1000 + seed)
             counts = {lbl: 0 for lbl in qstate.BELL_ORDER}

@@ -19,17 +19,9 @@ from qsdcnet.analysis import (
     throughput,
 )
 from qsdcnet.errors import DomainError, InsufficientData
-from qsdcnet.protocol import (
-    MAX_DETECTION_SIZE,
-    EveKind,
-    EveModel,
-    Link,
-    ProtocolConfig,
-    Session,
-    SessionPhase,
-    run_security_detection,
-)
-from qsdcnet.qstate import BellLabel, NoiseParams, fidelity
+from qsdcnet.protocol import Link, Session, SessionPhase, run_security_detection
+from qsdcnet.qstate import BellLabel, fidelity
+from qsdcnet.scenario import MAX_DETECTION_SIZE, EveKind, EveModel, NoiseParams, ProtocolConfig
 
 from conftest import make_devices, qber_from_transcript
 

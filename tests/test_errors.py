@@ -19,10 +19,23 @@ from qsdcnet import analysis, cli, netplan, photonics
 from qsdcnet.analysis import QberEstimate
 from qsdcnet.errors import DomainError, InsufficientData, ScenarioError, check_range
 from qsdcnet.netplan import MAX_GRID_SIZE, MAX_USERS_PER_SUBNET, Topology
-from qsdcnet.photonics import DetectorSpec, FiberSpec, ModulatorSpec, SfgSpec, SourceSpec
-from qsdcnet.protocol import MAX_BLOCK_SIZE, MAX_DETECTION_SIZE, EveKind, EveModel, ProtocolConfig
-from qsdcnet.qstate import NoiseParams
-from qsdcnet.scenario import MAX_RANDOM_BITS, MessageSpec, ideal_scenario_dict, scenario_from_dict
+from qsdcnet.scenario import (
+    MAX_BLOCK_SIZE,
+    MAX_DETECTION_SIZE,
+    MAX_RANDOM_BITS,
+    DetectorSpec,
+    EveKind,
+    EveModel,
+    FiberSpec,
+    MessageSpec,
+    ModulatorSpec,
+    NoiseParams,
+    ProtocolConfig,
+    SfgSpec,
+    SourceSpec,
+    ideal_scenario_dict,
+    scenario_from_dict,
+)
 
 
 class TestCheckRange:
@@ -132,9 +145,9 @@ SITES = [
      "errors must be in [0, 10], got 11", (0, 10), (), None),
     ("clopper_pearson.confidence", lambda v: analysis.clopper_pearson(1, 10, v), 1.5,
      "confidence must be in (0, 1), got 1.5", (), (0.0, 1.0), None),
-    ("channels_required.k", lambda v: netplan.channels_required(v, 3), 0,
+    ("channels_required.k", lambda v: netplan.pairs_required(v, 3), 0,
      "subnet count must be >= 1, got 0", (1,), (), None),
-    ("channels_required.m", lambda v: netplan.channels_required(5, v), 0,
+    ("channels_required.m", lambda v: netplan.pairs_required(5, v), 0,
      "users per subnet must be >= 1, got 0", (1,), (), None),
     ("itu_name.grid_size", lambda v: netplan.itu_name(1, "signal", v), 0,
      "grid_size must be >= 1, got 0", (1,), (), None),
@@ -145,7 +158,7 @@ SITES = [
      MAX_USERS_PER_SUBNET + 1, "users_per_subnet must be <= 1000, got 1001",
      (MAX_USERS_PER_SUBNET,), (),
      ("topology.users_per_subnet", "topology.users_per_subnet: must be <= 1000, got 1001")),
-    # channels_required's check, reached through the plan check; its name
+    # pairs_required's check, reached through the plan check; its name
     # is no field, so the reader labels the section.
     ("Topology.subnets", lambda v: Topology(subnets=v), 0,
      "subnet count must be >= 1, got 0", (1,), (),
@@ -190,6 +203,12 @@ SITES = [
      "dephasing_q must be in [0, 1], got -0.5", (0, 1), (),
      ("devices.source.noise.dephasing_q",
       "devices.source.noise.dephasing_q: must be in [0, 1], got -0.5")),
+    # Both ends open at infinity: only nan and the infinities are out. The
+    # reader rejects a non-finite number before the constructor sees it.
+    ("NoiseParams.phase_offset_rad", lambda v: NoiseParams(phase_offset_rad=v), math.inf,
+     "phase_offset_rad must be in (-inf, inf), got inf", (), (-math.inf, math.inf),
+     ("devices.source.noise.phase_offset_rad",
+      "devices.source.noise.phase_offset_rad: must be finite, got inf")),
     ("fringe_scan.accidental_prob", lambda v: _fringe_scan(10, v), 1.5,
      "accidental_prob must be in [0, 1], got 1.5", (0, 1), (), None),
     ("fringe_scan.shots_per_phase", lambda v: _fringe_scan(v, 0.0), 0,

@@ -11,8 +11,8 @@ from qsdcnet.netplan import (
     UserId,
     WavelengthPlan,
     build_plan,
-    channels_required,
     itu_name,
+    pairs_required,
     verify_full_connectivity,
 )
 
@@ -45,7 +45,6 @@ def _broken(plan, inter_links=None, intra_links=None):
         grid_size=plan.grid_size,
         inter_links=plan.inter_links if inter_links is None else inter_links,
         intra_links=plan.intra_links if intra_links is None else intra_links,
-        total_channels=plan.total_channels,
     )
 
 
@@ -64,7 +63,7 @@ class TestBuildPlan:
         plan = build_plan(5, 3)
         assert len(plan.inter_links) == 10
         assert len(plan.intra_links) == 5
-        assert plan.total_channels == 30
+        assert plan.to_dict()["itu_channels"] == 30
         # Inter-subnet links take indices 1..10, intra links 11..15.
         assert sorted(p.index for p in plan.inter_links.values()) == list(range(1, 11))
         assert sorted(l.pair.index for l in plan.intra_links.values()) == list(range(11, 16))
@@ -73,13 +72,13 @@ class TestBuildPlan:
         plan = build_plan(1, 2)
         assert len(plan.inter_links) == 0
         assert len(plan.intra_links) == 1
-        assert plan.total_channels == 2
+        assert plan.to_dict()["itu_channels"] == 2
         assert plan.intra_links[0].tdm_slots == {0: 0, 1: 1}
 
     def test_three_by_three(self):
         plan = build_plan(3, 3)
         assert len(plan.inter_links) + len(plan.intra_links) == 6
-        assert plan.total_channels == 12
+        assert plan.to_dict()["itu_channels"] == 12
 
     def test_grid_exhaustion(self):
         with pytest.raises(CapacityExceeded, match="narrower-band DWDM"):
@@ -87,7 +86,7 @@ class TestBuildPlan:
 
     def test_larger_grid_accepts_six_subnets(self):
         plan = build_plan(6, 3, grid_size=21)
-        assert plan.total_channels == 42
+        assert plan.to_dict()["itu_channels"] == 42
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -189,7 +188,7 @@ class TestChannelsRequired:
         "k,m,expected", [(5, 3, 30), (1, 1, 2), (1, 7, 2), (4, 2, 20), (3, 3, 12)]
     )
     def test_formula(self, k, m, expected):
-        assert channels_required(k, m) == expected
+        assert 2 * pairs_required(k, m) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(1, 5), m=st.integers(1, 4))
@@ -200,7 +199,7 @@ class TestChannelsRequired:
             names.update((pair.signal_itu, pair.idler_itu))
         for link in plan.intra_links.values():
             names.update((link.pair.signal_itu, link.pair.idler_itu))
-        assert len(names) == channels_required(k, m) == plan.total_channels
+        assert len(names) == 2 * pairs_required(k, m) == plan.to_dict()["itu_channels"]
 
 
 class TestItuNaming:

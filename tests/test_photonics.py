@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsdcnet.errors import DomainError
-from qsdcnet.photonics import (
+from qsdcnet.photonics import accidental_probability, fringe_scan, transmittance
+from qsdcnet.qstate import BELL_ORDER, BellLabel, fringe_probability
+from qsdcnet.scenario import (
     FiberSpec,
+    NoiseParams,
     SfgSpec,
-    accidental_probability,
-    fringe_scan,
-    transmittance,
+    forty_km_scenario_dict,
+    ideal_scenario_dict,
+    scenario_from_dict,
 )
-from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams, fringe_probability
-from qsdcnet.scenario import forty_km_scenario_dict, ideal_scenario_dict, scenario_from_dict
 
 from conftest import apply_noise, bell_state, sfg_bsm
 

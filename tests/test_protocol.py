@@ -10,15 +10,10 @@ from hypothesis import strategies as st
 from qsdcnet import cli, protocol
 from qsdcnet.analysis import QberEstimate
 from qsdcnet.errors import DomainError, InvariantViolation
-from qsdcnet.photonics import SfgSpec
 from qsdcnet.protocol import (
-    MAX_DETECTION_SIZE,
     DetectionBatch,
-    EveKind,
-    EveModel,
     Link,
     MessageCodes,
-    ProtocolConfig,
     Session,
     SessionPhase,
     TranscriptEvent,
@@ -34,7 +29,7 @@ from qsdcnet.protocol import (
     _columns,
     _sample,
 )
-from qsdcnet.qstate import BELL_ORDER, BellLabel, NoiseParams
+from qsdcnet.qstate import BELL_ORDER, BellLabel
 
 from conftest import (
     apply_noise,
@@ -56,7 +51,13 @@ from conftest import (
 )
 from qsdcnet.scenario import (
     _MESSAGE_STREAM,
+    MAX_DETECTION_SIZE,
+    EveKind,
+    EveModel,
     MessageSpec,
+    NoiseParams,
+    ProtocolConfig,
+    SfgSpec,
     forty_km_scenario_dict,
     ideal_scenario_dict,
     scenario_from_dict,

@@ -9,14 +9,14 @@ from qsdcnet.errors import DomainError, InsufficientData, InvariantViolation
 from qsdcnet.qstate import (
     BELL_ORDER,
     BellLabel,
-    NoiseParams,
     bell_weights,
     fidelity,
     fit_fringe,
     fringe_probability,
 )
 
-from qsdcnet.protocol import EveKind, EveModel, ProtocolConfig, run_qsdc
+from qsdcnet.protocol import run_qsdc
+from qsdcnet.scenario import EveKind, EveModel, NoiseParams, ProtocolConfig
 
 from conftest import (
     PauliEncoding,

@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 from qsdcnet import cli, protocol
 from qsdcnet.errors import DomainError, ScenarioError
 from qsdcnet.netplan import MAX_GRID_SIZE, MAX_USERS, MAX_USERS_PER_SUBNET
-from qsdcnet.protocol import MAX_BLOCK_SIZE, MAX_DETECTION_SIZE, MessageCodes
+from qsdcnet.protocol import MessageCodes
 from qsdcnet.qstate import BellLabel
 from qsdcnet.scenario import (
     _FRINGE_STREAM,
     _MESSAGE_STREAM,
     _SESSION_STREAM,
+    MAX_BLOCK_SIZE,
+    MAX_DETECTION_SIZE,
     MAX_RANDOM_BITS,
     MessageSpec,
     forty_km_scenario_dict,
@@ -866,6 +868,8 @@ print(json.dumps([code, sorted(loaded), calls.hits + calls.misses]))
 
 # What plan loads: the planner, and the numpy-free analysis the CLI reads.
 PLANNER_MODULES = ["qsdcnet", "qsdcnet.analysis", "qsdcnet.cli", "qsdcnet.errors", "qsdcnet.netplan"]
+# What a command that rejects its scenario loads: the planner and the reader.
+READER_MODULES = sorted([*PLANNER_MODULES, "qsdcnet.scenario"])
 
 # report.json of the intercept-resend run below (interior QBER counts), as
 # written before scipy's import moved into the interior branch, and with the
@@ -879,23 +883,33 @@ class ColdStart(NamedTuple):
     intervals: int  # Clopper-Pearson intervals asked for
 
 
-def run_in_fresh_interpreter(argv) -> ColdStart:
-    """cli.main(argv) in a new interpreter, so that no import made by the test
-    process can hide one made by the command."""
-    done = subprocess.run(
-        [sys.executable, "-c", _COLD_START_CHILD, json.dumps(argv)],
+def fresh_interpreter(code: str, *arguments: str) -> subprocess.CompletedProcess:
+    """Python code run in a new interpreter, so that no import made by the
+    test process can hide one made by the code."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *arguments],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,
     )
-    return ColdStart(*json.loads(done.stdout.splitlines()[-1]))
+
+
+def run_in_fresh_interpreter_with_stderr(argv) -> tuple[ColdStart, str]:
+    """cli.main(argv) in a new interpreter, and what it wrote to stderr."""
+    done = fresh_interpreter(_COLD_START_CHILD, json.dumps(argv))
+    return ColdStart(*json.loads(done.stdout.splitlines()[-1])), done.stderr
+
+
+def run_in_fresh_interpreter(argv) -> ColdStart:
+    return run_in_fresh_interpreter_with_stderr(argv)[0]
 
 
 class TestColdStart:
     """No command loads scipy, only a written report or transcript computes a
     Clopper-Pearson interval, only a run, which writes detection records,
-    needs orjson, and plan loads neither numpy nor the simulator."""
+    needs orjson, plan loads neither numpy nor the simulator, and a command
+    whose scenario the reader rejects loads no more than plan and the reader."""
 
     @pytest.mark.parametrize(
         "command", ["plan", "fringe_40km", "run_ideal", "run_40km", "sweep_ideal"]
@@ -959,6 +973,45 @@ class TestColdStart:
         rows = list(csv.DictReader((out / "sweep.csv").open()))
         assert [row["status"] for row in rows] == ["completed", "completed"]
         assert all(0 < float(row["qber_e"]) < 1 for row in rows)
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "fringe"])
+    @pytest.mark.parametrize(
+        "leaf, value, error",
+        [
+            ("gain", 1.0, "devices.detector.gain: unknown field"),
+            ("efficiency", 1.5, "devices.detector.efficiency: must be in [0, 1], got 1.5"),
+        ],
+        ids=["unknown_key", "out_of_range"],
+    )
+    def test_rejected_scenario_loads_only_the_reader(self, tmp_path, command, leaf, value, error):
+        doc = ideal_scenario_dict()
+        doc["devices"]["detector"][leaf] = value
+        path = write_scenario(tmp_path, doc)
+        argv = [command, "--scenario", path, "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--param", "eve.fraction", "--values", "0,0.1"]
+        assert run_in_fresh_interpreter_with_stderr(argv) == (
+            (cli.EXIT_VALIDATION, READER_MODULES, 0), f"error: {path}: {error}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_rejected_sweep_value_loads_only_the_reader(self, tmp_path):
+        argv = ["sweep", "--scenario", write_scenario(tmp_path, ideal_scenario_dict()),
+                "--param", "devices.detector.efficiency", "--values", "1.5,0.9",
+                "--out", str(tmp_path / "out")]
+        error = "devices.detector.efficiency: must be in [0, 1], got 1.5"
+        assert run_in_fresh_interpreter_with_stderr(argv) == (
+            (cli.EXIT_VALIDATION, READER_MODULES, 0),
+            f"error: devices.detector.efficiency=1.5: {error}\n",
+        )
+
+    def test_the_reader_imports_no_numpy(self):
+        code = "import json, sys, qsdcnet.scenario; print(json.dumps(sorted(sys.modules)))"
+        loaded = json.loads(fresh_interpreter(code).stdout)
+        assert "numpy" not in loaded and "orjson" not in loaded
+        assert [m for m in loaded if m.startswith("qsdcnet")] == [
+            "qsdcnet", "qsdcnet.errors", "qsdcnet.netplan", "qsdcnet.scenario"
+        ]
 
     def test_the_package_imports_nothing(self):
         # Each name comes from its defining module, so importing qsdcnet.cli
