@@ -24,8 +24,9 @@ from . import analysis, netplan
 from .errors import CapacityExceeded, DomainError, QsdcError, ScenarioError, check_range
 
 if TYPE_CHECKING:
-    from . import protocol, qstate
+    from . import qstate
     from .scenario import Scenario
+    from .transcript import SessionTranscript
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -57,7 +58,7 @@ def _out_dir(args) -> str:
     return out_dir
 
 
-def run_session(scenario: Scenario) -> protocol.SessionTranscript:
+def run_session(scenario: Scenario) -> SessionTranscript:
     """Execute the scenario's QSDC session with its derived RNG."""
     from . import protocol
 
@@ -81,9 +82,7 @@ def fidelity_table(scenario: Scenario) -> list[dict]:
     ]
 
 
-def session_metrics(
-    scenario: Scenario, transcript: protocol.SessionTranscript
-) -> tuple[
+def session_metrics(scenario: Scenario, transcript: SessionTranscript) -> tuple[
     analysis.QberEstimate | None, analysis.SecrecyReport | None, analysis.ThroughputReport
 ]:
     """Pooled QBER, secrecy bound and throughput of one session. Only a
@@ -106,9 +105,7 @@ def session_metrics(
 
 
 def build_report(
-    scenario: Scenario,
-    transcript: protocol.SessionTranscript,
-    transcript_path: str | None,
+    scenario: Scenario, transcript: SessionTranscript, transcript_path: str | None
 ) -> dict:
     """Assemble the machine-readable run report."""
     plan = netplan.build_plan(
@@ -141,17 +138,15 @@ def build_report(
 
 
 def report_pieces(report: dict) -> list[str]:
-    """The report's JSON text and newline, in ``protocol.spliced_pieces``."""
-    from . import protocol
+    """The report's JSON text and newline, in ``transcript.spliced_pieces``."""
+    from .transcript import spliced_pieces
 
     spliced = (  # the strings of bits and hex digits, which json writes unchanged
         ("scenario", "message", "hex"),
         ("session", "delivered_bits"),
         ("session", "delivered_bits_hex"),
     )
-    return protocol.spliced_pieces(
-        report, spliced, end="\n", sort_keys=True, indent=2, allow_nan=False
-    )
+    return spliced_pieces(report, spliced, end="\n", sort_keys=True, indent=2, allow_nan=False)
 
 
 def fringe_study(
@@ -243,11 +238,7 @@ def cmd_run(args) -> int:
     scenario = _load(args)
     out_dir = _out_dir(args)
     started = time.monotonic()
-    try:
-        transcript = run_session(scenario)
-    except CapacityExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+    transcript = run_session(scenario)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "transcript.jsonl"), "w") as handle:
         handle.writelines(transcript.chunks())

@@ -7,17 +7,16 @@ message as blocks of Pauli-encoded phi+ pairs that Bob decodes through the
 SFG Bell-state measurement; erased pairs are retransmitted in later blocks
 and security detection re-runs periodically.
 
-A session is single-threaded and owns its numpy Generator; the transcript it
-produces is a pure function of (configuration, seed).
+A session is single-threaded and owns its numpy Generator; the events it
+logs to its ``transcript.SessionTranscript`` are a pure function of
+(configuration, seed).
 """
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import groupby
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .errors import DomainError, InvariantViolation
 from .photonics import transmittance
 from .qstate import bell_weights
 from .scenario import EveKind
+from .transcript import DetectionBatch, SessionTranscript, TranscriptEvent
 
 if TYPE_CHECKING:
     from .scenario import Devices, EveModel, NoiseParams, ProtocolConfig
@@ -53,182 +53,6 @@ _ALLOWED_TRANSITIONS = {
     SessionPhase.COMPLETED: set(),
     SessionPhase.ABORTED: set(),
 }
-
-
-# json.dumps writes _SPLICE_MARK % i as _SPLICE_TOKEN + f'{i}"'.
-_SPLICE_MARK, _SPLICE_TOKEN = "\x00splice %d", '"\\u0000splice '
-
-
-def _replaced(doc: dict, path, value) -> dict:
-    """doc with value at the key path, copying only the objects on the path."""
-    key, *rest = path
-    return {**doc, key: _replaced(doc[key], rest, value) if rest else value}
-
-
-def _json_verbatim(value: str) -> bool:
-    """Whether json writes the string as '"' + value + '"', escaping nothing:
-    printable ASCII without quote or backslash."""
-    if not value.isascii() or '"' in value or "\\" in value:
-        return False
-    if len(value) < 1024:  # below this, one str scan beats numpy's call overhead
-        return value.isprintable()
-    codes = np.frombuffer(value.encode(), dtype=np.uint8)
-    return codes.min() >= 0x20 and codes.max() < 0x7F
-
-
-def spliced_pieces(doc: dict, paths, end: str = "", **options) -> list[str]:
-    """``json.dumps(doc, **options) + end`` as pieces that join to it, but
-    the string at each key path is written as '"' + s + '"' without escaping
-    it, such as bits and hex digits, and is a piece of its own. A path that
-    holds no string, or a string that json would escape, is left to json; a
-    splice mark in the rest of doc raises ValueError."""
-    values = []
-    for path in dict.fromkeys(paths):  # each path once
-        value = doc
-        for key in path:
-            value = value.get(key) if isinstance(value, dict) else None
-        if isinstance(value, str) and _json_verbatim(value):
-            doc = _replaced(doc, path, _SPLICE_MARK % len(values))
-            values.append(value)
-    text = json.dumps(doc, **options)
-    head, *pieces = text.split(_SPLICE_TOKEN) if values else [text]
-    if len(pieces) != len(values):
-        raise ValueError("the document holds a splice mark outside the spliced strings")
-    parts = [head]
-    for piece in pieces:
-        index, rest = piece.split('"', 1)
-        parts += ('"', values[int(index)], '"', rest)
-    return [*parts, end]
-
-
-class TranscriptEvent(NamedTuple):
-    timestamp_s: float
-    event_kind: str
-    payload: dict
-
-
-# What json.dumps writes between two events of a list, and nowhere inside a
-# string, where it escapes each quote.
-_EVENT_BOUNDARY = '}, {"timestamp_s": '
-
-
-def events_jsonl(events: list[TranscriptEvent]) -> str:
-    """The events' lines, each json.dumps(event._asdict()) and a newline, from
-    one json.dumps of their list split at the boundaries. A payload holding
-    the boundary too (a list of objects keyed timestamp_s first) raises
-    ValueError rather than being split in it."""
-    # A detection_result's qber is its QberEstimate until here, so that only
-    # a written transcript computes the interval.
-    text = json.dumps(
-        [event._asdict() for event in events], default=analysis.QberEstimate.to_dict
-    )[1:-1]
-    if text.count(_EVENT_BOUNDARY) != len(events) - 1:
-        raise ValueError("an event payload holds the text between two events")
-    return text.replace(_EVENT_BOUNDARY, '}\n{"timestamp_s": ') + "\n"
-
-
-_BASIS_NAMES = ("Z", "X")
-
-# The fixed parts of the line json.dumps gives a detection_record event (its
-# payload keys sorted): head, timestamp, middle, position, tail. The middle
-# holds the outcomes and basis and is indexed by the outcome code.
-_RECORD_HEAD = '{"timestamp_s": '
-_RECORD_MIDDLES = np.array([  # of objects: indexed by an array, it gives the strs
-    f', "event_kind": "detection_record", "payload": {{"alice_outcome": {a}, '
-    f'"basis": "{basis}", "bob_outcome": {b}, "position": '
-    for basis in _BASIS_NAMES for a in (0, 1) for b in (0, 1)
-], dtype=object)
-_RECORD_TAIL = ', "published": true}}\n'
-
-
-class DetectionBatch(NamedTuple):
-    """One detection round's surviving photons as parallel arrays.
-
-    Bob publishes each survivor's slot position, basis (0 = Z, 1 = X) and
-    outcome; Alice's outcome in the same basis sits beside it, in the code
-    4 * basis + 2 * alice + bob. In the transcript the batch stands for the
-    round's ``detection_record`` events, one per survivor, and becomes their
-    lines only when it is serialized: fixed text around each survivor's
-    timestamp and position reprs.
-    """
-
-    send_start_s: float
-    slot_s: float
-    positions: np.ndarray
-    outcomes: np.ndarray
-
-    event_kind = "detection_record"  # a class attribute, not a field
-
-    def counts(self) -> tuple[int, int, int, int]:
-        """Matched-basis comparisons and errors: (n_z, errors_z, n_x, errors_x)."""
-        z00, z01, z10, z11, x00, x01, x10, x11 = np.bincount(self.outcomes, minlength=8).tolist()
-        return z00 + z01 + z10 + z11, z01 + z10, x00 + x01 + x10 + x11, x01 + x10
-
-    def to_jsonl(self) -> str:
-        """One detection_record line per survivor, in slot order, each with
-        its newline: the fixed parts around json's float and int reprs."""
-        # A photon is detected at the end of its slot.
-        timestamps = self.send_start_s + (self.positions + 1) * self.slot_s
-        stamps = _number_texts(timestamps)
-        # orjson writes 0.00001 and 1e16 where repr (and json) write 1e-05 and
-        # 1e+16 (and null for nan); inside [1e-4, 1e16) its shortest digits
-        # are repr's.
-        outside = ~((timestamps >= 1e-4) & (timestamps < 1e16))
-        for index, stamp in zip(outside.nonzero()[0].tolist(), timestamps[outside].tolist()):
-            stamps[index] = float.__repr__(stamp)
-        parts = [_RECORD_TAIL + _RECORD_HEAD] * (4 * self.positions.size + 1)
-        parts[0] = _RECORD_HEAD
-        parts[1::4] = stamps
-        parts[2::4] = _RECORD_MIDDLES[self.outcomes].tolist()
-        parts[3::4] = _number_texts(self.positions)
-        parts[-1] = _RECORD_TAIL
-        return "".join(parts)
-
-
-def _number_texts(values: np.ndarray) -> list[str]:
-    """JSON texts of a non-empty 1-d float64 or integer array's elements, by
-    orjson's shortest round-trip writer."""
-    # Imported here, so that only a command writing detection records loads
-    # orjson (with its uuid and zoneinfo imports).
-    import orjson
-
-    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
-    return text[1:-1].decode().split(",")
-
-
-class SessionTranscript:
-    """Ordered protocol events plus the end-of-session summary."""
-
-    def __init__(self):
-        self.events: list[TranscriptEvent | DetectionBatch] = []
-        self.summary: dict = {}
-        # Per detection round: (n_z, errors_z, n_x, errors_x).
-        self.detection_counts: list[tuple[int, int, int, int]] = []
-
-    def chunks(self) -> Iterator[str]:
-        """The transcript's text in chunks never joined: one per run of events,
-        one per detection batch, and the session_complete line's pieces."""
-        for kind, events in groupby(self.events, _chunk_kind):
-            if kind is TranscriptEvent:
-                yield events_jsonl(list(events))
-            elif kind is DetectionBatch:
-                yield from (batch.to_jsonl() for batch in events)
-            else:  # session_complete: its bits and hex are pieces of their own
-                spliced = (("payload", "delivered_bits"), ("payload", "delivered_bits_hex"))
-                for event in events:
-                    yield from spliced_pieces(event._asdict(), spliced, end="\n")
-
-    @property
-    def pooled_qber(self) -> analysis.QberEstimate | None:
-        """All detection rounds pooled into one estimate."""
-        if not self.detection_counts:
-            return None
-        return analysis.qber_from_counts(*map(sum, zip(*self.detection_counts)))
-
-
-def _chunk_kind(event: TranscriptEvent | DetectionBatch):
-    """The event's type, or "session_complete" for that event."""
-    return event.event_kind if event.event_kind == "session_complete" else type(event)
 
 
 class Session:
@@ -399,16 +223,9 @@ def _sample(columns: tuple[np.ndarray, ...], rows: np.ndarray, draws: np.ndarray
     return indices
 
 
-class DetectionResult(NamedTuple):
-    passed: bool
-    reason: str | None
-    qber: analysis.QberEstimate | None
-    photons_detected: int
-    batch: DetectionBatch | None  # None when no photon survived
-
-
-def run_security_detection(session: Session, link: Link, config: ProtocolConfig) -> DetectionResult:
-    """Run one security-detection round and transition the session.
+def run_security_detection(session: Session, link: Link, config: ProtocolConfig) -> bool:
+    """Run one security-detection round, transition the session and return
+    whether the round passed.
 
     Alice sends ``config.photons_per_round`` detection photons drawn from the
     signal arm of the pair source; Bob measures each survivor in a random
@@ -434,7 +251,7 @@ def run_security_detection(session: Session, link: Link, config: ProtocolConfig)
 
     surviving = (rng.random(num_photons) < link.p_record).nonzero()[0]
     n = surviving.size
-    batch = qber = None
+    qber = None
     if n:
         bob_basis = session.draw_bits(n)
         # Row 3 * bob_basis + eve_action of the detection table.
@@ -475,7 +292,7 @@ def run_security_detection(session: Session, link: Link, config: ProtocolConfig)
         SessionPhase.BLOCK_TRANSMISSION if passed else SessionPhase.ABORTED,
         reason=reason,
     )
-    return DetectionResult(passed, reason, qber, n, batch)
+    return passed
 
 
 class _Window:
@@ -634,10 +451,10 @@ def run_qsdc(
         if blocks_since_check >= config.redetect_every_blocks:
             session.transition(SessionPhase.SECURITY_DETECTION)
             round_start = session.time_s
-            result = run_security_detection(session, link, config)
+            passed = run_security_detection(session, link, config)
             detection_photons += config.photons_per_round
             detection_time_total += session.time_s - round_start
-            if not result.passed:
+            if not passed:
                 break
             blocks_since_check = 0
         if resend:

@@ -268,7 +268,7 @@ class Scenario:
         return stream_rng(self.seed, _FRINGE_STREAM)
 
     def canonical_json(self) -> str:
-        from .protocol import spliced_pieces
+        from .transcript import spliced_pieces
 
         spliced = (("message", "hex"),)  # MessageSpec admits only hex digits
         pieces = spliced_pieces(self.to_dict(), spliced, sort_keys=True, separators=(",", ":"))

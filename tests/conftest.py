@@ -21,6 +21,7 @@ from qsdcnet.scenario import (
     SfgSpec,
     SourceSpec,
 )
+from qsdcnet.transcript import DetectionBatch, SessionTranscript
 
 # The density-matrix model of the noisy pair: the oracle of the closed forms
 # in ``qsdcnet.qstate`` and of the session's sampling tables. Density
@@ -299,7 +300,7 @@ def sfg_bsm(
 def qber_from_transcript(records) -> QberEstimate:
     """Scalar QBER estimate from detection records, one at a time.
 
-    The per-record oracle for the counts that ``protocol.DetectionBatch``
+    The per-record oracle for the counts that ``transcript.DetectionBatch``
     takes with array ops. A record is the payload of one
     ``detection_record`` transcript line: a dict with ``basis`` ("Z" or
     "X"), ``alice_outcome`` and ``bob_outcome``.
@@ -399,13 +400,13 @@ def security_detection_oracle(
     session: protocol.Session,
     link: protocol.Link,
     config: ProtocolConfig,
-) -> protocol.DetectionResult:
+) -> bool:
     """``protocol.run_security_detection`` with Eve's rows from
     ``np.where``, the counts from six array operations and the idler delay
     from the old ``delay_control``.
 
     The reference for the detection round of ``run_qsdc_oracle``: the same
-    draws in the same order, so the same transcript events and result.
+    draws in the same order, so the same transcript events and verdict.
     """
     rng = session.rng
     num_photons = config.photons_per_round
@@ -432,7 +433,7 @@ def security_detection_oracle(
 
     surviving = np.flatnonzero(rng.random(num_photons) < link.p_record)
     n = surviving.size
-    batch = qber = None
+    qber = None
     if n:
         bob_basis = rng.integers(0, 2, n)
         if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
@@ -443,7 +444,7 @@ def security_detection_oracle(
             eve_action = np.zeros(n, dtype=int)
         table = protocol._detection_branch_cumulative(link.devices.source.noise)
         joint = sample_oracle(table.reshape(6, 4), 3 * bob_basis + eve_action, rng.random(n))
-        batch = protocol.DetectionBatch(
+        batch = DetectionBatch(
             send_start_s=send_start,
             slot_s=1.0 / rate_hz,
             positions=surviving,
@@ -482,12 +483,15 @@ def security_detection_oracle(
         protocol.SessionPhase.BLOCK_TRANSMISSION if passed else protocol.SessionPhase.ABORTED,
         reason=reason,
     )
-    return protocol.DetectionResult(
-        passed=passed,
-        reason=reason,
-        qber=qber,
-        photons_detected=int(n),
-        batch=batch,
+    return passed
+
+
+def detection_payload(session: protocol.Session) -> dict:
+    """The payload of the session's last ``detection_result`` event, whose
+    ``qber`` is the round's ``QberEstimate`` (or None) until it is written."""
+    return next(
+        event.payload for event in reversed(session.transcript.events)
+        if event.event_kind == "detection_result"
     )
 
 
@@ -520,7 +524,7 @@ def run_qsdc_oracle(
     eve: EveModel,
     config: ProtocolConfig,
     rng: np.random.Generator,
-) -> protocol.SessionTranscript:
+) -> SessionTranscript:
     """``protocol.run_qsdc`` with a whole-message index queue and the
     message as a bit array.
 
@@ -562,10 +566,10 @@ def run_qsdc_oracle(
         if blocks_since_check >= config.redetect_every_blocks:
             session.transition(protocol.SessionPhase.SECURITY_DETECTION)
             start = session.time_s
-            result = security_detection_oracle(session, link, config)
+            passed = security_detection_oracle(session, link, config)
             detection_photons += config.photons_per_round
             detection_time_total += session.time_s - start
-            if not result.passed:
+            if not passed:
                 break
             blocks_since_check = 0
         # A copy, so that the last batch does not keep the first queue array alive.

@@ -43,6 +43,7 @@ from conftest import (
     bell_state,
     codes_from_bits,
     depolarizing_p_for_fidelity,
+    detection_payload,
     make_devices,
     sfg_bsm,
 )
@@ -171,21 +172,23 @@ def test_criterion_06_eavesdropper_detection():
 
         session = Session(np.random.default_rng(601))
         session.transition(SessionPhase.SECURITY_DETECTION)
-        full = run_security_detection(
+        passed = run_security_detection(
             session, Link(devices, EveModel(EveKind.INTERCEPT_RESEND, 1.0)), config
         )
-        assert full.photons_detected >= 10_000
-        assert full.qber.e == pytest.approx(0.25, abs=0.01)
-        assert not full.passed and session.phase is SessionPhase.ABORTED
+        full = detection_payload(session)
+        assert full["photons_detected"] >= 10_000
+        assert full["qber"].e == pytest.approx(0.25, abs=0.01)
+        assert not passed and session.phase is SessionPhase.ABORTED
 
         session = Session(np.random.default_rng(602))
         session.transition(SessionPhase.SECURITY_DETECTION)
-        partial = run_security_detection(
+        passed = run_security_detection(
             session, Link(devices, EveModel(EveKind.INTERCEPT_RESEND, 0.2)), config
         )
-        assert partial.photons_detected >= 10_000
-        assert partial.qber.e == pytest.approx(0.05, abs=0.01)
-        assert partial.passed  # 5% sits below the default 10% threshold
+        partial = detection_payload(session)
+        assert partial["photons_detected"] >= 10_000
+        assert partial["qber"].e == pytest.approx(0.05, abs=0.01)
+        assert passed  # 5% sits below the default 10% threshold
 
 
 def test_criterion_07_end_to_end_correctness():

@@ -141,12 +141,12 @@ class TestQberEstimation:
     def test_intercept_resend_transcript_covered_by_interval(self):
         session = Session(np.random.default_rng(31))
         session.transition(SessionPhase.SECURITY_DETECTION)
-        result = run_security_detection(
+        run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 1.0)),
             ProtocolConfig(qber_threshold=0.49, min_samples=500, detection_size=20000),
         )
-        ci_low, ci_high = result.qber.interval
+        ci_low, ci_high = qber_from_counts(*session.transcript.detection_counts[-1]).interval
         assert ci_low <= 0.25 <= ci_high
 
     def test_empty_records_rejected(self):

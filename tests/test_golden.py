@@ -14,6 +14,8 @@ turns the new bytes back into the old.
 import dataclasses
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,8 @@ from conftest import (
     report_with_scipy_era_intervals,
     transcript_with_scipy_era_intervals,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _criterion_09_scenarios() -> dict[str, dict]:
@@ -326,14 +330,32 @@ def test_run_outputs_are_the_scipy_era_outputs_but_for_the_interval(name, tmp_pa
     ) == SCIPY_INTERVAL_RUN_DIGESTS[name]
 
 
+def readme_transcript_schema() -> dict[str, list[str]]:
+    """README's "Transcript schema" table: each event kind's payload keys in
+    written order. A key's parenthesised note, such as qber's own keys, is
+    not a payload key."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Transcript schema") :]
+    rows = section.split("| --- | --- |\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    schema = {}
+    for row in rows:
+        kind, fields = row.strip("|").split("|")
+        schema[kind.strip().strip("`")] = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", fields))
+    return schema
+
+
 @pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
 def test_transcript_payload_keys_are_sorted(name, tmp_path, capsys):
-    # The transcript writes each payload in the order its log call passed it.
+    # The transcript writes each payload in the order its log call passed it:
+    # sorted, and the README's schema row for its event kind, which must have one.
+    schema = readme_transcript_schema()
     run_outputs(tmp_path, RUN_SCENARIOS[name])
     with open(tmp_path / "out" / "transcript.jsonl") as handle:
         for line in handle:
-            keys = list(json.loads(line)["payload"])
+            event = json.loads(line)
+            keys = list(event["payload"])
             assert keys == sorted(keys), line[:120]
+            assert keys == schema.get(event["event_kind"]), line[:120]
 
 
 @pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))

@@ -11,19 +11,12 @@ from qsdcnet import cli, protocol
 from qsdcnet.analysis import QberEstimate
 from qsdcnet.errors import DomainError, InvariantViolation
 from qsdcnet.protocol import (
-    DetectionBatch,
     Link,
     MessageCodes,
     Session,
     SessionPhase,
-    TranscriptEvent,
-    _EVENT_BOUNDARY,
-    _SPLICE_MARK,
-    _SPLICE_TOKEN,
-    events_jsonl,
     run_qsdc,
     run_security_detection,
-    spliced_pieces,
     _detection_branch_cumulative,
     _encoding_cumulative,
     _columns,
@@ -38,6 +31,7 @@ from conftest import (
     bits_to_hex_oracle,
     codes_from_bits,
     detection_branch_cumulative_oracle,
+    detection_payload,
     encoding_cumulative_oracle,
     hex_to_bits_oracle,
     make_devices,
@@ -61,6 +55,15 @@ from qsdcnet.scenario import (
     forty_km_scenario_dict,
     ideal_scenario_dict,
     scenario_from_dict,
+)
+from qsdcnet.transcript import (
+    DetectionBatch,
+    TranscriptEvent,
+    _EVENT_BOUNDARY,
+    _SPLICE_MARK,
+    _SPLICE_TOKEN,
+    events_jsonl,
+    spliced_pieces,
 )
 
 
@@ -120,62 +123,67 @@ class TestStateMachine:
 class TestSecurityDetection:
     def test_ideal_channel_no_eve_passes_clean(self):
         session = detection_session(1)
-        result = run_security_detection(
+        passed = run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.NONE, 0.0)),
             ProtocolConfig(qber_threshold=0.1, min_samples=500, detection_size=2000),
         )
-        assert result.passed
-        assert result.qber.e == 0.0
+        result = detection_payload(session)
+        assert passed
+        assert result["qber"].e == 0.0
         assert session.phase is SessionPhase.BLOCK_TRANSMISSION
 
     def test_full_intercept_resend_hits_quarter_and_aborts(self):
         session = detection_session(2)
-        result = run_security_detection(
+        passed = run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 1.0)),
             ProtocolConfig(qber_threshold=0.1, min_samples=500, detection_size=20000),
         )
-        assert result.photons_detected >= 10_000
-        assert result.qber.e == pytest.approx(intercept_resend_qber_oracle(1.0), abs=0.01)
-        assert not result.passed and result.reason == "qber_threshold_exceeded"
+        result = detection_payload(session)
+        assert result["photons_detected"] >= 10_000
+        assert result["qber"].e == pytest.approx(intercept_resend_qber_oracle(1.0), abs=0.01)
+        assert not passed and result["reason"] == "qber_threshold_exceeded"
         assert session.phase is SessionPhase.ABORTED
 
     def test_partial_intercept_scales_linearly(self):
         session = detection_session(3)
-        result = run_security_detection(
+        run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 0.2)),
             ProtocolConfig(qber_threshold=0.49, min_samples=500, detection_size=20000),
         )
-        assert result.qber.e == pytest.approx(intercept_resend_qber_oracle(0.2), abs=0.01)
+        result = detection_payload(session)
+        assert result["qber"].e == pytest.approx(intercept_resend_qber_oracle(0.2), abs=0.01)
 
     @pytest.mark.parametrize("fraction", [0.1, 0.4, 0.7])
     def test_qber_converges_to_f_over_four(self, fraction):
         session = detection_session(int(fraction * 100))
-        result = run_security_detection(
+        run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, fraction)),
             ProtocolConfig(qber_threshold=0.49, min_samples=500, detection_size=40000),
         )
+        result = detection_payload(session)
         expected = intercept_resend_qber_oracle(fraction)
-        se = np.sqrt(expected * (1 - expected) / result.photons_detected)
-        assert abs(result.qber.e - expected) <= 4 * se
+        se = np.sqrt(expected * (1 - expected) / result["photons_detected"])
+        assert abs(result["qber"].e - expected) <= 4 * se
 
     def test_tap_triggers_photon_count_abort(self):
         session = detection_session(4)
-        result = run_security_detection(
+        passed = run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.TAP, 0.8)),
             ProtocolConfig(qber_threshold=0.1, min_samples=500, detection_size=20000),
         )
-        assert not result.passed and result.reason == "photon_count_drop"
-        assert result.qber.e == 0.0  # tapping plants no errors, only loss
+        result = detection_payload(session)
+        assert not passed and result["reason"] == "photon_count_drop"
+        assert result["qber"].e == 0.0  # tapping plants no errors, only loss
         assert session.phase is SessionPhase.ABORTED
 
     def test_weak_tap_passes_budget(self):
         session = detection_session(5)
-        result = run_security_detection(
+        passed = run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.TAP, 0.2)),
             ProtocolConfig(
@@ -183,27 +191,29 @@ class TestSecurityDetection:
                 photon_decrease_factor=0.5,
             ),
         )
-        assert result.passed
+        assert passed
 
     def test_too_few_survivors_aborts(self):
         session = detection_session(6)
-        result = run_security_detection(
+        passed = run_security_detection(
             session,
             Link(make_devices(fiber_km=40.0), EveModel(EveKind.NONE, 0.0)),
             ProtocolConfig(qber_threshold=0.1, min_samples=500, detection_size=600),
         )
-        assert not result.passed and result.reason == "insufficient_detection_samples"
+        result = detection_payload(session)
+        assert not passed and result["reason"] == "insufficient_detection_samples"
 
     def test_source_noise_shows_up_as_qber(self):
         # Werner(p) gives matched-basis disagreement p/2 in either basis.
         p = 0.1
         session = detection_session(7)
-        result = run_security_detection(
+        run_security_detection(
             session,
             Link(make_devices(noise=NoiseParams(depolarizing_p=p)), EveModel(EveKind.NONE, 0.0)),
             ProtocolConfig(qber_threshold=0.2, min_samples=500, detection_size=40000),
         )
-        assert result.qber.e == pytest.approx(p / 2, abs=0.006)
+        result = detection_payload(session)
+        assert result["qber"].e == pytest.approx(p / 2, abs=0.006)
 
     def test_requires_detection_phase(self):
         session = Session(np.random.default_rng(0))
@@ -879,12 +889,12 @@ class TestDetectionRound:
         sessions = []
         for detect in (run_security_detection, security_detection_oracle):
             session = detection_session()
-            result = detect(session, link, config)
-            sessions.append((session, result))
-        (got, got_result), (want, want_result) = sessions
+            passed = detect(session, link, config)
+            sessions.append((session, passed))
+        (got, got_passed), (want, want_passed) = sessions
         assert "".join(got.transcript.chunks()) == "".join(want.transcript.chunks())
         assert got.transcript.detection_counts == want.transcript.detection_counts
-        assert got_result[:-1] == want_result[:-1]  # every field but the batch
+        assert got_passed is want_passed
         assert_same_generator(got, want.rng)
 
 

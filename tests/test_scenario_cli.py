@@ -1013,6 +1013,20 @@ class TestColdStart:
             "qsdcnet", "qsdcnet.errors", "qsdcnet.netplan", "qsdcnet.scenario"
         ]
 
+    def test_a_digest_loads_the_splicer_alone(self):
+        # The canonical JSON's hex is spliced by transcript.spliced_pieces,
+        # which needs neither the session, its state model nor orjson.
+        code = (
+            "import json, sys\n"
+            "from qsdcnet.scenario import ideal_scenario_dict, scenario_from_dict\n"
+            "digest = scenario_from_dict(ideal_scenario_dict()).digest()\n"
+            "print(json.dumps([digest, sorted(sys.modules)]))"
+        )
+        digest, loaded = json.loads(fresh_interpreter(code).stdout)
+        assert digest == scenario_from_dict(ideal_scenario_dict()).digest()
+        assert "qsdcnet.transcript" in loaded
+        assert not {"qsdcnet.protocol", "qsdcnet.qstate", "qsdcnet.photonics", "orjson"} & {*loaded}
+
     def test_the_package_imports_nothing(self):
         # Each name comes from its defining module, so importing qsdcnet.cli
         # loads only what cli itself imports.
