@@ -1,11 +1,12 @@
 """Command-line front-end: plan, run, sweep and fringe subcommands.
 
-Exit codes: 0 success (and, for plan, fully connected), 1 validation
-failure (any QsdcError a command does not map itself), 2 protocol abort,
-3 capacity errors. Reports and transcripts are deterministic functions of
-(scenario, seed); wall-clock timing goes to stderr only so output files
-hash identically across reruns. Only the commands that simulate import
-numpy and the modules built on it, so ``plan`` loads the planner alone.
+Exit codes: 0 success (and, for plan, fully connected), 1 usage error or
+validation failure (any QsdcError but CapacityExceeded), 2 protocol abort,
+3 capacity errors; ``main`` maps each error to its code. Reports and
+transcripts are deterministic functions of (scenario, seed); wall-clock
+timing goes to stderr only so output files hash identically across reruns.
+Only the commands that simulate import numpy and the modules built on it,
+so ``plan`` loads the planner alone.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ EXIT_CAPACITY = 3
 
 OUT_DIR_ENV = "QSDCNET_OUT_DIR"
 
-# fringe's --phases sizes the phase grid and the table; --shots-per-phase
-# must stay far inside Generator.binomial's int64.
+# fringe's --phases sizes the phase grid and the table, and the fit needs
+# 8 samples; --shots-per-phase must stay far inside Generator.binomial's int64.
+MIN_PHASES = 8
 MAX_PHASES = 10**5
 MAX_SHOTS_PER_PHASE = 10**12
 
@@ -108,11 +110,7 @@ def build_report(
     scenario: Scenario, transcript: SessionTranscript, transcript_path: str | None
 ) -> dict:
     """Assemble the machine-readable run report."""
-    plan = netplan.build_plan(
-        scenario.topology.subnets,
-        scenario.topology.users_per_subnet,
-        scenario.topology.grid_size,
-    )
+    plan = netplan.build_plan(scenario.topology)
     connectivity = netplan.verify_full_connectivity(plan)
     document = plan.to_dict()
     qber, secrecy, throughput = session_metrics(scenario, transcript)
@@ -120,8 +118,8 @@ def build_report(
         "scenario_digest": scenario.digest(),
         "scenario": scenario.to_dict(),
         "plan": {
-            "subnets": plan.subnets,
-            "users_per_subnet": plan.users_per_subnet,
+            "subnets": document["subnets"],
+            "users_per_subnet": document["users_per_subnet"],
             "channel_pairs": document["channel_pairs"],
             "itu_channels": document["itu_channels"],
             "user_pairs": connectivity.total_user_pairs,
@@ -203,13 +201,9 @@ def _write_rows(path: str, rows: list[dict], fieldnames: list[str], fmt: str) ->
 
 
 def cmd_plan(args) -> int:
-    try:
-        # Topology holds the ceilings that keep the plan and its check small.
-        netplan.Topology(args.subnets, args.users_per_subnet, args.grid_size)
-        plan = netplan.build_plan(args.subnets, args.users_per_subnet, args.grid_size)
-    except CapacityExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+    # Topology checks capacity and the ceilings that keep the plan and its check small.
+    topology = netplan.Topology(args.subnets, args.users_per_subnet, args.grid_size)
+    plan = netplan.build_plan(topology)
     report = netplan.verify_full_connectivity(plan)
     print(plan.to_document(), end="")
     print(
@@ -280,8 +274,7 @@ def cmd_sweep(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",")] if args.values.strip() else []
     except ValueError as exc:
-        print(f"error: --values must be a comma-separated list of numbers: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise DomainError(f"--values must be a comma-separated list of numbers: {exc}") from None
     out_dir = _out_dir(args)
     *sections, leaf = args.param.split(".")
     rows = []
@@ -294,8 +287,7 @@ def cmd_sweep(args) -> int:
         try:
             variant = replace_entries(scenario, {"seed": seed, **entry})
         except ScenarioError as exc:
-            print(f"error: {args.param}={value}: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ScenarioError(f"{args.param}={value}: {exc}") from None
         transcript = run_session(variant)
         qber, secrecy, throughput = session_metrics(variant, transcript)
         summary = transcript.summary
@@ -324,7 +316,7 @@ _FRINGE_FIELDS = ["phase_rad", "raw_counts", "expected_accidentals", "corrected_
 
 
 def cmd_fringe(args) -> int:
-    check_range("--phases", args.phases, 1, MAX_PHASES)
+    check_range("--phases", args.phases, MIN_PHASES, MAX_PHASES)
     check_range("--shots-per-phase", args.shots_per_phase, 1, MAX_SHOTS_PER_PHASE)
     scenario = _load(args)
     out_dir = _out_dir(args)
@@ -382,13 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
         return args.func(args)
     except QsdcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_CAPACITY if isinstance(exc, CapacityExceeded) else EXIT_VALIDATION
 
 
 def entry_point():

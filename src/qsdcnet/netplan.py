@@ -11,8 +11,10 @@ the subnet's users.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, count
+from operator import mul
 
 from .errors import CapacityExceeded, DomainError, check_range
 
@@ -21,14 +23,6 @@ DEFAULT_GRID_SIZE = 15
 _CAPACITY_HINT = (
     "increase ITU international wavelength channels or utilize narrower-band DWDMs"
 )
-
-
-@dataclass(frozen=True)
-class UserId:
-    """A user addressed by (subnet index, member index within the subnet)."""
-
-    subnet: int
-    member: int
 
 
 @dataclass(frozen=True)
@@ -70,19 +64,18 @@ class IntraLink:
 
 @dataclass(frozen=True)
 class WavelengthPlan:
-    subnets: int
-    users_per_subnet: int
-    grid_size: int
+    topology: Topology
     inter_links: dict[tuple[int, int], ChannelPair]
     intra_links: dict[int, IntraLink]
 
     def to_dict(self) -> dict:
         """The plan as a JSON-ready document, keys in a fixed order."""
         pairs = len(self.inter_links) + len(self.intra_links)
+        topology = self.topology
         return {
-            "subnets": self.subnets,
-            "users_per_subnet": self.users_per_subnet,
-            "grid_size": self.grid_size,
+            "subnets": topology.subnets,
+            "users_per_subnet": topology.users_per_subnet,
+            "grid_size": topology.grid_size,
             "channel_pairs": pairs,
             "itu_channels": 2 * pairs,  # a signal and an idler channel each
             "inter_subnet_links": [
@@ -132,7 +125,7 @@ def pairs_required(k: int, m: int, grid_size: int = DEFAULT_GRID_SIZE) -> int:
 
 # Ceilings on counts that size arrays or loops: each subnet member gets a TDM
 # slot in the plan, the plan builds up to grid_size channel pairs, and the
-# connectivity check visits every user pair.
+# connectivity check walks C(k, 2) subnet pairs and k*m slots.
 MAX_USERS_PER_SUBNET = 1000
 MAX_USERS = 5000
 MAX_GRID_SIZE = 10**4
@@ -157,81 +150,49 @@ class Topology:
             )
 
 
-def build_plan(k: int, m: int, grid_size: int = DEFAULT_GRID_SIZE) -> WavelengthPlan:
+def build_plan(topology: Topology) -> WavelengthPlan:
     """Deterministically allocate channel pairs to every link of the network.
 
     Inter-subnet links take pair indices 1..C(k,2) in lexicographic order
     over subnet pairs, then each subnet takes the next index for its intra
-    link. Raises CapacityExceeded when the grid has too few pairs.
+    link. The topology has already checked that the grid holds them all.
     """
-    pairs_required(k, m, grid_size)
+    k, m, grid_size = topology.subnets, topology.users_per_subnet, topology.grid_size
     pairs = (
         ChannelPair(i, itu_name(i, "signal", grid_size), itu_name(i, "idler", grid_size))
         for i in count(1)
     )
     inter_links = {key: next(pairs) for key in combinations(range(k), 2)}
     intra_links = {s: IntraLink(next(pairs), {u: u for u in range(m)}) for s in range(k)}
-    return WavelengthPlan(
-        subnets=k,
-        users_per_subnet=m,
-        grid_size=grid_size,
-        inter_links=inter_links,
-        intra_links=intra_links,
-    )
+    return WavelengthPlan(topology, inter_links, intra_links)
 
 
 @dataclass(frozen=True)
 class ConnectivityReport:
     total_user_pairs: int
     covered_pairs: int
-    uncovered: tuple[tuple[UserId, UserId], ...]
 
     @property
     def is_fully_connected(self) -> bool:
         return self.covered_pairs == self.total_user_pairs
 
 
-def _intra_failures(link: IntraLink | None, m: int) -> dict[int, list[int]]:
-    """Members u2 > u1 that member u1 of a subnet cannot reach, by u1.
-
-    Empty for a healthy link: present, with a TDM slot for every member and
-    no slot shared by two members. Only a link that fails walks its pairs.
-    """
-    slots = [None] * m if link is None else [link.tdm_slots.get(u) for u in range(m)]
-    if None not in slots and len(set(slots)) == m:
-        return {}
-    failures: dict[int, list[int]] = {}
-    for u1, u2 in combinations(range(m), 2):
-        if slots[u1] is None or slots[u2] is None or slots[u1] == slots[u2]:
-            failures.setdefault(u1, []).append(u2)
-    return failures
-
-
 def verify_full_connectivity(plan: WavelengthPlan) -> ConnectivityReport:
-    """Check every unordered user pair of the plan has a connecting resource.
+    """Count the unordered user pairs of the plan that have a connecting resource.
 
-    Users in the same subnet need that subnet's intra channel pair plus
-    distinct TDM slots for both members; users in different subnets need the
-    inter-subnet channel pair. A healthy intra link covers its C(m, 2) pairs
-    and a present inter link its m^2 pairs, so user pairs are listed only for
-    links that fail, in the order of ``combinations`` over users sorted by
-    (subnet, member). Failures are reported, not raised.
+    Users in different subnets need the inter-subnet channel pair, which
+    covers all m^2 pairs of the two subnets. Users in the same subnet need
+    that subnet's intra channel pair plus distinct TDM slots for both
+    members: of the h members holding a slot, C(h, 2) pairs less the C(c, 2)
+    pairs among each c members that share one slot, which is
+    (h^2 - sum of c^2) / 2. Failures are counted, not raised.
     """
-    k, m = plan.subnets, plan.users_per_subnet
-    total = k * m * (k * m - 1) // 2
-    uncovered: list[tuple[UserId, UserId]] = []
-    for s1 in range(k):
-        intra = _intra_failures(plan.intra_links.get(s1), m)
-        missing = [s2 for s2 in range(s1 + 1, k) if (s1, s2) not in plan.inter_links]
-        if not intra and not missing:
-            continue
-        for u1 in range(m):
-            first = UserId(s1, u1)
-            uncovered.extend((first, UserId(s1, u2)) for u2 in intra.get(u1, ()))
-            for s2 in missing:
-                uncovered.extend((first, UserId(s2, u2)) for u2 in range(m))
-    return ConnectivityReport(
-        total_user_pairs=total,
-        covered_pairs=total - len(uncovered),
-        uncovered=tuple(uncovered),
-    )
+    k, m = plan.topology.subnets, plan.topology.users_per_subnet
+    covered = m * m * sum(map(plan.inter_links.__contains__, combinations(range(k), 2)))
+    for link in map(plan.intra_links.get, range(k)):
+        if link is not None:
+            sharing = Counter(map(link.tdm_slots.get, range(m)))
+            held = m - sharing.pop(None, 0)  # members without a slot reach no one
+            counts = sharing.values()
+            covered += (held * held - sum(map(mul, counts, counts))) // 2
+    return ConnectivityReport(total_user_pairs=k * m * (k * m - 1) // 2, covered_pairs=covered)

@@ -65,7 +65,7 @@ def criterion(number: int, name: str, budget_s: float | None = None):
 
 def test_criterion_01_network_plan():
     with criterion(1, "network-plan 5x3", budget_s=1.0):
-        plan = netplan.build_plan(5, 3)
+        plan = netplan.build_plan(netplan.Topology(5, 3))
         names = set()
         for pair in plan.inter_links.values():
             names.update((pair.signal_itu, pair.idler_itu))

@@ -17,7 +17,7 @@ import pytest
 
 from qsdcnet import analysis, cli, netplan, photonics
 from qsdcnet.analysis import QberEstimate
-from qsdcnet.errors import DomainError, InsufficientData, ScenarioError, check_range
+from qsdcnet.errors import DomainError, ScenarioError, check_range
 from qsdcnet.netplan import MAX_GRID_SIZE, MAX_USERS_PER_SUBNET, Topology
 from qsdcnet.scenario import (
     MAX_BLOCK_SIZE,
@@ -99,10 +99,7 @@ def _fringe(dest):
             argv = ["fringe", "--scenario", path, "--phases", "8", "--shots-per-phase", "100"]
             args = cli.build_parser().parse_args([*argv, "--out", out])
             setattr(args, dest, value)
-            try:
-                cli.cmd_fringe(args)
-            except InsufficientData:  # under 8 phases passes the bound, then fails the fit
-                pass
+            cli.cmd_fringe(args)
 
     return build
 
@@ -251,7 +248,7 @@ SITES = [
      "bit_length must be in [1, 128], got 129", (1, 128), (),
      ("message.bit_length", "message.bit_length: must be in [1, 128], got 129")),
     ("cmd_fringe.phases", _fringe("phases"), 0,
-     "--phases must be in [1, 100000], got 0", (1, cli.MAX_PHASES), (), None),
+     "--phases must be in [8, 100000], got 0", (cli.MIN_PHASES, cli.MAX_PHASES), (), None),
     ("cmd_fringe.shots_per_phase", _fringe("shots_per_phase"), cli.MAX_SHOTS_PER_PHASE + 1,
      "--shots-per-phase must be in [1, 1000000000000], got 1000000000001",
      (1, cli.MAX_SHOTS_PER_PHASE), (), None),

@@ -256,6 +256,39 @@ class TestPlanCommand:
         assert code == cli.EXIT_CAPACITY
         assert "narrower-band DWDM" in capsys.readouterr().err
 
+    # Recorded with the planner that listed uncovered user pairs: counting
+    # them instead moves no byte.
+    @pytest.mark.parametrize(
+        "argv, size, digest",
+        [
+            (["--subnets", "5", "--users-per-subnet", "3"], 2449,
+             "56cbd4b8f875a5b5f717b63842c0da5768a2415dc78e3127bea47c8e0c2b7ad3"),
+            (["--subnets", "1", "--users-per-subnet", "1"], 381,
+             "56612d970a487e7fb246384f62c876b82723d43338d9b90864a97675186c8dc5"),
+            (["--subnets", "140", "--users-per-subnet", "35", "--grid-size", "10000"], 1_479_081,
+             "9d675d5ff38d0d7bb98a90c1f42ec1107b3bf762744ce70f2b7a0d32f4b11e8c"),
+        ],
+        ids=["5x3", "1x1", "140x35"],
+    )
+    def test_stdout_bytes(self, capsys, argv, size, digest):
+        assert cli.main(["plan", *argv]) == cli.EXIT_OK
+        out = capsys.readouterr().out.encode()
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+    # argparse's own exit code, 2, is the protocol-abort code, so main maps
+    # a usage error to 1.
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["run"], cli.EXIT_VALIDATION),
+            (["plan", "--subnets", "x", "--users-per-subnet", "3"], cli.EXIT_VALIDATION),
+            (["--help"], cli.EXIT_OK),
+        ],
+        ids=["run_without_scenario", "subnets_not_int", "help"],
+    )
+    def test_exit_codes(self, capsys, argv, code):
+        assert cli.main(argv) == code
+
     @pytest.mark.parametrize(
         "subnets, users_per_subnet, grid_size",
         [
@@ -729,6 +762,7 @@ class TestFringeCommand:
         [
             ("--phases", -1),
             ("--phases", 0),
+            ("--phases", cli.MIN_PHASES - 1),  # passes no fit, so is refused before simulating
             ("--phases", cli.MAX_PHASES + 1),
             ("--phases", 10**12),
             ("--shots-per-phase", -1),
@@ -740,8 +774,12 @@ class TestFringeCommand:
         scenario_path = write_scenario(tmp_path, ideal_scenario_dict(seed=34))
         out = tmp_path / "out"
         code = cli.main(["fringe", "--scenario", scenario_path, flag, str(value), "--out", str(out)])
+        low, high = {
+            "--phases": (cli.MIN_PHASES, cli.MAX_PHASES),
+            "--shots-per-phase": (1, cli.MAX_SHOTS_PER_PHASE),
+        }[flag]
         assert code == cli.EXIT_VALIDATION
-        assert f"error: {flag} must be in [1, " in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {flag} must be in [{low}, {high}], got {value}\n"
         assert not out.exists()
 
 
