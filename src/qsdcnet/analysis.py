@@ -24,28 +24,11 @@ def binary_entropy(e: float) -> float:
     return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
 
 
-@dataclass(frozen=True)
-class SecrecyReport:
-    """The wiretap-bound ingredients and the resulting lower bound."""
-
-    q_b: float
-    q_e: float
-    e: float
-    e_x: float
-    e_z: float
-    h_e: float
-    h_exez: float
-    cs_lower: float
-    entropy_arg_clamped: bool
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))  # the fields in declared order
-
-
 def secrecy_capacity_bound(
     q_b: float, q_e: float, e: float, e_x: float = 0.0, e_z: float = 0.0
-) -> SecrecyReport:
-    """Lower bound on the secrecy capacity per emitted symbol.
+) -> dict:
+    """Lower bound on the secrecy capacity per emitted symbol and its
+    ingredients, as the report's ``secrecy`` writes them.
 
     cs_lower = q_b*(1 - H(e)) - q_e*H(e_x + e_z). Negative values are
     reported as-is (the bound can be vacuous). When e_x + e_z leaves [0, 1]
@@ -59,18 +42,17 @@ def secrecy_capacity_bound(
         argument = 1.0
     h_e = binary_entropy(e)
     h_exez = binary_entropy(argument)
-    cs_lower = q_b * (1.0 - h_e) - q_e * h_exez
-    return SecrecyReport(
-        q_b=q_b,
-        q_e=q_e,
-        e=e,
-        e_x=e_x,
-        e_z=e_z,
-        h_e=h_e,
-        h_exez=h_exez,
-        cs_lower=cs_lower,
-        entropy_arg_clamped=clamped,
-    )
+    return {
+        "q_b": q_b,
+        "q_e": q_e,
+        "e": e,
+        "e_x": e_x,
+        "e_z": e_z,
+        "h_e": h_e,
+        "h_exez": h_exez,
+        "cs_lower": q_b * (1.0 - h_e) - q_e * h_exez,
+        "entropy_arg_clamped": clamped,
+    }
 
 
 @dataclass(frozen=True)
@@ -287,24 +269,14 @@ def fidelity_from_visibility(v: float) -> tuple[float, float]:
     return (1.0 + 3.0 * v) / 4.0, (1.0 + v) / 2.0
 
 
-@dataclass(frozen=True)
-class ThroughputReport:
-    symbol_rate_hz: float
-    erasure_fraction: float
-    overhead_fraction: float
-    info_rate_bits_per_s: float
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))  # the fields in declared order
-
-
 def throughput(
     sfg_rate_hz: float,
     modulation_rate_hz: float,
     erasure_fraction: float,
     overhead_fraction: float = 0.0,
-) -> ThroughputReport:
-    """Deliverable information rate: 2 bits per Bell symbol.
+) -> dict:
+    """Deliverable information rate: 2 bits per Bell symbol, as the report's
+    ``throughput`` writes it.
 
     The symbol rate is capped by whichever of the modulator and the SFG
     stage is slower; erasures (loss or failed conversion, including their
@@ -316,15 +288,15 @@ def throughput(
     check_range("overhead_fraction", overhead_fraction, 0, 1)
     symbol_rate = min(modulation_rate_hz, sfg_rate_hz)
     info_rate = 2.0 * symbol_rate * (1.0 - erasure_fraction) * (1.0 - overhead_fraction)
-    return ThroughputReport(
-        symbol_rate_hz=symbol_rate,
-        erasure_fraction=erasure_fraction,
-        overhead_fraction=overhead_fraction,
-        info_rate_bits_per_s=info_rate,
-    )
+    return {
+        "symbol_rate_hz": symbol_rate,
+        "erasure_fraction": erasure_fraction,
+        "overhead_fraction": overhead_fraction,
+        "info_rate_bits_per_s": info_rate,
+    }
 
 
-def session_secrecy_report(qber: QberEstimate, erasure_fraction: float) -> SecrecyReport:
+def session_secrecy_report(qber: QberEstimate, erasure_fraction: float) -> dict:
     """Wiretap bound for a completed session.
 
     Symbols that reached Bob and converted count toward Q_B; every emitted

@@ -84,12 +84,12 @@ def fidelity_table(scenario: Scenario) -> list[dict]:
     ]
 
 
-def session_metrics(scenario: Scenario, transcript: SessionTranscript) -> tuple[
-    analysis.QberEstimate | None, analysis.SecrecyReport | None, analysis.ThroughputReport
-]:
-    """Pooled QBER, secrecy bound and throughput of one session. Only a
-    completed session claims a secrecy bound; throughput is reported for
-    every session."""
+def session_metrics(
+    scenario: Scenario, transcript: SessionTranscript
+) -> tuple[analysis.QberEstimate | None, dict | None, dict]:
+    """Pooled QBER, secrecy bound and throughput of one session, the last two
+    as the report writes them. Only a completed session claims a secrecy
+    bound; throughput is reported for every session."""
     qber = transcript.pooled_qber
     summary = transcript.summary
     secrecy = (
@@ -122,15 +122,15 @@ def build_report(
             "users_per_subnet": document["users_per_subnet"],
             "channel_pairs": document["channel_pairs"],
             "itu_channels": document["itu_channels"],
-            "user_pairs": connectivity.total_user_pairs,
-            "fully_connected": connectivity.is_fully_connected,
+            "user_pairs": connectivity["user_pairs"],
+            "fully_connected": connectivity["fully_connected"],
             "document": document,
         },
         "transcript_path": transcript_path,
         "session": transcript.summary,
         "qber": qber.to_dict() if qber else None,
-        "secrecy": secrecy.to_dict() if secrecy else None,
-        "throughput": throughput.to_dict(),
+        "secrecy": secrecy,
+        "throughput": throughput,
         "fidelity_table": fidelity_table(scenario),
     }
 
@@ -204,19 +204,10 @@ def cmd_plan(args) -> int:
     # Topology checks capacity and the ceilings that keep the plan and its check small.
     topology = netplan.Topology(args.subnets, args.users_per_subnet, args.grid_size)
     plan = netplan.build_plan(topology)
-    report = netplan.verify_full_connectivity(plan)
+    connectivity = netplan.verify_full_connectivity(plan)
     print(plan.to_document(), end="")
-    print(
-        json.dumps(
-            {
-                "user_pairs": report.total_user_pairs,
-                "covered_pairs": report.covered_pairs,
-                "fully_connected": report.is_fully_connected,
-            },
-            indent=2,
-        )
-    )
-    return EXIT_OK if report.is_fully_connected else EXIT_ABORT
+    print(json.dumps(connectivity, indent=2))
+    return EXIT_OK if connectivity["fully_connected"] else EXIT_ABORT
 
 
 def _load(args) -> Scenario:
@@ -299,8 +290,8 @@ def cmd_sweep(args) -> int:
                 "seed": seed,
                 "status": summary["status"],
                 "qber_e": qber.e if qber else "",
-                "cs_lower": secrecy.cs_lower if secrecy else "",
-                "info_rate_bits_per_s": throughput.info_rate_bits_per_s,
+                "cs_lower": secrecy["cs_lower"] if secrecy else "",
+                "info_rate_bits_per_s": throughput["info_rate_bits_per_s"],
                 "erasure_fraction": summary["erasure_fraction"],
                 "ber": summary["ber"] if summary["ber"] is not None else "",
             }

@@ -25,15 +25,6 @@ _CAPACITY_HINT = (
 )
 
 
-@dataclass(frozen=True)
-class ChannelPair:
-    """A correlated signal/idler channel pair, denoted n/-n."""
-
-    index: int
-    signal_itu: str
-    idler_itu: str
-
-
 def itu_name(pair_index: int, side: str, grid_size: int = DEFAULT_GRID_SIZE) -> str:
     """ITU channel name for one side of pair n/-n.
 
@@ -58,20 +49,28 @@ def itu_name(pair_index: int, side: str, grid_size: int = DEFAULT_GRID_SIZE) -> 
 class IntraLink:
     """One subnet's shared channel pair and its TDM delay slot per member."""
 
-    pair: ChannelPair
+    pair_index: int
     tdm_slots: dict[int, int]
 
 
 @dataclass(frozen=True)
 class WavelengthPlan:
     topology: Topology
-    inter_links: dict[tuple[int, int], ChannelPair]
+    inter_links: dict[tuple[int, int], int]
     intra_links: dict[int, IntraLink]
 
     def to_dict(self) -> dict:
         """The plan as a JSON-ready document, keys in a fixed order."""
         pairs = len(self.inter_links) + len(self.intra_links)
         topology = self.topology
+
+        def channels(index: int) -> dict:
+            return {
+                "pair_index": index,
+                "signal": itu_name(index, "signal", topology.grid_size),
+                "idler": itu_name(index, "idler", topology.grid_size),
+            }
+
         return {
             "subnets": topology.subnets,
             "users_per_subnet": topology.users_per_subnet,
@@ -79,20 +78,13 @@ class WavelengthPlan:
             "channel_pairs": pairs,
             "itu_channels": 2 * pairs,  # a signal and an idler channel each
             "inter_subnet_links": [
-                {
-                    "subnets": list(key),
-                    "pair_index": pair.index,
-                    "signal": pair.signal_itu,
-                    "idler": pair.idler_itu,
-                }
-                for key, pair in sorted(self.inter_links.items())
+                {"subnets": list(key), **channels(index)}
+                for key, index in sorted(self.inter_links.items())
             ],
             "intra_subnet_links": [
                 {
                     "subnet": subnet,
-                    "pair_index": link.pair.index,
-                    "signal": link.pair.signal_itu,
-                    "idler": link.pair.idler_itu,
+                    **channels(link.pair_index),
                     "tdm_slots": {str(m): s for m, s in sorted(link.tdm_slots.items())},
                 }
                 for subnet, link in sorted(self.intra_links.items())
@@ -157,28 +149,16 @@ def build_plan(topology: Topology) -> WavelengthPlan:
     over subnet pairs, then each subnet takes the next index for its intra
     link. The topology has already checked that the grid holds them all.
     """
-    k, m, grid_size = topology.subnets, topology.users_per_subnet, topology.grid_size
-    pairs = (
-        ChannelPair(i, itu_name(i, "signal", grid_size), itu_name(i, "idler", grid_size))
-        for i in count(1)
-    )
+    k, m = topology.subnets, topology.users_per_subnet
+    pairs = count(1)
     inter_links = {key: next(pairs) for key in combinations(range(k), 2)}
     intra_links = {s: IntraLink(next(pairs), {u: u for u in range(m)}) for s in range(k)}
     return WavelengthPlan(topology, inter_links, intra_links)
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
-    total_user_pairs: int
-    covered_pairs: int
-
-    @property
-    def is_fully_connected(self) -> bool:
-        return self.covered_pairs == self.total_user_pairs
-
-
-def verify_full_connectivity(plan: WavelengthPlan) -> ConnectivityReport:
-    """Count the unordered user pairs of the plan that have a connecting resource.
+def verify_full_connectivity(plan: WavelengthPlan) -> dict:
+    """Count the plan's unordered user pairs that have a connecting resource,
+    as ``plan`` prints them: user_pairs, covered_pairs and fully_connected.
 
     Users in different subnets need the inter-subnet channel pair, which
     covers all m^2 pairs of the two subnets. Users in the same subnet need
@@ -195,4 +175,9 @@ def verify_full_connectivity(plan: WavelengthPlan) -> ConnectivityReport:
             held = m - sharing.pop(None, 0)  # members without a slot reach no one
             counts = sharing.values()
             covered += (held * held - sum(map(mul, counts, counts))) // 2
-    return ConnectivityReport(total_user_pairs=k * m * (k * m - 1) // 2, covered_pairs=covered)
+    user_pairs = k * m * (k * m - 1) // 2
+    return {
+        "user_pairs": user_pairs,
+        "covered_pairs": covered,
+        "fully_connected": covered == user_pairs,
+    }

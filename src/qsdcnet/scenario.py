@@ -69,6 +69,12 @@ class DetectorSpec:
         check_range("coincidence_window_s", self.coincidence_window_s, 0)
 
 
+# The device rates' range, which with a TDM slot of at most 1 s keeps every
+# time and rate that a session and its report compute finite.
+MIN_RATE_HZ = 1e-3
+MAX_RATE_HZ = 10**12
+
+
 @dataclass(frozen=True)
 class SfgSpec:
     conversion_efficiency: float
@@ -76,7 +82,7 @@ class SfgSpec:
 
     def __post_init__(self):
         check_range("conversion_efficiency", self.conversion_efficiency, 0, 1)
-        check_range("max_rate_hz", self.max_rate_hz, 0, open_low=True)
+        check_range("max_rate_hz", self.max_rate_hz, MIN_RATE_HZ, MAX_RATE_HZ)
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,7 @@ class ModulatorSpec:
     rate_hz: float
 
     def __post_init__(self):
-        check_range("rate_hz", self.rate_hz, 0, open_low=True)
+        check_range("rate_hz", self.rate_hz, MIN_RATE_HZ, MAX_RATE_HZ)
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,7 @@ class ProtocolConfig:
         check_range("redetect_every_blocks", self.redetect_every_blocks, 1)
         check_range("max_retransmissions", self.max_retransmissions, 0)
         check_range("photon_decrease_factor", self.photon_decrease_factor, 0, 1)
-        check_range("tdm_slot_s", self.tdm_slot_s, 0)
+        check_range("tdm_slot_s", self.tdm_slot_s, 0, 1)
 
     @property
     def photons_per_round(self) -> int:

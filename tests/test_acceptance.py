@@ -66,11 +66,10 @@ def criterion(number: int, name: str, budget_s: float | None = None):
 def test_criterion_01_network_plan():
     with criterion(1, "network-plan 5x3", budget_s=1.0):
         plan = netplan.build_plan(netplan.Topology(5, 3))
+        document = plan.to_dict()
         names = set()
-        for pair in plan.inter_links.values():
-            names.update((pair.signal_itu, pair.idler_itu))
-        for link in plan.intra_links.values():
-            names.update((link.pair.signal_itu, link.pair.idler_itu))
+        for link in document["inter_subnet_links"] + document["intra_subnet_links"]:
+            names.update((link["signal"], link["idler"]))
         assert len(names) == 30
         assert len(plan.inter_links) + len(plan.intra_links) == 15
         assert len(plan.inter_links) == 10  # ten inter-subnet links
@@ -87,7 +86,7 @@ def test_criterion_01_network_plan():
                 assert (min(s1, s2), max(s1, s2)) in plan.inter_links
         assert pairs_checked == 105
         report = netplan.verify_full_connectivity(plan)
-        assert report.is_fully_connected and report.total_user_pairs == 105
+        assert report["fully_connected"] and report["user_pairs"] == 105
 
 
 def test_criterion_02_channel_naming():
@@ -160,9 +159,9 @@ def test_criterion_05_secrecy_capacity_reference_point():
         oracle = float(-(e * e.ln() + (1 - e) * (1 - e).ln()) / ln2)
         assert analysis.binary_entropy(0.0013) == pytest.approx(oracle, abs=1e-5)
         report = analysis.secrecy_capacity_bound(1.0, 0.0, 0.0013)
-        assert report.cs_lower == pytest.approx(1.0 - oracle, abs=1e-5)
+        assert report["cs_lower"] == pytest.approx(1.0 - oracle, abs=1e-5)
         # Near-unit secrecy capacity at the reported operating point.
-        assert report.cs_lower > 0.985
+        assert report["cs_lower"] > 0.985
 
 
 def test_criterion_06_eavesdropper_detection():
@@ -235,7 +234,7 @@ def test_criterion_08_throughput_at_forty_km():
 
         # Modulation accelerated to match the SFG photon rate: 1e5 bits/s.
         matched = analysis.throughput(1e5, 5e4, 0.0, 0.0)
-        assert matched.info_rate_bits_per_s == 1e5
+        assert matched["info_rate_bits_per_s"] == 1e5
 
 
 def _run_files(doc):

@@ -74,28 +74,28 @@ class TestBinaryEntropy:
 class TestSecrecyCapacity:
     def test_perfect_channel(self):
         report = secrecy_capacity_bound(1.0, 0.0, 0.0)
-        assert report.cs_lower == 1.0
+        assert report["cs_lower"] == 1.0
 
     def test_reference_operating_point(self):
         report = secrecy_capacity_bound(1.0, 0.0, REFERENCE_ERROR_RATE)
-        assert report.cs_lower == pytest.approx(1.0 - REFERENCE_ENTROPY, abs=1e-12)
-        assert report.cs_lower > 0.98  # near-unit secrecy capacity
+        assert report["cs_lower"] == pytest.approx(1.0 - REFERENCE_ENTROPY, abs=1e-12)
+        assert report["cs_lower"] > 0.98  # near-unit secrecy capacity
 
     def test_composed_yields(self):
         expected = 0.5 * (1.0 - entropy_oracle("0.0013")) - 0.5 * entropy_oracle("0.0026")
         report = secrecy_capacity_bound(
             0.5, 0.5, REFERENCE_ERROR_RATE, e_x=REFERENCE_ERROR_RATE, e_z=REFERENCE_ERROR_RATE
         )
-        assert report.cs_lower == pytest.approx(expected, abs=1e-12)
+        assert report["cs_lower"] == pytest.approx(expected, abs=1e-12)
 
     def test_bound_can_go_negative(self):
         report = secrecy_capacity_bound(0.1, 0.9, 0.3, e_x=0.25, e_z=0.25)
-        assert report.cs_lower < 0.0
+        assert report["cs_lower"] < 0.0
 
     def test_entropy_argument_clamped_and_flagged(self):
         report = secrecy_capacity_bound(1.0, 1.0, 0.0, e_x=0.7, e_z=0.7)
-        assert report.entropy_arg_clamped
-        assert report.h_exez == 0.0  # clamped to 1, H(1) = 0
+        assert report["entropy_arg_clamped"]
+        assert report["h_exez"] == 0.0  # clamped to 1, H(1) = 0
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(DomainError):
@@ -111,11 +111,11 @@ class TestSecrecyCapacity:
             bump = rng.random() * (0.5 - e)
             base = secrecy_capacity_bound(q_b, q_e, e, e_x=e / 2, e_z=e / 2)
             worse_e = secrecy_capacity_bound(q_b, q_e, e + bump, e_x=e / 2, e_z=e / 2)
-            assert worse_e.cs_lower <= base.cs_lower + 1e-12
+            assert worse_e["cs_lower"] <= base["cs_lower"] + 1e-12
             better_yield = secrecy_capacity_bound(
                 min(1.0, q_b + 0.1), q_e, e, e_x=e / 2, e_z=e / 2
             )
-            assert better_yield.cs_lower >= base.cs_lower - 1e-12
+            assert better_yield["cs_lower"] >= base["cs_lower"] - 1e-12
 
 
 class TestQberEstimation:
@@ -394,25 +394,25 @@ class TestFidelityFromVisibility:
 class TestThroughput:
     def test_modulation_limited(self):
         report = throughput(1e5, 1e3, 0.0, 0.0)
-        assert report.symbol_rate_hz == 1e3
-        assert report.info_rate_bits_per_s == 2000.0
+        assert report["symbol_rate_hz"] == 1e3
+        assert report["info_rate_bits_per_s"] == 2000.0
 
     def test_sfg_matched_modulation_reaches_hundred_kbps(self):
         report = throughput(1e5, 5e4, 0.0, 0.0)
-        assert report.info_rate_bits_per_s == 1e5
+        assert report["info_rate_bits_per_s"] == 1e5
 
     def test_dead_source(self):
-        assert throughput(0.0, 1e3, 0.0, 0.0).info_rate_bits_per_s == 0.0
+        assert throughput(0.0, 1e3, 0.0, 0.0)["info_rate_bits_per_s"] == 0.0
 
     def test_invariant_without_overhead(self):
         report = throughput(2e4, 1e4, 0.3, 0.0)
-        assert report.info_rate_bits_per_s == pytest.approx(
-            2 * report.symbol_rate_hz * (1 - report.erasure_fraction), abs=1e-9
+        assert report["info_rate_bits_per_s"] == pytest.approx(
+            2 * report["symbol_rate_hz"] * (1 - report["erasure_fraction"]), abs=1e-9
         )
 
     def test_erasure_and_overhead_scale_down(self):
         report = throughput(1e5, 1e4, 0.25, 0.2)
-        assert report.info_rate_bits_per_s == pytest.approx(2e4 * 0.75 * 0.8, abs=1e-9)
+        assert report["info_rate_bits_per_s"] == pytest.approx(2e4 * 0.75 * 0.8, abs=1e-9)
 
     def test_invalid_fractions_rejected(self):
         with pytest.raises(DomainError):
@@ -423,25 +423,27 @@ class TestSessionSecrecyReport:
     def test_loss_is_ceded_to_eavesdropper(self):
         estimate = qber_from_counts(1000, 1, 1000, 2)
         report = session_secrecy_report(estimate, erasure_fraction=0.3)
-        assert report.q_b == pytest.approx(0.7)
-        assert report.q_e == pytest.approx(0.3)
-        assert report.cs_lower < 0.7
+        assert report["q_b"] == pytest.approx(0.7)
+        assert report["q_e"] == pytest.approx(0.3)
+        assert report["cs_lower"] < 0.7
 
 
 def test_to_dict_matches_asdict():
     # The hand-written dicts must keep every field, in field order, as the
     # report and transcript bytes depend on both. A QberEstimate's interval,
-    # computed when read, follows its fields.
+    # computed when read, follows its fields. The secrecy and throughput
+    # results are the report's dicts, so their keys are checked as returned.
     qber = qber_from_counts(100, 3, 80, 5)
     ci_low, ci_high = clopper_pearson(8, 180)
     expected = [*asdict(qber).items(), ("ci_low", ci_low), ("ci_high", ci_high)]
     assert list(qber.to_dict().items()) == expected
-    reports = [
-        secrecy_capacity_bound(0.9, 0.1, 0.02, 0.01, 0.03),
-        throughput(1e5, 1e4, 0.2, 0.1),
+    secrecy = secrecy_capacity_bound(0.9, 0.1, 0.02, 0.01, 0.03)
+    assert list(secrecy) == [
+        "q_b", "q_e", "e", "e_x", "e_z", "h_e", "h_exez", "cs_lower", "entropy_arg_clamped"
     ]
-    for report in reports:
-        assert list(report.to_dict().items()) == list(asdict(report).items())
+    assert list(throughput(1e5, 1e4, 0.2, 0.1)) == [
+        "symbol_rate_hz", "erasure_fraction", "overhead_fraction", "info_rate_bits_per_s"
+    ]
 
 
 @settings(max_examples=300, deadline=None)

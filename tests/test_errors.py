@@ -23,6 +23,8 @@ from qsdcnet.scenario import (
     MAX_BLOCK_SIZE,
     MAX_DETECTION_SIZE,
     MAX_RANDOM_BITS,
+    MAX_RATE_HZ,
+    MIN_RATE_HZ,
     DetectorSpec,
     EveKind,
     EveModel,
@@ -184,11 +186,13 @@ SITES = [
      ("devices.sfg.conversion_efficiency",
       "devices.sfg.conversion_efficiency: must be in [0, 1], got -0.1")),
     ("SfgSpec.max_rate_hz", lambda v: SfgSpec(0.5, v), -1.0,
-     "max_rate_hz must be > 0, got -1.0", (), (0.0,),
-     ("devices.sfg.max_rate_hz", "devices.sfg.max_rate_hz: must be > 0, got -1.0")),
+     "max_rate_hz must be in [0.001, 1000000000000], got -1.0", (MIN_RATE_HZ, MAX_RATE_HZ), (),
+     ("devices.sfg.max_rate_hz",
+      "devices.sfg.max_rate_hz: must be in [0.001, 1000000000000], got -1.0")),
     ("ModulatorSpec.rate_hz", ModulatorSpec, -1.0,
-     "rate_hz must be > 0, got -1.0", (), (0.0,),
-     ("devices.modulator.rate_hz", "devices.modulator.rate_hz: must be > 0, got -1.0")),
+     "rate_hz must be in [0.001, 1000000000000], got -1.0", (MIN_RATE_HZ, MAX_RATE_HZ), (),
+     ("devices.modulator.rate_hz",
+      "devices.modulator.rate_hz: must be in [0.001, 1000000000000], got -1.0")),
     ("SourceSpec.pair_rate_hz", SourceSpec, -1.0,
      "pair_rate_hz must be >= 0, got -1.0", (0,), (),
      ("devices.source.pair_rate_hz", "devices.source.pair_rate_hz: must be >= 0, got -1.0")),
@@ -239,8 +243,8 @@ SITES = [
      ("protocol.photon_decrease_factor",
       "protocol.photon_decrease_factor: must be in [0, 1], got 1.5")),
     ("ProtocolConfig.tdm_slot_s", lambda v: ProtocolConfig(tdm_slot_s=v), -1.0,
-     "tdm_slot_s must be >= 0, got -1.0", (0,), (),
-     ("protocol.tdm_slot_s", "protocol.tdm_slot_s: must be >= 0, got -1.0")),
+     "tdm_slot_s must be in [0, 1], got -1.0", (0, 1), (),
+     ("protocol.tdm_slot_s", "protocol.tdm_slot_s: must be in [0, 1], got -1.0")),
     ("MessageSpec.random_bits", lambda v: MessageSpec(random_bits=v), 0,
      "random_bits must be in [1, 10000000], got 0", (1, MAX_RANDOM_BITS), (),
      ("message.random_bits", "message.random_bits: must be in [1, 10000000], got 0")),

@@ -390,7 +390,7 @@ def _with_secrecy_put_back(report: dict) -> dict:
     )
     assert qber.to_dict() == report["qber"]
     erasure_fraction = report["session"]["erasure_fraction"]
-    secrecy = analysis.session_secrecy_report(qber, erasure_fraction).to_dict()
+    secrecy = analysis.session_secrecy_report(qber, erasure_fraction)
     return {**report, "secrecy": secrecy}
 
 

@@ -174,8 +174,9 @@ class TestScenarioParsing:
     @pytest.mark.parametrize(
         "path, value, error",
         [
-            ("devices.sfg.max_rate_hz", 0, "devices.sfg.max_rate_hz: must be > 0, got 0.0"),
-            ("protocol.tdm_slot_s", -1, "protocol.tdm_slot_s: must be >= 0, got -1.0"),
+            ("devices.sfg.max_rate_hz", 0,
+             "devices.sfg.max_rate_hz: must be in [0.001, 1000000000000], got 0.0"),
+            ("protocol.tdm_slot_s", -1, "protocol.tdm_slot_s: must be in [0, 1], got -1.0"),
             ("devices.alice_fiber.length_km", 10**400, "devices.alice_fiber.length_km: too large for a float"),
             # The accidental rate multiplies these three, so none may be negative.
             ("devices.detector.dark_count_rate_hz", -1,

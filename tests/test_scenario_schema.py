@@ -1,6 +1,8 @@
 """Properties of the scenario schema: the round trip and the error contract."""
 
+import contextlib
 import copy
+import io
 import json
 import re
 from pathlib import Path
@@ -61,7 +63,7 @@ protocol = fixed(
         "redetect_every_blocks": counts,
         "max_retransmissions": st.integers(0, 10**6),
         "photon_decrease_factor": probability,
-        "tdm_slot_s": nonnegative,
+        "tdm_slot_s": st.floats(0.0, 1.0),
     },
 )
 topology = fixed(
@@ -353,3 +355,41 @@ def test_section_variant_matches_the_edited_document(index, path, data, seed):
     variant = replace_entries(base, entries)
     assert variant == expected
     assert variant.digest() == expected.digest()
+
+
+def _log_uniform(low_exponent, high_exponent):
+    return st.floats(low_exponent, high_exponent).map(lambda exponent: 10.0**exponent)
+
+
+# Each draws from its accepted range or from the whole positive double range.
+rates = _log_uniform(-3, 12) | _log_uniform(-323, 308)
+slots = st.just(0.0) | _log_uniform(-12, 0) | _log_uniform(-323, 308)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rate_hz=rates, max_rate_hz=rates, tdm_slot_s=slots)
+def test_a_run_is_refused_or_writes_strict_json(tmp_path_factory, rate_hz, max_rate_hz, tdm_slot_s):
+    # The device rates and the TDM slot set every time and rate the session
+    # and the report compute; none may reach a file as NaN or Infinity.
+    doc = ideal_scenario_dict(seed=3)
+    doc["devices"]["modulator"]["rate_hz"] = rate_hz
+    doc["devices"]["sfg"]["max_rate_hz"] = max_rate_hz
+    doc["protocol"].update(detection_size=50, min_samples=10, block_size=16, tdm_slot_s=tdm_slot_s)
+    root = tmp_path_factory.mktemp("strict")
+    scenario_path = root / "scenario.json"
+    scenario_path.write_text(json.dumps(doc))
+    out, stderr = root / "out", io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(["run", "--scenario", str(scenario_path), "--out", str(out)])
+    if code == cli.EXIT_VALIDATION:
+        assert re.search(r": (devices|protocol)\.[\w.]+: must be ", stderr.getvalue())
+        assert not (out / "transcript.jsonl").exists()
+        return
+    assert code in (cli.EXIT_OK, cli.EXIT_ABORT)
+    texts = (out / "transcript.jsonl").read_text().splitlines()
+    for text in [*texts, (out / "report.json").read_text()]:
+        json.loads(text, parse_constant=_reject_constant)
