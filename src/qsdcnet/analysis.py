@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InsufficientData, check_range
+from .errors import MAX_RATE_HZ, DomainError, InsufficientData, check_range
 
 
 def binary_entropy(e: float) -> float:
@@ -280,10 +280,11 @@ def throughput(
 
     The symbol rate is capped by whichever of the modulator and the SFG
     stage is slower; erasures (loss or failed conversion, including their
-    retransmissions) and protocol overhead scale it down.
+    retransmissions) and protocol overhead scale it down. Each rate lies in
+    [0, MAX_RATE_HZ], which keeps the information rate finite.
     """
-    check_range("sfg_rate_hz", sfg_rate_hz, 0)
-    check_range("modulation_rate_hz", modulation_rate_hz, 0)
+    check_range("sfg_rate_hz", sfg_rate_hz, 0, MAX_RATE_HZ)
+    check_range("modulation_rate_hz", modulation_rate_hz, 0, MAX_RATE_HZ)
     check_range("erasure_fraction", erasure_fraction, 0, 1)
     check_range("overhead_fraction", overhead_fraction, 0, 1)
     symbol_rate = min(modulation_rate_hz, sfg_rate_hz)

@@ -139,12 +139,7 @@ def report_pieces(report: dict) -> list[str]:
     """The report's JSON text and newline, in ``transcript.spliced_pieces``."""
     from .transcript import spliced_pieces
 
-    spliced = (  # the strings of bits and hex digits, which json writes unchanged
-        ("scenario", "message", "hex"),
-        ("session", "delivered_bits"),
-        ("session", "delivered_bits_hex"),
-    )
-    return spliced_pieces(report, spliced, end="\n", sort_keys=True, indent=2, allow_nan=False)
+    return spliced_pieces(report, "\n", sort_keys=True, indent=2, allow_nan=False)
 
 
 def fringe_study(

@@ -1,4 +1,9 @@
-"""Shared exception types for the simulator."""
+"""Shared exception types, the range check and the device rates' range."""
+
+# The device rates' range, which with a TDM slot of at most 1 s keeps every
+# time and rate that a session and its report compute finite.
+MIN_RATE_HZ = 1e-3
+MAX_RATE_HZ = 10**12
 
 
 class QsdcError(Exception):

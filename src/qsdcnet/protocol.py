@@ -25,7 +25,7 @@ from .errors import DomainError, InvariantViolation
 from .photonics import transmittance
 from .qstate import bell_weights
 from .scenario import EveKind
-from .transcript import DetectionBatch, SessionTranscript, TranscriptEvent
+from .transcript import DetectionBatch, SessionTranscript
 
 if TYPE_CHECKING:
     from .scenario import Devices, EveModel, NoiseParams, ProtocolConfig
@@ -96,9 +96,11 @@ class Session:
             self.abort_reason = reason
 
     def log(self, event_kind: str, **payload) -> dict:
-        """Append an event at the session clock and return its payload;
-        callers pass the payload keys in sorted order."""
-        self.transcript.events.append(TranscriptEvent(self.time_s, event_kind, payload))
+        """Append an event at the session clock, as its line's dict, and return
+        its payload; callers pass the payload keys in sorted order."""
+        self.transcript.events.append(
+            {"timestamp_s": self.time_s, "event_kind": event_kind, "payload": payload}
+        )
         return payload
 
 

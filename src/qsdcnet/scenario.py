@@ -23,7 +23,7 @@ import typing
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, QsdcError, ScenarioError, check_range
+from .errors import MAX_RATE_HZ, MIN_RATE_HZ, DomainError, QsdcError, ScenarioError, check_range
 from .netplan import Topology
 
 if typing.TYPE_CHECKING:
@@ -67,12 +67,6 @@ class DetectorSpec:
         check_range("efficiency", self.efficiency, 0, 1)
         check_range("dark_count_rate_hz", self.dark_count_rate_hz, 0)
         check_range("coincidence_window_s", self.coincidence_window_s, 0)
-
-
-# The device rates' range, which with a TDM slot of at most 1 s keeps every
-# time and rate that a session and its report compute finite.
-MIN_RATE_HZ = 1e-3
-MAX_RATE_HZ = 10**12
 
 
 @dataclass(frozen=True)
@@ -227,17 +221,19 @@ class MessageSpec:
             if self.bit_length is not None:
                 raise DomainError("bit_length applies only to a hex message")
             return
-        if not self.hex or hex_bytes(self.hex) is None:
+        raw = hex_bytes(self.hex) if self.hex else None
+        if raw is None:
             raise DomainError("hex must be a non-empty hexadecimal string")
         if self.bit_length is not None:
             check_range("bit_length", self.bit_length, 1, 4 * len(self.hex))
+        object.__setattr__(self, "_hex_bytes", raw)  # parsed once, for _codes
 
     @cached_property
     def _codes(self) -> MessageCodes:
         """A hex message's codes, made once and shared by every session, so read-only."""
         from .protocol import MessageCodes
 
-        codes = MessageCodes.from_bytes(hex_bytes(self.hex), self.bit_length or 4 * len(self.hex))
+        codes = MessageCodes.from_bytes(self._hex_bytes, self.bit_length or 4 * len(self.hex))
         codes.codes.flags.writeable = False
         return codes
 
@@ -276,9 +272,7 @@ class Scenario:
     def canonical_json(self) -> str:
         from .transcript import spliced_pieces
 
-        spliced = (("message", "hex"),)  # MessageSpec admits only hex digits
-        pieces = spliced_pieces(self.to_dict(), spliced, sort_keys=True, separators=(",", ":"))
-        return "".join(pieces)
+        return "".join(spliced_pieces(self.to_dict(), sort_keys=True, separators=(",", ":")))
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()

@@ -1,8 +1,9 @@
 """The session transcript and its JSON text: each line the bytes
 ``json.dumps`` gives its event, written only when a transcript is. A session
-logs ``TranscriptEvent``s, and a detection round's survivors as one
-``DetectionBatch``. ``spliced_pieces`` writes the bit and hex strings of the
-transcript, the report and the scenario digest without escaping them.
+logs each event as the dict that line holds, and a detection round's
+survivors as one ``DetectionBatch``. ``spliced_pieces`` writes the long bit
+and hex strings of the transcript, the report and the scenario digest
+without escaping them.
 """
 
 from __future__ import annotations
@@ -20,38 +21,45 @@ from . import analysis
 _SPLICE_MARK, _SPLICE_TOKEN = "\x00splice %d", '"\\u0000splice '
 
 
-def _replaced(doc: dict, path, value) -> dict:
-    """doc with value at the key path, copying only the objects on the path."""
-    key, *rest = path
-    return {**doc, key: _replaced(doc[key], rest, value) if rest else value}
-
-
 def _json_verbatim(value: str) -> bool:
     """Whether json writes the string as '"' + value + '"', escaping nothing:
     printable ASCII without quote or backslash."""
     if not value.isascii() or '"' in value or "\\" in value:
         return False
-    if len(value) < 1024:  # below this, one str scan beats numpy's call overhead
-        return value.isprintable()
     codes = np.frombuffer(value.encode(), dtype=np.uint8)
     return codes.min() >= 0x20 and codes.max() < 0x7F
 
 
-def spliced_pieces(doc: dict, paths, end: str = "", **options) -> list[str]:
+def _marked(doc: dict | list, spliced: list[str]) -> dict | list:
+    """doc with each string to splice in its dicts and lists replaced by the
+    next splice mark and appended to spliced, copying only the dicts and
+    lists on the way to a replaced string. A subclass of either inside doc
+    is left to json, as is every value but a str, dict or list."""
+    copy = doc
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        kind = type(value)  # not isinstance: half the walk's time
+        if kind is dict or kind is list:
+            marked = _marked(value, spliced)
+        # Below 1,024 characters json's own escape scan beats the numpy check.
+        elif kind is str and len(value) >= 1024 and _json_verbatim(value):
+            spliced.append(value)
+            marked = _SPLICE_MARK % (len(spliced) - 1)
+        else:
+            continue
+        if marked is not value:
+            copy = doc.copy() if copy is doc else copy
+            copy[key] = marked
+    return copy
+
+
+def spliced_pieces(doc: dict | list, end: str = "", **options) -> list[str]:
     """``json.dumps(doc, **options) + end`` as pieces that join to it, but
-    the string at each key path is written as '"' + s + '"' without escaping
-    it, such as bits and hex digits, and is a piece of its own. A path that
-    holds no string, or a string that json would escape, is left to json; a
-    splice mark in the rest of doc raises ValueError."""
-    values = []
-    for path in dict.fromkeys(paths):  # each path once
-        value = doc
-        for key in path:
-            value = value.get(key) if isinstance(value, dict) else None
-        if isinstance(value, str) and _json_verbatim(value):
-            doc = _replaced(doc, path, _SPLICE_MARK % len(values))
-            values.append(value)
-    text = json.dumps(doc, **options)
+    each string value of at least 1,024 characters that json writes
+    unescaped, such as bits and hex digits, is written as '"' + s + '"'
+    without json's escape scan and is a piece of its own. A splice mark in
+    the rest of doc raises ValueError."""
+    values: list[str] = []
+    text = json.dumps(_marked(doc, values), **options)
     head, *pieces = text.split(_SPLICE_TOKEN) if values else [text]
     if len(pieces) != len(values):
         raise ValueError("the document holds a splice mark outside the spliced strings")
@@ -62,30 +70,28 @@ def spliced_pieces(doc: dict, paths, end: str = "", **options) -> list[str]:
     return [*parts, end]
 
 
-class TranscriptEvent(NamedTuple):
-    timestamp_s: float
-    event_kind: str
-    payload: dict
-
-
 # What json.dumps writes between two events of a list, and nowhere inside a
 # string, where it escapes each quote.
 _EVENT_BOUNDARY = '}, {"timestamp_s": '
 
 
-def events_jsonl(events: list[TranscriptEvent]) -> str:
-    """The events' lines, each json.dumps(event._asdict()) and a newline, from
-    one json.dumps of their list split at the boundaries. A payload holding
-    the boundary too (a list of objects keyed timestamp_s first) raises
-    ValueError rather than being split in it."""
+def events_jsonl(events: list[dict]) -> list[str]:
+    """The events' lines, each json.dumps(event) and a newline, as the
+    ``spliced_pieces`` of one json.dumps of their list split at the
+    boundaries. A payload holding the boundary too (a list of objects keyed
+    timestamp_s first) raises ValueError rather than being split in it."""
     # A detection_result's qber is its QberEstimate until here, so that only
     # a written transcript computes the interval.
-    text = json.dumps(
-        [event._asdict() for event in events], default=analysis.QberEstimate.to_dict
-    )[1:-1]
-    if text.count(_EVENT_BOUNDARY) != len(events) - 1:
+    pieces = spliced_pieces(events, "\n", default=analysis.QberEstimate.to_dict)
+    pieces[0] = pieces[0][1:]  # the list's brackets
+    pieces[-2] = pieces[-2][:-1]
+    # json's own text is every fourth piece: a spliced string holds no quote.
+    texts = range(0, len(pieces) - 1, 4)
+    if sum(pieces[i].count(_EVENT_BOUNDARY) for i in texts) != len(events) - 1:
         raise ValueError("an event payload holds the text between two events")
-    return text.replace(_EVENT_BOUNDARY, '}\n{"timestamp_s": ') + "\n"
+    for i in texts:
+        pieces[i] = pieces[i].replace(_EVENT_BOUNDARY, '}\n{"timestamp_s": ')
+    return pieces
 
 
 _BASIS_NAMES = ("Z", "X")
@@ -117,8 +123,6 @@ class DetectionBatch(NamedTuple):
     slot_s: float
     positions: np.ndarray
     outcomes: np.ndarray
-
-    event_kind = "detection_record"  # a class attribute, not a field
 
     def counts(self) -> tuple[int, int, int, int]:
         """Matched-basis comparisons and errors: (n_z, errors_z, n_x, errors_x)."""
@@ -161,23 +165,19 @@ class SessionTranscript:
     """Ordered protocol events plus the end-of-session summary."""
 
     def __init__(self):
-        self.events: list[TranscriptEvent | DetectionBatch] = []
+        self.events: list[dict | DetectionBatch] = []
         self.summary: dict = {}
         # Per detection round: (n_z, errors_z, n_x, errors_x).
         self.detection_counts: list[tuple[int, int, int, int]] = []
 
     def chunks(self) -> Iterator[str]:
-        """The transcript's text in chunks never joined: one per run of events,
-        one per detection batch, and the session_complete line's pieces."""
-        for kind, events in groupby(self.events, _chunk_kind):
-            if kind is TranscriptEvent:
-                yield events_jsonl(list(events))
-            elif kind is DetectionBatch:
+        """The transcript's text in chunks never joined: each run of events'
+        pieces, and one chunk per detection batch."""
+        for kind, events in groupby(self.events, type):
+            if kind is DetectionBatch:
                 yield from (batch.to_jsonl() for batch in events)
-            else:  # session_complete: its bits and hex are pieces of their own
-                spliced = (("payload", "delivered_bits"), ("payload", "delivered_bits_hex"))
-                for event in events:
-                    yield from spliced_pieces(event._asdict(), spliced, end="\n")
+            else:
+                yield from events_jsonl(list(events))
 
     @property
     def pooled_qber(self) -> analysis.QberEstimate | None:
@@ -185,8 +185,3 @@ class SessionTranscript:
         if not self.detection_counts:
             return None
         return analysis.qber_from_counts(*map(sum, zip(*self.detection_counts)))
-
-
-def _chunk_kind(event: TranscriptEvent | DetectionBatch):
-    """The event's type, or "session_complete" for that event."""
-    return event.event_kind if event.event_kind == "session_complete" else type(event)

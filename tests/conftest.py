@@ -490,8 +490,8 @@ def detection_payload(session: protocol.Session) -> dict:
     """The payload of the session's last ``detection_result`` event, whose
     ``qber`` is the round's ``QberEstimate`` (or None) until it is written."""
     return next(
-        event.payload for event in reversed(session.transcript.events)
-        if event.event_kind == "detection_result"
+        event["payload"] for event in reversed(session.transcript.events)
+        if isinstance(event, dict) and event["event_kind"] == "detection_result"
     )
 
 

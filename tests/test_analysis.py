@@ -18,7 +18,7 @@ from qsdcnet.analysis import (
     session_secrecy_report,
     throughput,
 )
-from qsdcnet.errors import DomainError, InsufficientData
+from qsdcnet.errors import MAX_RATE_HZ, DomainError, InsufficientData
 from qsdcnet.protocol import Link, Session, SessionPhase, run_security_detection
 from qsdcnet.qstate import BellLabel, fidelity
 from qsdcnet.scenario import MAX_DETECTION_SIZE, EveKind, EveModel, NoiseParams, ProtocolConfig
@@ -417,6 +417,14 @@ class TestThroughput:
     def test_invalid_fractions_rejected(self):
         with pytest.raises(DomainError):
             throughput(1e5, 1e3, 1.5, 0.0)
+
+    def test_rates_are_bounded_above(self):
+        # Above the device ceiling, 2 * rate could overflow to inf.
+        for rates in ((1e308, 1e3), (1e3, 1e308), (1e308, 1e308)):
+            with pytest.raises(DomainError, match="rate_hz must be in"):
+                throughput(*rates, 0.0)
+        report = throughput(MAX_RATE_HZ, MAX_RATE_HZ, 0.0)
+        assert report["info_rate_bits_per_s"] == 2.0 * MAX_RATE_HZ
 
 
 class TestSessionSecrecyReport:

@@ -131,9 +131,9 @@ SITES = [
     ("session_secrecy_report", lambda v: analysis.session_secrecy_report(_QBER, v), 1.01,
      "erasure_fraction must be in [0, 1], got 1.01", (0, 1), (), None),
     ("throughput.sfg_rate_hz", lambda v: analysis.throughput(v, 1e4, 0.1), -1.0,
-     "sfg_rate_hz must be >= 0, got -1.0", (0,), (), None),
+     "sfg_rate_hz must be in [0, 1000000000000], got -1.0", (0, MAX_RATE_HZ), (), None),
     ("throughput.modulation_rate_hz", lambda v: analysis.throughput(1e5, v, 0.1), -1.0,
-     "modulation_rate_hz must be >= 0, got -1.0", (0,), (), None),
+     "modulation_rate_hz must be in [0, 1000000000000], got -1.0", (0, MAX_RATE_HZ), (), None),
     ("throughput.erasure_fraction", lambda v: analysis.throughput(1e5, 1e4, v), 1.5,
      "erasure_fraction must be in [0, 1], got 1.5", (0, 1), (), None),
     ("throughput.overhead_fraction", lambda v: analysis.throughput(1e5, 1e4, 0.1, v), -0.1,

@@ -1,3 +1,4 @@
+import copy
 import json
 from itertools import product
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsdcnet import cli, protocol
+from qsdcnet import cli, protocol, scenario
 from qsdcnet.analysis import QberEstimate
 from qsdcnet.errors import DomainError, InvariantViolation
 from qsdcnet.protocol import (
@@ -23,6 +24,8 @@ from qsdcnet.protocol import (
     _sample,
 )
 from qsdcnet.qstate import BELL_ORDER, BellLabel
+
+from test_golden import RUN_SCENARIOS
 
 from conftest import (
     apply_noise,
@@ -53,18 +56,23 @@ from qsdcnet.scenario import (
     ProtocolConfig,
     SfgSpec,
     forty_km_scenario_dict,
+    hex_bytes,
     ideal_scenario_dict,
     scenario_from_dict,
 )
 from qsdcnet.transcript import (
     DetectionBatch,
-    TranscriptEvent,
     _EVENT_BOUNDARY,
     _SPLICE_MARK,
     _SPLICE_TOKEN,
     events_jsonl,
     spliced_pieces,
 )
+
+
+def event_kinds(transcript) -> list[str]:
+    """The kind of each logged event, detection batches left out."""
+    return [event["event_kind"] for event in transcript.events if isinstance(event, dict)]
 
 
 def detection_session(seed=0):
@@ -347,8 +355,11 @@ class TestDelayControl:
             session, Link(make_devices(), EveModel(EveKind.NONE, 0.0)),
             ProtocolConfig(min_samples=1, detection_size=num_photons, tdm_slot_s=tdm_slot_s),
         )
-        (result,) = [e for e in session.transcript.events if e.event_kind == "detection_result"]
-        return result.payload["alice_delay_s"]
+        (payload,) = [
+            e["payload"] for e in session.transcript.events
+            if isinstance(e, dict) and e["event_kind"] == "detection_result"
+        ]
+        return payload["alice_delay_s"]
 
     def test_zero_slot(self):
         assert self.alice_delay_s(10, 0.0) == 0.0
@@ -421,7 +432,7 @@ class TestRunQsdc:
         assert transcript.summary["status"] == "aborted"
         assert transcript.summary["abort_reason"] == "qber_threshold_exceeded"
         assert transcript.summary["delivered_bits"] is None
-        kinds = {event.event_kind for event in transcript.events}
+        kinds = set(event_kinds(transcript))
         assert "block_sent" not in kinds and "session_complete" not in kinds
         assert message not in "".join(transcript.chunks())
         assert bits_to_hex_oracle(message) not in "".join(transcript.chunks())
@@ -456,7 +467,7 @@ class TestRunQsdc:
         assert transcript.summary["ber"] is None
         # Every symbol is erased on each of its 4 attempts: the abort follows
         # the fourth block's block_sent.
-        kinds = [event.event_kind for event in transcript.events]
+        kinds = event_kinds(transcript)
         assert kinds.count("block_sent") == 4
         assert kinds[-3:] == ["block_sent", "phase_transition", "session_abort"]
         assert transcript.summary["blocks_sent"] == 4
@@ -470,7 +481,7 @@ class TestRunQsdc:
             codes_from_bits("01" * 40), make_devices(), EveModel(EveKind.NONE, 0.0), config,
             np.random.default_rng(26),
         )
-        detections = sum(1 for e in transcript.events if e.event_kind == "detection_result")
+        detections = event_kinds(transcript).count("detection_result")
         assert transcript.summary["status"] == "completed"
         assert detections == 3  # initial + after blocks 2 and 4
 
@@ -845,6 +856,19 @@ class TestMessagePath:
         assert got.summary == expected.summary
         assert "".join(got.chunks()) == "".join(expected.chunks())
 
+    def test_a_hex_message_is_parsed_once(self, monkeypatch):
+        calls = []
+
+        def counted(hex_string):
+            calls.append(hex_string)
+            return hex_bytes(hex_string)
+
+        doc = ideal_scenario_dict(message_hex="c0ffee" * 100)
+        monkeypatch.setattr(scenario, "hex_bytes", counted)
+        message = scenario_from_dict(doc).message_bits()
+        assert calls == [doc["message"]["hex"]]
+        assert message.hex() == doc["message"]["hex"]
+
 
 LAST_DRAW = np.nextafter(1.0, 0.0)  # the largest value rng.random() returns
 
@@ -1064,7 +1088,7 @@ class TestTranscriptFormatting:
                 expected = qber_from_transcript(round_records).to_dict() if round_records else None
                 assert payload["qber"] == expected
                 rounds += 1
-        assert rounds == sum(e.event_kind == "detection_result" for e in transcript.events)
+        assert rounds == event_kinds(transcript).count("detection_result")
         assert rounds >= 1
 
     @staticmethod
@@ -1177,7 +1201,13 @@ json_docs = st.recursive(
     ),
     max_leaves=12,
 )
-spliceable = st.text("01", max_size=40) | st.text("0123456789abcdefABCDEF", max_size=40)
+# Strings of bits and of hex digits, the short ones left to json and those
+# of at least 1,024 characters spliced.
+spliceable = st.builds(
+    lambda unit, length: (unit * length)[:length],
+    st.text("01", min_size=1, max_size=8) | st.text("0123456789abcdefABCDEF", min_size=1, max_size=8),
+    st.integers(1020, 1030) | st.integers(0, 3000),
+)
 key_paths = st.lists(st.sampled_from(["a", "b", ""]), min_size=1, max_size=3)
 
 
@@ -1206,7 +1236,12 @@ event_payloads = st.recursive(
     ),
     max_leaves=12,
 )
-transcript_events = st.builds(TranscriptEvent, st.floats(), st.text(max_size=8), event_payloads)
+transcript_events = st.builds(
+    lambda timestamp_s, event_kind, payload: {
+        "timestamp_s": timestamp_s, "event_kind": event_kind, "payload": payload
+    },
+    st.floats(), st.text(max_size=8), event_payloads,
+)
 
 
 class TestEventRuns:
@@ -1215,14 +1250,14 @@ class TestEventRuns:
 
     @staticmethod
     def lines(events) -> str:
-        return "".join(json.dumps(event._asdict()) + "\n" for event in events)
+        return "".join(json.dumps(event) + "\n" for event in events)
 
     @settings(max_examples=300, deadline=None)
     @given(events=st.lists(transcript_events, min_size=1, max_size=6))
     def test_matches_json_dumps_per_event(self, events):
         expected = self.lines(events)
         try:
-            text = events_jsonl(events)
+            text = "".join(events_jsonl(events))
         except ValueError:  # only where a payload holds the boundary itself
             assert expected.count(_EVENT_BOUNDARY) > 0
             return
@@ -1239,37 +1274,77 @@ class TestEventRuns:
         # A list of objects whose first key is timestamp_s: in it, json writes
         # the boundary between two events.
         event = events[index % len(events)]
-        payload = json.loads(json.dumps(event.payload))  # a copy
+        payload = json.loads(json.dumps(event["payload"]))  # a copy
         put(payload, path, [{"timestamp_s": value, "payload": {}} for value in rows])
-        events[index % len(events)] = event._replace(payload=payload)
+        events[index % len(events)] = {**event, "payload": payload}
         with pytest.raises(ValueError):
             events_jsonl(events)
 
     def test_a_transcript_splits_into_its_lines(self):
         transcript = run_qsdc(
-            codes_from_bits("1011" * 50), make_devices(), EveModel(), ProtocolConfig(min_samples=1),
+            codes_from_bits("1011" * 256), make_devices(), EveModel(), ProtocolConfig(min_samples=1),
             np.random.default_rng(3),
         )
         chunks = list(transcript.chunks())
         # A detection_result holds its QberEstimate, written as its to_dict.
         expected = "".join(
-            json.dumps(e._asdict(), default=QberEstimate.to_dict) + "\n"
-            if isinstance(e, TranscriptEvent) else e.to_jsonl()
+            json.dumps(e, default=QberEstimate.to_dict) + "\n"
+            if isinstance(e, dict) else e.to_jsonl()
             for e in transcript.events
         )
         assert "".join(chunks) == expected
         assert chunks[0].count("\n") > 1  # a run of events is one chunk
-        assert transcript.summary["delivered_bits"] in chunks  # never joined
+        # The 1,024 delivered bits are spliced, a piece never joined.
+        assert transcript.summary["delivered_bits"] in chunks
 
 
-def spliced_text(doc: dict, paths, end: str = "", **options) -> str:
-    return "".join(spliced_pieces(doc, paths, end, **options))
+def record_counts(payloads: list[dict]) -> tuple[int, int, int, int]:
+    """(n_z, errors_z, n_x, errors_x) of detection_record payloads."""
+    counts = [0, 0, 0, 0]
+    for payload in payloads:
+        at = 0 if payload["basis"] == "Z" else 2
+        counts[at] += 1
+        counts[at + 1] += payload["alice_outcome"] != payload["bob_outcome"]
+    return tuple(counts)
+
+
+class TestTranscriptRoundTrip:
+    """A transcript in memory is what its file parses back to: each event
+    the dict of its line, a detection_result's qber as its to_dict, and each
+    detection batch the counts of its lines."""
+
+    @pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
+    def test_events_are_their_lines(self, name):
+        transcript = cli.run_session(scenario_from_dict(RUN_SCENARIOS[name]))
+        lines = iter("".join(transcript.chunks()).splitlines())
+        for event in transcript.events:
+            if isinstance(event, DetectionBatch):
+                payloads = [json.loads(next(lines))["payload"] for _ in event.positions]
+                assert record_counts(payloads) == event.counts()
+                continue
+            payload = event["payload"]
+            if isinstance(payload.get("qber"), QberEstimate):
+                event = {**event, "payload": {**payload, "qber": payload["qber"].to_dict()}}
+            assert json.loads(next(lines)) == event
+        assert next(lines, None) is None
+
+
+def spliced_text(doc: dict, end: str = "", **options) -> str:
+    return "".join(spliced_pieces(doc, end, **options))
+
+
+def long_strings(value) -> list[str]:
+    """The strings of at least 1,024 characters in value's dicts and lists."""
+    if isinstance(value, str):
+        return [value] if len(value) >= 1024 else []
+    children = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return [string for child in children for string in long_strings(child)]
 
 
 class TestSplicedJson:
-    """spliced_pieces writes bit and hex strings as they are; these properties
-    hold its joined pieces to json.dumps in each of the three styles it is
-    used with."""
+    """spliced_pieces writes long bit and hex strings as they are; these
+    properties hold its joined pieces to json.dumps in each of the three
+    styles it is used with."""
 
     @settings(max_examples=300, deadline=None)
     @given(doc=json_docs, data=st.data())
@@ -1281,15 +1356,20 @@ class TestSplicedJson:
         # json_docs' text can hold a splice mark, which spliced_pieces refuses
         # once it splices a string (test_a_mark_in_other_content_raises_or_still_matches).
         holds_a_mark = _SPLICE_TOKEN in json.dumps(doc)
+        before = copy.deepcopy(doc)
         for style in DUMP_STYLES:
             end = data.draw(st.sampled_from(["\n", '"', "\u0000splice 0"]))
             for tail in ("", end):
                 try:
-                    text = spliced_text(doc, paths, tail, **style)
+                    pieces = spliced_pieces(doc, tail, **style)
                 except ValueError:
                     assert holds_a_mark
                     continue
-                assert text == json.dumps(doc, **style) + tail
+                assert "".join(pieces) == json.dumps(doc, **style) + tail
+                # Each long string is a piece of its own, and doc is left as it was.
+                spliced = long_strings(doc)
+                assert len(pieces) == 2 + 4 * len(spliced) and all(x in pieces for x in spliced)
+        assert doc == before
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1310,29 +1390,39 @@ class TestSplicedJson:
         put(doc, path, value)
         for style in DUMP_STYLES:
             try:
-                text = spliced_text(doc, [path], **style)
+                text = spliced_text(doc, **style)
             except ValueError:
                 continue
             assert text == json.dumps(doc, **style)
 
     def test_a_colliding_mark_raises(self):
-        doc = {"bits": "0110", "note": _SPLICE_MARK % 0}
+        doc = {"bits": "0110" * 256, "note": _SPLICE_MARK % 0}
         with pytest.raises(ValueError, match="splice mark"):
-            spliced_text(doc, [("bits",)])
-        # Not spliced: the mark is then plain content.
-        assert spliced_text(doc, [("none",)]) == json.dumps(doc)
+            spliced_text(doc)
+        # Nothing spliced: the mark is then plain content.
+        doc["bits"] = "0110"
+        assert spliced_text(doc) == json.dumps(doc)
 
     def test_skips_null_absent_and_non_string_values(self):
         doc = {"session": {"delivered_bits": None, "delivered_bits_hex": 5}}
-        paths = [("session", "delivered_bits"), ("session", "delivered_bits_hex"), ("x", "y")]
         for style in DUMP_STYLES:
-            assert spliced_text(doc, paths, **style) == json.dumps(doc, **style)
+            assert spliced_text(doc, **style) == json.dumps(doc, **style)
+
+    def test_splices_from_1024_characters_in_dicts_and_lists(self):
+        short, long = "01" * 511 + "1", "ab" * 512  # 1,023 and 1,024 characters
+        doc = {"a": [short, {"b": long}], "c": long, "d": (long,)}
+        pieces = spliced_pieces(doc)
+        # A tuple, which json writes as a list, is left to json.
+        assert len(pieces) == 2 + 4 * 2 and pieces.count(long) == 2 and short not in pieces
+        assert "".join(pieces) == json.dumps(doc)
 
     @pytest.mark.parametrize("length", [1, 1023, 1024, 5000])
     @pytest.mark.parametrize("odd", ["\x00", "\x1f", "\x7f", '"', "\\", "\u00e9", "\n"])
     def test_strings_json_would_escape_are_left_to_json(self, length, odd):
         for at in (0, length // 2, length):
-            doc = {"bits": "01" * (length // 2) + "1" * (length % 2), "hex": "a5"}
+            doc = {"bits": "01" * (length // 2) + "1" * (length % 2), "hex": "a5" * 512}
             doc["bits"] = doc["bits"][:at] + odd + doc["bits"][at:]
             for style in DUMP_STYLES:
-                assert spliced_text(doc, [("bits",), ("hex",)], **style) == json.dumps(doc, **style)
+                pieces = spliced_pieces(doc, **style)
+                assert "".join(pieces) == json.dumps(doc, **style)
+                assert doc["hex"] in pieces and doc["bits"] not in pieces
