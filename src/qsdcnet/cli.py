@@ -107,7 +107,10 @@ def session_metrics(
 
 
 def build_report(
-    scenario: Scenario, transcript: SessionTranscript, transcript_path: str | None
+    scenario: Scenario,
+    transcript: SessionTranscript,
+    transcript_path: str | None,
+    verbatim: dict[int, str] | None = None,
 ) -> dict:
     """Assemble the machine-readable run report."""
     plan = netplan.build_plan(scenario.topology)
@@ -115,7 +118,7 @@ def build_report(
     document = plan.to_dict()
     qber, secrecy, throughput = session_metrics(scenario, transcript)
     return {
-        "scenario_digest": scenario.digest(),
+        "scenario_digest": scenario.digest(verbatim),
         "scenario": scenario.to_dict(),
         "plan": {
             "subnets": document["subnets"],
@@ -135,11 +138,11 @@ def build_report(
     }
 
 
-def report_pieces(report: dict) -> list[str]:
+def report_pieces(report: dict, verbatim: dict[int, str] | None = None) -> list[str]:
     """The report's JSON text and newline, in ``transcript.spliced_pieces``."""
     from .transcript import spliced_pieces
 
-    return spliced_pieces(report, "\n", sort_keys=True, indent=2, allow_nan=False)
+    return spliced_pieces(report, "\n", verbatim, sort_keys=True, indent=2, allow_nan=False)
 
 
 def fringe_study(
@@ -220,10 +223,15 @@ def cmd_run(args) -> int:
     started = time.monotonic()
     transcript = run_session(scenario)
     os.makedirs(out_dir, exist_ok=True)
+    # The transcript, the digest and the report share the delivered bits, their
+    # hex and the message hex: each is checked for escapes once.
+    verbatim: dict[int, str] = {}
     with open(os.path.join(out_dir, "transcript.jsonl"), "w") as handle:
-        handle.writelines(transcript.chunks())
+        handle.writelines(transcript.chunks(verbatim))
     # Written as pieces, never joined: a 1 Mbit report is about 1.5 MB.
-    report = report_pieces(build_report(scenario, transcript, "transcript.jsonl"))
+    report = report_pieces(
+        build_report(scenario, transcript, "transcript.jsonl", verbatim), verbatim
+    )
     with open(os.path.join(out_dir, "report.json"), "w") as handle:
         handle.writelines(report)
     sys.stdout.writelines(report)

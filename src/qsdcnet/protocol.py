@@ -179,11 +179,21 @@ def _encoding_cumulative(noise: NoiseParams, eve: EveModel) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=64)
+def _certain_code(noise: NoiseParams) -> int | None:
+    """j0 if the noisy pair is Bell state j0 for certain: then row k of the
+    untouched encoding table is exactly 0.0 before k ^ j0 and 1.0 from it."""
+    (nonzero,) = bell_weights(noise).nonzero()
+    return int(nonzero[0]) if nonzero.size == 1 else None
+
+
 class Link:
     """What the devices and Eve fix for all of a session's blocks and
     detection rounds, computed once per session. The encoding table is
     looked up on first use: a session that aborts in its first detection
-    round needs none."""
+    round needs none. Blocks skip the delivery draws when
+    ``certain_delivery`` and the decode compares when ``certain_code`` is
+    set, and write the general path's outputs bit for bit."""
 
     def __init__(self, devices: Devices, eve: EveModel):
         self.devices = devices
@@ -201,6 +211,10 @@ class Link:
             * efficiency
         )
         self.detection_columns = _detection_columns(devices.source.noise)
+        self.certain_delivery = self.p_deliver == 1.0
+        # Intercept-resend mixes the encoding table's rows.
+        intercepts = eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0
+        self.certain_code = None if intercepts else _certain_code(devices.source.noise)
 
     @cached_property
     def encoding_columns(self) -> tuple[np.ndarray, ...]:
@@ -321,7 +335,11 @@ class _Window:
         block's symbol_errors, and return its symbol errors. The symbols
         still queued, at positions queued (the last block's erased), were
         not delivered: they count no error."""
-        decoded = _sample(link.encoding_columns, self.sent, self.draws)
+        code = link.certain_code
+        if code is None:
+            decoded = _sample(link.encoding_columns, self.sent, self.draws)
+        else:  # _sample on one-hot rows: sent ^ code, or 0 for a draw of exactly 0.0
+            decoded = (self.sent ^ code) * (self.draws > 0.0)
         received[self.symbols] = decoded
         wrong = decoded != self.sent
         wrong[queued] = False
@@ -484,10 +502,16 @@ def run_qsdc(
             sent = codes[batch]
             n = sent.size
             # For PCG64, random(n) twice is random(2 * n): the first half decides
-            # delivery, the second the Bell state Bob identifies.
-            draws = rng.random(2 * n)
-            window = _Window(batch, sent, draws[n:])
-            queued = (draws[:n] >= link.p_deliver).nonzero()[0]  # positions in the window
+            # delivery, the second the Bell state Bob identifies. random() takes
+            # one 64-bit output per double, so advance(n) is random(n) unread.
+            if link.certain_delivery:
+                rng.bit_generator.advance(n)
+                window = _Window(batch, sent, rng.random(n))
+                queued = np.empty(0, dtype=np.intp)
+            else:
+                draws = rng.random(2 * n)
+                window = _Window(batch, sent, draws[n:])
+                queued = (draws[:n] >= link.p_deliver).nonzero()[0]  # positions in the window
         erased = queued + start if isinstance(batch, slice) else batch[queued]
         session.time_s += n / symbol_rate
         transmissions += n

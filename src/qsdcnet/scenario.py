@@ -269,13 +269,14 @@ class Scenario:
     def fringe_rng(self) -> np.random.Generator:
         return stream_rng(self.seed, _FRINGE_STREAM)
 
-    def canonical_json(self) -> str:
+    def canonical_json(self, verbatim: dict[int, str] | None = None) -> str:
         from .transcript import spliced_pieces
 
-        return "".join(spliced_pieces(self.to_dict(), sort_keys=True, separators=(",", ":")))
+        pieces = spliced_pieces(self.to_dict(), "", verbatim, sort_keys=True, separators=(",", ":"))
+        return "".join(pieces)
 
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+    def digest(self, verbatim: dict[int, str] | None = None) -> str:
+        return hashlib.sha256(self.canonical_json(verbatim).encode()).hexdigest()
 
     def to_dict(self) -> dict:
         return _write(self)

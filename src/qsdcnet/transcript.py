@@ -30,7 +30,7 @@ def _json_verbatim(value: str) -> bool:
     return codes.min() >= 0x20 and codes.max() < 0x7F
 
 
-def _marked(doc: dict | list, spliced: list[str]) -> dict | list:
+def _marked(doc: dict | list, spliced: list[str], verbatim: dict[int, str]) -> dict | list:
     """doc with each string to splice in its dicts and lists replaced by the
     next splice mark and appended to spliced, copying only the dicts and
     lists on the way to a replaced string. A subclass of either inside doc
@@ -39,9 +39,12 @@ def _marked(doc: dict | list, spliced: list[str]) -> dict | list:
     for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
         kind = type(value)  # not isinstance: half the walk's time
         if kind is dict or kind is list:
-            marked = _marked(value, spliced)
+            marked = _marked(value, spliced, verbatim)
         # Below 1,024 characters json's own escape scan beats the numpy check.
-        elif kind is str and len(value) >= 1024 and _json_verbatim(value):
+        elif kind is str and len(value) >= 1024 and (
+            verbatim.get(id(value)) is value or _json_verbatim(value)
+        ):
+            verbatim[id(value)] = value  # holds it, so its id is not reused
             spliced.append(value)
             marked = _SPLICE_MARK % (len(spliced) - 1)
         else:
@@ -52,14 +55,17 @@ def _marked(doc: dict | list, spliced: list[str]) -> dict | list:
     return copy
 
 
-def spliced_pieces(doc: dict | list, end: str = "", **options) -> list[str]:
+def spliced_pieces(
+    doc: dict | list, end: str = "", verbatim: dict[int, str] | None = None, **options
+) -> list[str]:
     """``json.dumps(doc, **options) + end`` as pieces that join to it, but
     each string value of at least 1,024 characters that json writes
     unescaped, such as bits and hex digits, is written as '"' + s + '"'
     without json's escape scan and is a piece of its own. A splice mark in
-    the rest of doc raises ValueError."""
+    the rest of doc raises ValueError. verbatim holds the strings found
+    unescaped, by id: calls sharing it check a string they share once."""
     values: list[str] = []
-    text = json.dumps(_marked(doc, values), **options)
+    text = json.dumps(_marked(doc, values, {} if verbatim is None else verbatim), **options)
     head, *pieces = text.split(_SPLICE_TOKEN) if values else [text]
     if len(pieces) != len(values):
         raise ValueError("the document holds a splice mark outside the spliced strings")
@@ -75,14 +81,14 @@ def spliced_pieces(doc: dict | list, end: str = "", **options) -> list[str]:
 _EVENT_BOUNDARY = '}, {"timestamp_s": '
 
 
-def events_jsonl(events: list[dict]) -> list[str]:
+def events_jsonl(events: list[dict], verbatim: dict[int, str] | None = None) -> list[str]:
     """The events' lines, each json.dumps(event) and a newline, as the
     ``spliced_pieces`` of one json.dumps of their list split at the
     boundaries. A payload holding the boundary too (a list of objects keyed
     timestamp_s first) raises ValueError rather than being split in it."""
     # A detection_result's qber is its QberEstimate until here, so that only
     # a written transcript computes the interval.
-    pieces = spliced_pieces(events, "\n", default=analysis.QberEstimate.to_dict)
+    pieces = spliced_pieces(events, "\n", verbatim, default=analysis.QberEstimate.to_dict)
     pieces[0] = pieces[0][1:]  # the list's brackets
     pieces[-2] = pieces[-2][:-1]
     # json's own text is every fourth piece: a spliced string holds no quote.
@@ -170,14 +176,14 @@ class SessionTranscript:
         # Per detection round: (n_z, errors_z, n_x, errors_x).
         self.detection_counts: list[tuple[int, int, int, int]] = []
 
-    def chunks(self) -> Iterator[str]:
+    def chunks(self, verbatim: dict[int, str] | None = None) -> Iterator[str]:
         """The transcript's text in chunks never joined: each run of events'
         pieces, and one chunk per detection batch."""
         for kind, events in groupby(self.events, type):
             if kind is DetectionBatch:
                 yield from (batch.to_jsonl() for batch in events)
             else:
-                yield from events_jsonl(list(events))
+                yield from events_jsonl(list(events), verbatim)
 
     @property
     def pooled_qber(self) -> analysis.QberEstimate | None:

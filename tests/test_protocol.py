@@ -65,6 +65,7 @@ from qsdcnet.transcript import (
     _EVENT_BOUNDARY,
     _SPLICE_MARK,
     _SPLICE_TOKEN,
+    _json_verbatim,
     events_jsonl,
     spliced_pieces,
 )
@@ -523,6 +524,28 @@ class TestRunQsdc:
                 assert transcript.summary["delivered_bits"] == message
                 assert transcript.summary["ber"] == 0.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 2**16),
+        skipped=st.integers(0, 30000),
+        drawn=st.integers(0, 3000),
+        bits=st.integers(0, 9),
+    )
+    @example(seed=0, stream=0, skipped=10000, drawn=10000, bits=3)
+    def test_advance_is_an_unread_draw_call(self, seed, stream, skipped, drawn, bits):
+        # A block whose delivery is certain advances the generator past its
+        # delivery draws: for PCG64, advance(n) then random(m) gives the values
+        # and the state of random(n + m), also after an odd draw_bits call has
+        # left a spare half, which the session keeps and advance does not touch.
+        drawing, jumping = (Session(np.random.default_rng([seed, stream])) for _ in range(2))
+        np.testing.assert_array_equal(drawing.draw_bits(bits), jumping.draw_bits(bits))
+        expected = drawing.rng.random(skipped + drawn)[skipped:]
+        jumping.rng.bit_generator.advance(skipped)
+        np.testing.assert_array_equal(jumping.rng.random(drawn), expected)
+        assert jumping.rng.bit_generator.state == drawing.rng.bit_generator.state
+        np.testing.assert_array_equal(drawing.draw_bits(3), jumping.draw_bits(3))
+
     def test_empty_message_rejected(self):
         with pytest.raises(DomainError):
             run_qsdc(codes_from_bits(""), make_devices(), EveModel(EveKind.NONE, 0.0), FAST_CONFIG,
@@ -729,6 +752,142 @@ class TestResendWindows:
         still_queued, opened = spans[before][-1][2], spans[before + 1][0][2]
         assert still_queued and set(still_queued) < set(opened)
 
+
+def encoding_samples(monkeypatch) -> list[int]:
+    """Make protocol._sample record the draw count of each call on an
+    encoding table, which has 4 rows (the detection table has 6). The loop
+    oracle samples each block it sends through it too."""
+    calls = []
+    sample = protocol._sample
+
+    def recorded(columns, rows, draws):
+        if columns[0].size == 4:
+            calls.append(draws.size)
+        return sample(columns, rows, draws)
+
+    monkeypatch.setattr(protocol, "_sample", recorded)
+    return calls
+
+
+class TestCertainOutcomes:
+    """Blocks skip the delivery draws of a link with p_deliver 1.0 and the
+    decode compares of a one-hot encoding table; each session here matches
+    ``conftest.run_qsdc_oracle``, which always draws random(2 * n) and
+    samples every block through ``_sample``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1])
+    @pytest.mark.parametrize(
+        "message, block_size",
+        [("0110" * 32, 16), ("1" * 101, 16), ("10" * 50 + "1", 64)],
+        ids=["full_blocks", "odd_short_last", "one_short_block"],
+    )
+    def test_lossless_noiseless_sessions(self, monkeypatch, seed, message, block_size):
+        calls = encoding_samples(monkeypatch)
+        devices, eve = make_devices(), EveModel(EveKind.NONE, 0.0)
+        link = Link(devices, eve)
+        assert link.certain_delivery and link.certain_code == 0
+        config = ProtocolConfig(
+            qber_threshold=0.1, min_samples=8, block_size=block_size,
+            detection_size=32, redetect_every_blocks=2,
+        )
+        summary = assert_matches_loop_oracle(message, devices, eve, config, seed)
+        assert summary["status"] == "completed" and summary["ber"] == 0.0
+        assert summary["delivered_bits"] == message and summary["erased_transmissions"] == 0
+        assert len(calls) == summary["blocks_sent"]  # the oracle's alone
+
+    def test_a_phi_minus_source(self, monkeypatch):
+        # A phase offset of pi makes the source phi-: every symbol decodes as
+        # its code ^ 1. Detection sees phi- as errors in X, so one photon a
+        # round passes only when Bob measures it in Z.
+        calls = encoding_samples(monkeypatch)
+        devices = make_devices(noise=NoiseParams(phase_offset_rad=np.pi))
+        eve = EveModel(EveKind.NONE, 0.0)
+        assert Link(devices, eve).certain_code == 1
+        config = ProtocolConfig(
+            qber_threshold=0.45, min_samples=1, block_size=8,
+            detection_size=1, redetect_every_blocks=100,
+        )
+        message = "0011011110" * 5 + "1"
+        completed = 0
+        for seed in range(8):
+            calls.clear()
+            summary = assert_matches_loop_oracle(message, devices, eve, config, seed)
+            assert len(calls) == summary["blocks_sent"]
+            if summary["status"] == "completed":
+                completed += 1
+                assert summary["symbol_errors"] == 26
+                assert summary["delivered_bits"] == "".join(
+                    bit if i % 2 == 0 else "10"[int(bit)] for i, bit in enumerate(message)
+                )
+        assert completed >= 2
+
+    def test_a_tap_keeps_a_certain_decode(self, monkeypatch):
+        # A tap erases pairs but never alters them: delivery is drawn, the
+        # decode of each resend window is certain.
+        calls = encoding_samples(monkeypatch)
+        devices, eve = make_devices(), EveModel(EveKind.TAP, 0.3)
+        link = Link(devices, eve)
+        assert not link.certain_delivery and link.certain_code == 0
+        for seed in range(4):
+            calls.clear()
+            summary = assert_matches_loop_oracle("01101" * 40, devices, eve, FAST_CONFIG, seed)
+            assert summary["status"] == "completed" and summary["erased_transmissions"]
+            assert summary["ber"] == 0.0
+            assert len(calls) == summary["blocks_sent"]
+
+    @pytest.mark.parametrize("depolarizing_p", [0.0, 0.05])
+    def test_intercept_resend_takes_the_general_path(self, monkeypatch, depolarizing_p):
+        # Intercept-resend at a fraction above 0 mixes the table's rows, so
+        # each window samples its decodes.
+        calls = encoding_samples(monkeypatch)
+        devices = make_devices(noise=NoiseParams(depolarizing_p=depolarizing_p))
+        eve = EveModel(EveKind.INTERCEPT_RESEND, 0.3)
+        link = Link(devices, eve)
+        assert link.certain_delivery and link.certain_code is None
+        config = ProtocolConfig(
+            qber_threshold=0.45, min_samples=1, block_size=16, detection_size=16,
+        )
+        for seed in range(4):
+            calls.clear()
+            summary = assert_matches_loop_oracle("0110" * 20, devices, eve, config, seed)
+            assert summary["status"] == "completed" and summary["symbol_errors"]
+            assert len(calls) == 2 * summary["blocks_sent"]  # each block its own window
+
+    @pytest.mark.parametrize(
+        "noise, eve",
+        [
+            (NoiseParams(depolarizing_p=0.01), EveModel(EveKind.NONE, 0.0)),
+            (NoiseParams(dephasing_q=0.1), EveModel(EveKind.NONE, 0.0)),
+            (NoiseParams(phase_offset_rad=0.3), EveModel(EveKind.NONE, 0.0)),
+            (NoiseParams(), EveModel(EveKind.INTERCEPT_RESEND, 1.0)),
+        ],
+    )
+    def test_no_certain_code_for_mixed_rows(self, noise, eve):
+        link = Link(make_devices(noise=noise), eve)
+        assert link.certain_code is None
+        table = _encoding_cumulative(noise, eve)
+        assert not np.isin(table, (0.0, 1.0)).all()
+
+    @pytest.mark.parametrize("phase_offset_rad, code", [(0.0, 0), (np.pi, 1)])
+    def test_close_matches_sample_on_exact_zero_draws(self, phase_offset_rad, code):
+        # Hand-built decode draws: exact 0.0, which exceeds no column and
+        # decodes as 0, beside the smallest double above it and draws near 1.
+        noise = NoiseParams(phase_offset_rad=phase_offset_rad)
+        eve = EveModel(EveKind.NONE, 0.0)
+        link = Link(make_devices(noise=noise), eve)
+        assert link.certain_code == code
+        draws = np.array([0.0, 5e-324, 0.0, 0.25, 0.5, 0.0, 1.0 - 2**-53, 0.75] * 4)
+        sent = np.repeat(np.arange(4, dtype=np.uint8), 8)
+        expected = _sample(_columns(_encoding_cumulative(noise, eve)), sent, draws)
+        received = np.full(sent.size, 9, dtype=np.uint8)
+        attempts = np.zeros(sent.size, dtype=np.uint8)
+        window = protocol._Window(slice(0, sent.size), sent, draws)
+        window.payloads.append({})
+        none = np.empty(0, dtype=np.intp)
+        errors = window.close(none, none, link, received, attempts)
+        np.testing.assert_array_equal(received, expected)
+        assert received.dtype == np.uint8 and (received[draws == 0.0] == 0).all()
+        assert errors == window.payloads[0]["symbol_errors"] == np.count_nonzero(expected != sent)
 
 
 class TestBitstringHelpers:
@@ -1341,6 +1500,16 @@ def long_strings(value) -> list[str]:
     return [string for child in children for string in long_strings(child)]
 
 
+def checked_strings(monkeypatch) -> list[str]:
+    """Make spliced_pieces record each string it checks for escapes."""
+    checked = []
+    monkeypatch.setattr(
+        "qsdcnet.transcript._json_verbatim",
+        lambda value: checked.append(value) or _json_verbatim(value),
+    )
+    return checked
+
+
 class TestSplicedJson:
     """spliced_pieces writes long bit and hex strings as they are; these
     properties hold its joined pieces to json.dumps in each of the three
@@ -1415,6 +1584,37 @@ class TestSplicedJson:
         # A tuple, which json writes as a list, is left to json.
         assert len(pieces) == 2 + 4 * 2 and pieces.count(long) == 2 and short not in pieces
         assert "".join(pieces) == json.dumps(doc)
+
+    def test_a_shared_verbatim_checks_each_string_once(self, monkeypatch):
+        checked = checked_strings(monkeypatch)
+        bits, odd = "01" * 600, "\n" + "1" * 1100
+        twin = "".join(reversed(bits[::-1]))  # equal to bits, another object
+        assert twin == bits and twin is not bits
+        verbatim = {}
+        docs = [{"a": bits, "b": [odd]}, {"c": {"d": bits}, "e": odd}, {"f": twin}]
+        for doc, style in zip(docs, DUMP_STYLES):
+            assert "".join(spliced_pieces(doc, "\n", verbatim, **style)) == json.dumps(doc, **style) + "\n"
+        # bits is checked once; the escaped string each time it is met, and
+        # an equal string that is another object once more.
+        assert [id(value) for value in checked] == [id(bits), id(odd), id(odd), id(twin)]
+        assert verbatim == {id(bits): bits, id(twin): twin}
+
+    def test_a_run_checks_each_long_string_once(self, monkeypatch, tmp_path):
+        # The delivered bits and their hex are in the transcript and the
+        # report, the message hex in the digest and the report.
+        checked = checked_strings(monkeypatch)
+        doc = ideal_scenario_dict(seed=45)
+        doc["message"] = {"hex": np.random.default_rng(45).bytes(1024).hex()}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(checked, key=len) == [
+            doc["message"]["hex"], report["session"]["delivered_bits_hex"],
+            report["session"]["delivered_bits"],
+        ]
+        assert len({id(value) for value in checked}) == 3
 
     @pytest.mark.parametrize("length", [1, 1023, 1024, 5000])
     @pytest.mark.parametrize("odd", ["\x00", "\x1f", "\x7f", '"', "\\", "\u00e9", "\n"])
