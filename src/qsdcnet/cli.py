@@ -1,10 +1,11 @@
 """Command-line front-end: plan, run, sweep and fringe subcommands.
 
-Exit codes: 0 success (and, for plan, fully connected), 1 usage error or
-validation failure (any QsdcError but CapacityExceeded), 2 protocol abort,
-3 capacity errors; ``main`` maps each error to its code. Reports and
-transcripts are deterministic functions of (scenario, seed); wall-clock
-timing goes to stderr only so output files hash identically across reruns.
+Exit codes: 0 success (and, for plan, fully connected), 1 usage error,
+validation failure (any QsdcError but CapacityExceeded) or a stdout closed
+by its reader, 2 protocol abort, 3 capacity errors; ``main`` maps each error
+to its code. Reports and transcripts are deterministic functions of
+(scenario, seed); wall-clock timing goes to stderr only so output files hash
+identically across reruns.
 Only the commands that simulate import numpy and the modules built on it,
 so ``plan`` loads the planner alone.
 """
@@ -27,7 +28,7 @@ from .errors import CapacityExceeded, DomainError, QsdcError, ScenarioError, che
 if TYPE_CHECKING:
     from . import qstate
     from .scenario import Scenario
-    from .transcript import SessionTranscript
+    from .transcript import SessionTranscript, Verbatim
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -110,7 +111,7 @@ def build_report(
     scenario: Scenario,
     transcript: SessionTranscript,
     transcript_path: str | None,
-    verbatim: dict[int, str] | None = None,
+    verbatim: Verbatim | None = None,
 ) -> dict:
     """Assemble the machine-readable run report."""
     plan = netplan.build_plan(scenario.topology)
@@ -138,7 +139,7 @@ def build_report(
     }
 
 
-def report_pieces(report: dict, verbatim: dict[int, str] | None = None) -> list[str]:
+def report_pieces(report: dict, verbatim: Verbatim | None = None) -> list[str]:
     """The report's JSON text and newline, in ``transcript.spliced_pieces``."""
     from .transcript import spliced_pieces
 
@@ -222,18 +223,20 @@ def cmd_run(args) -> int:
     out_dir = _out_dir(args)
     started = time.monotonic()
     transcript = run_session(scenario)
+    from .transcript import encoded
+
     os.makedirs(out_dir, exist_ok=True)
     # The transcript, the digest and the report share the delivered bits, their
-    # hex and the message hex: each is checked for escapes once.
-    verbatim: dict[int, str] = {}
-    with open(os.path.join(out_dir, "transcript.jsonl"), "w") as handle:
-        handle.writelines(transcript.chunks(verbatim))
+    # hex and the message hex: each is checked for escapes and encoded once.
+    verbatim: Verbatim = {}
+    with open(os.path.join(out_dir, "transcript.jsonl"), "wb") as handle:
+        handle.writelines(encoded(transcript.chunks(verbatim), verbatim))
     # Written as pieces, never joined: a 1 Mbit report is about 1.5 MB.
     report = report_pieces(
         build_report(scenario, transcript, "transcript.jsonl", verbatim), verbatim
     )
-    with open(os.path.join(out_dir, "report.json"), "w") as handle:
-        handle.writelines(report)
+    with open(os.path.join(out_dir, "report.json"), "wb") as handle:
+        handle.writelines(encoded(report, verbatim))
     sys.stdout.writelines(report)
     print(f"wall-clock: {time.monotonic() - started:.3f} s", file=sys.stderr)
     if transcript.summary["status"] == "aborted":
@@ -373,10 +376,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has printed the help or the usage error
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except QsdcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY if isinstance(exc, CapacityExceeded) else EXIT_VALIDATION
+    except BrokenPipeError:
+        # The reader closed stdout, after every file was written. Point fd 1
+        # at devnull, so that the interpreter's final flush does not raise too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VALIDATION
 
 
 def entry_point():

@@ -336,18 +336,24 @@ class _Window:
         still queued, at positions queued (the last block's erased), were
         not delivered: they count no error."""
         code = link.certain_code
-        if code is None:
-            decoded = _sample(link.encoding_columns, self.sent, self.draws)
-        else:  # _sample on one-hot rows: sent ^ code, or 0 for a draw of exactly 0.0
-            decoded = (self.sent ^ code) * (self.draws > 0.0)
-        received[self.symbols] = decoded
-        wrong = decoded != self.sent
-        wrong[queued] = False
-        if self.offsets is None:
-            errors = [int(np.count_nonzero(wrong))]
-        else:  # a symbol last sent at offset k was erased by the k blocks before
-            errors = np.bincount(self.offsets[wrong], minlength=len(self.payloads)).tolist()
-            attempts[self.symbols] += self.offsets.astype(attempts.dtype)
+        if code is not None and self.offsets is None and not queued.size and self.draws.min() > 0.0:
+            # One block, every pair delivered and no draw of exactly 0.0: every
+            # symbol decodes as sent ^ code, so all are wrong or none is.
+            received[self.symbols] = self.sent ^ code
+            errors = [self.sent.size if code else 0]
+        else:
+            if code is None:
+                decoded = _sample(link.encoding_columns, self.sent, self.draws)
+            else:  # _sample on one-hot rows: sent ^ code, or 0 for a draw of exactly 0.0
+                decoded = (self.sent ^ code) * (self.draws > 0.0)
+            received[self.symbols] = decoded
+            wrong = decoded != self.sent
+            wrong[queued] = False
+            if self.offsets is None:
+                errors = [int(np.count_nonzero(wrong))]
+            else:  # a symbol last sent at offset k was erased by the k blocks before
+                errors = np.bincount(self.offsets[wrong], minlength=len(self.payloads)).tolist()
+                attempts[self.symbols] += self.offsets.astype(attempts.dtype)
         if erased.size:
             attempts[erased] += 1
         for payload, count in zip(self.payloads, errors):
@@ -543,7 +549,8 @@ def run_qsdc(
             received[-1] &= 2  # the decoded pad bit is no message bit
         got = MessageCodes(received, bit_count)
         delivered_bits, delivered_hex = got.text(), got.hex()
-        ber = message.bit_errors(got) / bit_count
+        # With no symbol decoded wrong no bit is: the pad bit only removes differences.
+        ber = message.bit_errors(got) / bit_count if symbol_errors else 0.0
     erasure_fraction = erased_transmissions / transmissions if transmissions else 0.0
     block_time = transmissions / symbol_rate
     total_time = detection_time_total + block_time

@@ -30,6 +30,7 @@ if typing.TYPE_CHECKING:
     import numpy as np
 
     from .protocol import MessageCodes
+    from .transcript import Verbatim
 
 # Distinct RNG streams derived from the scenario seed.
 _MESSAGE_STREAM = 0x6D65
@@ -269,14 +270,23 @@ class Scenario:
     def fringe_rng(self) -> np.random.Generator:
         return stream_rng(self.seed, _FRINGE_STREAM)
 
-    def canonical_json(self, verbatim: dict[int, str] | None = None) -> str:
+    def _canonical_pieces(self, verbatim: Verbatim) -> list[str]:
         from .transcript import spliced_pieces
 
-        pieces = spliced_pieces(self.to_dict(), "", verbatim, sort_keys=True, separators=(",", ":"))
-        return "".join(pieces)
+        return spliced_pieces(self.to_dict(), "", verbatim, sort_keys=True, separators=(",", ":"))
 
-    def digest(self, verbatim: dict[int, str] | None = None) -> str:
-        return hashlib.sha256(self.canonical_json(verbatim).encode()).hexdigest()
+    def canonical_json(self) -> str:
+        return "".join(self._canonical_pieces({}))
+
+    def digest(self, verbatim: Verbatim | None = None) -> str:
+        """The SHA-256 of the canonical JSON's UTF-8 bytes, fed piece by piece."""
+        from .transcript import encoded
+
+        verbatim = {} if verbatim is None else verbatim
+        sha = hashlib.sha256()
+        for chunk in encoded(self._canonical_pieces(verbatim), verbatim):
+            sha.update(chunk)
+        return sha.hexdigest()
 
     def to_dict(self) -> dict:
         return _write(self)

@@ -3,14 +3,15 @@
 logs each event as the dict that line holds, and a detection round's
 survivors as one ``DetectionBatch``. ``spliced_pieces`` writes the long bit
 and hex strings of the transcript, the report and the scenario digest
-without escaping them.
+without escaping them, and ``encoded`` turns pieces into the bytes written,
+a spliced string's from the bytes its check made.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import groupby
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -21,16 +22,21 @@ from . import analysis
 _SPLICE_MARK, _SPLICE_TOKEN = "\x00splice %d", '"\\u0000splice '
 
 
-def _json_verbatim(value: str) -> bool:
-    """Whether json writes the string as '"' + value + '"', escaping nothing:
-    printable ASCII without quote or backslash."""
+# The strings found unescaped, by id, each beside its UTF-8 bytes.
+Verbatim = dict[int, tuple[str, bytes]]
+
+
+def _json_verbatim(value: str) -> bytes | None:
+    """value's UTF-8 bytes if json writes it as '"' + value + '"', escaping
+    nothing (printable ASCII without quote or backslash), else None."""
     if not value.isascii() or '"' in value or "\\" in value:
-        return False
-    codes = np.frombuffer(value.encode(), dtype=np.uint8)
-    return codes.min() >= 0x20 and codes.max() < 0x7F
+        return None
+    raw = value.encode()
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    return raw if codes.min() >= 0x20 and codes.max() < 0x7F else None
 
 
-def _marked(doc: dict | list, spliced: list[str], verbatim: dict[int, str]) -> dict | list:
+def _marked(doc: dict | list, spliced: list[str], verbatim: Verbatim) -> dict | list:
     """doc with each string to splice in its dicts and lists replaced by the
     next splice mark and appended to spliced, copying only the dicts and
     lists on the way to a replaced string. A subclass of either inside doc
@@ -41,10 +47,13 @@ def _marked(doc: dict | list, spliced: list[str], verbatim: dict[int, str]) -> d
         if kind is dict or kind is list:
             marked = _marked(value, spliced, verbatim)
         # Below 1,024 characters json's own escape scan beats the numpy check.
-        elif kind is str and len(value) >= 1024 and (
-            verbatim.get(id(value)) is value or _json_verbatim(value)
-        ):
-            verbatim[id(value)] = value  # holds it, so its id is not reused
+        elif kind is str and len(value) >= 1024:
+            entry = verbatim.get(id(value))
+            if entry is None or entry[0] is not value:
+                raw = _json_verbatim(value)
+                if raw is None:
+                    continue
+                verbatim[id(value)] = value, raw  # holds it, so its id is not reused
             spliced.append(value)
             marked = _SPLICE_MARK % (len(spliced) - 1)
         else:
@@ -56,14 +65,15 @@ def _marked(doc: dict | list, spliced: list[str], verbatim: dict[int, str]) -> d
 
 
 def spliced_pieces(
-    doc: dict | list, end: str = "", verbatim: dict[int, str] | None = None, **options
+    doc: dict | list, end: str = "", verbatim: Verbatim | None = None, **options
 ) -> list[str]:
     """``json.dumps(doc, **options) + end`` as pieces that join to it, but
     each string value of at least 1,024 characters that json writes
     unescaped, such as bits and hex digits, is written as '"' + s + '"'
     without json's escape scan and is a piece of its own. A splice mark in
     the rest of doc raises ValueError. verbatim holds the strings found
-    unescaped, by id: calls sharing it check a string they share once."""
+    unescaped and their bytes, by id: calls sharing it check a string they
+    share once, and ``encoded`` reuses the bytes."""
     values: list[str] = []
     text = json.dumps(_marked(doc, values, {} if verbatim is None else verbatim), **options)
     head, *pieces = text.split(_SPLICE_TOKEN) if values else [text]
@@ -76,12 +86,20 @@ def spliced_pieces(
     return [*parts, end]
 
 
+def encoded(pieces: Iterable[str], verbatim: Verbatim) -> Iterator[bytes]:
+    """Each piece's UTF-8 bytes: a string that verbatim holds, those its
+    check made; every other piece encoded."""
+    for piece in pieces:
+        entry = verbatim.get(id(piece))
+        yield entry[1] if entry is not None and entry[0] is piece else piece.encode()
+
+
 # What json.dumps writes between two events of a list, and nowhere inside a
 # string, where it escapes each quote.
 _EVENT_BOUNDARY = '}, {"timestamp_s": '
 
 
-def events_jsonl(events: list[dict], verbatim: dict[int, str] | None = None) -> list[str]:
+def events_jsonl(events: list[dict], verbatim: Verbatim | None = None) -> list[str]:
     """The events' lines, each json.dumps(event) and a newline, as the
     ``spliced_pieces`` of one json.dumps of their list split at the
     boundaries. A payload holding the boundary too (a list of objects keyed
@@ -176,7 +194,7 @@ class SessionTranscript:
         # Per detection round: (n_z, errors_z, n_x, errors_x).
         self.detection_counts: list[tuple[int, int, int, int]] = []
 
-    def chunks(self, verbatim: dict[int, str] | None = None) -> Iterator[str]:
+    def chunks(self, verbatim: Verbatim | None = None) -> Iterator[str]:
         """The transcript's text in chunks never joined: each run of events'
         pieces, and one chunk per detection batch."""
         for kind, events in groupby(self.events, type):

@@ -66,6 +66,7 @@ from qsdcnet.transcript import (
     _SPLICE_MARK,
     _SPLICE_TOKEN,
     _json_verbatim,
+    encoded,
     events_jsonl,
     spliced_pieces,
 )
@@ -889,6 +890,65 @@ class TestCertainOutcomes:
         assert received.dtype == np.uint8 and (received[draws == 0.0] == 0).all()
         assert errors == window.payloads[0]["symbol_errors"] == np.count_nonzero(expected != sent)
 
+    @staticmethod
+    def close_fresh_block(link, sent, draws, symbols):
+        """One fresh block's window, every pair delivered, closed: (received,
+        its errors, the block's symbol_errors)."""
+        received = np.full(sent.size + 7, 9, dtype=np.uint8)
+        attempts = np.zeros(received.size, dtype=np.uint8)
+        window = protocol._Window(symbols, sent, draws)
+        window.payloads.append({})
+        none = np.empty(0, dtype=np.intp)
+        errors = window.close(none, none, link, received, attempts)
+        assert not attempts.any()
+        return received[symbols], errors, window.payloads[0]["symbol_errors"]
+
+    SYMBOLS = [slice(7, 10_007), np.arange(10_006, 6, -1)]
+
+    @pytest.mark.parametrize("symbols", SYMBOLS, ids=["slice", "index_array"])
+    @pytest.mark.parametrize("phase_offset_rad", [0.0, np.pi])
+    def test_a_delivered_block_with_an_exact_zero_draw(self, symbols, phase_offset_rad):
+        # One draw of exactly 0.0 decodes as 0 whatever was sent.
+        noise = NoiseParams(phase_offset_rad=phase_offset_rad)
+        eve = EveModel(EveKind.NONE, 0.0)
+        link = Link(make_devices(noise=noise), eve)
+        rng = np.random.default_rng(31)
+        sent = rng.integers(0, 4, 10_000, dtype=np.uint8)
+        draws = rng.random(sent.size)
+        draws[4321] = 0.0
+        expected = _sample(_columns(_encoding_cumulative(noise, eve)), sent, draws)
+        received, errors, block_errors = self.close_fresh_block(link, sent, draws, symbols)
+        np.testing.assert_array_equal(received, expected)
+        assert received[4321] == 0
+        assert errors == block_errors == np.count_nonzero(expected != sent)
+
+    @pytest.mark.parametrize("symbols", SYMBOLS, ids=["slice", "index_array"])
+    def test_a_phi_minus_block_is_wrong_in_every_symbol(self, symbols):
+        noise = NoiseParams(phase_offset_rad=np.pi)
+        eve = EveModel(EveKind.NONE, 0.0)
+        link = Link(make_devices(noise=noise), eve)
+        assert link.certain_code == 1
+        rng = np.random.default_rng(32)
+        sent = rng.integers(0, 4, 10_000, dtype=np.uint8)
+        draws = rng.random(sent.size)
+        assert draws.min() > 0.0
+        expected = _sample(_columns(_encoding_cumulative(noise, eve)), sent, draws)
+        np.testing.assert_array_equal(expected, sent ^ 1)
+        received, errors, block_errors = self.close_fresh_block(link, sent, draws, symbols)
+        np.testing.assert_array_equal(received, expected)
+        assert received.dtype == np.uint8 and errors == block_errors == sent.size
+
+    @pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
+    def test_ber_is_the_bit_error_rate(self, name):
+        scenario = scenario_from_dict(RUN_SCENARIOS[name])
+        summary = cli.run_session(scenario).summary
+        if summary["status"] != "completed":
+            assert summary["ber"] is None
+            return
+        sent = np.frombuffer(scenario.message_bits().text().encode(), dtype=np.uint8)
+        got = np.frombuffer(summary["delivered_bits"].encode(), dtype=np.uint8)
+        assert summary["ber"] == np.count_nonzero(sent != got) / sent.size
+
 
 class TestBitstringHelpers:
     def test_round_trip(self):
@@ -1597,7 +1657,39 @@ class TestSplicedJson:
         # bits is checked once; the escaped string each time it is met, and
         # an equal string that is another object once more.
         assert [id(value) for value in checked] == [id(bits), id(odd), id(odd), id(twin)]
-        assert verbatim == {id(bits): bits, id(twin): twin}
+        assert verbatim == {id(bits): (bits, bits.encode()), id(twin): (twin, twin.encode())}
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=json_docs, data=st.data())
+    def test_encoded_is_the_joined_pieces_encoded(self, doc, data):
+        for path in data.draw(st.lists(key_paths.map(tuple), max_size=3)):
+            put(doc, path, data.draw(spliceable))
+        verbatim = {}  # shared by the styles, as a run shares it
+        for style in DUMP_STYLES:
+            for end in ("", "\n", "\u00e9\n"):
+                try:
+                    pieces = spliced_pieces(doc, end, verbatim, **style)
+                except ValueError:  # json_docs' text can hold a splice mark
+                    continue
+                assert b"".join(encoded(pieces, verbatim)) == "".join(pieces).encode()
+
+    def test_encoded_reads_the_map_by_identity(self):
+        bits = "01" * 600
+        twin = "".join(reversed(bits[::-1]))  # equal to bits, another object
+        verbatim = {}
+        pieces = spliced_pieces({"a": bits, "b": 1}, "\u00e9\n", verbatim)
+        expected = "".join(pieces).encode()
+        (raw,) = [entry[1] for entry in verbatim.values()]
+        chunks = list(encoded(pieces, verbatim))
+        assert b"".join(chunks) == expected
+        assert any(chunk is raw for chunk in chunks)  # the check's bytes, not encoded again
+        # The twin is not in the map: it is encoded.
+        twin_pieces = [twin if piece is bits else piece for piece in pieces]
+        chunks = list(encoded(twin_pieces, verbatim))
+        assert b"".join(chunks) == expected and not any(chunk is raw for chunk in chunks)
+        # An entry whose id now names another object: its bytes are not that object's.
+        stale = {id(twin): (bits, b"x" * len(bits))}
+        assert b"".join(encoded(twin_pieces, stale)) == expected
 
     def test_a_run_checks_each_long_string_once(self, monkeypatch, tmp_path):
         # The delivered bits and their hex are in the transcript and the

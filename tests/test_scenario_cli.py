@@ -322,6 +322,32 @@ class TestRunCommand:
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
         assert (out_a / "transcript.jsonl").read_bytes() == (out_b / "transcript.jsonl").read_bytes()
 
+    def test_a_stdout_closed_early_exits_1_without_a_traceback(self, tmp_path):
+        # As `qsdcnet run ... | head -c 50` does: the reader closes the pipe
+        # while the 1 Mbit report is still being written to it.
+        doc = ideal_scenario_dict(seed=13)
+        doc["message"] = {"random_bits": 1_000_000}
+        scenario_path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from qsdcnet import cli; sys.exit(cli.main())",
+             "run", "--scenario", scenario_path, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        head = child.stdout.read(50)
+        child.stdout.close()
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == cli.EXIT_VALIDATION
+        assert stderr == b""
+        # Both files were complete before stdout was written.
+        report = (out / "report.json").read_bytes()
+        assert report.startswith(head) and json.loads(report)["session"]["status"] == "completed"
+        last = (out / "transcript.jsonl").read_bytes().splitlines()[-1]
+        assert json.loads(last)["event_kind"] == "session_complete"
+
     def test_transcript_schema(self, tmp_path):
         scenario_path = write_scenario(tmp_path, ideal_scenario_dict(seed=12, message_hex="ff00"))
         out = tmp_path / "out"
