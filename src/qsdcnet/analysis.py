@@ -83,7 +83,7 @@ class QberEstimate:
 
 
 # Pure, so memoised: one-round sessions and small rounds repeat their counts.
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)  # so a cached 2 never answers for 2.0
 def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Exact binomial confidence interval; well behaved at tiny error rates.
 
@@ -249,7 +249,7 @@ def _binomial_quantile(k: int, n: int, upper: float, lower: float) -> float:
 
 
 # Memoised for the same reason: a one-round session's pooled estimate is its round's.
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def qber_from_counts(n_z: int, errors_z: int, n_x: int, errors_x: int) -> QberEstimate:
     """QBER estimate from matched-basis comparison counts."""
     total = n_z + n_x

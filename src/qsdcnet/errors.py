@@ -14,10 +14,6 @@ class DomainError(QsdcError):
     """An argument is outside its valid domain (probability, rate, range)."""
 
 
-class InvariantViolation(QsdcError):
-    """A structural invariant was broken (an illegal phase transition, a bad density matrix)."""
-
-
 class InsufficientData(QsdcError):
     """Not enough samples to produce the requested estimate."""
 

@@ -1,4 +1,4 @@
-"""Two-phase QSDC session state machine.
+"""Two-phase QSDC session.
 
 Phase one establishes channel security by sending single photons that Bob
 measures in a random Z/X basis and publishes; Alice measures her entangled
@@ -14,14 +14,13 @@ logs to its ``transcript.SessionTranscript`` are a pure function of
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import analysis
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError
 from .photonics import transmittance
 from .qstate import bell_weights
 from .scenario import EveKind
@@ -31,36 +30,12 @@ if TYPE_CHECKING:
     from .scenario import Devices, EveModel, NoiseParams, ProtocolConfig
 
 
-class SessionPhase(Enum):
-    IDLE = "idle"
-    SECURITY_DETECTION = "security_detection"
-    BLOCK_TRANSMISSION = "block_transmission"
-    COMPLETED = "completed"
-    ABORTED = "aborted"
-
-
-_ALLOWED_TRANSITIONS = {
-    SessionPhase.IDLE: {SessionPhase.SECURITY_DETECTION},
-    SessionPhase.SECURITY_DETECTION: {
-        SessionPhase.BLOCK_TRANSMISSION,
-        SessionPhase.ABORTED,
-    },
-    SessionPhase.BLOCK_TRANSMISSION: {
-        SessionPhase.SECURITY_DETECTION,
-        SessionPhase.COMPLETED,
-        SessionPhase.ABORTED,
-    },
-    SessionPhase.COMPLETED: set(),
-    SessionPhase.ABORTED: set(),
-}
-
-
 class Session:
     """Protocol state for one Alice-Bob communication."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.phase = SessionPhase.IDLE
+        self.phase = "idle"  # as phase_transition lines and summary["status"] write it
         self.abort_reason: str | None = None
         self.time_s = 0.0
         self.transcript = SessionTranscript()
@@ -79,21 +54,12 @@ class Session:
         self._spare_bit = bits[n:]
         return bits[:n]
 
-    def transition(self, new_phase: SessionPhase, reason: str | None = None):
-        if new_phase not in _ALLOWED_TRANSITIONS[self.phase]:
-            raise InvariantViolation(
-                f"illegal phase transition {self.phase.value} -> {new_phase.value}"
-            )
-        # _value_ is what the value property reads, without the property call.
-        self.log(
-            "phase_transition",
-            from_phase=self.phase._value_,
-            reason=reason,
-            to_phase=new_phase._value_,
-        )
-        self.phase = new_phase
-        if new_phase is SessionPhase.ABORTED:
-            self.abort_reason = reason
+    def transition(self, phase: str, reason: str | None = None):
+        """Log the move to phase and enter it; reason is an abort's reason.
+        ``run_qsdc`` alone orders the phases: nothing here checks the move."""
+        self.log("phase_transition", from_phase=self.phase, reason=reason, to_phase=phase)
+        self.phase = phase
+        self.abort_reason = reason
 
     def log(self, event_kind: str, **payload) -> dict:
         """Append an event at the session clock, as its line's dict, and return
@@ -251,10 +217,6 @@ def run_security_detection(session: Session, link: Link, config: ProtocolConfig)
     times the lossless-channel expectation, and the pooled QBER stays below
     qber_threshold. Every draw comes from ``session.rng``.
     """
-    if session.phase is not SessionPhase.SECURITY_DETECTION:
-        raise InvariantViolation(
-            f"security detection requires phase security_detection, got {session.phase.value}"
-        )
     num_photons = config.photons_per_round
     rng = session.rng
     eve = link.eve
@@ -304,10 +266,7 @@ def run_security_detection(session: Session, link: Link, config: ProtocolConfig)
         qber=qber,  # written by events_jsonl
         reason=reason,
     )
-    session.transition(
-        SessionPhase.BLOCK_TRANSMISSION if passed else SessionPhase.ABORTED,
-        reason=reason,
-    )
+    session.transition("block_transmission" if passed else "aborted", reason=reason)
     return passed
 
 
@@ -475,7 +434,7 @@ def run_qsdc(
 
     while cursor < total_symbols or backlog.size or requeued:
         if blocks_since_check >= config.redetect_every_blocks:
-            session.transition(SessionPhase.SECURITY_DETECTION)
+            session.transition("security_detection")
             round_start = session.time_s
             passed = run_security_detection(session, link, config)
             detection_photons += config.photons_per_round
@@ -534,14 +493,14 @@ def run_qsdc(
             # before more blocks than the cap have been sent. attempts counts
             # erasures before the window, and its block at offset k makes k + 1.
             if blocks_sent > cap and (attempts[erased] >= cap - len(window.payloads) + 1).any():
-                session.transition(SessionPhase.ABORTED, reason="retransmission_cap")
+                session.transition("aborted", reason="retransmission_cap")
                 break
     else:
-        session.transition(SessionPhase.COMPLETED)
+        session.transition("completed")
     if window is not None:
         symbol_errors += window.close(queued, erased, link, received, attempts)
 
-    completed = session.phase is SessionPhase.COMPLETED
+    completed = session.phase == "completed"
     reason = session.abort_reason
     delivered_bits = delivered_hex = ber = None
     if completed:  # every symbol has arrived
@@ -569,7 +528,7 @@ def run_qsdc(
         "erasure_fraction": erasure_fraction,
         "message_length": bit_count,
         "overhead_fraction": overhead_fraction,
-        "status": session.phase.value,
+        "status": session.phase,
         "symbol_errors": symbol_errors,
         "transmissions": transmissions,
         "truncated_symbols": truncated,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qsdcnet.analysis import QberEstimate, qber_from_counts
-from qsdcnet.errors import DomainError, InvariantViolation
+from qsdcnet.errors import DomainError
 from qsdcnet import protocol
 from qsdcnet.qstate import BELL_ORDER, BellLabel
 from qsdcnet.scenario import (
@@ -58,6 +58,11 @@ _BELL_VECTOR = {
 }
 
 
+class InvalidDensityMatrix(Exception):
+    """A matrix that ``TwoQubitState`` refuses: not 4x4, not Hermitian, not
+    of unit trace or not positive semidefinite."""
+
+
 class TwoQubitState:
     """A validated 4x4 density matrix over the (ss, sl, ls, ll) basis."""
 
@@ -66,15 +71,15 @@ class TwoQubitState:
     def __init__(self, rho: np.ndarray):
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (4, 4):
-            raise InvariantViolation(f"density matrix must be 4x4, got {rho.shape}")
+            raise InvalidDensityMatrix(f"density matrix must be 4x4, got {rho.shape}")
         if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-            raise InvariantViolation("density matrix is not Hermitian")
+            raise InvalidDensityMatrix("density matrix is not Hermitian")
         trace = np.trace(rho).real
         if abs(trace - 1.0) > TRACE_TOL:
-            raise InvariantViolation(f"density matrix trace is {trace}, expected 1")
+            raise InvalidDensityMatrix(f"density matrix trace is {trace}, expected 1")
         eigenvalues = np.linalg.eigvalsh(rho)
         if eigenvalues.min() < -EIGENVALUE_TOL:
-            raise InvariantViolation(
+            raise InvalidDensityMatrix(
                 f"density matrix has negative eigenvalue {eigenvalues.min():.3e}"
             )
         rho = rho.copy()
@@ -412,10 +417,6 @@ def security_detection_oracle(
     num_photons = config.photons_per_round
     decrease_factor = config.photon_decrease_factor
     tdm_slot_s = config.tdm_slot_s
-    if session.phase is not protocol.SessionPhase.SECURITY_DETECTION:
-        raise InvariantViolation(
-            f"security detection requires phase security_detection, got {session.phase.value}"
-        )
     if num_photons < 1:
         raise DomainError(f"num_photons must be >= 1, got {num_photons}")
     if not 0.0 <= decrease_factor <= 1.0:
@@ -479,10 +480,7 @@ def security_detection_oracle(
         qber=qber.to_dict() if qber else None,
         reason=reason,
     )
-    session.transition(
-        protocol.SessionPhase.BLOCK_TRANSMISSION if passed else protocol.SessionPhase.ABORTED,
-        reason=reason,
-    )
+    session.transition("block_transmission" if passed else "aborted", reason=reason)
     return passed
 
 
@@ -564,7 +562,7 @@ def run_qsdc_oracle(
 
     while pending.size:
         if blocks_since_check >= config.redetect_every_blocks:
-            session.transition(protocol.SessionPhase.SECURITY_DETECTION)
+            session.transition("security_detection")
             start = session.time_s
             passed = security_detection_oracle(session, link, config)
             detection_photons += config.photons_per_round
@@ -600,12 +598,12 @@ def run_qsdc_oracle(
         blocks_sent += 1
         blocks_since_check += 1
         if erased.size and attempts[erased].max() > config.max_retransmissions:
-            session.transition(protocol.SessionPhase.ABORTED, reason="retransmission_cap")
+            session.transition("aborted", reason="retransmission_cap")
             break
     else:
-        session.transition(protocol.SessionPhase.COMPLETED)
+        session.transition("completed")
 
-    completed = session.phase is protocol.SessionPhase.COMPLETED
+    completed = session.phase == "completed"
     reason = session.abort_reason
     delivered_bits = delivered_hex = ber = None
     if completed:  # every symbol has arrived
@@ -631,7 +629,7 @@ def run_qsdc_oracle(
         "erasure_fraction": erasure_fraction,
         "message_length": len(message_bits),
         "overhead_fraction": overhead_fraction,
-        "status": session.phase.value,
+        "status": session.phase,
         "symbol_errors": symbol_errors,
         "transmissions": transmissions,
         "truncated_symbols": truncated,

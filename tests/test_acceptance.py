@@ -20,7 +20,6 @@ from qsdcnet import analysis, cli, netplan, qstate
 from qsdcnet.protocol import (
     Link,
     Session,
-    SessionPhase,
     run_qsdc,
     run_security_detection,
 )
@@ -170,17 +169,17 @@ def test_criterion_06_eavesdropper_detection():
         config = ProtocolConfig(detection_size=12000)  # default threshold 0.1
 
         session = Session(np.random.default_rng(601))
-        session.transition(SessionPhase.SECURITY_DETECTION)
+        session.transition("security_detection")
         passed = run_security_detection(
             session, Link(devices, EveModel(EveKind.INTERCEPT_RESEND, 1.0)), config
         )
         full = detection_payload(session)
         assert full["photons_detected"] >= 10_000
         assert full["qber"].e == pytest.approx(0.25, abs=0.01)
-        assert not passed and session.phase is SessionPhase.ABORTED
+        assert not passed and session.phase == "aborted"
 
         session = Session(np.random.default_rng(602))
-        session.transition(SessionPhase.SECURITY_DETECTION)
+        session.transition("security_detection")
         passed = run_security_detection(
             session, Link(devices, EveModel(EveKind.INTERCEPT_RESEND, 0.2)), config
         )

@@ -19,7 +19,7 @@ from qsdcnet.analysis import (
     throughput,
 )
 from qsdcnet.errors import MAX_RATE_HZ, DomainError, InsufficientData
-from qsdcnet.protocol import Link, Session, SessionPhase, run_security_detection
+from qsdcnet.protocol import Link, Session, run_security_detection
 from qsdcnet.qstate import BellLabel, fidelity
 from qsdcnet.scenario import MAX_DETECTION_SIZE, EveKind, EveModel, NoiseParams, ProtocolConfig
 
@@ -140,7 +140,7 @@ class TestQberEstimation:
 
     def test_intercept_resend_transcript_covered_by_interval(self):
         session = Session(np.random.default_rng(31))
-        session.transition(SessionPhase.SECURITY_DETECTION)
+        session.transition("security_detection")
         run_security_detection(
             session,
             Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 1.0)),
@@ -148,6 +148,10 @@ class TestQberEstimation:
         )
         ci_low, ci_high = qber_from_counts(*session.transcript.detection_counts[-1]).interval
         assert ci_low <= 0.25 <= ci_high
+
+    def test_a_cached_estimate_keeps_its_count_types(self):
+        assert type(qber_from_counts(100.0, 3.0, 80.0, 5.0).n_z) is float
+        assert type(qber_from_counts(100, 3, 80, 5).n_z) is int
 
     def test_empty_records_rejected(self):
         with pytest.raises(InsufficientData):
@@ -366,6 +370,7 @@ class TestClopperPearson:
 
     @pytest.mark.parametrize("errors, trials", [(2.0, 10), (2.5, 10), (2, 10.0)])
     def test_counts_that_are_not_integers_rejected(self, errors, trials):
+        clopper_pearson(2, 10)  # a cached (2, 10) must not answer for 2.0 or 10.0
         with pytest.raises(DomainError, match="counts must be integers"):
             clopper_pearson(errors, trials)
 

@@ -359,6 +359,30 @@ def test_transcript_payload_keys_are_sorted(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
+def test_phase_transitions_chain_from_idle_to_the_status(name, tmp_path, capsys):
+    # The order of the phase_transition lines that README's "Transcript
+    # schema" states: run_qsdc alone makes it, and nothing else checks it.
+    run_outputs(tmp_path, RUN_SCENARIOS[name])
+    with open(tmp_path / "out" / "transcript.jsonl") as handle:
+        moves = [
+            event["payload"] for event in map(json.loads, handle)
+            if event["event_kind"] == "phase_transition"
+        ]
+    session = json.loads((tmp_path / "out" / "report.json").read_text())["session"]
+    assert moves[0]["from_phase"] == "idle"
+    for before, move in zip(moves, moves[1:]):
+        assert move["from_phase"] == before["to_phase"]
+    for move in moves:
+        if move["to_phase"] == "block_transmission":
+            assert move["from_phase"] == "security_detection"
+        if move["to_phase"] != "aborted":
+            assert move["reason"] is None
+    assert (moves[-1]["to_phase"], moves[-1]["reason"]) == (
+        session["status"], session["abort_reason"]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
 def test_run_writes_what_it_builds(name, tmp_path, capsys):
     # run writes the report and transcript as pieces it never joins; joined,
     # they are the texts that json.dumps and the transcript's chunks give.

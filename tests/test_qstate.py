@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsdcnet.errors import DomainError, InsufficientData, InvariantViolation
+from qsdcnet.errors import DomainError, InsufficientData
 from qsdcnet.qstate import (
     BELL_ORDER,
     BellLabel,
@@ -19,6 +19,7 @@ from qsdcnet.protocol import run_qsdc
 from qsdcnet.scenario import EveKind, EveModel, NoiseParams, ProtocolConfig
 
 from conftest import (
+    InvalidDensityMatrix,
     PauliEncoding,
     TwoQubitState,
     apply_encoding,
@@ -63,11 +64,11 @@ class TestBellStates:
                 assert state_fidelity(bell_state(a), b) == pytest.approx(expected, abs=1e-12)
 
     def test_invalid_matrix_rejected(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvalidDensityMatrix):
             TwoQubitState(np.eye(4) * 0.5)  # trace 2
         bad = np.eye(4, dtype=complex) / 4.0
         bad[0, 1] = 0.3  # not Hermitian
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvalidDensityMatrix):
             TwoQubitState(bad)
 
 
