@@ -28,7 +28,7 @@ from .errors import CapacityExceeded, DomainError, QsdcError, ScenarioError, che
 if TYPE_CHECKING:
     from . import qstate
     from .scenario import Scenario
-    from .transcript import SessionTranscript, Verbatim
+    from .transcript import SessionTranscript
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -108,10 +108,7 @@ def session_metrics(
 
 
 def build_report(
-    scenario: Scenario,
-    transcript: SessionTranscript,
-    transcript_path: str | None,
-    verbatim: Verbatim | None = None,
+    scenario: Scenario, transcript: SessionTranscript, transcript_path: str | None
 ) -> dict:
     """Assemble the machine-readable run report."""
     plan = netplan.build_plan(scenario.topology)
@@ -119,7 +116,7 @@ def build_report(
     document = plan.to_dict()
     qber, secrecy, throughput = session_metrics(scenario, transcript)
     return {
-        "scenario_digest": scenario.digest(verbatim),
+        "scenario_digest": scenario.digest(),
         "scenario": scenario.to_dict(),
         "plan": {
             "subnets": document["subnets"],
@@ -139,11 +136,11 @@ def build_report(
     }
 
 
-def report_pieces(report: dict, verbatim: Verbatim | None = None) -> list[str]:
+def report_pieces(report: dict) -> list[str]:
     """The report's JSON text and newline, in ``transcript.spliced_pieces``."""
     from .transcript import spliced_pieces
 
-    return spliced_pieces(report, "\n", verbatim, sort_keys=True, indent=2, allow_nan=False)
+    return spliced_pieces(report, "\n", sort_keys=True, indent=2, allow_nan=False)
 
 
 def fringe_study(
@@ -226,17 +223,13 @@ def cmd_run(args) -> int:
     from .transcript import encoded
 
     os.makedirs(out_dir, exist_ok=True)
-    # The transcript, the digest and the report share the delivered bits, their
-    # hex and the message hex: each is checked for escapes and encoded once.
-    verbatim: Verbatim = {}
+    # Each Unescaped string the transcript, digest and report share is encoded once.
     with open(os.path.join(out_dir, "transcript.jsonl"), "wb") as handle:
-        handle.writelines(encoded(transcript.chunks(verbatim), verbatim))
+        handle.writelines(encoded(transcript.chunks()))
     # Written as pieces, never joined: a 1 Mbit report is about 1.5 MB.
-    report = report_pieces(
-        build_report(scenario, transcript, "transcript.jsonl", verbatim), verbatim
-    )
+    report = report_pieces(build_report(scenario, transcript, "transcript.jsonl"))
     with open(os.path.join(out_dir, "report.json"), "wb") as handle:
-        handle.writelines(encoded(report, verbatim))
+        handle.writelines(encoded(report))
     sys.stdout.writelines(report)
     print(f"wall-clock: {time.monotonic() - started:.3f} s", file=sys.stderr)
     if transcript.summary["status"] == "aborted":

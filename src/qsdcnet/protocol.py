@@ -23,7 +23,7 @@ from . import analysis
 from .errors import DomainError
 from .photonics import transmittance
 from .qstate import bell_weights
-from .scenario import EveKind
+from .scenario import EveKind, Unescaped
 from .transcript import DetectionBatch, SessionTranscript
 
 if TYPE_CHECKING:
@@ -356,26 +356,27 @@ class MessageCodes(NamedTuple):
             codes[-1] &= 2  # the pad bit
         return cls(codes, bit_count)
 
-    def text(self) -> str:
-        """The bits as a '0'/'1' string, written once from the codes."""
-        # Each code's two characters as one little-endian uint16: the high
-        # bit's character in the low byte.
-        chars = (self.codes & 1).astype("<u2")
-        chars <<= 8
-        chars |= self.codes >> 1
-        chars += 0x3030  # ord("0") in both bytes
-        return str(chars.view(np.uint8)[: self.bit_count].data, "ascii")
-
-    def hex(self) -> str:
-        """Hex digits of the bits, right-padded with zeros to whole nibbles;
-        the pad bit must be 0."""
+    def _packed(self) -> np.ndarray:
+        """The bits eight to a byte, high bit first, the pad bit cleared."""
         codes = self.codes
         if codes.size % 4:
             codes = np.concatenate((codes, np.zeros(-codes.size % 4, dtype=np.uint8)))
         packed = np.ascontiguousarray(codes).view("<u4") * _GATHER
         packed >>= 24
         packed = packed.astype(np.uint8)  # four codes to a byte
-        return packed.data.hex()[: -(-self.bit_count // 4)]
+        if self.bit_count % 2:
+            packed[-1] &= 0xFF ^ 0x80 >> self.bit_count % 8
+        return packed
+
+    def text(self) -> Unescaped:
+        """The bits as a '0'/'1' string."""
+        chars = np.unpackbits(self._packed(), count=self.bit_count)
+        chars += 0x30  # ord("0")
+        return Unescaped(chars.data, "ascii")
+
+    def hex(self) -> Unescaped:
+        """Hex digits of the bits, right-padded with zeros to whole nibbles."""
+        return Unescaped(self._packed().data.hex()[: -(-self.bit_count // 4)])
 
     def bit_errors(self, other: MessageCodes) -> int:
         """The number of bits in which two messages with 0 pad bits differ."""

@@ -30,7 +30,6 @@ if typing.TYPE_CHECKING:
     import numpy as np
 
     from .protocol import MessageCodes
-    from .transcript import Verbatim
 
 # Distinct RNG streams derived from the scenario seed.
 _MESSAGE_STREAM = 0x6D65
@@ -194,6 +193,18 @@ class ProtocolConfig:
 MAX_RANDOM_BITS = 10**7
 
 
+class Unescaped(str):
+    """A string that json writes as '"' + s + '"', escaping nothing, which
+    ``transcript.spliced_pieces`` writes without json's scan. Made only from
+    the alphabets 0/1 and 0-9a-f (``MessageCodes.text`` and ``hex``) and
+    from hex digits that ``hex_bytes`` has accepted (``MessageSpec``)."""
+
+    @cached_property
+    def utf8(self) -> bytes:
+        """The string's UTF-8 bytes, made once however often it is written."""
+        return self.encode()
+
+
 def hex_bytes(hex_string: str) -> bytes | None:
     """The bytes of ASCII hex digits, an odd count padded with a 0; None for any other string."""
     padded = hex_string + "0" * (len(hex_string) % 2)
@@ -227,6 +238,7 @@ class MessageSpec:
             raise DomainError("hex must be a non-empty hexadecimal string")
         if self.bit_length is not None:
             check_range("bit_length", self.bit_length, 1, 4 * len(self.hex))
+        object.__setattr__(self, "hex", Unescaped(self.hex))  # hex digits, checked
         object.__setattr__(self, "_hex_bytes", raw)  # parsed once, for _codes
 
     @cached_property
@@ -270,21 +282,20 @@ class Scenario:
     def fringe_rng(self) -> np.random.Generator:
         return stream_rng(self.seed, _FRINGE_STREAM)
 
-    def _canonical_pieces(self, verbatim: Verbatim) -> list[str]:
+    def _canonical_pieces(self) -> list[str]:
         from .transcript import spliced_pieces
 
-        return spliced_pieces(self.to_dict(), "", verbatim, sort_keys=True, separators=(",", ":"))
+        return spliced_pieces(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def canonical_json(self) -> str:
-        return "".join(self._canonical_pieces({}))
+        return "".join(self._canonical_pieces())
 
-    def digest(self, verbatim: Verbatim | None = None) -> str:
+    def digest(self) -> str:
         """The SHA-256 of the canonical JSON's UTF-8 bytes, fed piece by piece."""
         from .transcript import encoded
 
-        verbatim = {} if verbatim is None else verbatim
         sha = hashlib.sha256()
-        for chunk in encoded(self._canonical_pieces(verbatim), verbatim):
+        for chunk in encoded(self._canonical_pieces()):
             sha.update(chunk)
         return sha.hexdigest()
 

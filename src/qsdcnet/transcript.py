@@ -1,10 +1,10 @@
 """The session transcript and its JSON text: each line the bytes
 ``json.dumps`` gives its event, written only when a transcript is. A session
 logs each event as the dict that line holds, and a detection round's
-survivors as one ``DetectionBatch``. ``spliced_pieces`` writes the long bit
-and hex strings of the transcript, the report and the scenario digest
-without escaping them, and ``encoded`` turns pieces into the bytes written,
-a spliced string's from the bytes its check made.
+survivors as one ``DetectionBatch``. ``spliced_pieces`` writes the bit and
+hex strings of the transcript, the report and the scenario digest, each a
+``scenario.Unescaped``, without json's escape scan, and ``encoded`` turns
+pieces into the bytes written.
 """
 
 from __future__ import annotations
@@ -16,44 +16,24 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import analysis
+from .scenario import Unescaped
 
 
 # json.dumps writes _SPLICE_MARK % i as _SPLICE_TOKEN + f'{i}"'.
 _SPLICE_MARK, _SPLICE_TOKEN = "\x00splice %d", '"\\u0000splice '
 
 
-# The strings found unescaped, by id, each beside its UTF-8 bytes.
-Verbatim = dict[int, tuple[str, bytes]]
-
-
-def _json_verbatim(value: str) -> bytes | None:
-    """value's UTF-8 bytes if json writes it as '"' + value + '"', escaping
-    nothing (printable ASCII without quote or backslash), else None."""
-    if not value.isascii() or '"' in value or "\\" in value:
-        return None
-    raw = value.encode()
-    codes = np.frombuffer(raw, dtype=np.uint8)
-    return raw if codes.min() >= 0x20 and codes.max() < 0x7F else None
-
-
-def _marked(doc: dict | list, spliced: list[str], verbatim: Verbatim) -> dict | list:
-    """doc with each string to splice in its dicts and lists replaced by the
+def _marked(doc: dict | list, spliced: list[Unescaped]) -> dict | list:
+    """doc with each Unescaped value in its dicts and lists replaced by the
     next splice mark and appended to spliced, copying only the dicts and
     lists on the way to a replaced string. A subclass of either inside doc
-    is left to json, as is every value but a str, dict or list."""
+    is left to json, as is every value but an Unescaped, dict or list."""
     copy = doc
     for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
         kind = type(value)  # not isinstance: half the walk's time
         if kind is dict or kind is list:
-            marked = _marked(value, spliced, verbatim)
-        # Below 1,024 characters json's own escape scan beats the numpy check.
-        elif kind is str and len(value) >= 1024:
-            entry = verbatim.get(id(value))
-            if entry is None or entry[0] is not value:
-                raw = _json_verbatim(value)
-                if raw is None:
-                    continue
-                verbatim[id(value)] = value, raw  # holds it, so its id is not reused
+            marked = _marked(value, spliced)
+        elif kind is Unescaped:
             spliced.append(value)
             marked = _SPLICE_MARK % (len(spliced) - 1)
         else:
@@ -64,18 +44,14 @@ def _marked(doc: dict | list, spliced: list[str], verbatim: Verbatim) -> dict | 
     return copy
 
 
-def spliced_pieces(
-    doc: dict | list, end: str = "", verbatim: Verbatim | None = None, **options
-) -> list[str]:
+def spliced_pieces(doc: dict | list, end: str = "", **options) -> list[str]:
     """``json.dumps(doc, **options) + end`` as pieces that join to it, but
-    each string value of at least 1,024 characters that json writes
-    unescaped, such as bits and hex digits, is written as '"' + s + '"'
-    without json's escape scan and is a piece of its own. A splice mark in
-    the rest of doc raises ValueError. verbatim holds the strings found
-    unescaped and their bytes, by id: calls sharing it check a string they
-    share once, and ``encoded`` reuses the bytes."""
-    values: list[str] = []
-    text = json.dumps(_marked(doc, values, {} if verbatim is None else verbatim), **options)
+    each Unescaped value, such as bits and hex digits, is written as
+    '"' + s + '"' without json's escape scan and is a piece of its own; a
+    plain str is always left to json. A splice mark in the rest of doc
+    raises ValueError."""
+    values: list[Unescaped] = []
+    text = json.dumps(_marked(doc, values), **options)
     head, *pieces = text.split(_SPLICE_TOKEN) if values else [text]
     if len(pieces) != len(values):
         raise ValueError("the document holds a splice mark outside the spliced strings")
@@ -86,12 +62,10 @@ def spliced_pieces(
     return [*parts, end]
 
 
-def encoded(pieces: Iterable[str], verbatim: Verbatim) -> Iterator[bytes]:
-    """Each piece's UTF-8 bytes: a string that verbatim holds, those its
-    check made; every other piece encoded."""
+def encoded(pieces: Iterable[str]) -> Iterator[bytes]:
+    """Each piece's UTF-8 bytes, an Unescaped piece's made once per string."""
     for piece in pieces:
-        entry = verbatim.get(id(piece))
-        yield entry[1] if entry is not None and entry[0] is piece else piece.encode()
+        yield piece.utf8 if type(piece) is Unescaped else piece.encode()
 
 
 # What json.dumps writes between two events of a list, and nowhere inside a
@@ -99,14 +73,14 @@ def encoded(pieces: Iterable[str], verbatim: Verbatim) -> Iterator[bytes]:
 _EVENT_BOUNDARY = '}, {"timestamp_s": '
 
 
-def events_jsonl(events: list[dict], verbatim: Verbatim | None = None) -> list[str]:
+def events_jsonl(events: list[dict]) -> list[str]:
     """The events' lines, each json.dumps(event) and a newline, as the
     ``spliced_pieces`` of one json.dumps of their list split at the
     boundaries. A payload holding the boundary too (a list of objects keyed
     timestamp_s first) raises ValueError rather than being split in it."""
     # A detection_result's qber is its QberEstimate until here, so that only
     # a written transcript computes the interval.
-    pieces = spliced_pieces(events, "\n", verbatim, default=analysis.QberEstimate.to_dict)
+    pieces = spliced_pieces(events, "\n", default=analysis.QberEstimate.to_dict)
     pieces[0] = pieces[0][1:]  # the list's brackets
     pieces[-2] = pieces[-2][:-1]
     # json's own text is every fourth piece: a spliced string holds no quote.
@@ -194,14 +168,14 @@ class SessionTranscript:
         # Per detection round: (n_z, errors_z, n_x, errors_x).
         self.detection_counts: list[tuple[int, int, int, int]] = []
 
-    def chunks(self, verbatim: Verbatim | None = None) -> Iterator[str]:
+    def chunks(self) -> Iterator[str]:
         """The transcript's text in chunks never joined: each run of events'
         pieces, and one chunk per detection batch."""
         for kind, events in groupby(self.events, type):
             if kind is DetectionBatch:
                 yield from (batch.to_jsonl() for batch in events)
             else:
-                yield from events_jsonl(list(events), verbatim)
+                yield from events_jsonl(list(events))
 
     @property
     def pooled_qber(self) -> analysis.QberEstimate | None:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 from itertools import product
 
@@ -54,6 +55,7 @@ from qsdcnet.scenario import (
     NoiseParams,
     ProtocolConfig,
     SfgSpec,
+    Unescaped,
     forty_km_scenario_dict,
     hex_bytes,
     ideal_scenario_dict,
@@ -64,7 +66,6 @@ from qsdcnet.transcript import (
     _EVENT_BOUNDARY,
     _SPLICE_MARK,
     _SPLICE_TOKEN,
-    _json_verbatim,
     encoded,
     events_jsonl,
     spliced_pieces,
@@ -965,9 +966,9 @@ class TestBitstringHelpers:
 
 
 class TestBitsAndHex:
-    """hex packs four codes to a byte by one uint32 multiply; text writes the
-    bits from the codes. Lengths cover odd bit counts and code counts that
-    four does not divide."""
+    """hex packs four codes to a byte by one uint32 multiply, and text
+    unpacks those bytes. Lengths cover odd bit counts and code counts that
+    four does not divide; neither string reads the pad bit."""
 
     @staticmethod
     def check(bits: str, pad_bit: int) -> None:
@@ -975,9 +976,11 @@ class TestBitsAndHex:
         if len(bits) % 2:
             codes[-1] |= pad_bit
         message = MessageCodes(codes, len(bits))
-        assert message.text() == bits  # text never reads the pad bit
-        if not pad_bit:  # which hex needs to be 0
-            assert message.hex() == bits_to_hex_oracle(bits)
+        for got, want in ((message.text(), bits), (message.hex(), bits_to_hex_oracle(bits))):
+            assert type(got) is Unescaped and got == want
+            # What makes it Unescaped: json writes it as it is.
+            assert json.dumps(got) == '"' + got + '"'
+            assert b"".join(encoded([got])) == got.encode()
 
     @pytest.mark.parametrize("bit_count", range(1, 65))
     def test_every_short_length(self, bit_count):
@@ -991,6 +994,21 @@ class TestBitsAndHex:
     @given(bits=st.text(alphabet="01", min_size=1, max_size=4000), pad_bit=st.integers(0, 1))
     def test_matches_the_int_oracles(self, bits, pad_bit):
         self.check(bits, pad_bit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bit_count=st.integers(1, 4096),
+        seed=st.integers(0, 2**32 - 1),
+        pad_bit=st.integers(0, 1),
+    )
+    def test_random_codes_give_unescaped_strings(self, bit_count, seed, pad_bit):
+        bits = np.random.default_rng(seed).integers(0, 2, bit_count).tolist()
+        self.check("".join(map(str, bits)), pad_bit)
+
+    def test_every_length_to_4096(self):
+        bits = "".join(map(str, np.random.default_rng(4096).integers(0, 2, 4096).tolist()))
+        for bit_count, pad_bit in product(range(1, 4097), (0, 1)):
+            self.check(bits[:bit_count], pad_bit)
 
 
 class TestMessagePath:
@@ -1387,12 +1405,12 @@ json_docs = st.recursive(
     ),
     max_leaves=12,
 )
-# Strings of bits and of hex digits, the short ones left to json and those
-# of at least 1,024 characters spliced.
+# Strings of bits and of hex digits as the program makes them, each spliced
+# whatever its length.
 spliceable = st.builds(
-    lambda unit, length: (unit * length)[:length],
+    lambda unit, length: Unescaped((unit * length)[:length]),
     st.text("01", min_size=1, max_size=8) | st.text("0123456789abcdefABCDEF", min_size=1, max_size=8),
-    st.integers(1020, 1030) | st.integers(0, 3000),
+    st.integers(0, 3000),
 )
 key_paths = st.lists(st.sampled_from(["a", "b", ""]), min_size=1, max_size=3)
 
@@ -1411,7 +1429,7 @@ def put(doc: dict, path, value) -> None:
 # spells out, the boundary between two events among them; with timestamp_s
 # as a key, a list of objects may hold the boundary outside any string.
 event_leaves = (
-    json_leaves | st.floats()
+    json_leaves | st.floats() | spliceable
     | st.sampled_from([_EVENT_BOUNDARY, '"', "\\", '\\"', "\u00e9\u2028", "}\n{", "\x00"])
 )
 event_keys = st.text(max_size=3) | st.just("timestamp_s")
@@ -1519,26 +1537,16 @@ def spliced_text(doc: dict, end: str = "", **options) -> str:
     return "".join(spliced_pieces(doc, end, **options))
 
 
-def long_strings(value) -> list[str]:
-    """The strings of at least 1,024 characters in value's dicts and lists."""
-    if isinstance(value, str):
-        return [value] if len(value) >= 1024 else []
+def unescaped_values(value) -> list[Unescaped]:
+    """The Unescaped values in value's dicts and lists."""
+    if type(value) is Unescaped:
+        return [value]
     children = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
-    return [string for child in children for string in long_strings(child)]
-
-
-def checked_strings(monkeypatch) -> list[str]:
-    """Make spliced_pieces record each string it checks for escapes."""
-    checked = []
-    monkeypatch.setattr(
-        "qsdcnet.transcript._json_verbatim",
-        lambda value: checked.append(value) or _json_verbatim(value),
-    )
-    return checked
+    return [string for child in children for string in unescaped_values(child)]
 
 
 class TestSplicedJson:
-    """spliced_pieces writes long bit and hex strings as they are; these
+    """spliced_pieces writes each Unescaped string as it is; these
     properties hold its joined pieces to json.dumps in each of the three
     styles it is used with."""
 
@@ -1562,9 +1570,10 @@ class TestSplicedJson:
                     assert holds_a_mark
                     continue
                 assert "".join(pieces) == json.dumps(doc, **style) + tail
-                # Each long string is a piece of its own, and doc is left as it was.
-                spliced = long_strings(doc)
-                assert len(pieces) == 2 + 4 * len(spliced) and all(x in pieces for x in spliced)
+                # Each Unescaped value is a piece of its own, and doc is left as it was.
+                spliced = unescaped_values(doc)
+                assert len(pieces) == 2 + 4 * len(spliced)
+                assert all(any(piece is x for piece in pieces) for x in spliced)
         assert doc == before
 
     @settings(max_examples=300, deadline=None)
@@ -1591,12 +1600,14 @@ class TestSplicedJson:
                 continue
             assert text == json.dumps(doc, **style)
 
-    def test_a_colliding_mark_raises(self):
-        doc = {"bits": "0110" * 256, "note": _SPLICE_MARK % 0}
+    @settings(max_examples=50, deadline=None)
+    @given(value=spliceable)
+    def test_a_colliding_mark_raises(self, value):
+        doc = {"bits": value, "note": _SPLICE_MARK % 0}
         with pytest.raises(ValueError, match="splice mark"):
             spliced_text(doc)
         # Nothing spliced: the mark is then plain content.
-        doc["bits"] = "0110"
+        doc["bits"] = str(value)
         assert spliced_text(doc) == json.dumps(doc)
 
     def test_skips_null_absent_and_non_string_values(self):
@@ -1604,82 +1615,63 @@ class TestSplicedJson:
         for style in DUMP_STYLES:
             assert spliced_text(doc, **style) == json.dumps(doc, **style)
 
-    def test_splices_from_1024_characters_in_dicts_and_lists(self):
-        short, long = "01" * 511 + "1", "ab" * 512  # 1,023 and 1,024 characters
-        doc = {"a": [short, {"b": long}], "c": long, "d": (long,)}
-        pieces = spliced_pieces(doc)
-        # A tuple, which json writes as a list, is left to json.
-        assert len(pieces) == 2 + 4 * 2 and pieces.count(long) == 2 and short not in pieces
-        assert "".join(pieces) == json.dumps(doc)
-
-    def test_a_shared_verbatim_checks_each_string_once(self, monkeypatch):
-        checked = checked_strings(monkeypatch)
-        bits, odd = "01" * 600, "\n" + "1" * 1100
-        twin = "".join(reversed(bits[::-1]))  # equal to bits, another object
-        assert twin == bits and twin is not bits
-        verbatim = {}
-        docs = [{"a": bits, "b": [odd]}, {"c": {"d": bits}, "e": odd}, {"f": twin}]
-        for doc, style in zip(docs, DUMP_STYLES):
-            assert "".join(spliced_pieces(doc, "\n", verbatim, **style)) == json.dumps(doc, **style) + "\n"
-        # bits is checked once; the escaped string each time it is met, and
-        # an equal string that is another object once more.
-        assert [id(value) for value in checked] == [id(bits), id(odd), id(odd), id(twin)]
-        assert verbatim == {id(bits): (bits, bits.encode()), id(twin): (twin, twin.encode())}
+    def test_splices_every_unescaped_value_and_no_plain_str(self):
+        bits, empty, long = Unescaped("1"), Unescaped(""), Unescaped("ab" * 2500)
+        plain = "01" * 2500
+        doc = {"a": [bits, {"b": long}, plain], "c": long, "d": (long,), "e": empty, "f": plain}
+        for style in DUMP_STYLES:
+            pieces = spliced_pieces(doc, **style)
+            # A tuple, which json writes as a list, is left to json.
+            assert len(pieces) == 2 + 4 * 4 and plain not in pieces
+            assert [piece for piece in pieces if type(piece) is Unescaped] == [bits, long, long, empty]
+            assert "".join(pieces) == json.dumps(doc, **style)
 
     @settings(max_examples=200, deadline=None)
     @given(doc=json_docs, data=st.data())
     def test_encoded_is_the_joined_pieces_encoded(self, doc, data):
         for path in data.draw(st.lists(key_paths.map(tuple), max_size=3)):
             put(doc, path, data.draw(spliceable))
-        verbatim = {}  # shared by the styles, as a run shares it
         for style in DUMP_STYLES:
             for end in ("", "\n", "\u00e9\n"):
                 try:
-                    pieces = spliced_pieces(doc, end, verbatim, **style)
+                    pieces = spliced_pieces(doc, end, **style)
                 except ValueError:  # json_docs' text can hold a splice mark
                     continue
-                assert b"".join(encoded(pieces, verbatim)) == "".join(pieces).encode()
+                chunks = list(encoded(pieces))
+                assert b"".join(chunks) == "".join(pieces).encode()
+                # An Unescaped piece's bytes are made once, however often it is written.
+                spliced = [(c, p) for c, p in zip(chunks, pieces) if type(p) is Unescaped]
+                assert len(spliced) == len(unescaped_values(doc))
+                assert all(chunk is piece.utf8 for chunk, piece in spliced)
 
-    def test_encoded_reads_the_map_by_identity(self):
-        bits = "01" * 600
-        twin = "".join(reversed(bits[::-1]))  # equal to bits, another object
-        verbatim = {}
-        pieces = spliced_pieces({"a": bits, "b": 1}, "\u00e9\n", verbatim)
-        expected = "".join(pieces).encode()
-        (raw,) = [entry[1] for entry in verbatim.values()]
-        chunks = list(encoded(pieces, verbatim))
-        assert b"".join(chunks) == expected
-        assert any(chunk is raw for chunk in chunks)  # the check's bytes, not encoded again
-        # The twin is not in the map: it is encoded.
-        twin_pieces = [twin if piece is bits else piece for piece in pieces]
-        chunks = list(encoded(twin_pieces, verbatim))
-        assert b"".join(chunks) == expected and not any(chunk is raw for chunk in chunks)
-        # An entry whose id now names another object: its bytes are not that object's.
-        stale = {id(twin): (bits, b"x" * len(bits))}
-        assert b"".join(encoded(twin_pieces, stale)) == expected
-
-    def test_a_run_checks_each_long_string_once(self, monkeypatch, tmp_path):
-        # The delivered bits and their hex are in the transcript and the
-        # report, the message hex in the digest and the report.
-        checked = checked_strings(monkeypatch)
+    def test_a_long_mixed_case_hex_message_writes_canonical_json(self, tmp_path):
+        # The message hex is spliced into the digest and the report, and the
+        # delivered bits and their hex into the transcript and the report.
         doc = ideal_scenario_dict(seed=45)
-        doc["message"] = {"hex": np.random.default_rng(45).bytes(1024).hex()}
+        digits = np.random.default_rng(45).bytes(513).hex()[:1025]
+        doc["message"] = {"hex": "".join(d.upper() if i % 3 else d for i, d in enumerate(digits))}
+        assert type(scenario_from_dict(doc).message.hex) is Unescaped  # once hex_bytes took it
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
-        report = json.loads((out / "report.json").read_text())
-        assert sorted(checked, key=len) == [
-            doc["message"]["hex"], report["session"]["delivered_bits_hex"],
-            report["session"]["delivered_bits"],
-        ]
-        assert len({id(value) for value in checked}) == 3
+        for line in (out / "transcript.jsonl").read_text().splitlines():
+            assert line == json.dumps(json.loads(line))
+        text = (out / "report.json").read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert report["scenario"]["message"]["hex"] == doc["message"]["hex"]
+        canonical = json.dumps(report["scenario"], sort_keys=True, separators=(",", ":"))
+        assert report["scenario_digest"] == hashlib.sha256(canonical.encode()).hexdigest()
+        session = report["session"]
+        assert session["delivered_bits_hex"] == digits
+        assert session["delivered_bits"] == hex_to_bits_oracle(digits, None)
 
     @pytest.mark.parametrize("length", [1, 1023, 1024, 5000])
     @pytest.mark.parametrize("odd", ["\x00", "\x1f", "\x7f", '"', "\\", "\u00e9", "\n"])
     def test_strings_json_would_escape_are_left_to_json(self, length, odd):
         for at in (0, length // 2, length):
-            doc = {"bits": "01" * (length // 2) + "1" * (length % 2), "hex": "a5" * 512}
+            doc = {"bits": "01" * (length // 2) + "1" * (length % 2), "hex": Unescaped("a5" * 512)}
             doc["bits"] = doc["bits"][:at] + odd + doc["bits"][at:]
             for style in DUMP_STYLES:
                 pieces = spliced_pieces(doc, **style)

@@ -166,15 +166,10 @@ def _edit(doc, path, action, key, value):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_the_digest_streams_the_canonical_json(digits, seed):
-    # The old computation, joined and encoded whole, is the oracle. Hex
-    # messages of at least 1,024 digits are spliced; the shared map's second
-    # digest finds the message hex already checked.
+    # The old computation, joined and encoded whole, is the oracle.
     scenario = scenario_from_dict(ideal_scenario_dict(seed=seed, message_hex=digits))
     expected = hashlib.sha256(scenario.canonical_json().encode()).hexdigest()
     assert scenario.digest() == expected
-    shared = {}
-    assert scenario.digest(shared) == scenario.digest(shared) == expected
-    assert bool(shared) == (len(digits) >= 1024)
 
 
 @settings(max_examples=400, deadline=None)
