@@ -1,4 +1,5 @@
-"""Command-line front-end: plan, run, sweep and fringe subcommands.
+"""Command-line front-end of the plan, run, sweep and fringe subcommands: it
+parses their arguments, writes what ``qsdcnet.report`` makes and exits.
 
 Exit codes: 0 success (and, for plan, fully connected), 1 usage error,
 validation failure (any QsdcError but CapacityExceeded) or a stdout closed
@@ -6,8 +7,8 @@ by its reader, 2 protocol abort, 3 capacity errors; ``main`` maps each error
 to its code. Reports and transcripts are deterministic functions of
 (scenario, seed); wall-clock timing goes to stderr only so output files hash
 identically across reruns.
-Only the commands that simulate import numpy and the modules built on it,
-so ``plan`` loads the planner alone.
+Only the commands that simulate import ``report``, numpy and the modules
+built on them, once their inputs are read, so ``plan`` loads the planner alone.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from . import analysis, netplan
+from . import netplan
 from .errors import CapacityExceeded, DomainError, QsdcError, ScenarioError, check_range
 
 if TYPE_CHECKING:
-    from . import qstate
     from .scenario import Scenario
-    from .transcript import SessionTranscript
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -59,126 +58,6 @@ def _out_dir(args) -> str:
             raise DomainError(f"{label} {out_dir}: not a directory")
         path = os.path.dirname(path)
     return out_dir
-
-
-def run_session(scenario: Scenario) -> SessionTranscript:
-    """Execute the scenario's QSDC session with its derived RNG."""
-    from . import protocol
-
-    return protocol.run_qsdc(
-        scenario.message_bits(),
-        scenario.devices,
-        scenario.eve,
-        scenario.protocol,
-        scenario.session_rng(),
-    )
-
-
-def fidelity_table(scenario: Scenario) -> list[dict]:
-    """Closed-form fidelity of each Bell state under source noise."""
-    from . import qstate
-
-    noise = scenario.devices.source.noise
-    return [
-        {"bell_state": label.name.lower(), "fidelity": qstate.fidelity(label, noise)}
-        for label in qstate.BELL_ORDER
-    ]
-
-
-def session_metrics(
-    scenario: Scenario, transcript: SessionTranscript
-) -> tuple[analysis.QberEstimate | None, dict | None, dict]:
-    """Pooled QBER, secrecy bound and throughput of one session, the last two
-    as the report writes them. Only a completed session claims a secrecy
-    bound; throughput is reported for every session."""
-    qber = transcript.pooled_qber
-    summary = transcript.summary
-    secrecy = (
-        analysis.session_secrecy_report(qber, summary["erasure_fraction"])
-        if summary["status"] == "completed"  # which passed a detection round, so has a qber
-        else None
-    )
-    throughput = analysis.throughput(
-        sfg_rate_hz=scenario.devices.sfg.max_rate_hz,
-        modulation_rate_hz=scenario.devices.modulator.rate_hz,
-        erasure_fraction=summary["erasure_fraction"],
-        overhead_fraction=summary["overhead_fraction"],
-    )
-    return qber, secrecy, throughput
-
-
-def build_report(
-    scenario: Scenario, transcript: SessionTranscript, transcript_path: str | None
-) -> dict:
-    """Assemble the machine-readable run report."""
-    plan = netplan.build_plan(scenario.topology)
-    connectivity = netplan.verify_full_connectivity(plan)
-    document = plan.to_dict()
-    qber, secrecy, throughput = session_metrics(scenario, transcript)
-    return {
-        "scenario_digest": scenario.digest(),
-        "scenario": scenario.to_dict(),
-        "plan": {
-            "subnets": document["subnets"],
-            "users_per_subnet": document["users_per_subnet"],
-            "channel_pairs": document["channel_pairs"],
-            "itu_channels": document["itu_channels"],
-            "user_pairs": connectivity["user_pairs"],
-            "fully_connected": connectivity["fully_connected"],
-            "document": document,
-        },
-        "transcript_path": transcript_path,
-        "session": transcript.summary,
-        "qber": qber.to_dict() if qber else None,
-        "secrecy": secrecy,
-        "throughput": throughput,
-        "fidelity_table": fidelity_table(scenario),
-    }
-
-
-def report_pieces(report: dict) -> list[str]:
-    """The report's JSON text and newline, in ``transcript.spliced_pieces``."""
-    from .transcript import spliced_pieces
-
-    return spliced_pieces(report, "\n", sort_keys=True, indent=2, allow_nan=False)
-
-
-def fringe_study(
-    scenario: Scenario,
-    label: qstate.BellLabel,
-    phases: int = 64,
-    shots_per_phase: int = 20000,
-) -> dict:
-    """Simulate a fringe scan for one Bell state and fit it.
-
-    Returns the sample table plus fitted visibility, fringe phase, and the
-    fidelity estimates under both noise assumptions.
-    """
-    import numpy as np
-
-    from . import photonics, qstate
-
-    devices = scenario.devices
-    accidental_prob = photonics.accidental_probability(devices)
-    rng = scenario.fringe_rng()
-    grid = np.linspace(0.0, 2.0 * np.pi, phases, endpoint=False)
-    probabilities = qstate.fringe_probability(label, devices.source.noise, grid)
-    rows = photonics.fringe_scan(grid, probabilities, shots_per_phase, accidental_prob, rng)
-    samples = [(row["phase_rad"], row["corrected_rate"]) for row in rows]
-    fit = qstate.fit_fringe(samples)
-    v = fit.visibility
-    isotropic, phase_only = analysis.fidelity_from_visibility(v)
-    return {
-        "bell_state": label.name.lower(),
-        "phases": phases,
-        "shots_per_phase": shots_per_phase,
-        "accidental_prob": accidental_prob,
-        "samples": rows,
-        "visibility": v,
-        "fringe_theta_rad": fit.theta_rad,
-        "fidelity_isotropic": isotropic,
-        "fidelity_phase_only": phase_only,
-    }
 
 
 def _write_rows(path: str, rows: list[dict], fieldnames: list[str], fmt: str) -> str:
@@ -219,9 +98,10 @@ def cmd_run(args) -> int:
     scenario = _load(args)
     out_dir = _out_dir(args)
     started = time.monotonic()
-    transcript = run_session(scenario)
+    from .report import build_report, report_pieces, run_session
     from .transcript import encoded
 
+    transcript = run_session(scenario)
     os.makedirs(out_dir, exist_ok=True)
     # Each Unescaped string the transcript, digest and report share is encoded once.
     with open(os.path.join(out_dir, "transcript.jsonl"), "wb") as handle:
@@ -236,20 +116,6 @@ def cmd_run(args) -> int:
         print(f"session aborted: {transcript.summary['abort_reason']}", file=sys.stderr)
         return EXIT_ABORT
     return EXIT_OK
-
-
-_SWEEP_FIELDS = [
-    "index",
-    "parameter",
-    "value",
-    "seed",
-    "status",
-    "qber_e",
-    "cs_lower",
-    "info_rate_bits_per_s",
-    "erasure_fraction",
-    "ber",
-]
 
 
 def cmd_sweep(args) -> int:
@@ -267,36 +133,26 @@ def cmd_sweep(args) -> int:
         raise DomainError(f"--values must be a comma-separated list of numbers: {exc}") from None
     out_dir = _out_dir(args)
     *sections, leaf = args.param.split(".")
-    rows = []
+    # Every value is read before any session runs, so a bad one simulates nothing.
+    variants = []
     for index, value in enumerate(values):
         # Only the swept leaf and the seed are read again.
         entry = {leaf: value}
         for key in reversed(sections):
             entry = {key: entry}
-        seed = scenario.seed ^ index
         try:
-            variant = replace_entries(scenario, {"seed": seed, **entry})
+            variants.append(replace_entries(scenario, {"seed": scenario.seed ^ index, **entry}))
         except ScenarioError as exc:
             raise ScenarioError(f"{args.param}={value}: {exc}") from None
-        transcript = run_session(variant)
-        qber, secrecy, throughput = session_metrics(variant, transcript)
-        summary = transcript.summary
-        rows.append(
-            {
-                "index": index,
-                "parameter": args.param,
-                "value": value,
-                "seed": seed,
-                "status": summary["status"],
-                "qber_e": qber.e if qber else "",
-                "cs_lower": secrecy["cs_lower"] if secrecy else "",
-                "info_rate_bits_per_s": throughput["info_rate_bits_per_s"],
-                "erasure_fraction": summary["erasure_fraction"],
-                "ber": summary["ber"] if summary["ber"] is not None else "",
-            }
-        )
+    from .report import SWEEP_COLUMNS, run_session, sweep_row
+
+    rows = [
+        {"index": index, "parameter": args.param, "value": value, "seed": variant.seed,
+         **sweep_row(variant, run_session(variant))}
+        for index, (value, variant) in enumerate(zip(values, variants))
+    ]
     os.makedirs(out_dir, exist_ok=True)
-    text = _write_rows(os.path.join(out_dir, "sweep.csv"), rows, _SWEEP_FIELDS, "csv")
+    text = _write_rows(os.path.join(out_dir, "sweep.csv"), rows, SWEEP_COLUMNS, "csv")
     # As a text-mode read of the file would give it.
     print(text.replace("\r\n", "\n"), end="")
     return EXIT_OK
@@ -311,6 +167,7 @@ def cmd_fringe(args) -> int:
     scenario = _load(args)
     out_dir = _out_dir(args)
     from .qstate import BellLabel
+    from .report import fringe_study
 
     label = BellLabel[args.bell_state.upper()]
     study = fringe_study(

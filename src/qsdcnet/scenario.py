@@ -372,6 +372,8 @@ def _read(cls: type, data, path: tuple = (), base=None):
     read, and an error's dotted path is formatted only when it is raised."""
     if not isinstance(data, dict):
         raise ScenarioError(f"{_label(path)}: expected an object")
+    if None in data:  # a key the file holds twice, kept by _object
+        raise ScenarioError(f"{_label(path, data[None])}: duplicate key")
     fields = _TABLE[cls]
     for key in data:
         if key not in fields:
@@ -434,6 +436,14 @@ def replace_entries(base: Scenario, entries: dict) -> Scenario:
     return _read(Scenario, entries, (), base)
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object's dict, with a key it holds twice under None (no JSON key) for _read."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        data[None] = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+    return data
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file, with line-precise parse errors."""
     try:
@@ -444,7 +454,7 @@ def load_scenario(path: str) -> Scenario:
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     try:

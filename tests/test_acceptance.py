@@ -16,13 +16,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qsdcnet import analysis, cli, netplan, qstate
+from qsdcnet import analysis, netplan, qstate
 from qsdcnet.protocol import (
     Link,
     Session,
     run_qsdc,
     run_security_detection,
 )
+from qsdcnet.report import build_report, fringe_study, report_pieces, run_session
 from qsdcnet.scenario import (
     EveKind,
     EveModel,
@@ -146,7 +147,7 @@ def test_criterion_04_calibrated_fidelity_recovery():
             scenario = scenario_from_dict(doc)
             direct = qstate.fidelity(label, scenario.devices.source.noise)
             assert direct == pytest.approx(target, abs=1e-12)
-            study = cli.fringe_study(scenario, label, phases=phases, shots_per_phase=shots)
+            study = fringe_study(scenario, label, phases=phases, shots_per_phase=shots)
             assert study["fidelity_isotropic"] == pytest.approx(target, abs=0.005)
 
 
@@ -212,7 +213,7 @@ def test_criterion_07_end_to_end_correctness():
         doc = ideal_scenario_dict(seed=700)
         doc["message"] = {"random_bits": 1_000_000}
         scenario = scenario_from_dict(doc)
-        transcript = cli.run_session(scenario)
+        transcript = run_session(scenario)
         assert transcript.summary["status"] == "completed"
         assert transcript.summary["ber"] == 0.0
         assert transcript.summary["delivered_bits"] == scenario.message_bits().text()
@@ -226,8 +227,8 @@ def test_criterion_08_throughput_at_forty_km():
             == 40.0
         )
         assert scenario.devices.sfg.max_rate_hz == 1e5
-        transcript = cli.run_session(scenario)
-        report = cli.build_report(scenario, transcript, None)
+        transcript = run_session(scenario)
+        report = build_report(scenario, transcript, None)
         assert transcript.summary["status"] == "completed"
         assert report["throughput"]["info_rate_bits_per_s"] >= 1000.0
 
@@ -238,11 +239,11 @@ def test_criterion_08_throughput_at_forty_km():
 
 def _run_files(doc):
     scenario = scenario_from_dict(doc)
-    transcript = cli.run_session(scenario)
-    report = cli.build_report(scenario, transcript, "transcript.jsonl")
+    transcript = run_session(scenario)
+    report = build_report(scenario, transcript, "transcript.jsonl")
     return (
         hashlib.sha256("".join(transcript.chunks()).encode()).hexdigest(),
-        hashlib.sha256("".join(cli.report_pieces(report)).encode()).hexdigest(),
+        hashlib.sha256("".join(report_pieces(report)).encode()).hexdigest(),
     )
 
 

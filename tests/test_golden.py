@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from qsdcnet import analysis, cli
+from qsdcnet.report import build_report, report_pieces, run_session
 from qsdcnet.scenario import forty_km_scenario_dict, ideal_scenario_dict, scenario_from_dict
 
 from conftest import (
@@ -393,17 +394,17 @@ def test_run_writes_what_it_builds(name, tmp_path, capsys):
     written = (tmp_path / "out" / "report.json").read_bytes()
     assert stdout.encode() == written
     scenario = scenario_from_dict(doc)
-    transcript = cli.run_session(scenario)
+    transcript = run_session(scenario)
     transcript_text = "".join(transcript.chunks())
     assert (tmp_path / "out" / "transcript.jsonl").read_bytes() == transcript_text.encode()
-    report = cli.build_report(scenario, transcript, "transcript.jsonl")
-    joined = "".join(cli.report_pieces(report))
+    report = build_report(scenario, transcript, "transcript.jsonl")
+    joined = "".join(report_pieces(report))
     assert joined == json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     assert joined.encode() == written
 
 
 def _sha256_of_report(report: dict) -> str:
-    return hashlib.sha256("".join(cli.report_pieces(report)).encode()).hexdigest()
+    return hashlib.sha256("".join(report_pieces(report)).encode()).hexdigest()
 
 
 def _with_secrecy_put_back(report: dict) -> dict:

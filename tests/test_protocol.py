@@ -46,6 +46,7 @@ from conftest import (
     sfg_bsm,
     transmit_and_decode_block,
 )
+from qsdcnet.report import run_session
 from qsdcnet.scenario import (
     _MESSAGE_STREAM,
     MAX_DETECTION_SIZE,
@@ -909,7 +910,7 @@ class TestCertainOutcomes:
     @pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
     def test_ber_is_the_bit_error_rate(self, name):
         scenario = scenario_from_dict(RUN_SCENARIOS[name])
-        summary = cli.run_session(scenario).summary
+        summary = run_session(scenario).summary
         if summary["status"] != "completed":
             assert summary["ber"] is None
             return
@@ -1365,7 +1366,7 @@ class TestTranscriptFormatting:
         scenario_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert cli.main(["run", "--scenario", str(scenario_path), "--out", str(out)]) == cli.EXIT_OK
-        expected = "".join(cli.run_session(scenario_from_dict(doc)).chunks())
+        expected = "".join(run_session(scenario_from_dict(doc)).chunks())
         assert "detection_record" in expected
         assert (out / "transcript.jsonl").read_bytes() == expected.encode()
 
@@ -1378,7 +1379,7 @@ class TestTranscriptFormatting:
         scenario_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert cli.main(["run", "--scenario", str(scenario_path), "--out", str(out)]) == cli.EXIT_OK
-        expected = "".join(cli.run_session(scenario_from_dict(doc)).chunks())
+        expected = "".join(run_session(scenario_from_dict(doc)).chunks())
         assert (out / "transcript.jsonl").read_bytes() == expected.encode()
         *_, last = expected.splitlines(keepends=True)
         event = json.loads(last)
@@ -1519,7 +1520,7 @@ class TestTranscriptRoundTrip:
 
     @pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
     def test_events_are_their_lines(self, name):
-        transcript = cli.run_session(scenario_from_dict(RUN_SCENARIOS[name]))
+        transcript = run_session(scenario_from_dict(RUN_SCENARIOS[name]))
         lines = iter("".join(transcript.chunks()).splitlines())
         for event in transcript.events:
             if isinstance(event, DetectionBatch):

@@ -19,6 +19,7 @@ from qsdcnet.errors import DomainError, ScenarioError
 from qsdcnet.netplan import MAX_GRID_SIZE, MAX_USERS, MAX_USERS_PER_SUBNET
 from qsdcnet.protocol import MessageCodes
 from qsdcnet.qstate import BellLabel
+from qsdcnet.report import build_report, report_pieces, run_session
 from qsdcnet.scenario import (
     _FRINGE_STREAM,
     _MESSAGE_STREAM,
@@ -123,6 +124,35 @@ class TestScenarioParsing:
         node[key] = 50
         with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: unknown field$"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "section, key, value, path",
+        [
+            ((), "seed", 2, "seed"),
+            (("devices", "alice_fiber"), "length_km", 3.0, "devices.alice_fiber.length_km"),
+            (("devices", "source", "noise"), "depolarizing_p", 0.1,
+             "devices.source.noise.depolarizing_p"),
+        ],
+        ids=["top_level", "section", "noise"],
+    )
+    def test_duplicate_keys_rejected(self, tmp_path, capsys, section, key, value, path):
+        # json would keep the last value; the reader refuses the file instead.
+        doc = ideal_scenario_dict(seed=1)
+        node = doc
+        for name in section:
+            node = node[name]
+        node["duplicate"] = value
+        text = json.dumps(doc, indent=2).replace('"duplicate"', json.dumps(key))
+        assert text.count(f"{json.dumps(key)}:") >= 2
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(text)
+        with pytest.raises(ScenarioError, match=f"^{re.escape(f'{scenario_path}: {path}')}: duplicate key$"):
+            load_scenario(str(scenario_path))
+        out = tmp_path / "out"
+        code = cli.main(["run", "--scenario", str(scenario_path), "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {scenario_path}: {path}: duplicate key\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "payload", ["", "ab\n", "a b", "0x1f", "١٢", "１２", "fg"]
@@ -495,7 +525,7 @@ class TestRunCommand:
 
     def test_report_json_is_strict(self):
         with pytest.raises(ValueError):
-            cli.report_pieces({"session": {"ber": float("nan")}})
+            report_pieces({"session": {"ber": float("nan")}})
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))
@@ -705,6 +735,38 @@ class TestSweepCommand:
         if unset == "detection_size":
             assert [row["status"] for row in rows] == ["aborted", "completed"]
 
+    def test_each_row_says_what_run_says(self, tmp_path, capsys):
+        # A full intercept-resend Eve puts the QBER near 25%, over the
+        # threshold, so the last row aborts and the others complete.
+        doc = ideal_scenario_dict(seed=31)
+        doc["eve"] = {"kind": "intercept_resend", "fraction": 0.0}
+        values = (0.0, 0.1, 1.0)
+        code = cli.main([
+            "sweep", "--scenario", write_scenario(tmp_path, doc), "--param", "eve.fraction",
+            "--values", ",".join(map(str, values)), "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == cli.EXIT_OK
+        rows = list(csv.DictReader((tmp_path / "sweep" / "sweep.csv").open()))
+        assert [row["status"] for row in rows] == ["completed", "completed", "aborted"]
+        for index, (row, value) in enumerate(zip(rows, values)):
+            doc["eve"]["fraction"] = value
+            variant = write_scenario(tmp_path, doc, f"variant{index}.json")
+            out = tmp_path / f"run{index}"
+            cli.main(["run", "--scenario", variant, "--seed", row["seed"], "--out", str(out)])
+            report = json.loads((out / "report.json").read_text())
+            expected = {
+                "status": report["session"]["status"],
+                "qber_e": (report["qber"] or {}).get("e"),
+                "cs_lower": (report["secrecy"] or {}).get("cs_lower"),
+                "info_rate_bits_per_s": report["throughput"]["info_rate_bits_per_s"],
+                "erasure_fraction": report["session"]["erasure_fraction"],
+                "ber": report["session"]["ber"],
+            }
+            # The text csv writes for each value, "" for null.
+            assert {name: row[name] for name in expected} == {
+                name: "" if want is None else str(want) for name, want in expected.items()
+            }, index
+
     @pytest.mark.parametrize(
         "param, values, error",
         [
@@ -908,7 +970,7 @@ class TestReportContents:
             max_retransmissions=max_retransmissions,
         )
         scenario = scenario_from_dict(doc)
-        report = cli.build_report(scenario, cli.run_session(scenario), None)
+        report = build_report(scenario, run_session(scenario), None)
         session = report["session"]
         if session["status"] == "completed":
             assert report["secrecy"] is not None
@@ -920,19 +982,22 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs cli.main(argv) with stdout swallowed, then prints [exit code, the
 # loaded modules that are numpy, scipy, orjson or in qsdcnet, how many
-# Clopper-Pearson intervals were asked for] on its last line.
+# Clopper-Pearson intervals were asked for] on its last line. The child
+# imports nothing the command does not, so the intervals are read through
+# sys.modules, and are 0 where qsdcnet.analysis never loaded.
 _COLD_START_CHILD = """
 import contextlib, io, json, sys
-from qsdcnet import analysis, cli
+from qsdcnet import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
 loaded = [m for m in sys.modules if m in ("numpy", "scipy", "orjson") or m.startswith("qsdcnet")]
-calls = analysis.clopper_pearson.cache_info()
-print(json.dumps([code, sorted(loaded), calls.hits + calls.misses]))
+analysis = sys.modules.get("qsdcnet.analysis")
+calls = analysis.clopper_pearson.cache_info() if analysis else None
+print(json.dumps([code, sorted(loaded), calls.hits + calls.misses if calls else 0]))
 """
 
-# What plan loads: the planner, and the numpy-free analysis the CLI reads.
-PLANNER_MODULES = ["qsdcnet", "qsdcnet.analysis", "qsdcnet.cli", "qsdcnet.errors", "qsdcnet.netplan"]
+# What plan loads: the CLI and the planner.
+PLANNER_MODULES = ["qsdcnet", "qsdcnet.cli", "qsdcnet.errors", "qsdcnet.netplan"]
 # What a command that rejects its scenario loads: the planner and the reader.
 READER_MODULES = sorted([*PLANNER_MODULES, "qsdcnet.scenario"])
 
@@ -1020,7 +1085,7 @@ class TestColdStart:
         report = json.loads((out / "report.json").read_text())
         assert 0 < report["qber"]["e"] < 1
         old_report = report_with_scipy_era_intervals(report)
-        digest = hashlib.sha256("".join(cli.report_pieces(old_report)).encode()).hexdigest()
+        digest = hashlib.sha256("".join(report_pieces(old_report)).encode()).hexdigest()
         assert digest == INTERCEPT_RESEND_REPORT_SHA256
 
     def test_sweep_with_errors_never_loads_scipy(self, tmp_path):
@@ -1060,9 +1125,11 @@ class TestColdStart:
         )
         assert not (tmp_path / "out").exists()
 
-    def test_rejected_sweep_value_loads_only_the_reader(self, tmp_path):
+    # Every value is read before any session runs, wherever the bad one is.
+    @pytest.mark.parametrize("values", ["1.5,0.9", "0.9,1.5"])
+    def test_rejected_sweep_value_loads_only_the_reader(self, tmp_path, values):
         argv = ["sweep", "--scenario", write_scenario(tmp_path, ideal_scenario_dict()),
-                "--param", "devices.detector.efficiency", "--values", "1.5,0.9",
+                "--param", "devices.detector.efficiency", "--values", values,
                 "--out", str(tmp_path / "out")]
         error = "devices.detector.efficiency: must be in [0, 1], got 1.5"
         assert run_in_fresh_interpreter_with_stderr(argv) == (
@@ -1076,6 +1143,14 @@ class TestColdStart:
         assert "numpy" not in loaded and "orjson" not in loaded
         assert [m for m in loaded if m.startswith("qsdcnet")] == [
             "qsdcnet", "qsdcnet.errors", "qsdcnet.netplan", "qsdcnet.scenario"
+        ]
+
+    def test_the_report_module_imports_no_numpy(self):
+        code = "import json, sys, qsdcnet.report; print(json.dumps(sorted(sys.modules)))"
+        loaded = json.loads(fresh_interpreter(code).stdout)
+        assert not {"numpy", "orjson", "argparse", "csv"} & {*loaded}
+        assert [m for m in loaded if m.startswith("qsdcnet")] == [
+            "qsdcnet", "qsdcnet.analysis", "qsdcnet.errors", "qsdcnet.netplan", "qsdcnet.report"
         ]
 
     def test_a_digest_loads_the_splicer_alone(self):
