@@ -181,48 +181,57 @@ def cmd_fringe(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of ``argv``. Every command is listed with its help, but only
+    a command named in ``argv`` gets its arguments and ``-h``. argparse reads
+    no other subparser, so the help, usage and error text are those of a
+    parser that built every command."""
+    named = set(argv)
     parser = argparse.ArgumentParser(
         prog="qsdcnet",
         description="Deterministic QSDC network simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    plan = sub.add_parser("plan", help="plan and verify the wavelength allocation")
-    plan.add_argument("--subnets", type=int, required=True)
-    plan.add_argument("--users-per-subnet", type=int, required=True)
-    plan.add_argument("--grid-size", type=int, default=netplan.DEFAULT_GRID_SIZE)
-    plan.set_defaults(func=cmd_plan)
+    def command(name: str, text: str, func) -> argparse.ArgumentParser | None:
+        built = sub.add_parser(name, help=text, add_help=name in named)
+        if name not in named:
+            return None
+        built.set_defaults(func=func)
+        return built
 
-    run = sub.add_parser("run", help="run one QSDC session from a scenario file")
-    run.add_argument("--scenario", required=True)
-    run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
-    run.set_defaults(func=cmd_run)
+    if plan := command("plan", "plan and verify the wavelength allocation", cmd_plan):
+        plan.add_argument("--subnets", type=int, required=True)
+        plan.add_argument("--users-per-subnet", type=int, required=True)
+        plan.add_argument("--grid-size", type=int, default=netplan.DEFAULT_GRID_SIZE)
 
-    sweep = sub.add_parser("sweep", help="run the scenario across parameter values")
-    sweep.add_argument("--scenario", required=True)
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--param", required=True, help="dotted path, e.g. devices.alice_fiber.length_km")
-    sweep.add_argument("--values", required=True, help="comma-separated numbers (empty for header-only CSV)")
-    sweep.add_argument("--out", default=None)
-    sweep.set_defaults(func=cmd_sweep)
+    if run := command("run", "run one QSDC session from a scenario file", cmd_run):
+        run.add_argument("--scenario", required=True)
+        run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        run.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
 
-    fringe = sub.add_parser("fringe", help="simulate a two-photon interference fringe")
-    fringe.add_argument("--scenario", required=True)
-    fringe.add_argument("--seed", type=int, default=None)
-    fringe.add_argument("--bell-state", choices=BELL_STATE_CHOICES, default="phi_plus")
-    fringe.add_argument("--phases", type=int, default=64)
-    fringe.add_argument("--shots-per-phase", type=int, default=20000)
-    fringe.add_argument("--out", default=None)
-    fringe.add_argument("--format", choices=["jsonl", "csv"], default="csv")
-    fringe.set_defaults(func=cmd_fringe)
+    if sweep := command("sweep", "run the scenario across parameter values", cmd_sweep):
+        sweep.add_argument("--scenario", required=True)
+        sweep.add_argument("--seed", type=int, default=None)
+        sweep.add_argument("--param", required=True, help="dotted path, e.g. devices.alice_fiber.length_km")
+        sweep.add_argument("--values", required=True, help="comma-separated numbers (empty for header-only CSV)")
+        sweep.add_argument("--out", default=None)
+
+    if fringe := command("fringe", "simulate a two-photon interference fringe", cmd_fringe):
+        fringe.add_argument("--scenario", required=True)
+        fringe.add_argument("--seed", type=int, default=None)
+        fringe.add_argument("--bell-state", choices=BELL_STATE_CHOICES, default="phi_plus")
+        fringe.add_argument("--phases", type=int, default=64)
+        fringe.add_argument("--shots-per-phase", type=int, default=20000)
+        fringe.add_argument("--out", default=None)
+        fringe.add_argument("--format", choices=["jsonl", "csv"], default="csv")
     return parser
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse has printed the help or the usage error
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:

@@ -282,20 +282,12 @@ class Scenario:
     def fringe_rng(self) -> np.random.Generator:
         return stream_rng(self.seed, _FRINGE_STREAM)
 
-    def _canonical_pieces(self) -> list[str]:
-        from .transcript import spliced_pieces
-
-        return spliced_pieces(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def canonical_json(self) -> str:
-        return "".join(self._canonical_pieces())
-
     def digest(self) -> str:
-        """The SHA-256 of the canonical JSON's UTF-8 bytes, fed piece by piece."""
-        from .transcript import encoded
+        """The SHA-256 of the canonical JSON (sorted keys, no spaces) as UTF-8, fed piece by piece."""
+        from .transcript import encoded, spliced_pieces
 
         sha = hashlib.sha256()
-        for chunk in encoded(self._canonical_pieces()):
+        for chunk in encoded(spliced_pieces(self.to_dict(), sort_keys=True, separators=(",", ":"))):
             sha.update(chunk)
         return sha.hexdigest()
 

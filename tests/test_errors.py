@@ -98,8 +98,8 @@ def _fringe(dest):
             path = os.path.join(out, "scenario.json")
             with open(path, "w") as f:
                 json.dump(ideal_scenario_dict(seed=1), f)
-            argv = ["fringe", "--scenario", path, "--phases", "8", "--shots-per-phase", "100"]
-            args = cli.build_parser().parse_args([*argv, "--out", out])
+            argv = ["fringe", "--scenario", path, "--phases", "8", "--shots-per-phase", "100", "--out", out]
+            args = cli.build_parser(argv).parse_args(argv)
             setattr(args, dest, value)
             cli.cmd_fringe(args)
 

@@ -54,13 +54,22 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
+# The sha256 of an empty stream.
+NOTHING = hashlib.sha256(b"").hexdigest()
+
+
+def canonical_json(scenario):
+    """The text the scenario digest hashes, by json alone (tests/test_golden.py's rule)."""
+    return json.dumps(scenario.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
 class TestScenarioParsing:
     def test_round_trip_and_message_resolution(self):
         scenario = scenario_from_dict(ideal_scenario_dict(seed=3, message_hex="deadbeef"))
         assert scenario.seed == 3
         assert scenario.message_bits().text() == "11011110101011011011111011101111"
         again = scenario_from_dict(scenario.to_dict())
-        assert again.canonical_json() == scenario.canonical_json()
+        assert canonical_json(again) == canonical_json(scenario)
 
     def test_random_message_is_seed_deterministic(self):
         doc = ideal_scenario_dict(seed=5)
@@ -84,7 +93,7 @@ class TestScenarioParsing:
     def test_canonicalization_idempotent(self):
         scenario = scenario_from_dict(ideal_scenario_dict(seed=2, message_hex="ab"))
         once = scenario.to_dict()
-        assert json.loads(scenario.canonical_json()) == once
+        assert json.loads(canonical_json(scenario)) == once
         assert scenario_from_dict(once).to_dict() == once
 
     def test_missing_seed_rejected(self):
@@ -314,11 +323,92 @@ class TestPlanCommand:
             (["run"], cli.EXIT_VALIDATION),
             (["plan", "--subnets", "x", "--users-per-subnet", "3"], cli.EXIT_VALIDATION),
             (["--help"], cli.EXIT_OK),
+            (["bogus"], cli.EXIT_VALIDATION),
+            ([], cli.EXIT_VALIDATION),
         ],
-        ids=["run_without_scenario", "subnets_not_int", "help"],
+        ids=["run_without_scenario", "subnets_not_int", "help", "bogus", "none"],
     )
     def test_exit_codes(self, capsys, argv, code):
         assert cli.main(argv) == code
+
+    # The help, usage and error text, byte for byte, of the parser that built
+    # every command's arguments whatever argv named: exit code and the sha256
+    # of stdout and stderr, recorded with CPython 3.11's argparse at 80 columns.
+    @pytest.mark.parametrize(
+        "argv, code, stdout_sha256, stderr_sha256",
+        [
+            ([], cli.EXIT_VALIDATION,
+             NOTHING,
+             "0c87df1f5ba33415d2aa8b301853c2a93d5b6c9932bab6c3622a2ed6edc96a7f"),
+            (["-h"], cli.EXIT_OK,
+             "033193a62e8bee241c919d0c90cddee9a311ce4f34697e5be0ab443aa6622f94",
+             NOTHING),
+            (["--help"], cli.EXIT_OK,
+             "033193a62e8bee241c919d0c90cddee9a311ce4f34697e5be0ab443aa6622f94",
+             NOTHING),
+            (["bogus"], cli.EXIT_VALIDATION,
+             NOTHING,
+             "8419dc7cabb398645d1c3c2bcba80663ae7e783eeadc601228fa0f6b0438af5a"),
+            (["ru"], cli.EXIT_VALIDATION,
+             NOTHING,
+             "41d81a213acaf3c78b570c282e89149d5d14c07c44b5aa3964f629f6e76fa3fe"),
+            (["-h", "run"], cli.EXIT_OK,
+             "033193a62e8bee241c919d0c90cddee9a311ce4f34697e5be0ab443aa6622f94",
+             NOTHING),
+            (["plan", "-h"], cli.EXIT_OK,
+             "40cd14c59b38678bfc8fc32d3ee6965588f15587731663cd4918b746ffae2e8e",
+             NOTHING),
+            (["run", "-h"], cli.EXIT_OK,
+             "66c174f2dd6a53713734aa11d3625ca3af407d851909b3768b04006b2fc0d938",
+             NOTHING),
+            (["sweep", "-h"], cli.EXIT_OK,
+             "6d007e6b0f9e5b0d73a0ab93240af6a149a3047346b4217f4744c61ce497cdfc",
+             NOTHING),
+            (["fringe", "-h"], cli.EXIT_OK,
+             "7dad1770dd9c615c8bb5bdba8264162f6d7872be8dc39eca4280f7f727393bfd",
+             NOTHING),
+            (["run"], cli.EXIT_VALIDATION,
+             NOTHING,
+             "011643cc94e539cd2fa37437f33892fcca51e92265f8585ccdfd951a356a6a57"),
+            (["plan", "--subnets", "x"], cli.EXIT_VALIDATION,
+             NOTHING,
+             "271a1b4a36cfcc521aa7fd7ee11b0c50d053911fbc674509ca701642a643dadc"),
+            (["run", "--scenario", "x", "--bogus"], cli.EXIT_VALIDATION,
+             NOTHING,
+             "43ae1765f3277f4de2d6a5ca4a2a9d1da1beb37e102dc165422391bb7f2bd2d7"),
+            (["fringe", "--bell-state", "nope"], cli.EXIT_VALIDATION,
+             NOTHING,
+             "648835fd54195eac3c602953e696b91f96f6e42acde5666e728c8fa0f7c3ff79"),
+            (["run", "--scenario", "sweep", "-h"], cli.EXIT_OK,
+             "66c174f2dd6a53713734aa11d3625ca3af407d851909b3768b04006b2fc0d938",
+             NOTHING),
+        ],
+        ids=[
+            "none", "h", "help", "bogus", "ru", "h_run", "plan_h", "run_h", "sweep_h", "fringe_h",
+            "run_without_scenario", "subnets_not_int", "unrecognized_extra", "bad_bell_state",
+            "command_as_value",
+        ],
+    )
+    def test_parser_text(self, capsys, monkeypatch, argv, code, stdout_sha256, stderr_sha256):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha256
+        assert hashlib.sha256(captured.err.encode()).hexdigest() == stderr_sha256
+
+    # With no argv, main reads sys.argv[1:]; any other iterable parses as its list.
+    @pytest.mark.parametrize("source", ["sys_argv", "iterator", "tuple"])
+    def test_argv_sources_parse_as_the_list(self, capsys, monkeypatch, source):
+        argv = ["plan", "--subnets", "1", "--users-per-subnet", "1"]
+        assert cli.main(argv) == cli.EXIT_OK
+        expected = capsys.readouterr()
+        if source == "sys_argv":
+            monkeypatch.setattr(sys, "argv", ["qsdcnet", *argv])
+            code = cli.main()
+        else:
+            code = cli.main(iter(argv) if source == "iterator" else tuple(argv))
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr() == expected
 
     @pytest.mark.parametrize(
         "subnets, users_per_subnet, grid_size",
