@@ -145,21 +145,13 @@ def _encoding_cumulative(noise: NoiseParams, eve: EveModel) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=64)
-def _certain_code(noise: NoiseParams) -> int | None:
-    """j0 if the noisy pair is Bell state j0 for certain: then row k of the
-    untouched encoding table is exactly 0.0 before k ^ j0 and 1.0 from it."""
-    (nonzero,) = bell_weights(noise).nonzero()
-    return int(nonzero[0]) if nonzero.size == 1 else None
-
-
 class Link:
     """What the devices and Eve fix for all of a session's blocks and
     detection rounds, computed once per session. The encoding table is
     looked up on first use: a session that aborts in its first detection
     round needs none. Blocks skip the delivery draws when
-    ``certain_delivery`` and the decode compares when ``certain_code`` is
-    set, and write the general path's outputs bit for bit."""
+    ``certain_delivery`` and the decode draws when ``certain_code`` is set,
+    and write the general path's outputs bit for bit."""
 
     def __init__(self, devices: Devices, eve: EveModel):
         self.devices = devices
@@ -178,9 +170,12 @@ class Link:
         )
         self.detection_columns = _detection_columns(devices.source.noise)
         self.certain_delivery = self.p_deliver == 1.0
-        # Intercept-resend mixes the encoding table's rows.
-        intercepts = eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0
-        self.certain_code = None if intercepts else _certain_code(devices.source.noise)
+        # j0 if the pair is Bell state j0 for certain and Eve mixes no rows of
+        # the encoding table: row k is then 0.0 before k ^ j0 and 1.0 from it.
+        self.certain_code = None
+        if not (eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0):
+            (nonzero,) = bell_weights(devices.source.noise).nonzero()
+            self.certain_code = int(nonzero[0]) if nonzero.size == 1 else None
 
     @cached_property
     def encoding_columns(self) -> tuple[np.ndarray, ...]:
@@ -196,13 +191,33 @@ def _columns(table: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _sample(columns: tuple[np.ndarray, ...], rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Inverse-CDF sampling: per draw, the number of entries of its row of a
-    cumulative table, given as its ``_columns``, that the draw exceeds."""
+    cumulative table, given as its ``_columns``, that are at most the draw.
+    An outcome of weight 0 has an empty range of draws, so none is drawn."""
     rows = rows.astype(np.intp, copy=False)  # once, not in each fancy index
     first, *rest = columns
-    indices = (draws > first[rows]).view(np.uint8)
+    indices = (draws >= first[rows]).view(np.uint8)
     for column in rest:
-        indices += draws > column[rows]
+        indices += draws >= column[rows]
     return indices
+
+
+def _block_draws(rng: np.random.Generator, n: int, link: Link):
+    """A block's n delivery draws, as the positions of the pairs they erase,
+    and its n decode draws: the halves of random(2 * n), which for PCG64 is
+    random(n) twice. A half the link makes certain is skipped by advance(n),
+    which is random(n) unread, and gives no erasure or no draws (None)."""
+    if link.certain_code is None and not link.certain_delivery:
+        draws = rng.random(2 * n)  # one call, not two
+        return (draws[:n] >= link.p_deliver).nonzero()[0], draws[n:]
+    if link.certain_delivery:
+        rng.bit_generator.advance(n)
+        erased = np.empty(0, dtype=np.intp)
+    else:
+        erased = (rng.random(n) >= link.p_deliver).nonzero()[0]
+    if link.certain_code is None:
+        return erased, rng.random(n)
+    rng.bit_generator.advance(n)
+    return erased, None
 
 
 def run_security_detection(session: Session, link: Link, config: ProtocolConfig) -> bool:
@@ -273,20 +288,21 @@ def run_security_detection(session: Session, link: Link, config: ProtocolConfig)
 class _Window:
     """A block and the blocks after it that resend only the erasures before
     them, decoded once when the window closes. Per symbol of the first
-    block it keeps the decode draw and the window offset of the symbol's
-    last send; a delivered symbol is never sent again, so its draw is the
-    delivering one."""
+    block it keeps the decode draw (None on a link whose decode is certain)
+    and the window offset of the symbol's last send; a delivered symbol is
+    never sent again, so its draw is the delivering one."""
 
-    def __init__(self, symbols: slice | np.ndarray, sent: np.ndarray, draws: np.ndarray):
+    def __init__(self, symbols: slice | np.ndarray, sent: np.ndarray, draws: np.ndarray | None):
         self.symbols, self.sent, self.draws = symbols, sent, draws
         self.offsets = None  # made by the first resend
         self.payloads: list[dict] = []  # each block's block_sent payload
 
-    def resend(self, positions: np.ndarray, draws: np.ndarray):
+    def resend(self, positions: np.ndarray, draws: np.ndarray | None):
         """Record a resend of the symbols at these positions of the first block."""
         if self.offsets is None:
             self.offsets = np.zeros(self.sent.size, dtype=np.intp)
-        self.draws[positions] = draws
+        if draws is not None:
+            self.draws[positions] = draws
         self.offsets[positions] = len(self.payloads)
 
     def close(self, queued: np.ndarray, erased: np.ndarray, link: Link, received, attempts) -> int:
@@ -295,16 +311,15 @@ class _Window:
         still queued, at positions queued (the last block's erased), were
         not delivered: they count no error."""
         code = link.certain_code
-        if code is not None and self.offsets is None and not queued.size and self.draws.min() > 0.0:
-            # One block, every pair delivered and no draw of exactly 0.0: every
-            # symbol decodes as sent ^ code, so all are wrong or none is.
+        if code is not None and self.offsets is None and not queued.size:
+            # One block, every pair delivered: all symbols are wrong or none is.
             received[self.symbols] = self.sent ^ code
             errors = [self.sent.size if code else 0]
         else:
             if code is None:
                 decoded = _sample(link.encoding_columns, self.sent, self.draws)
-            else:  # _sample on one-hot rows: sent ^ code, or 0 for a draw of exactly 0.0
-                decoded = (self.sent ^ code) * (self.draws > 0.0)
+            else:  # what _sample gives on one-hot rows, for every draw
+                decoded = self.sent ^ code
             received[self.symbols] = decoded
             wrong = decoded != self.sent
             wrong[queued] = False
@@ -446,9 +461,9 @@ def run_qsdc(
         if resend:
             requeued = []
             n = queued.size
-            draws = rng.random(2 * n)
-            window.resend(queued, draws[n:])
-            queued = queued[draws[:n] >= link.p_deliver]
+            erased_at, decode = _block_draws(rng, n, link)
+            window.resend(queued, decode)
+            queued = queued[erased_at]
         else:
             if window is not None:
                 symbol_errors += window.close(queued, erased, link, received, attempts)
@@ -467,17 +482,8 @@ def run_qsdc(
                     batch = np.concatenate((np.arange(start, cursor), batch))
             sent = codes[batch]
             n = sent.size
-            # For PCG64, random(n) twice is random(2 * n): the first half decides
-            # delivery, the second the Bell state Bob identifies. random() takes
-            # one 64-bit output per double, so advance(n) is random(n) unread.
-            if link.certain_delivery:
-                rng.bit_generator.advance(n)
-                window = _Window(batch, sent, rng.random(n))
-                queued = np.empty(0, dtype=np.intp)
-            else:
-                draws = rng.random(2 * n)
-                window = _Window(batch, sent, draws[n:])
-                queued = (draws[:n] >= link.p_deliver).nonzero()[0]  # positions in the window
+            queued, decode = _block_draws(rng, n, link)  # queued: positions in the window
+            window = _Window(batch, sent, decode)
         erased = queued + start if isinstance(batch, slice) else batch[queued]
         session.time_s += n / symbol_rate
         transmissions += n

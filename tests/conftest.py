@@ -396,9 +396,10 @@ def sample_oracle(table: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.
     """Inverse-CDF sampling against whole rows of a cumulative table.
 
     The reference for ``protocol._sample``, which compares one column at a
-    time: per draw, the number of entries of its row that the draw exceeds.
+    time: per draw, ``np.searchsorted(row, draw, side="right")``, the number
+    of entries of its sorted row that are at most the draw.
     """
-    return (draws[:, None] > table[rows]).sum(axis=1)
+    return (table[rows] <= draws[:, None]).sum(axis=1)
 
 
 def security_detection_oracle(

@@ -441,7 +441,7 @@ def test_report_is_the_pre_removal_report_less_one_key(name, tmp_path, capsys):
     report["fidelity_table"] = fidelity_table_oracle(noise)
     assert _sha256_of_report(report) == DENSITY_MATRIX_REPORT_DIGESTS[name]
     scenario["devices"]["modulator"]["extinction_error"] = 0.0
-    # Scenario.canonical_json's rule.
+    # The canonical JSON: sorted keys and (",", ":") separators, so no spaces.
     canonical = json.dumps(scenario, sort_keys=True, separators=(",", ":"))
     report["scenario_digest"] = hashlib.sha256(canonical.encode()).hexdigest()
     assert _sha256_of_report(report) == PRE_REMOVAL_REPORT_DIGESTS[name]

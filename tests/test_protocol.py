@@ -46,7 +46,7 @@ from conftest import (
     sfg_bsm,
     transmit_and_decode_block,
 )
-from qsdcnet.report import run_session
+from qsdcnet.report import build_report, report_pieces, run_session
 from qsdcnet.scenario import (
     _MESSAGE_STREAM,
     MAX_DETECTION_SIZE,
@@ -741,7 +741,7 @@ def encoding_samples(monkeypatch) -> list[int]:
 
 class TestCertainOutcomes:
     """Blocks skip the delivery draws of a link with p_deliver 1.0 and the
-    decode compares of a one-hot encoding table; each session here matches
+    decode draws of a one-hot encoding table; each session here matches
     ``conftest.run_qsdc_oracle``, which always draws random(2 * n) and
     samples every block through ``_sample``."""
 
@@ -838,34 +838,45 @@ class TestCertainOutcomes:
         table = _encoding_cumulative(noise, eve)
         assert not np.isin(table, (0.0, 1.0)).all()
 
+    @staticmethod
+    def edge_draws(table: np.ndarray) -> np.ndarray:
+        """Exact 0.0, the smallest double above it, each entry of the table
+        below 1.0, draws between and the largest draw below 1.0."""
+        entries = np.unique(table[table < 1.0])
+        return np.concatenate(([0.0, 5e-324], entries, [0.25, 0.5, 0.75, 1.0 - 2**-53]))
+
     @pytest.mark.parametrize("phase_offset_rad, code", [(0.0, 0), (np.pi, 1)])
     def test_close_matches_sample_on_exact_zero_draws(self, phase_offset_rad, code):
-        # Hand-built decode draws: exact 0.0, which exceeds no column and
-        # decodes as 0, beside the smallest double above it and draws near 1.
+        # Hand-built decode draws, exact 0.0 and the table's own entries
+        # among them: under the <= rule no outcome of weight 0 is drawn, so
+        # each decodes as sent ^ code, as the window does with no draw.
         noise = NoiseParams(phase_offset_rad=phase_offset_rad)
         eve = EveModel(EveKind.NONE, 0.0)
         link = Link(make_devices(noise=noise), eve)
         assert link.certain_code == code
-        draws = np.array([0.0, 5e-324, 0.0, 0.25, 0.5, 0.0, 1.0 - 2**-53, 0.75] * 4)
-        sent = np.repeat(np.arange(4, dtype=np.uint8), 8)
-        expected = _sample(_columns(_encoding_cumulative(noise, eve)), sent, draws)
+        table = _encoding_cumulative(noise, eve)
+        edges = self.edge_draws(table)
+        draws = np.tile(edges, 4)
+        sent = np.repeat(np.arange(4, dtype=np.uint8), edges.size)
+        expected = _sample(_columns(table), sent, draws)
+        np.testing.assert_array_equal(expected, sent ^ code)
         received = np.full(sent.size, 9, dtype=np.uint8)
         attempts = np.zeros(sent.size, dtype=np.uint8)
-        window = protocol._Window(slice(0, sent.size), sent, draws)
+        window = protocol._Window(slice(0, sent.size), sent, None)
         window.payloads.append({})
         none = np.empty(0, dtype=np.intp)
         errors = window.close(none, none, link, received, attempts)
         np.testing.assert_array_equal(received, expected)
-        assert received.dtype == np.uint8 and (received[draws == 0.0] == 0).all()
-        assert errors == window.payloads[0]["symbol_errors"] == np.count_nonzero(expected != sent)
+        assert received.dtype == np.uint8
+        assert errors == window.payloads[0]["symbol_errors"] == (sent.size if code else 0)
 
     @staticmethod
-    def close_fresh_block(link, sent, draws, symbols):
+    def close_fresh_block(link, sent, symbols):
         """One fresh block's window, every pair delivered, closed: (received,
         its errors, the block's symbol_errors)."""
         received = np.full(sent.size + 7, 9, dtype=np.uint8)
         attempts = np.zeros(received.size, dtype=np.uint8)
-        window = protocol._Window(symbols, sent, draws)
+        window = protocol._Window(symbols, sent, None)  # a certain decode draws nothing
         window.payloads.append({})
         none = np.empty(0, dtype=np.intp)
         errors = window.close(none, none, link, received, attempts)
@@ -877,19 +888,23 @@ class TestCertainOutcomes:
     @pytest.mark.parametrize("symbols", SYMBOLS, ids=["slice", "index_array"])
     @pytest.mark.parametrize("phase_offset_rad", [0.0, np.pi])
     def test_a_delivered_block_with_an_exact_zero_draw(self, symbols, phase_offset_rad):
-        # One draw of exactly 0.0 decodes as 0 whatever was sent.
+        # Draws of exactly 0.0, of the table's entries and next to 1.0 decode
+        # as sent ^ code, whatever was sent, like every other draw.
         noise = NoiseParams(phase_offset_rad=phase_offset_rad)
         eve = EveModel(EveKind.NONE, 0.0)
         link = Link(make_devices(noise=noise), eve)
+        code = link.certain_code
+        table = _encoding_cumulative(noise, eve)
         rng = np.random.default_rng(31)
         sent = rng.integers(0, 4, 10_000, dtype=np.uint8)
         draws = rng.random(sent.size)
-        draws[4321] = 0.0
-        expected = _sample(_columns(_encoding_cumulative(noise, eve)), sent, draws)
-        received, errors, block_errors = self.close_fresh_block(link, sent, draws, symbols)
+        edges = self.edge_draws(table)
+        draws[4321 : 4321 + 4 * edges.size] = np.tile(edges, 4)
+        expected = _sample(_columns(table), sent, draws)
+        np.testing.assert_array_equal(expected, sent ^ code)
+        received, errors, block_errors = self.close_fresh_block(link, sent, symbols)
         np.testing.assert_array_equal(received, expected)
-        assert received[4321] == 0
-        assert errors == block_errors == np.count_nonzero(expected != sent)
+        assert errors == block_errors == (sent.size if code else 0)
 
     @pytest.mark.parametrize("symbols", SYMBOLS, ids=["slice", "index_array"])
     def test_a_phi_minus_block_is_wrong_in_every_symbol(self, symbols):
@@ -899,11 +914,9 @@ class TestCertainOutcomes:
         assert link.certain_code == 1
         rng = np.random.default_rng(32)
         sent = rng.integers(0, 4, 10_000, dtype=np.uint8)
-        draws = rng.random(sent.size)
-        assert draws.min() > 0.0
-        expected = _sample(_columns(_encoding_cumulative(noise, eve)), sent, draws)
+        expected = _sample(_columns(_encoding_cumulative(noise, eve)), sent, rng.random(sent.size))
         np.testing.assert_array_equal(expected, sent ^ 1)
-        received, errors, block_errors = self.close_fresh_block(link, sent, draws, symbols)
+        received, errors, block_errors = self.close_fresh_block(link, sent, symbols)
         np.testing.assert_array_equal(received, expected)
         assert received.dtype == np.uint8 and errors == block_errors == sent.size
 
@@ -917,6 +930,94 @@ class TestCertainOutcomes:
         sent = np.frombuffer(scenario.message_bits().text().encode(), dtype=np.uint8)
         got = np.frombuffer(summary["delivered_bits"].encode(), dtype=np.uint8)
         assert summary["ber"] == np.count_nonzero(sent != got) / sent.size
+
+
+def certain_path_cases() -> dict[str, dict]:
+    """Scenarios whose blocks take the certain paths: the ideal one, lossless
+    with a certain decode; a tap and the 40 km reference, lossy with a
+    certain decode; and a phi- source, every symbol decoded wrong."""
+    ideal = ideal_scenario_dict(seed=11, message_hex="0123456789abcdef" * 40)
+    ideal["protocol"].update(block_size=96, redetect_every_blocks=3)
+    tap = copy.deepcopy(ideal)
+    tap["eve"] = {"kind": "tap", "fraction": 0.3}
+    phi_minus = copy.deepcopy(ideal)
+    phi_minus["devices"]["source"]["noise"] = {"phase_offset_rad": np.pi}
+    # Detection sees phi- as errors in X: one photon a round passes in Z.
+    phi_minus["protocol"].update(
+        detection_size=1, min_samples=1, qber_threshold=0.45, redetect_every_blocks=100
+    )
+    forty_km = forty_km_scenario_dict(seed=12, random_bits=2000)
+    return {"ideal": ideal, "tap": tap, "phi_minus": phi_minus, "forty_km": forty_km}
+
+
+class CountingGenerator:
+    """A session generator that counts the doubles ``random`` draws."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.bit_generator, self.doubles = rng, rng.bit_generator, 0
+
+    def random(self, size: int) -> np.ndarray:
+        self.doubles += size
+        return self.rng.random(size)
+
+
+class TestFastPathIsGeneralPath:
+    """A link's certain delivery and certain decode skip draws and compares,
+    not outcomes: forced onto the general path, which draws random(2 * n)
+    for every block and samples every decode, a session writes the same
+    bytes and leaves its generator in the same state."""
+
+    @staticmethod
+    def outputs(doc: dict):
+        """The session's transcript and report text and its generator's final state."""
+        scenario = scenario_from_dict(doc)
+        rng = scenario.session_rng()
+        transcript = run_qsdc(
+            scenario.message_bits(), scenario.devices, scenario.eve, scenario.protocol, rng
+        )
+        report = build_report(scenario, transcript, "transcript.jsonl")
+        return "".join(transcript.chunks()), "".join(report_pieces(report)), rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", sorted(certain_path_cases()))
+    def test_forced_onto_the_general_path(self, monkeypatch, name):
+        doc = certain_path_cases()[name]
+        scenario = scenario_from_dict(doc)
+        link = Link(scenario.devices, scenario.eve)
+        assert link.certain_code is not None
+        assert link.certain_delivery is (name in ("ideal", "phi_minus"))
+        fast = self.outputs(doc)
+        last = json.loads(fast[0].rsplit("\n", 2)[-2])
+        assert last["event_kind"] == "session_complete"
+        summary = last["payload"]
+        assert summary["blocks_sent"] > 1 and summary["symbol_errors"] == (
+            summary["transmissions"] - summary["erased_transmissions"] if name == "phi_minus" else 0
+        )
+        init = Link.__init__
+
+        def general(self, devices, eve):
+            init(self, devices, eve)
+            self.certain_code, self.certain_delivery = None, False
+
+        monkeypatch.setattr(Link, "__init__", general)
+        assert self.outputs(doc) == fast
+
+    def test_a_lossless_ideal_session_draws_only_for_detection(self):
+        doc = certain_path_cases()["ideal"]
+        scenario = scenario_from_dict(doc)
+        rng = CountingGenerator(scenario.session_rng())
+        transcript = run_qsdc(
+            scenario.message_bits(), scenario.devices, scenario.eve, scenario.protocol, rng
+        )
+        assert transcript.summary["status"] == "completed"
+        assert transcript.summary["transmissions"] == scenario.message_bits().codes.size
+        rounds = [
+            event["payload"] for event in transcript.events
+            if isinstance(event, dict) and event["event_kind"] == "detection_result"
+        ]
+        assert len(rounds) > 1
+        # Each round draws its photons' survival and its survivors' outcomes.
+        assert rng.doubles == sum(r["photons_sent"] + r["photons_detected"] for r in rounds)
+        assert "".join(transcript.chunks()) == self.outputs(doc)[0]
 
 
 class TestBitstringHelpers:
@@ -1177,13 +1278,45 @@ class TestSampler:
         table[:, -1] = 1.0
         rows = rng.integers(0, n_rows, n_draws)
         draws = rng.random(n_draws)
-        # Draws equal to a table entry: a tie must not count as exceeding it.
+        # Draws equal to a table entry: a tie falls into the upper bin.
         ties = rng.random(n_draws) < 0.5
         draws[ties] = table[rows[ties], rng.integers(0, 4, n_draws)[ties]]
         draws[draws == 1.0] = LAST_DRAW
         np.testing.assert_array_equal(
             _sample(_columns(table), rows, draws), sample_oracle(table, rows, draws)
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=4, max_size=4).filter(any),
+            min_size=1, max_size=6,
+        ),
+        picks=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.integers(0, 3) | st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_is_searchsorted_right_and_skips_zero_weights(self, weights, picks):
+        # Per draw: a row of a table with zero-weight outcomes, and an entry
+        # of that row (a tie), 0.0 or a uniform value.
+        table = np.cumsum(weights, axis=1)
+        table /= table[:, -1:]
+        table[:, -1] = 1.0
+        rows = np.array([row % table.shape[0] for row, _ in picks], dtype=np.intp)
+        draws = np.array(
+            [table[row, pick] if type(pick) is int else pick for row, (_, pick) in zip(rows, picks)],
+            dtype=float,
+        )
+        draws[draws == 1.0] = LAST_DRAW
+        got = _sample(_columns(table), rows, draws)
+        want = [np.searchsorted(table[row], draw, side="right") for row, draw in zip(rows, draws)]
+        np.testing.assert_array_equal(got, np.array(want, dtype=np.intp).reshape(-1))
+        below = np.concatenate((np.zeros((table.shape[0], 1)), table[:, :-1]), axis=1)
+        assert (table[rows, got] - below[rows, got] > 0.0).all()
 
 
 def _or_zero(values):
