@@ -64,9 +64,7 @@ def _write_rows(path: str, rows: list[dict], fieldnames: list[str], fmt: str) ->
     """Write the rows' fields as CSV under a header or as JSON lines; return the text."""
     if fmt == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(fieldnames)
-        writer.writerows(map(operator.itemgetter(*fieldnames), rows))
+        csv.writer(buffer).writerows([fieldnames, *map(operator.itemgetter(*fieldnames), rows)])
         text = buffer.getvalue()
     else:
         text = "".join(json.dumps({k: row[k] for k in fieldnames}) + "\n" for row in rows)
@@ -181,57 +179,63 @@ def cmd_fringe(args) -> int:
     return EXIT_OK
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of ``argv``. Every command is listed with its help, but only
-    a command named in ``argv`` gets its arguments and ``-h``. argparse reads
-    no other subparser, so the help, usage and error text are those of a
-    parser that built every command."""
-    named = set(argv)
-    parser = argparse.ArgumentParser(
-        prog="qsdcnet",
-        description="Deterministic QSDC network simulator",
-    )
+# Each command's help line and function, in the full parser's order.
+COMMANDS = {
+    "plan": ("plan and verify the wavelength allocation", cmd_plan),
+    "run": ("run one QSDC session from a scenario file", cmd_run),
+    "sweep": ("run the scenario across parameter values", cmd_sweep),
+    "fringe": ("simulate a two-photon interference fringe", cmd_fringe),
+}
+
+
+def add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """Give ``parser`` command ``name``'s arguments and Namespace defaults."""
+    parser.set_defaults(command=name, func=COMMANDS[name][1])
+    add = parser.add_argument
+    if name == "plan":
+        add("--subnets", type=int, required=True)
+        add("--users-per-subnet", type=int, required=True)
+        add("--grid-size", type=int, default=netplan.DEFAULT_GRID_SIZE)
+        return
+    add("--scenario", required=True)
+    add("--seed", type=int, help="override the scenario seed" if name == "run" else None)
+    if name == "sweep":
+        add("--param", required=True, help="dotted path, e.g. devices.alice_fiber.length_km")
+        add("--values", required=True, help="comma-separated numbers (empty for header-only CSV)")
+    elif name == "fringe":
+        add("--bell-state", choices=BELL_STATE_CHOICES, default="phi_plus")
+        add("--phases", type=int, default=64)
+        add("--shots-per-phase", type=int, default=20000)
+    add("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)" if name == "run" else None)
+    if name == "fringe":
+        add("--format", choices=["jsonl", "csv"], default="csv")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for the top-level help and the errors left to it."""
+    parser = argparse.ArgumentParser(prog="qsdcnet", description="Deterministic QSDC network simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, text: str, func) -> argparse.ArgumentParser | None:
-        built = sub.add_parser(name, help=text, add_help=name in named)
-        if name not in named:
-            return None
-        built.set_defaults(func=func)
-        return built
-
-    if plan := command("plan", "plan and verify the wavelength allocation", cmd_plan):
-        plan.add_argument("--subnets", type=int, required=True)
-        plan.add_argument("--users-per-subnet", type=int, required=True)
-        plan.add_argument("--grid-size", type=int, default=netplan.DEFAULT_GRID_SIZE)
-
-    if run := command("run", "run one QSDC session from a scenario file", cmd_run):
-        run.add_argument("--scenario", required=True)
-        run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        run.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
-
-    if sweep := command("sweep", "run the scenario across parameter values", cmd_sweep):
-        sweep.add_argument("--scenario", required=True)
-        sweep.add_argument("--seed", type=int, default=None)
-        sweep.add_argument("--param", required=True, help="dotted path, e.g. devices.alice_fiber.length_km")
-        sweep.add_argument("--values", required=True, help="comma-separated numbers (empty for header-only CSV)")
-        sweep.add_argument("--out", default=None)
-
-    if fringe := command("fringe", "simulate a two-photon interference fringe", cmd_fringe):
-        fringe.add_argument("--scenario", required=True)
-        fringe.add_argument("--seed", type=int, default=None)
-        fringe.add_argument("--bell-state", choices=BELL_STATE_CHOICES, default="phi_plus")
-        fringe.add_argument("--phases", type=int, default=64)
-        fringe.add_argument("--shots-per-phase", type=int, default=20000)
-        fringe.add_argument("--out", default=None)
-        fringe.add_argument("--format", choices=["jsonl", "csv"], default="csv")
+    for name, (text, _) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=text), name)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv``'s Namespace. A leading command's own parser, the full parser's subparser,
+    parses the rest; the full parser parses ``argv`` with no command or with extras."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"qsdcnet {argv[0]}")
+        add_arguments(parser, argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:  # argparse has printed the help or the usage error
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:

@@ -104,12 +104,7 @@ def report_pieces(report: dict) -> list[str]:
     return spliced_pieces(report, "\n", sort_keys=True, indent=2, allow_nan=False)
 
 
-def fringe_study(
-    scenario: Scenario,
-    label: qstate.BellLabel,
-    phases: int = 64,
-    shots_per_phase: int = 20000,
-) -> dict:
+def fringe_study(scenario: Scenario, label: qstate.BellLabel, phases: int, shots_per_phase: int) -> dict:
     """Simulate a fringe scan for one Bell state and fit it.
 
     Returns the sample table plus fitted visibility, fringe phase, and the

@@ -99,7 +99,7 @@ def _fringe(dest):
             with open(path, "w") as f:
                 json.dump(ideal_scenario_dict(seed=1), f)
             argv = ["fringe", "--scenario", path, "--phases", "8", "--shots-per-phase", "100", "--out", out]
-            args = cli.build_parser(argv).parse_args(argv)
+            args = cli.parse_args(argv)
             setattr(args, dest, value)
             cli.cmd_fringe(args)
 

@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -427,6 +429,144 @@ class TestPlanCommand:
         code = cli.main(argv + ["--grid-size", str(grid_size)])
         assert code == cli.EXIT_VALIDATION
         assert " must be <= " in capsys.readouterr().err
+
+
+# Option values: ints, a float and a word where an int is wanted, a negative
+# number, text that looks like an option, an empty string and a command name.
+_INTS = ("3", "8", "-3", "2.5", "x")
+_TEXT = ("s.json", "eve.fraction", "0,0.1", "-0.1,0.2", "-x", "", "sweep")
+# Each command's options and the values drawn for them.
+PARSE_OPTIONS = {
+    "plan": {"--subnets": _INTS, "--users-per-subnet": _INTS, "--grid-size": _INTS},
+    "run": {"--scenario": _TEXT, "--seed": _INTS, "--out": _TEXT},
+    "sweep": {"--scenario": _TEXT, "--seed": _INTS, "--param": _TEXT, "--values": _TEXT, "--out": _TEXT},
+    "fringe": {
+        "--scenario": _TEXT, "--seed": _INTS, "--bell-state": ("phi_minus", "psi_plus", "nope"),
+        "--phases": _INTS, "--shots-per-phase": _INTS, "--out": _TEXT, "--format": ("csv", "jsonl", "xml"),
+    },
+}
+# Words that are no option's value: unknown options, help flags, stray
+# positionals, the end-of-options marker and a negative number.
+_NOISE = ("--bogus", "--bogus=1", "-b", "-h", "--help", "--he", "extra", "run", "--", "-0.5")
+
+
+@st.composite
+def command_argvs(draw):
+    """An argv of one command: its options in any order, as ``--opt value`` or
+    ``--opt=value``, by any prefix, some repeated, with noise words anywhere;
+    most lead with the command, some name it later, abbreviate it or omit it."""
+    command = draw(st.sampled_from(sorted(PARSE_OPTIONS)))
+    options = PARSE_OPTIONS[command]
+    flags = draw(st.lists(st.sampled_from(sorted(options)), max_size=2 * len(options)))
+    words = []
+    for flag in [*draw(st.permutations(sorted(options))), *flags]:
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        value = draw(st.sampled_from(options[flag][:2] * 10 + options[flag][2:]))
+        # A unique prefix, mostly; a shorter one may be ambiguous.
+        others = [other for other in [*options, "--help"] if other != flag]
+        unique = next(n for n in range(3, len(flag) + 1) if not any(o.startswith(flag[:n]) for o in others))
+        name = flag[: draw(st.integers(draw(st.sampled_from([unique] * 5 + [3])), len(flag)))]
+        words += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(_NOISE)))
+    lead = draw(st.sampled_from(["command"] * 6 + ["later", "abbreviated", "omitted"]))
+    if lead == "later":
+        words.insert(draw(st.integers(1, max(len(words), 1))), command)
+        return words
+    return {"command": [command], "abbreviated": [command[:2]], "omitted": []}[lead] + words
+
+
+def _outcome(call, argv):
+    """(exit code or None, stdout, stderr, result) of call(argv): the code
+    main gives argparse's exit, or None and what call returned."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            code = cli.EXIT_OK if exc.code == 0 else cli.EXIT_VALIDATION
+            return code, out.getvalue(), err.getvalue(), None
+    return None, out.getvalue(), err.getvalue(), result
+
+
+class FullParserBuilt(Exception):
+    pass
+
+
+class TestParseEntry:
+    """cli.parse_args parses a command's arguments with that command's own
+    parser, and builds the full parser only for what that parser leaves."""
+
+    # Every command function is a stub that records the Namespace it is given.
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(argv=command_argvs())
+    @example(argv=["sweep", "--scen", "s.json", "--param", "eve.fraction", "--values", "0,0.1"])
+    @example(argv=["run", "--s", "s.json"])
+    @example(argv=["run", "--scenario=s.json", "--seed=3", "--out=o"])
+    @example(argv=["run", "--scenario", "a.json", "--scenario", "b.json"])
+    @example(argv=["run", "--", "--scenario", "s.json"])
+    @example(argv=["run", "--scenario", "s.json", "--", "extra"])
+    @example(argv=["sweep", "--scenario", "s.json", "--param", "eve.fraction", "--values", "-0.1,0.2"])
+    @example(argv=["sweep", "--scenario", "s.json", "--param", "eve.fraction", "--values=-0.1,0.2"])
+    @example(argv=["run", "--bogus", "-h"])
+    @example(argv=["--bogus", "-h"])
+    @example(argv=["run", "--scenario", "sweep", "-h"])
+    @example(argv=["fringe", "--scenario", "s.json", "--bell-state", "nope", "--bogus"])
+    @example(argv=["plan", "--subnets", "1", "--users-per-subnet", "1", "extra"])
+    def test_main_and_the_parse_entry_match_the_full_parser(self, argv):
+        ran = []
+
+        def record(args):
+            ran.append(args)
+            return cli.EXIT_OK
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("COLUMNS", "80")
+            for name, (text, _) in cli.COMMANDS.items():
+                patch.setitem(cli.COMMANDS, name, (text, record))
+            full = _outcome(cli.build_parser().parse_args, argv)
+            assert ran == []
+            assert _outcome(cli.parse_args, argv) == full
+            code, out, err, namespace = full
+            if code is None:
+                assert _outcome(cli.main, argv) == (None, out, err, cli.EXIT_OK)
+                assert ran == [namespace]
+            else:
+                assert _outcome(cli.main, argv) == (None, out, err, code)
+                assert ran == []
+
+    @pytest.mark.parametrize("command", ["plan", "run", "sweep", "fringe"])
+    def test_a_well_formed_command_never_builds_the_full_parser(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        scenario_path = write_scenario(tmp_path, ideal_scenario_dict(seed=1))
+        argv = {
+            "plan": ["plan", "--subnets", "1", "--users-per-subnet", "1"],
+            "run": ["run", "--scenario", scenario_path],
+            "sweep": ["sweep", "--scenario", scenario_path, "--param", "eve.fraction", "--values", "0,0.1"],
+            "fringe": ["fringe", "--scenario", scenario_path, "--phases", "8"],
+        }[command]
+        out = {name: [] if command == "plan" else ["--out", str(tmp_path / name)] for name in ("full", "entry")}
+
+        def written(name):
+            return {path.name: path.read_bytes() for path in sorted(tmp_path.glob(f"{name}/*"))}
+
+        # What the full parser's Namespace gives, then the same argv through main.
+        args = cli.build_parser().parse_args([*argv, *out["full"]])
+        assert args.func(args) == cli.EXIT_OK
+        usual = capsys.readouterr().out
+
+        def refuse():
+            raise FullParserBuilt
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert cli.main([*argv, *out["entry"]]) == cli.EXIT_OK
+        assert capsys.readouterr().out == usual
+        assert written("entry") == written("full")
+        assert bool(written("full")) == (command != "plan")
+        with pytest.raises(FullParserBuilt):
+            cli.main(["run", "--scenario", "x", "--bogus"])
 
 
 class TestRunCommand:
