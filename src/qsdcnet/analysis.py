@@ -295,20 +295,3 @@ def throughput(
         "overhead_fraction": overhead_fraction,
         "info_rate_bits_per_s": info_rate,
     }
-
-
-def session_secrecy_report(qber: QberEstimate, erasure_fraction: float) -> dict:
-    """Wiretap bound for a completed session.
-
-    Symbols that reached Bob and converted count toward Q_B; every emitted
-    symbol lost before detection is conservatively ceded to the eavesdropper
-    as Q_E, treating signal loss as information leakage.
-    """
-    check_range("erasure_fraction", erasure_fraction, 0, 1)
-    return secrecy_capacity_bound(
-        q_b=1.0 - erasure_fraction,
-        q_e=erasure_fraction,
-        e=qber.e,
-        e_x=qber.e_x,
-        e_z=qber.e_z,
-    )

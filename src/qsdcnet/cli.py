@@ -96,22 +96,23 @@ def cmd_run(args) -> int:
     scenario = _load(args)
     out_dir = _out_dir(args)
     started = time.monotonic()
-    from .report import build_report, report_pieces, run_session
+    from .report import build_report, read, report_pieces, run_session
     from .transcript import encoded
 
     transcript = run_session(scenario)
+    summary, counts = read(transcript.events)
     os.makedirs(out_dir, exist_ok=True)
     # Each Unescaped string the transcript, digest and report share is encoded once.
     with open(os.path.join(out_dir, "transcript.jsonl"), "wb") as handle:
         handle.writelines(encoded(transcript.chunks()))
     # Written as pieces, never joined: a 1 Mbit report is about 1.5 MB.
-    report = report_pieces(build_report(scenario, transcript, "transcript.jsonl"))
+    report = report_pieces(build_report(scenario, summary, counts, "transcript.jsonl"))
     with open(os.path.join(out_dir, "report.json"), "wb") as handle:
         handle.writelines(encoded(report))
     sys.stdout.writelines(report)
     print(f"wall-clock: {time.monotonic() - started:.3f} s", file=sys.stderr)
-    if transcript.summary["status"] == "aborted":
-        print(f"session aborted: {transcript.summary['abort_reason']}", file=sys.stderr)
+    if summary["status"] == "aborted":
+        print(f"session aborted: {summary['abort_reason']}", file=sys.stderr)
         return EXIT_ABORT
     return EXIT_OK
 
@@ -142,11 +143,11 @@ def cmd_sweep(args) -> int:
             variants.append(replace_entries(scenario, {"seed": scenario.seed ^ index, **entry}))
         except ScenarioError as exc:
             raise ScenarioError(f"{args.param}={value}: {exc}") from None
-    from .report import SWEEP_COLUMNS, run_session, sweep_row
+    from .report import SWEEP_COLUMNS, read, run_session, sweep_row
 
     rows = [
         {"index": index, "parameter": args.param, "value": value, "seed": variant.seed,
-         **sweep_row(variant, run_session(variant))}
+         **sweep_row(variant, *read(run_session(variant).events))}
         for index, (value, variant) in enumerate(zip(values, variants))
     ]
     os.makedirs(out_dir, exist_ok=True)

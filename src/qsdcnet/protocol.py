@@ -257,10 +257,8 @@ def run_security_detection(session: Session, link: Link, config: ProtocolConfig)
         outcomes = _sample(link.detection_columns, rows, rng.random(n))  # 2 * alice + bob
         outcomes |= bob_basis << 2
         batch = DetectionBatch(send_start, 1 / rate_hz, surviving, outcomes)
-        counts = batch.counts()
         session.transcript.events.append(batch)
-        session.transcript.detection_counts.append(counts)
-        qber = analysis.qber_from_counts(*counts)
+        qber = analysis.qber_from_counts(*batch.counts())
 
     if n < config.min_samples:
         passed, reason = False, "insufficient_detection_samples"
@@ -414,7 +412,8 @@ def run_qsdc(
     aborts the session with reason ``retransmission_cap``, listing the
     symbols over the cap in ``truncated_symbols``. The delivered message,
     BER against the sent message, erasure and overhead fractions, and
-    simulated elapsed time all land in the transcript summary.
+    simulated elapsed time all land in the summary, the payload of the
+    transcript's last event, ``session_complete`` or ``session_abort``.
     """
     codes, bit_count = message
     if not bit_count:
@@ -535,14 +534,9 @@ def run_qsdc(
         "erasure_fraction": erasure_fraction,
         "message_length": bit_count,
         "overhead_fraction": overhead_fraction,
-        "status": session.phase,
         "symbol_errors": symbol_errors,
         "transmissions": transmissions,
         "truncated_symbols": truncated,
     }
-    session.transcript.summary = summary
-    if completed:
-        session.log("session_complete", **{k: v for k, v in summary.items() if k != "status"})
-    else:
-        session.log("session_abort", reason=reason)
+    session.log("session_complete" if completed else "session_abort", **summary)
     return session.transcript

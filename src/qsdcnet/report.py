@@ -1,8 +1,8 @@
-"""The run report and the sweep row, from a scenario and its session's
-transcript: a sweep row's columns are the ``session_metrics`` the report
-writes. Only ``analysis`` and ``netplan``, which need no numpy, load with this
-module; the session, ``qstate``, ``photonics`` and ``transcript`` load inside
-the functions that use them.
+"""The run report and the sweep row, from a scenario and what ``read`` takes
+from its session's events: a sweep row's columns are the ``session_metrics``
+the report writes. Only ``analysis`` and ``netplan``, which need no numpy,
+load with this module; the session, ``qstate``, ``photonics`` and
+``transcript`` load inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from . import analysis, netplan
 if TYPE_CHECKING:
     from . import qstate
     from .scenario import Scenario
-    from .transcript import SessionTranscript
+    from .transcript import DetectionBatch, SessionTranscript
 
+Counts = list[tuple[int, int, int, int]]  # per detection round, as ``read`` gives them
 SWEEP_COLUMNS = [
     "index", "parameter", "value", "seed",
     "status", "qber_e", "cs_lower", "info_rate_bits_per_s", "erasure_fraction", "ber",
@@ -46,36 +47,56 @@ def fidelity_table(scenario: Scenario) -> list[dict]:
     ]
 
 
+def read(events: list[dict | DetectionBatch]) -> tuple[dict, Counts]:
+    """A finished session's summary, the last event's payload with the
+    ``status`` its kind names, and per round with a qber (a ``QberEstimate``,
+    or its dict in a parsed line) its (n_z, errors_z, n_x, errors_x). Each
+    rate is errors / n correctly rounded, so times n it rounds back to the
+    errors for any count below 2**51."""
+    counts = []
+    for event in events:  # a DetectionBatch or a detection_record is skipped
+        if type(event) is dict and event["event_kind"] == "detection_result":
+            qber = event["payload"]["qber"]
+            if qber is not None:
+                qber = qber if type(qber) is dict else vars(qber)
+                n_z, n_x = qber["n_z"], qber["n_x"]
+                counts.append((n_z, round(qber["e_z"] * n_z), n_x, round(qber["e_x"] * n_x)))
+    last = events[-1]
+    status = "completed" if last["event_kind"] == "session_complete" else "aborted"
+    return {**last["payload"], "status": status}, counts
+
+
 def session_metrics(
-    scenario: Scenario, transcript: SessionTranscript
+    scenario: Scenario, summary: dict, counts: Counts
 ) -> tuple[analysis.QberEstimate | None, dict | None, dict]:
-    """Pooled QBER, secrecy bound and throughput of one session, the last two
-    as the report writes them. Only a completed session claims a secrecy
-    bound; throughput is reported for every session."""
-    qber = transcript.pooled_qber
-    summary = transcript.summary
-    secrecy = (
-        analysis.session_secrecy_report(qber, summary["erasure_fraction"])
-        if summary["status"] == "completed"  # which passed a detection round, so has a qber
-        else None
-    )
+    """Pooled QBER, secrecy bound and throughput of one session, from
+    ``read``'s summary and counts, the last two as the report writes them.
+    Only a completed session claims a secrecy bound, which cedes every
+    erased symbol to the eavesdropper as Q_E; throughput is reported for
+    every session."""
+    qber = analysis.qber_from_counts(*map(sum, zip(*counts))) if counts else None
+    f = summary["erasure_fraction"]
+    # First, so that a fraction outside [0, 1] is refused under its own name.
     throughput = analysis.throughput(
         sfg_rate_hz=scenario.devices.sfg.max_rate_hz,
         modulation_rate_hz=scenario.devices.modulator.rate_hz,
-        erasure_fraction=summary["erasure_fraction"],
+        erasure_fraction=f,
         overhead_fraction=summary["overhead_fraction"],
     )
+    secrecy = None
+    if summary["status"] == "completed":  # which passed a detection round, so has a qber
+        secrecy = analysis.secrecy_capacity_bound(1.0 - f, f, qber.e, qber.e_x, qber.e_z)
     return qber, secrecy, throughput
 
 
 def build_report(
-    scenario: Scenario, transcript: SessionTranscript, transcript_path: str | None
+    scenario: Scenario, summary: dict, counts: Counts, transcript_path: str | None
 ) -> dict:
-    """Assemble the machine-readable run report."""
+    """Assemble the machine-readable run report from ``read``'s summary and counts."""
     plan = netplan.build_plan(scenario.topology)
     connectivity = netplan.verify_full_connectivity(plan)
     document = plan.to_dict()
-    qber, secrecy, throughput = session_metrics(scenario, transcript)
+    qber, secrecy, throughput = session_metrics(scenario, summary, counts)
     return {
         "scenario_digest": scenario.digest(),
         "scenario": scenario.to_dict(),
@@ -89,7 +110,7 @@ def build_report(
             "document": document,
         },
         "transcript_path": transcript_path,
-        "session": transcript.summary,
+        "session": summary,
         "qber": qber.to_dict() if qber else None,
         "secrecy": secrecy,
         "throughput": throughput,
@@ -137,10 +158,9 @@ def fringe_study(scenario: Scenario, label: qstate.BellLabel, phases: int, shots
     }
 
 
-def sweep_row(scenario: Scenario, transcript: SessionTranscript) -> dict:
+def sweep_row(scenario: Scenario, summary: dict, counts: Counts) -> dict:
     """The session's sweep columns, as its report writes them; "" where it writes null."""
-    qber, secrecy, throughput = session_metrics(scenario, transcript)
-    summary = transcript.summary
+    qber, secrecy, throughput = session_metrics(scenario, summary, counts)
     return {
         "status": summary["status"],
         "qber_e": qber.e if qber else "",

@@ -160,13 +160,10 @@ def _number_texts(values: np.ndarray) -> list[str]:
 
 
 class SessionTranscript:
-    """Ordered protocol events plus the end-of-session summary."""
+    """Ordered protocol events, the last of which holds the session's summary."""
 
     def __init__(self):
         self.events: list[dict | DetectionBatch] = []
-        self.summary: dict = {}
-        # Per detection round: (n_z, errors_z, n_x, errors_x).
-        self.detection_counts: list[tuple[int, int, int, int]] = []
 
     def chunks(self) -> Iterator[str]:
         """The transcript's text in chunks never joined: each run of events'
@@ -178,8 +175,8 @@ class SessionTranscript:
                 yield from events_jsonl(list(events))
 
     @property
-    def pooled_qber(self) -> analysis.QberEstimate | None:
-        """All detection rounds pooled into one estimate."""
-        if not self.detection_counts:
-            return None
-        return analysis.qber_from_counts(*map(sum, zip(*self.detection_counts)))
+    def summary(self) -> dict:
+        """The summary of a finished session, as ``report.read`` gives it."""
+        from .report import read
+
+        return read(self.events)[0]

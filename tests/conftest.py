@@ -459,7 +459,6 @@ def security_detection_oracle(
         errors_z = int(np.count_nonzero(wrong)) - errors_x
         counts = (n - n_x, errors_z, n_x, errors_x)
         session.transcript.events.append(batch)
-        session.transcript.detection_counts.append(counts)
         qber = qber_from_counts(*counts)
 
     if n < config.min_samples:
@@ -630,16 +629,11 @@ def run_qsdc_oracle(
         "erasure_fraction": erasure_fraction,
         "message_length": len(message_bits),
         "overhead_fraction": overhead_fraction,
-        "status": session.phase,
         "symbol_errors": symbol_errors,
         "transmissions": transmissions,
         "truncated_symbols": truncated,
     }
-    session.transcript.summary = summary
-    if completed:
-        session.log("session_complete", **{k: v for k, v in summary.items() if k != "status"})
-    else:
-        session.log("session_abort", reason=reason)
+    session.log("session_complete" if completed else "session_abort", **summary)
     return session.transcript
 
 

@@ -23,7 +23,7 @@ from qsdcnet.protocol import (
     run_qsdc,
     run_security_detection,
 )
-from qsdcnet.report import build_report, fringe_study, report_pieces, run_session
+from qsdcnet.report import build_report, fringe_study, read, report_pieces, run_session
 from qsdcnet.scenario import (
     EveKind,
     EveModel,
@@ -228,7 +228,7 @@ def test_criterion_08_throughput_at_forty_km():
         )
         assert scenario.devices.sfg.max_rate_hz == 1e5
         transcript = run_session(scenario)
-        report = build_report(scenario, transcript, None)
+        report = build_report(scenario, *read(transcript.events), None)
         assert transcript.summary["status"] == "completed"
         assert report["throughput"]["info_rate_bits_per_s"] >= 1000.0
 
@@ -240,7 +240,7 @@ def test_criterion_08_throughput_at_forty_km():
 def _run_files(doc):
     scenario = scenario_from_dict(doc)
     transcript = run_session(scenario)
-    report = build_report(scenario, transcript, "transcript.jsonl")
+    report = build_report(scenario, *read(transcript.events), "transcript.jsonl")
     return (
         hashlib.sha256("".join(transcript.chunks()).encode()).hexdigest(),
         hashlib.sha256("".join(report_pieces(report)).encode()).hexdigest(),

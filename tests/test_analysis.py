@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import asdict
 from decimal import Decimal, getcontext
@@ -15,15 +16,18 @@ from qsdcnet.analysis import (
     fidelity_from_visibility,
     qber_from_counts,
     secrecy_capacity_bound,
-    session_secrecy_report,
     throughput,
 )
 from qsdcnet.errors import MAX_RATE_HZ, DomainError, InsufficientData
 from qsdcnet.protocol import Link, Session, run_security_detection
 from qsdcnet.qstate import BellLabel, fidelity
-from qsdcnet.scenario import MAX_DETECTION_SIZE, EveKind, EveModel, NoiseParams, ProtocolConfig
+from qsdcnet.report import read, session_metrics
+from qsdcnet.scenario import (
+    MAX_DETECTION_SIZE, EveKind, EveModel, NoiseParams, ProtocolConfig, ideal_scenario_dict,
+    scenario_from_dict,
+)
 
-from conftest import make_devices, qber_from_transcript
+from conftest import detection_payload, make_devices, qber_from_transcript
 
 
 def entropy_oracle(value: str) -> float:
@@ -146,7 +150,7 @@ class TestQberEstimation:
             Link(make_devices(), EveModel(EveKind.INTERCEPT_RESEND, 1.0)),
             ProtocolConfig(qber_threshold=0.49, min_samples=500, detection_size=20000),
         )
-        ci_low, ci_high = qber_from_counts(*session.transcript.detection_counts[-1]).interval
+        ci_low, ci_high = detection_payload(session)["qber"].interval
         assert ci_low <= 0.25 <= ci_high
 
     def test_a_cached_estimate_keeps_its_count_types(self):
@@ -432,13 +436,16 @@ class TestThroughput:
         assert report["info_rate_bits_per_s"] == 2.0 * MAX_RATE_HZ
 
 
-class TestSessionSecrecyReport:
+class TestSessionMetrics:
     def test_loss_is_ceded_to_eavesdropper(self):
-        estimate = qber_from_counts(1000, 1, 1000, 2)
-        report = session_secrecy_report(estimate, erasure_fraction=0.3)
-        assert report["q_b"] == pytest.approx(0.7)
-        assert report["q_e"] == pytest.approx(0.3)
-        assert report["cs_lower"] < 0.7
+        scenario = scenario_from_dict(ideal_scenario_dict(seed=1))
+        summary = {"status": "completed", "erasure_fraction": 0.3, "overhead_fraction": 0.0}
+        # Two rounds, pooled into the estimate of their summed counts.
+        qber, secrecy, _ = session_metrics(scenario, summary, [(600, 1, 400, 2), (400, 0, 600, 0)])
+        assert qber == qber_from_counts(1000, 1, 1000, 2)
+        assert secrecy["q_b"] == pytest.approx(0.7)
+        assert secrecy["q_e"] == pytest.approx(0.3)
+        assert secrecy["cs_lower"] < 0.7
 
 
 def test_to_dict_matches_asdict():
@@ -475,3 +482,26 @@ def test_interval_on_demand_is_clopper_pearson_of_the_counts(n_z, n_x, z_share, 
     expected = clopper_pearson(errors_z + errors_x, n_z + n_x)
     assert qber.interval == expected
     assert (qber.to_dict()["ci_low"], qber.to_dict()["ci_high"]) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(counts_and_trials())
+def test_a_rate_times_its_count_rounds_back_to_the_errors(case):
+    # report.read takes each round's error counts back from its qber's rates:
+    # k / n is one correctly rounded division, so n times it rounds to k.
+    k, n = case
+    assert round((k / n) * n) == k
+
+
+def test_read_rounds_each_rate_back_to_its_count():
+    # 15 / 22 * 22 and 13 / 23 * 23 each miss their count by an ulp. The qber
+    # is a QberEstimate in memory and a dict in a parsed line.
+    qber = qber_from_counts(22, 15, 23, 13)
+    summary = {"abort_reason": "retransmission_cap", "erasure_fraction": 0.5}
+    for form in (qber, json.loads(json.dumps(qber.to_dict()))):
+        events = [
+            {"timestamp_s": 0.0, "event_kind": "detection_result", "payload": {"qber": form}},
+            {"timestamp_s": 0.1, "event_kind": "detection_result", "payload": {"qber": None}},
+            {"timestamp_s": 0.2, "event_kind": "session_abort", "payload": summary},
+        ]
+        assert read(events) == ({**summary, "status": "aborted"}, [(22, 15, 23, 13)])

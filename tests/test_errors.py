@@ -15,8 +15,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from qsdcnet import analysis, cli, netplan, photonics
-from qsdcnet.analysis import QberEstimate
+from qsdcnet import analysis, cli, netplan, photonics, report
 from qsdcnet.errors import DomainError, ScenarioError, check_range
 from qsdcnet.netplan import MAX_GRID_SIZE, MAX_USERS_PER_SUBNET, Topology
 from qsdcnet.scenario import (
@@ -87,7 +86,11 @@ class TestCheckRange:
             check_range("x", math.nan, low, high, **flags)
 
 
-_QBER = QberEstimate(e=0.0, e_x=0.0, e_z=0.0, n_x=1, n_z=1)
+def _session_metrics(erasure_fraction):
+    """report.session_metrics of a completed ideal session with one error-free round."""
+    scenario = scenario_from_dict(ideal_scenario_dict(seed=1))
+    summary = {"status": "completed", "erasure_fraction": erasure_fraction, "overhead_fraction": 0.0}
+    return report.session_metrics(scenario, summary, [(1, 0, 1, 0)])
 
 
 def _fringe(dest):
@@ -128,7 +131,7 @@ SITES = [
     ("secrecy_capacity_bound.e_z",
      lambda v: analysis.secrecy_capacity_bound(0.0, 0.0, 0.0, e_z=v), 1.1,
      "e_z must be in [0, 1], got 1.1", (0, 1), (), None),
-    ("session_secrecy_report", lambda v: analysis.session_secrecy_report(_QBER, v), 1.01,
+    ("session_metrics.erasure_fraction", _session_metrics, 1.01,
      "erasure_fraction must be in [0, 1], got 1.01", (0, 1), (), None),
     ("throughput.sfg_rate_hz", lambda v: analysis.throughput(v, 1e4, 0.1), -1.0,
      "sfg_rate_hz must be in [0, 1000000000000], got -1.0", (0, MAX_RATE_HZ), (), None),

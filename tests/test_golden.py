@@ -20,8 +20,9 @@ from pathlib import Path
 import pytest
 
 from qsdcnet import analysis, cli
-from qsdcnet.report import build_report, report_pieces, run_session
+from qsdcnet.report import build_report, read, report_pieces, run_session
 from qsdcnet.scenario import forty_km_scenario_dict, ideal_scenario_dict, scenario_from_dict
+from qsdcnet.transcript import DetectionBatch
 
 from conftest import (
     fidelity_table_oracle,
@@ -143,7 +144,7 @@ RUN_DIGESTS = {
     ),
     "intercept_resend_904": (
         cli.EXIT_ABORT,
-        "e096a866b24834cf767bd647d2a845ca02e54792f051828fd7e054a2eb21395b",
+        "c098b1480bd45589a0a3e9ec235388f9199aadcef3e0cd9212e35b566b25185e",
         "04f5a41921affd18a959743d4bde349da2073bef462d25bf2176f016c6c4fb87",
     ),
     "megabit_ideal": (
@@ -173,16 +174,25 @@ RUN_DIGESTS = {
     ),
     "truncating_10km": (
         cli.EXIT_ABORT,
-        "b6d8a64997e864ebb8a92411d38a317c41f54515ba17a69b34bd8b2100c9597c",
+        "02945234e7cf43d6bf1edf33ece182a24ccf3d99a878ebe46deb6a72cf1573cf",
         "afb45113e694f2529de4bf68020135eec88b194f5f0f94318349ccecfff74660",
     ),
+}
+
+# name -> sha256 of transcript.jsonl while an aborted session's last line,
+# session_abort, held {"reason": <the abort reason>} and not the summary;
+# nothing else in either file changed when it became the summary.
+REASON_ONLY_ABORT_TRANSCRIPT_DIGESTS = {
+    "intercept_resend_904": "e096a866b24834cf767bd647d2a845ca02e54792f051828fd7e054a2eb21395b",
+    "truncating_10km": "b6d8a64997e864ebb8a92411d38a317c41f54515ba17a69b34bd8b2100c9597c",
 }
 
 # name -> (exit code, sha256 of transcript.jsonl, sha256 of report.json) while
 # interior interval bounds came from scipy.special.betaincinv and the k = 0
 # bound from 1 - (alpha / 2) ** (1 / n). Nothing else in either file changed
 # when both became analysis.clopper_pearson's own: putting the old values
-# (conftest.SCIPY_ERA_INTERVALS) back gives these bytes again.
+# (conftest.SCIPY_ERA_INTERVALS) back, in an aborted transcript whose
+# session_abort holds its reason alone, gives these bytes again.
 SCIPY_INTERVAL_RUN_DIGESTS = {
     "eve_tail_906": (
         cli.EXIT_OK,
@@ -324,11 +334,38 @@ def test_run_outputs_are_the_scipy_era_outputs_but_for_the_interval(name, tmp_pa
     code = run_outputs(tmp_path, RUN_SCENARIOS[name])[0]
     transcript = (tmp_path / "out" / "transcript.jsonl").read_text()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
+    transcript = transcript_with_scipy_era_intervals(_with_reason_only_abort(transcript))
     assert (
         code,
-        hashlib.sha256(transcript_with_scipy_era_intervals(transcript).encode()).hexdigest(),
+        hashlib.sha256(transcript.encode()).hexdigest(),
         _sha256_of_report(report_with_scipy_era_intervals(report)),
     ) == SCIPY_INTERVAL_RUN_DIGESTS[name]
+
+
+def _with_reason_only_abort(text: str) -> str:
+    """The transcript text with a last session_abort line's payload put back
+    to {"reason": abort_reason}; a completed transcript is left as it is."""
+    head, last = text[:-1].rsplit("\n", 1)
+    event = json.loads(last)
+    if event["event_kind"] != "session_abort":
+        return text
+    assert json.dumps(event) == last  # the line is the event's json.dumps
+    event["payload"] = {"reason": event["payload"]["abort_reason"]}
+    return f"{head}\n{json.dumps(event)}\n"
+
+
+@pytest.mark.parametrize("name", sorted(REASON_ONLY_ABORT_TRANSCRIPT_DIGESTS))
+def test_aborted_transcript_is_the_old_one_but_its_last_payload(name, tmp_path, capsys):
+    # The last line's payload is the report's session without its status;
+    # put back to the abort reason alone, the transcript is the old one.
+    run_outputs(tmp_path, RUN_SCENARIOS[name])
+    text = (tmp_path / "out" / "transcript.jsonl").read_text()
+    session = json.loads((tmp_path / "out" / "report.json").read_text())["session"]
+    last = json.loads(text.splitlines()[-1])
+    assert last["event_kind"] == "session_abort" and session.pop("status") == "aborted"
+    assert last["payload"] == session
+    old = hashlib.sha256(_with_reason_only_abort(text).encode()).hexdigest()
+    assert old == REASON_ONLY_ABORT_TRANSCRIPT_DIGESTS[name]
 
 
 def readme_transcript_schema() -> dict[str, list[str]]:
@@ -397,10 +434,32 @@ def test_run_writes_what_it_builds(name, tmp_path, capsys):
     transcript = run_session(scenario)
     transcript_text = "".join(transcript.chunks())
     assert (tmp_path / "out" / "transcript.jsonl").read_bytes() == transcript_text.encode()
-    report = build_report(scenario, transcript, "transcript.jsonl")
+    report = build_report(scenario, *read(transcript.events), "transcript.jsonl")
     joined = "".join(report_pieces(report))
     assert joined == json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     assert joined.encode() == written
+
+
+@pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
+def test_the_transcript_alone_rebuilds_the_report(name, tmp_path, capsys):
+    # report.read over the parsed lines gives build_report its summary and
+    # counts; the scenario is the one the report embeds.
+    run_outputs(tmp_path, RUN_SCENARIOS[name])
+    written = (tmp_path / "out" / "report.json").read_bytes()
+    with open(tmp_path / "out" / "transcript.jsonl") as handle:
+        summary, counts = read([json.loads(line) for line in handle])
+    report = json.loads(written)
+    rebuilt = build_report(
+        scenario_from_dict(report["scenario"]), summary, counts, report["transcript_path"]
+    )
+    assert "".join(report_pieces(rebuilt)).encode() == written
+
+
+@pytest.mark.parametrize("name", sorted(RUN_SCENARIOS))
+def test_read_counts_are_the_detection_batches_counts(name):
+    events = run_session(scenario_from_dict(RUN_SCENARIOS[name])).events
+    batches = [event.counts() for event in events if isinstance(event, DetectionBatch)]
+    assert batches and read(events)[1] == batches
 
 
 def _sha256_of_report(report: dict) -> str:
@@ -414,8 +473,8 @@ def _with_secrecy_put_back(report: dict) -> dict:
         **{field.name: report["qber"][field.name] for field in dataclasses.fields(analysis.QberEstimate)}
     )
     assert qber.to_dict() == report["qber"]
-    erasure_fraction = report["session"]["erasure_fraction"]
-    secrecy = analysis.session_secrecy_report(qber, erasure_fraction)
+    f = report["session"]["erasure_fraction"]
+    secrecy = analysis.secrecy_capacity_bound(1.0 - f, f, qber.e, qber.e_x, qber.e_z)
     return {**report, "secrecy": secrecy}
 
 

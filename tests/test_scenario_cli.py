@@ -21,7 +21,7 @@ from qsdcnet.errors import DomainError, ScenarioError
 from qsdcnet.netplan import MAX_GRID_SIZE, MAX_USERS, MAX_USERS_PER_SUBNET
 from qsdcnet.protocol import MessageCodes
 from qsdcnet.qstate import BellLabel
-from qsdcnet.report import build_report, report_pieces, run_session
+from qsdcnet.report import build_report, read, report_pieces, run_session
 from qsdcnet.scenario import (
     _FRINGE_STREAM,
     _MESSAGE_STREAM,
@@ -881,6 +881,18 @@ class TestSweepCommand:
         assert len(lines) == 1
         assert lines[0].startswith("index,parameter,value,seed,status")
 
+    def test_negative_values_need_the_equals_form(self, tmp_path, capsys):
+        # argparse reads a list that starts with "-" as an option, so README
+        # gives the --values=-0.1,0.2 form; the space form is a usage error.
+        argv = ["sweep", "--scenario", write_scenario(tmp_path, sweep_base_dict()),
+                "--param", "devices.source.noise.phase_offset_rad", "--out", str(tmp_path)]
+        assert cli.main([*argv, "--values", "-0.1,0.2"]) == cli.EXIT_VALIDATION
+        assert "--values: expected one argument" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+        assert cli.main([*argv, "--values=-0.1,0.2"]) == cli.EXIT_OK
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
+        assert [row["value"] for row in rows] == ["-0.1", "0.2"]
+
     @staticmethod
     def schema_error(doc) -> str:
         with pytest.raises(ScenarioError) as raised:
@@ -1200,7 +1212,7 @@ class TestReportContents:
             max_retransmissions=max_retransmissions,
         )
         scenario = scenario_from_dict(doc)
-        report = build_report(scenario, run_session(scenario), None)
+        report = build_report(scenario, *read(run_session(scenario).events), None)
         session = report["session"]
         if session["status"] == "completed":
             assert report["secrecy"] is not None

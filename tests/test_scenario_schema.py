@@ -229,6 +229,16 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out == "completed 0.0\n1.0\n"
 
 
+def test_readme_report_example_runs(capsys):
+    text = README.read_text()
+    section = text[text.index("## Library use") :]
+    block = re.findall(r"```python\n(.*?)```", section, re.DOTALL)[1]
+    exec(compile(block, "README.md", "exec"), {})
+    # The 40 km reference's rate, the same in the report and the row, and the
+    # transcript's parsed lines read back to what its events in memory give.
+    assert capsys.readouterr().out == "1296.739348907172 1296.739348907172\nTrue\n"
+
+
 def _leaf_paths(cls=Scenario, prefix=""):
     """The dotted path of every scalar field the schema table holds."""
     for field in _TABLE[cls].values():
